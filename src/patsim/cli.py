@@ -31,7 +31,7 @@ from .segmenter import (
 from .vectorizer import (
     VectorizerConfig,
     build_patient_matrix,
-    compress_embeddings,
+    embeddings_at_dim,
     fit_lsa,
     import_embeddings,
     load_matrices,
@@ -50,12 +50,7 @@ _CONFIG_KEYS = {
     "out": ("str", False),
     "out_dir": ("str", False),
     "seed": ("int", False),
-    "dim": ("int", False),
-    "title_dim": ("int", False),
-    "threshold": ("float", False),
     "workers": ("int", False),
-    "min_doc_freq": ("int", False),
-    "categories": ("str", False),
 }
 
 
@@ -79,8 +74,6 @@ def load_config_file(path: str | Path) -> dict:
         try:
             if kind == "int":
                 values[key] = int(value)
-            elif kind == "float":
-                values[key] = float(value)
             else:
                 values[key] = value
         except ValueError:
@@ -227,14 +220,8 @@ def cmd_vectorize(args) -> int:
             print(f"wrote model dump to {args.model_out}")
     else:
         _require(args, "imports", "label")
-        embedder = import_embeddings(args.imports)
-        native = next(iter(embedder.values())).size if embedder else args.dim
-        if native > args.dim:
-            embedder = compress_embeddings(embedder, args.dim, seed=seed)
-        elif native < args.dim:
-            raise ConfigError(
-                f"imported vectors have dim {native}, need {args.dim}"
-            )
+        embedder = embeddings_at_dim(import_embeddings(args.imports), args.dim,
+                                     args.imports, seed=seed)
         label = args.label
     if label == "combined" or not engine._VMETHOD_RE.match(label):
         raise ConfigError(

@@ -207,7 +207,6 @@ def compute_all_pairs(
     tri_ok = np.empty(npairs, dtype=bool)
 
     if config.workers > 1 and npairs >= _MIN_PAIRS_FOR_POOL:
-        kernels.warmup()  # children inherit compiled kernels after fork
         chunk = max(1, -(-npairs // (config.workers * 8)))
         ranges = [(s, min(s + chunk, npairs)) for s in range(0, npairs, chunk)]
         try:
@@ -225,6 +224,17 @@ def compute_all_pairs(
     else:
         tri, tri_ok = _score_range(payload, 0, npairs, row_starts)
 
+    diag_ok = payload["valid"] if config.mmethod == "rv2" else np.ones(n, dtype=bool)
+    sim = _from_triangle(ids, tri, tri_ok, diag_ok, config)
+    sim.wall_time_seconds = time.perf_counter() - t0
+    return sim
+
+
+def _from_triangle(ids: Sequence[str], tri: np.ndarray, tri_ok: np.ndarray,
+                   diag_ok: np.ndarray, config: RunConfig, wall: float = 0.0
+                   ) -> SimilarityMatrix:
+    """Mirror a linearized upper triangle into a full symmetric matrix."""
+    n = len(ids)
     scores = np.full((n, n), np.nan, dtype=np.float64)
     defined = np.zeros((n, n), dtype=bool)
     iu, ju = np.triu_indices(n, k=1)
@@ -232,15 +242,9 @@ def compute_all_pairs(
     scores[ju, iu] = tri
     defined[iu, ju] = tri_ok
     defined[ju, iu] = tri_ok
-    if config.mmethod == "rv2":
-        diag_ok = payload["valid"]
-    else:
-        diag_ok = np.ones(n, dtype=bool)
     scores[np.arange(n), np.arange(n)] = np.where(diag_ok, 1.0, np.nan)
     defined[np.arange(n), np.arange(n)] = diag_ok
-
-    wall = time.perf_counter() - t0
-    return SimilarityMatrix(ids, scores, defined, config, wall)
+    return SimilarityMatrix(list(ids), scores, defined, config, wall)
 
 
 def align_to_ids(sim: SimilarityMatrix, ids: Sequence[str]) -> SimilarityMatrix:
@@ -341,6 +345,9 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
         ids = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise FormatError(f"bad id table in {path}: {exc}")
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+            and len(set(ids)) == len(ids)):
+        raise FormatError(f"bad id table in {path}: not a list of distinct ids")
     n = len(ids)
     raw, off = _take(blob, off, 8, "pair count")
     (npairs,) = struct.unpack("<Q", raw)
@@ -369,17 +376,7 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
         wall = float(trailer["wall_time_seconds"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad trailer in {path}: {exc}")
-
-    scores = np.full((n, n), np.nan, dtype=np.float64)
-    defined = np.zeros((n, n), dtype=bool)
-    iu, ju = np.triu_indices(n, k=1)
-    scores[iu, ju] = tri
-    scores[ju, iu] = tri
-    defined[iu, ju] = tri_ok
-    defined[ju, iu] = tri_ok
-    scores[np.arange(n), np.arange(n)] = np.where(diag_ok, 1.0, np.nan)
-    defined[np.arange(n), np.arange(n)] = diag_ok
-    return SimilarityMatrix(list(ids), scores, defined, config, wall)
+    return _from_triangle(ids, tri, tri_ok, diag_ok, config, wall)
 
 
 def export_csv(sim: SimilarityMatrix, path: str | Path) -> None:

@@ -48,7 +48,7 @@ from .vectorizer import (
     LsaModel,
     VectorizerConfig,
     build_patient_matrix,
-    compress_embeddings,
+    embeddings_at_dim,
     fit_lsa,
     import_embeddings,
 )
@@ -223,15 +223,8 @@ class _GridRunner:
                 if not path.exists():
                     self._imports[leg] = None
                 else:
-                    emb = import_embeddings(path)
-                    native = next(iter(emb.values())).size if emb else dim
-                    if native > dim:
-                        emb = compress_embeddings(emb, dim, seed=self.options.seed)
-                    elif native < dim:
-                        raise ConfigError(
-                            f"{path} holds dim-{native} vectors; leg needs {dim}"
-                        )
-                    self._imports[leg] = emb
+                    self._imports[leg] = embeddings_at_dim(
+                        import_embeddings(path), dim, path, seed=self.options.seed)
         return self._imports[leg]
 
     def _matrices_for(

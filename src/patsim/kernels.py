@@ -1,10 +1,4 @@
-"""Hot scoring kernels: numba-compiled loops with a pure-numpy fallback.
-
-The backend is chosen once at import time from the PATSIM_NUMBA
-environment variable: "0"/"off"/"false"/"no" forces the numpy fallback,
-anything else (or unset) uses numba when it imports. Both lanes stay
-importable so the benchmark can time them side by side; `BACKEND` tells
-which one the dispatchers use.
+"""Scoring kernels for the three matrix measures, in numpy.
 
 Score conventions used throughout:
 
@@ -17,17 +11,18 @@ Score conventions used throughout:
   max-sum dynamic program on (c - lam) finds the best path; its raw
   mean becomes the next lam. The level sequence is non-decreasing and
   reaches the optimum in finitely many steps.
+
+The alignment DP is vectorized one row at a time: entering row i at
+column t and walking right to column j accumulates
+m[t] + cum[j] - cum[t-1], so each row reduces to a running maximum.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "NUMBA_AVAILABLE",
     "eds_score",
     "eds_score_with_iters",
     "eds_trace",
@@ -38,162 +33,15 @@ __all__ = [
     "rv2_batch",
     "mms_batch",
     "eds_batch",
-    "warmup",
 ]
+
+# The one kernel implementation; kept as a name so run records can show it.
+BACKEND = "numpy"
 
 _MAX_DINKELBACH_ITERS = 100
 
 
-def _numba_wanted() -> bool:
-    flag = os.environ.get("PATSIM_NUMBA", "auto").strip().lower()
-    return flag not in ("0", "off", "false", "no")
-
-
-NUMBA_AVAILABLE = False
-if _numba_wanted():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_AVAILABLE = False
-
-BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Loop kernels. Written as plain nested loops so numba can compile them;
-# when numba is active the names below are rebound to their jitted forms.
-# ---------------------------------------------------------------------------
-
-def _eds_score_loops(c):
-    n1, n2 = c.shape
-    lam = c[0, 0]
-    for i in range(n1):
-        for j in range(n2):
-            if c[i, j] < lam:
-                lam = c[i, j]
-    d_prev = np.empty(n2)
-    s_prev = np.empty(n2)
-    l_prev = np.empty(n2, dtype=np.int64)
-    d_cur = np.empty(n2)
-    s_cur = np.empty(n2)
-    l_cur = np.empty(n2, dtype=np.int64)
-    iters = 0
-    for _ in range(_MAX_DINKELBACH_ITERS):
-        d_prev[0] = c[0, 0] - lam
-        s_prev[0] = c[0, 0]
-        l_prev[0] = 1
-        for j in range(1, n2):
-            d_prev[j] = d_prev[j - 1] + c[0, j] - lam
-            s_prev[j] = s_prev[j - 1] + c[0, j]
-            l_prev[j] = j + 1
-        for i in range(1, n1):
-            d_cur[0] = d_prev[0] + c[i, 0] - lam
-            s_cur[0] = s_prev[0] + c[i, 0]
-            l_cur[0] = l_prev[0] + 1
-            for j in range(1, n2):
-                # best predecessor, ties broken diagonal > up > left
-                best = d_prev[j - 1]
-                bs = s_prev[j - 1]
-                bl = l_prev[j - 1]
-                if d_prev[j] > best:
-                    best = d_prev[j]
-                    bs = s_prev[j]
-                    bl = l_prev[j]
-                if d_cur[j - 1] > best:
-                    best = d_cur[j - 1]
-                    bs = s_cur[j - 1]
-                    bl = l_cur[j - 1]
-                d_cur[j] = best + c[i, j] - lam
-                s_cur[j] = bs + c[i, j]
-                l_cur[j] = bl + 1
-            d_prev, d_cur = d_cur, d_prev
-            s_prev, s_cur = s_cur, s_prev
-            l_prev, l_cur = l_cur, l_prev
-        ratio = s_prev[n2 - 1] / l_prev[n2 - 1]
-        if not ratio > lam:
-            break
-        lam = ratio
-        iters += 1
-    return lam, iters
-
-
-def _mms_score_loops(a, b):
-    n1 = a.shape[0]
-    n2 = b.shape[0]
-    d = a.shape[1]
-    col_max = np.full(n2, -np.inf)
-    total = 0.0
-    for i in range(n1):
-        row_max = -np.inf
-        for j in range(n2):
-            s = 0.0
-            for k in range(d):
-                s += a[i, k] * b[j, k]
-            if s > row_max:
-                row_max = s
-            if s > col_max[j]:
-                col_max[j] = s
-        total += row_max
-    for j in range(n2):
-        total += col_max[j]
-    return total / (n1 + n2)
-
-
-def _rv2_batch_loops(grams, ii, jj, out):
-    dd = grams.shape[1]
-    for p in range(ii.size):
-        ga = grams[ii[p]]
-        gb = grams[jj[p]]
-        s = 0.0
-        for k in range(dd):
-            s += ga[k] * gb[k]
-        out[p] = s
-
-
-def _mms_batch_loops(rows, offsets, ii, jj, out):
-    for p in range(ii.size):
-        a = rows[offsets[ii[p]]:offsets[ii[p] + 1]]
-        b = rows[offsets[jj[p]]:offsets[jj[p] + 1]]
-        out[p] = _mms_score_loops(a, b)
-
-
-def _eds_batch_loops(rows, offsets, ii, jj, out):
-    d = rows.shape[1]
-    for p in range(ii.size):
-        i0 = offsets[ii[p]]
-        i1 = offsets[ii[p] + 1]
-        j0 = offsets[jj[p]]
-        j1 = offsets[jj[p] + 1]
-        na = i1 - i0
-        nb = j1 - j0
-        c = np.empty((na, nb))
-        for x in range(na):
-            for y in range(nb):
-                s = 0.0
-                for k in range(d):
-                    s += rows[i0 + x, k] * rows[j0 + y, k]
-                c[x, y] = s
-        score, _ = _eds_score_loops(c)
-        out[p] = score
-
-
-if NUMBA_AVAILABLE:
-    _eds_score_loops = _njit(cache=True)(_eds_score_loops)
-    _mms_score_loops = _njit(cache=True)(_mms_score_loops)
-    _rv2_batch_loops = _njit(cache=True)(_rv2_batch_loops)
-    _mms_batch_loops = _njit(cache=True)(_mms_batch_loops)
-    _eds_batch_loops = _njit(cache=True)(_eds_batch_loops)
-
-
-# ---------------------------------------------------------------------------
-# Numpy fallback lane. The alignment DP is vectorized one row at a time:
-# entering row i at column t and walking right to column j accumulates
-# m[t] + cum[j] - cum[t-1], so each row reduces to a running maximum.
-# ---------------------------------------------------------------------------
-
-def _eds_dp_numpy(cp: np.ndarray) -> np.ndarray:
+def _eds_dp(cp: np.ndarray) -> np.ndarray:
     n1, n2 = cp.shape
     d = np.empty_like(cp)
     np.cumsum(cp[0], out=d[0])
@@ -209,7 +57,7 @@ def _eds_dp_numpy(cp: np.ndarray) -> np.ndarray:
     return d
 
 
-def _eds_backtrack(d: np.ndarray, cp: np.ndarray) -> list[tuple[int, int]]:
+def _eds_backtrack(d: np.ndarray) -> list[tuple[int, int]]:
     i, j = d.shape[0] - 1, d.shape[1] - 1
     path = [(i, j)]
     while i > 0 or j > 0:
@@ -230,50 +78,32 @@ def _eds_backtrack(d: np.ndarray, cp: np.ndarray) -> list[tuple[int, int]]:
     return path
 
 
-def _path_mean(c: np.ndarray, path: list[tuple[int, int]]) -> float:
-    total = 0.0
-    for i, j in path:
-        total += c[i, j]
-    return total / len(path)
-
-
-def _eds_score_numpy(c, collect_trace: bool = False):
-    c = np.asarray(c, dtype=np.float64)
-    lam = float(c.min())
-    trace = [lam]
-    iters = 0
+def _eds_score(c: np.ndarray) -> list[float]:
+    """The Dinkelbach level sequence; its last entry is the score."""
+    trace = [float(c.min())]
     for _ in range(_MAX_DINKELBACH_ITERS):
-        d = _eds_dp_numpy(c - lam)
-        path = _eds_backtrack(d, c)
-        ratio = _path_mean(c, path)
-        if not ratio > lam:
+        path = _eds_backtrack(_eds_dp(c - trace[-1]))
+        ratio = sum(c[i, j] for i, j in path) / len(path)
+        if not ratio > trace[-1]:
             break
-        lam = ratio
-        iters += 1
-        trace.append(lam)
-    if collect_trace:
-        return lam, iters, trace
-    return lam, iters
+        trace.append(ratio)
+    return trace
 
 
-def _mms_score_numpy(a, b) -> float:
+def _mms_score(a, b) -> float:
     c = a @ b.T
     return float((c.max(axis=1).sum() + c.max(axis=0).sum())
                  / (c.shape[0] + c.shape[1]))
 
 
 # ---------------------------------------------------------------------------
-# Public dispatchers.
+# Public kernels.
 # ---------------------------------------------------------------------------
 
 def eds_score_with_iters(c: np.ndarray) -> tuple[float, int]:
     """Alignment score plus the number of Dinkelbach level updates."""
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    if NUMBA_AVAILABLE:
-        lam, iters = _eds_score_loops(c)
-        return float(lam), int(iters)
-    lam, iters = _eds_score_numpy(c)
-    return float(lam), int(iters)
+    trace = _eds_score(np.ascontiguousarray(c, dtype=np.float64))
+    return float(trace[-1]), len(trace) - 1
 
 
 def eds_score(c: np.ndarray) -> float:
@@ -282,26 +112,23 @@ def eds_score(c: np.ndarray) -> float:
 
 
 def eds_trace(c: np.ndarray) -> tuple[float, list[float]]:
-    """Score plus the full level sequence (numpy lane; for diagnostics)."""
-    lam, _, trace = _eds_score_numpy(np.asarray(c, dtype=np.float64), True)
-    return float(lam), trace
+    """Score plus the full level sequence, for diagnostics."""
+    trace = _eds_score(np.asarray(c, dtype=np.float64))
+    return float(trace[-1]), trace
 
 
 def eds_best_path(c: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     """Score plus one optimal path, for plotting alignment overlays."""
     c = np.asarray(c, dtype=np.float64)
-    lam, _ = _eds_score_numpy(c)
-    path = _eds_backtrack(_eds_dp_numpy(c - lam), c)
+    lam = _eds_score(c)[-1]
+    path = _eds_backtrack(_eds_dp(c - lam))
     return float(lam), path
 
 
 def mms_score(a: np.ndarray, b: np.ndarray) -> float:
     """Mean of the concatenated row-wise and column-wise cosine maxima."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if NUMBA_AVAILABLE:
-        return float(_mms_score_loops(a, b))
-    return _mms_score_numpy(a, b)
+    return _mms_score(np.ascontiguousarray(a, dtype=np.float64),
+                      np.ascontiguousarray(b, dtype=np.float64))
 
 
 def rv2_gram(rows: np.ndarray) -> np.ndarray | None:
@@ -327,55 +154,30 @@ def rv2_score(ga: np.ndarray, gb: np.ndarray) -> float:
 def rv2_batch(grams: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Scores for index pairs (ii[p], jj[p]) over prepared gram rows."""
     out = np.empty(ii.size, dtype=np.float64)
-    if NUMBA_AVAILABLE:
-        _rv2_batch_loops(grams, ii, jj, out)
-    else:
-        for p in range(ii.size):
-            out[p] = np.dot(grams[ii[p]], grams[jj[p]])
+    for p in range(ii.size):
+        out[p] = np.dot(grams[ii[p]], grams[jj[p]])
     return out
 
 
 def mms_batch(
     rows: np.ndarray, offsets: np.ndarray, ii: np.ndarray, jj: np.ndarray
 ) -> np.ndarray:
+    """mms for index pairs over patients packed as rows[offsets[k]:offsets[k + 1]]."""
     out = np.empty(ii.size, dtype=np.float64)
-    if NUMBA_AVAILABLE:
-        _mms_batch_loops(rows, offsets, ii, jj, out)
-    else:
-        for p in range(ii.size):
-            a = rows[offsets[ii[p]]:offsets[ii[p] + 1]]
-            b = rows[offsets[jj[p]]:offsets[jj[p] + 1]]
-            out[p] = _mms_score_numpy(a, b)
+    for p in range(ii.size):
+        a = rows[offsets[ii[p]]:offsets[ii[p] + 1]]
+        b = rows[offsets[jj[p]]:offsets[jj[p] + 1]]
+        out[p] = _mms_score(a, b)
     return out
 
 
 def eds_batch(
     rows: np.ndarray, offsets: np.ndarray, ii: np.ndarray, jj: np.ndarray
 ) -> np.ndarray:
+    """eds for index pairs over patients packed as in mms_batch."""
     out = np.empty(ii.size, dtype=np.float64)
-    if NUMBA_AVAILABLE:
-        _eds_batch_loops(rows, offsets, ii, jj, out)
-    else:
-        for p in range(ii.size):
-            a = rows[offsets[ii[p]]:offsets[ii[p] + 1]]
-            b = rows[offsets[jj[p]]:offsets[jj[p] + 1]]
-            out[p], _ = _eds_score_numpy(a @ b.T)
+    for p in range(ii.size):
+        a = rows[offsets[ii[p]]:offsets[ii[p] + 1]]
+        b = rows[offsets[jj[p]]:offsets[jj[p] + 1]]
+        out[p] = _eds_score(a @ b.T)[-1]
     return out
-
-
-def warmup() -> None:
-    """Force JIT compilation (or disk-cache load) of every kernel.
-
-    Called before forking worker processes so children inherit compiled
-    code instead of each paying the compilation cost.
-    """
-    rows = np.ascontiguousarray(np.eye(2, 3))
-    offsets = np.array([0, 1, 2], dtype=np.int64)
-    ii = np.array([0], dtype=np.int64)
-    jj = np.array([1], dtype=np.int64)
-    grams = np.ascontiguousarray(np.ones((2, 4)))
-    eds_score(np.ones((2, 2)))
-    mms_score(rows[:1], rows[1:])
-    rv2_batch(grams, ii, jj)
-    mms_batch(rows, offsets, ii, jj)
-    eds_batch(rows, offsets, ii, jj)

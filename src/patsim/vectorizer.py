@@ -22,6 +22,7 @@ import scipy.sparse as sp
 
 from .exceptions import (
     BadVector,
+    ConfigError,
     DimMismatch,
     DimTooLarge,
     DuplicateKey,
@@ -44,6 +45,7 @@ __all__ = [
     "embed",
     "import_embeddings",
     "compress_embeddings",
+    "embeddings_at_dim",
     "build_patient_matrix",
     "save_lsa_model",
     "load_lsa_model",
@@ -332,6 +334,22 @@ def compress_embeddings(
     return {k: proj[i] for i, k in enumerate(keys)}
 
 
+def embeddings_at_dim(
+    embeddings: Mapping[tuple[str, int], np.ndarray], dim: int,
+    source: str | Path, seed: int = 0,
+) -> Mapping[tuple[str, int], np.ndarray]:
+    """Imported vectors at the leg's dim: compressed when natively larger.
+
+    Raises ConfigError when the vectors from source are natively smaller.
+    """
+    native = next(iter(embeddings.values())).size if embeddings else dim
+    if native < dim:
+        raise ConfigError(f"{source} holds dim-{native} vectors; need {dim}")
+    if native > dim:
+        return compress_embeddings(embeddings, dim, seed=seed)
+    return embeddings
+
+
 def build_patient_matrix(
     patient: "PatientRecord",
     filtered: Sequence["FilteredNote"],
@@ -370,27 +388,28 @@ def build_patient_matrix(
     )
 
 
-def save_lsa_model(model: LsaModel, path: str | Path) -> None:
-    """Write a model dump: magic header, JSON metadata, raw arrays."""
+def _write_container(path: str | Path, magic: bytes, header: dict, arrays) -> None:
+    """Magic, u32 header length, JSON header, then raw little-endian arrays."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    terms = sorted(model.vocabulary, key=model.vocabulary.__getitem__)
-    header = json.dumps(
-        {
-            "dim": model.dim,
-            "sublinear_tf": model.sublinear_tf,
-            "vocab_size": len(terms),
-            "vocabulary": terms,
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    ).encode("utf-8")
+    raw = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(LSA_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(np.ascontiguousarray(model.idf, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.projection, dtype="<f8").tobytes())
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(raw)))
+        fh.write(raw)
+        for arr in arrays:
+            fh.write(arr.tobytes())
+
+
+def save_lsa_model(model: LsaModel, path: str | Path) -> None:
+    """Write a model dump: magic header, JSON metadata, raw arrays."""
+    terms = sorted(model.vocabulary, key=model.vocabulary.__getitem__)
+    header = {"dim": model.dim, "sublinear_tf": model.sublinear_tf,
+              "vocab_size": len(terms), "vocabulary": terms}
+    _write_container(path, LSA_MAGIC, header, [
+        np.ascontiguousarray(model.idf, dtype="<f8"),
+        np.ascontiguousarray(model.projection, dtype="<f8"),
+    ])
 
 
 def save_matrices(
@@ -405,35 +424,44 @@ def save_matrices(
     arrays. Byte-identical for identical inputs, so pipeline outputs can
     be compared directly.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ids = sorted(matrices)
     if not ids:
         raise FormatError("refusing to write an empty matrix container")
     dim = matrices[ids[0]].rows.shape[1]
+    for pid in ids:
+        if matrices[pid].rows.shape[1] != dim:
+            raise DimMismatch(f"matrix for {pid} has dim {matrices[pid].rows.shape[1]}")
     counts = [int(matrices[pid].rows.shape[0]) for pid in ids]
-    header = json.dumps(
-        {
-            "dim": dim,
-            "ids": ids,
-            "counts": counts,
-            "meta": dict(meta or {}),
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for pid in ids:
-            fh.write(np.ascontiguousarray(
-                matrices[pid].note_indices, dtype="<i8").tobytes())
-        for pid in ids:
-            m = matrices[pid]
-            if m.rows.shape[1] != dim:
-                raise DimMismatch(f"matrix for {pid} has dim {m.rows.shape[1]}")
-            fh.write(np.ascontiguousarray(m.rows, dtype="<f8").tobytes())
+    header = {"dim": dim, "ids": ids, "counts": counts, "meta": dict(meta or {})}
+    _write_container(path, MAT_MAGIC, header, [
+        *(np.ascontiguousarray(matrices[pid].note_indices, dtype="<i8") for pid in ids),
+        *(np.ascontiguousarray(matrices[pid].rows, dtype="<f8") for pid in ids),
+    ])
+
+
+def _read_header(path: Path, magic: bytes, what: str) -> tuple[bytes, dict, int]:
+    """A container's bytes, its JSON-object header and the payload offset."""
+    blob = path.read_bytes()
+    if not blob.startswith(magic):
+        raise FormatError(f"{path} is not a {what} (bad magic)")
+    off = len(magic) + 4
+    try:
+        (hlen,) = struct.unpack_from("<I", blob, len(magic))
+        header = json.loads(blob[off:off + hlen].decode("utf-8"))
+    except (ValueError, struct.error) as exc:
+        raise FormatError(f"corrupt {what} {path}: {exc}")
+    if not isinstance(header, dict):
+        raise FormatError(f"corrupt {what} {path}: header is not a JSON object")
+    return blob, header, off + hlen
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _unique_strings(value) -> bool:
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and len(set(value)) == len(value))
 
 
 def load_matrices(
@@ -441,20 +469,13 @@ def load_matrices(
 ) -> tuple[dict[str, PatientMatrix], dict[str, object]]:
     """Read a matrix container; returns (matrices, caller metadata)."""
     path = Path(path)
-    blob = path.read_bytes()
-    if not blob.startswith(MAT_MAGIC):
-        raise FormatError(f"{path} is not a matrix container (bad magic)")
-    off = len(MAT_MAGIC)
-    try:
-        (hlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        header = json.loads(blob[off:off + hlen].decode("utf-8"))
-        off += hlen
-        dim = int(header["dim"])
-        ids = header["ids"]
-        counts = [int(c) for c in header["counts"]]
-    except (KeyError, ValueError, struct.error) as exc:
-        raise FormatError(f"corrupt matrix container {path}: {exc}")
+    blob, header, off = _read_header(path, MAT_MAGIC, "matrix container")
+    dim, ids, counts = header.get("dim"), header.get("ids"), header.get("counts")
+    meta = header.get("meta", {})
+    if not (_is_count(dim) and _unique_strings(ids) and isinstance(counts, list)
+            and len(counts) == len(ids) and all(map(_is_count, counts))
+            and isinstance(meta, dict)):
+        raise FormatError(f"corrupt matrix container {path}: bad header fields")
     total = sum(counts)
     need = off + total * 8 + total * dim * 8
     if need != len(blob):
@@ -472,39 +493,27 @@ def load_matrices(
             note_indices=note_idx[pos:pos + count].astype(np.int64),
         )
         pos += count
-    return matrices, dict(header.get("meta", {}))
+    return matrices, dict(meta)
 
 
 def load_lsa_model(path: str | Path) -> LsaModel:
     path = Path(path)
-    blob = path.read_bytes()
-    if not blob.startswith(LSA_MAGIC):
-        raise FormatError(f"{path} is not a model dump (bad magic)")
-    off = len(LSA_MAGIC)
-    try:
-        (hlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        header = json.loads(blob[off:off + hlen].decode("utf-8"))
-        off += hlen
-        vocab_size = int(header["vocab_size"])
-        dim = int(header["dim"])
-        terms = header["vocabulary"]
-        idf = np.frombuffer(blob, dtype="<f8", count=vocab_size, offset=off).copy()
-        off += vocab_size * 8
-        proj = np.frombuffer(
-            blob, dtype="<f8", count=vocab_size * dim, offset=off
-        ).reshape(vocab_size, dim).copy()
-        off += vocab_size * dim * 8
-    except (KeyError, ValueError, struct.error) as exc:
-        raise FormatError(f"corrupt model dump {path}: {exc}")
-    if off != len(blob):
-        raise FormatError(f"trailing bytes in model dump {path}")
-    if len(terms) != vocab_size:
-        raise FormatError(f"vocabulary length mismatch in {path}")
+    blob, header, off = _read_header(path, LSA_MAGIC, "model dump")
+    vocab_size, dim = header.get("vocab_size"), header.get("dim")
+    terms, sublinear_tf = header.get("vocabulary"), header.get("sublinear_tf")
+    if not (_is_count(vocab_size) and _is_count(dim) and _unique_strings(terms)
+            and len(terms) == vocab_size and isinstance(sublinear_tf, bool)):
+        raise FormatError(f"corrupt model dump {path}: bad header fields")
+    if off + vocab_size * (1 + dim) * 8 != len(blob):
+        raise FormatError(f"model dump {path} has wrong payload size")
+    idf = np.frombuffer(blob, dtype="<f8", count=vocab_size, offset=off).copy()
+    proj = np.frombuffer(
+        blob, dtype="<f8", count=vocab_size * dim, offset=off + vocab_size * 8
+    ).reshape(vocab_size, dim).copy()
     return LsaModel(
         vocabulary={t: i for i, t in enumerate(terms)},
         idf=idf,
         projection=proj,
         dim=dim,
-        sublinear_tf=bool(header["sublinear_tf"]),
+        sublinear_tf=sublinear_tf,
     )

@@ -1,8 +1,8 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately brute force and shares no code with the
-package: exhaustive path enumeration, quadratic pair counting, and
-straight-line formula evaluation.
+package: exhaustive path enumeration, a plain-loop Dinkelbach solver,
+quadratic pair counting, and straight-line formula evaluation.
 """
 
 from __future__ import annotations
@@ -36,6 +36,63 @@ def enumerate_best_mean_path(c: np.ndarray) -> float:
         if j + 1 < n2:
             stack.append((i, j + 1, total, length))
     return best
+
+
+def eds_loop_reference(c: np.ndarray, max_iters: int = 100) -> tuple[float, int]:
+    """Max mean path score and level-update count, by plain loops.
+
+    Dinkelbach iteration over a scalar max-sum DP, with ties broken
+    diagonal > up > left. Unlike enumeration it scales to any shape.
+    """
+    n1, n2 = c.shape
+    lam = c[0, 0]
+    for i in range(n1):
+        for j in range(n2):
+            if c[i, j] < lam:
+                lam = c[i, j]
+    d_prev = np.empty(n2)
+    s_prev = np.empty(n2)
+    l_prev = np.empty(n2, dtype=np.int64)
+    d_cur = np.empty(n2)
+    s_cur = np.empty(n2)
+    l_cur = np.empty(n2, dtype=np.int64)
+    iters = 0
+    for _ in range(max_iters):
+        d_prev[0] = c[0, 0] - lam
+        s_prev[0] = c[0, 0]
+        l_prev[0] = 1
+        for j in range(1, n2):
+            d_prev[j] = d_prev[j - 1] + c[0, j] - lam
+            s_prev[j] = s_prev[j - 1] + c[0, j]
+            l_prev[j] = j + 1
+        for i in range(1, n1):
+            d_cur[0] = d_prev[0] + c[i, 0] - lam
+            s_cur[0] = s_prev[0] + c[i, 0]
+            l_cur[0] = l_prev[0] + 1
+            for j in range(1, n2):
+                best = d_prev[j - 1]
+                bs = s_prev[j - 1]
+                bl = l_prev[j - 1]
+                if d_prev[j] > best:
+                    best = d_prev[j]
+                    bs = s_prev[j]
+                    bl = l_prev[j]
+                if d_cur[j - 1] > best:
+                    best = d_cur[j - 1]
+                    bs = s_cur[j - 1]
+                    bl = l_cur[j - 1]
+                d_cur[j] = best + c[i, j] - lam
+                s_cur[j] = bs + c[i, j]
+                l_cur[j] = bl + 1
+            d_prev, d_cur = d_cur, d_prev
+            s_prev, s_cur = s_cur, s_prev
+            l_prev, l_cur = l_cur, l_prev
+        ratio = s_prev[n2 - 1] / l_prev[n2 - 1]
+        if not ratio > lam:
+            break
+        lam = ratio
+        iters += 1
+    return float(lam), iters
 
 
 def kendall_counts(x, y) -> tuple[int, int, int, int]:

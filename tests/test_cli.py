@@ -250,6 +250,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown key"):
             load_config_file(cfg)
 
+    @pytest.mark.parametrize(
+        "line", ["dim = 20", "title_dim = 8", "threshold = 0.5",
+                 "min_doc_freq = 2", "categories = Medication"])
+    def test_flag_only_settings_rejected(self, line, tmp_path):
+        # these have flags but no config-file mapping; accepting them
+        # would silently keep the flag default
+        cfg = tmp_path / "patsim.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config_file(cfg)
+
     def test_missing_referenced_path_rejected(self, tmp_path):
         cfg = tmp_path / "patsim.cfg"
         cfg.write_text("corpus = /does/not/exist.jsonl\n")

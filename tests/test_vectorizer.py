@@ -7,6 +7,7 @@ import pytest
 
 from patsim.exceptions import (
     BadVector,
+    ConfigError,
     DimMismatch,
     DimTooLarge,
     DuplicateKey,
@@ -20,6 +21,7 @@ from patsim.vectorizer import (
     build_patient_matrix,
     compress_embeddings,
     embed,
+    embeddings_at_dim,
     fit_lsa,
     import_embeddings,
     load_lsa_model,
@@ -213,6 +215,28 @@ class TestCompressEmbeddings:
         v = rng.standard_normal(8)
         with pytest.raises(DimMismatch):
             compress_embeddings({("a", 0): v}, 16)
+
+
+class TestEmbeddingsAtDim:
+    def unit(self, rng, dim, n=30):
+        return {(f"p{k}", 0): (lambda v: v / np.linalg.norm(v))(rng.standard_normal(dim))
+                for k in range(n)}
+
+    def test_native_dim_passes_through(self, rng):
+        emb = self.unit(rng, 8)
+        assert embeddings_at_dim(emb, 8, "legs.jsonl") is emb
+
+    def test_larger_native_dim_is_compressed(self, rng):
+        emb = self.unit(rng, 20)
+        out = embeddings_at_dim(emb, 6, "legs.jsonl", seed=2)
+        want = compress_embeddings(emb, 6, seed=2)
+        assert set(out) == set(want)
+        for key in want:
+            np.testing.assert_array_equal(out[key], want[key])
+
+    def test_smaller_native_dim_names_source(self, rng):
+        with pytest.raises(ConfigError, match="legs.jsonl holds dim-8 vectors; need 16"):
+            embeddings_at_dim(self.unit(rng, 8), 16, "legs.jsonl")
 
 
 def lsa_for_matrix_tests(rng):
