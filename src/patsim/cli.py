@@ -21,16 +21,15 @@ from .exceptions import ConfigError, PatsimError
 from .segmenter import (
     CATEGORIES,
     RelevancyMap,
-    build_title_space,
-    expand_prototypes,
     filter_segments,
+    relevancy_from_prototypes,
     resolve_category,
     segment_patient,
     unfiltered_notes,
 )
 from .vectorizer import (
     VectorizerConfig,
-    build_patient_matrix,
+    build_patient_matrices,
     embeddings_at_dim,
     fit_lsa,
     import_embeddings,
@@ -112,25 +111,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             )
 
 
-def _relevancy_from_args(args, corpus) -> RelevancyMap:
-    if getattr(args, "relevancy", None):
-        return RelevancyMap.load(args.relevancy)
-    if getattr(args, "prototypes", None):
-        protos = json.loads(Path(args.prototypes).read_text(encoding="utf-8"))
-        titles = {
-            seg.title
-            for patient in corpus
-            for segs in segment_patient(patient, args.inherit_untitled)
-            for seg in segs
-        }
-        dim = min(args.title_dim, max(2, len(titles)))
-        space = build_title_space(
-            corpus, dim, seed=args.seed, inherit_untitled=args.inherit_untitled
-        )
-        return expand_prototypes(protos, space, args.threshold)
-    raise ConfigError("need --relevancy or --prototypes for a filtered run")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -187,62 +167,60 @@ def cmd_segment(args) -> int:
 
 def cmd_vectorize(args) -> int:
     _require(args, "corpus", "out")
+    if args.method == "import":
+        _require(args, "imports", "label")
+    label = args.label or engine.vmethod_label("lsa", args.dim)
+    if engine.parse_vmethod(label)[1] != args.dim:
+        raise ConfigError(
+            f"--label must be <family><dim> with dim {args.dim}, got {label!r}"
+        )
     corpus = load_corpus(args.corpus)
     seed = args.seed or 0
-    args.seed = seed
     filtered = args.category is not None and args.category.lower() != "all"
     if filtered:
         category = resolve_category(args.category)
-        relevancy = _relevancy_from_args(args, corpus)
+        segments = {
+            p.patient_id: segment_patient(p, args.inherit_untitled) for p in corpus
+        }
+        if args.relevancy:
+            relevancy = RelevancyMap.load(args.relevancy)
+        elif args.prototypes:
+            relevancy = relevancy_from_prototypes(
+                json.loads(Path(args.prototypes).read_text(encoding="utf-8")),
+                corpus, segments.values(), title_dim=args.title_dim,
+                threshold=args.threshold, seed=seed,
+                inherit_untitled=args.inherit_untitled,
+            )
+        else:
+            raise ConfigError("need --relevancy or --prototypes for a filtered run")
         titles = relevancy.for_category(category)
         notes = {
-            p.patient_id: filter_segments(
-                segment_patient(p, args.inherit_untitled), titles
-            )
-            for p in corpus
+            pid: filter_segments(segs, titles) for pid, segs in segments.items()
         }
-        category_name = category.name
     else:
         notes = {p.patient_id: unfiltered_notes(p) for p in corpus}
-        category_name = None
 
     if args.method == "lsa":
         docs = [fn.text for fns in notes.values() for fn in fns]
-        model = fit_lsa(docs, VectorizerConfig(
-            method="lsa", dim=args.dim, seed=seed,
+        embedder = fit_lsa(docs, VectorizerConfig(
+            dim=args.dim, seed=seed,
             min_doc_freq=args.min_doc_freq,
             sublinear_tf=not args.raw_tf,
         ))
-        embedder = model
-        label = args.label or f"lsa{args.dim:03d}"
         if args.model_out:
-            save_lsa_model(model, args.model_out)
+            save_lsa_model(embedder, args.model_out)
             print(f"wrote model dump to {args.model_out}")
     else:
-        _require(args, "imports", "label")
         embedder = embeddings_at_dim(import_embeddings(args.imports), args.dim,
                                      args.imports, seed=seed)
-        label = args.label
-    if label == "combined" or not engine._VMETHOD_RE.match(label):
-        raise ConfigError(
-            f"--label must be <family><dim> like d2v050, got {label!r}"
-        )
 
-    matrices = {}
-    absent = []
-    for patient in corpus:
-        fns = notes[patient.patient_id]
-        mat = build_patient_matrix(patient, fns, embedder) if fns else None
-        if mat is None:
-            absent.append(patient.patient_id)
-        else:
-            matrices[patient.patient_id] = mat
+    matrices, absent = build_patient_matrices(corpus, notes, embedder)
     if not matrices:
         raise ConfigError("every patient was filtered out; nothing to write")
     save_matrices(matrices, args.out, meta={
         "vmethod": label,
         "filter": filtered,
-        "category": category_name,
+        "category": category.name if filtered else None,
         "seed": seed,
     })
     print(f"wrote {len(matrices)} patient matrices (dim {args.dim}) to {args.out}")
@@ -372,15 +350,31 @@ def build_parser() -> argparse.ArgumentParser:
     subparser_kw = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, seeded: bool = False) -> None:
         p.add_argument("--config", default=None,
                        help="key = value config file; flags override it")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for all randomized steps (unset means 0)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for all randomized steps (unset means 0)")
+
+    def leg_settings(p: argparse.ArgumentParser) -> None:
+        """The flags that decide how a leg's notes are filtered and fitted."""
+        p.add_argument("--relevancy", default=None, help="relevancy map JSON")
+        p.add_argument("--prototypes", default=None, help="prototype titles JSON")
+        p.add_argument("--threshold", type=float, default=0.7,
+                       help="cosine threshold for prototype expansion")
+        p.add_argument("--title-dim", type=int, default=16,
+                       help="dimension of the title latent space")
+        p.add_argument("--min-doc-freq", type=int, default=1,
+                       help="drop tokens seen in fewer documents")
+        p.add_argument("--raw-tf", action="store_true",
+                       help="use raw counts instead of 1+log(count)")
+        p.add_argument("--inherit-untitled", action="store_true",
+                       help="untitled segments inherit the previous title")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus",
                        **subparser_kw)
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--patients", type=int, required=True,
                    help="number of patients to generate")
     p.add_argument("--clusters", type=int, required=True,
@@ -409,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vectorize", help="build patient matrices",
                        **subparser_kw)
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--corpus", default=None, help="corpus JSONL path")
     p.add_argument("--category", default="all",
                    help="similarity category name, id, or 'all' (no filtering)")
@@ -421,20 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--imports", default=None,
                    help="embedding JSONL file (method=import)")
     p.add_argument("--label", default=None,
-                   help="vectorizer leg name recorded in the container "
-                        "(e.g. d2v050); defaults to lsa<dim> for lsa")
-    p.add_argument("--relevancy", default=None, help="relevancy map JSON")
-    p.add_argument("--prototypes", default=None, help="prototype titles JSON")
-    p.add_argument("--threshold", type=float, default=0.7,
-                   help="cosine threshold for prototype expansion")
-    p.add_argument("--title-dim", type=int, default=16,
-                   help="dimension of the title latent space")
-    p.add_argument("--min-doc-freq", type=int, default=1,
-                   help="drop tokens seen in fewer documents")
-    p.add_argument("--raw-tf", action="store_true",
-                   help="use raw counts instead of 1+log(count)")
-    p.add_argument("--inherit-untitled", action="store_true",
-                   help="untitled segments inherit the previous title")
+                   help="leg label recorded in the container, <family><dim> "
+                        "with the --dim value (e.g. d2v050); defaults to "
+                        "lsa<dim> for lsa")
+    leg_settings(p)
     p.add_argument("--model-out", default=None, help="save the LSA model dump")
     p.set_defaults(func=cmd_vectorize)
 
@@ -465,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gridsearch", help="run the full 2x7x3 evaluation grid",
                        **subparser_kw)
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--corpus", default=None, help="corpus JSONL path")
     p.add_argument("--annotations", default=None,
                    help="annotation CSV path")
@@ -473,18 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory with d2v050.jsonl etc. for imported legs")
     p.add_argument("--out", dest="out_dir", default=None,
                    help="directory for the report tables")
-    p.add_argument("--relevancy", default=None, help="relevancy map JSON")
-    p.add_argument("--prototypes", default=None, help="prototype titles JSON")
-    p.add_argument("--threshold", type=float, default=0.7,
-                   help="cosine threshold for prototype expansion")
-    p.add_argument("--title-dim", type=int, default=16,
-                   help="dimension of the title latent space")
-    p.add_argument("--min-doc-freq", type=int, default=1,
-                   help="drop tokens seen in fewer documents")
-    p.add_argument("--raw-tf", action="store_true",
-                   help="use raw counts instead of 1+log(count)")
-    p.add_argument("--inherit-untitled", action="store_true",
-                   help="untitled segments inherit the previous title")
+    leg_settings(p)
     p.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default: PATSIM_WORKERS or 1)")
     p.set_defaults(func=cmd_gridsearch)
@@ -502,14 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_FILL = {
     "synth": {"out": "out", "seed": "seed"},
-    "segment": {"corpus": "corpus", "out": "out", "seed": "seed"},
+    "segment": {"corpus": "corpus", "out": "out"},
     "vectorize": {
         "corpus": "corpus", "out": "out", "seed": "seed",
         "relevancy": "relevancy", "prototypes": "prototypes",
         "imports": "imports",
     },
-    "pairs": {"out": "out", "workers": "workers", "seed": "seed"},
-    "evaluate": {"annotations": "annotations", "seed": "seed"},
+    "pairs": {"out": "out", "workers": "workers"},
+    "evaluate": {"annotations": "annotations"},
     "gridsearch": {
         "corpus": "corpus", "annotations": "annotations",
         "imports": "imports", "out_dir": "out_dir",

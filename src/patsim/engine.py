@@ -20,12 +20,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .exceptions import DimMismatch, FormatError, TooFewPatients
+from .exceptions import ConfigError, DimMismatch, FormatError, TooFewPatients
 from .vectorizer import PatientMatrix
 
 __all__ = [
     "VMETHODS",
     "MMETHODS",
+    "parse_vmethod",
+    "vmethod_label",
     "RunConfig",
     "SimilarityMatrix",
     "compute_all_pairs",
@@ -44,6 +46,25 @@ VMETHODS = ("lsa050", "lsa200", "d2v050", "d2v200", "rbc050", "rbc200", "combine
 MMETHODS = ("rv2", "mms", "eds")
 
 _VMETHOD_RE = re.compile(r"^(lsa|d2v|rbc)(\d{3})$")
+
+
+def parse_vmethod(label: str) -> tuple[str, int | None]:
+    """Split a leg label like "lsa050" into (family, dim); "combined" has no dim."""
+    if label == "combined":
+        return "combined", None
+    match = _VMETHOD_RE.match(label)
+    if match is None:
+        raise ConfigError(
+            f"leg label must be 'combined' or <family><dim> like 'lsa050', "
+            f"got {label!r}"
+        )
+    return match.group(1), int(match.group(2))
+
+
+def vmethod_label(family: str, dim: int) -> str:
+    """The leg label of one vectorizer family at one dimension."""
+    return f"{family}{dim:03d}"
+
 
 SIM_MAGIC = b"PATSIM-SIM-1\n"
 
@@ -65,11 +86,14 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.vmethod != "combined" and not _VMETHOD_RE.match(self.vmethod):
-            raise ValueError(
-                f"vmethod must be 'combined' or <family><dim> like 'lsa050', "
-                f"got {self.vmethod!r}"
-            )
+        if not (isinstance(self.filter, bool)
+                and (self.category is None or isinstance(self.category, str))
+                and type(self.workers) is int and type(self.seed) is int):
+            raise TypeError(f"RunConfig field of the wrong type in {self!r}")
+        try:
+            parse_vmethod(self.vmethod)
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from None
         if self.mmethod not in MMETHODS:
             raise ValueError(f"mmethod must be one of {MMETHODS}, got {self.mmethod!r}")
         if self.workers < 1:
@@ -78,8 +102,7 @@ class RunConfig:
     @property
     def dim(self) -> int | None:
         """Embedding dimension encoded in the vectorizer name, if any."""
-        tail = self.vmethod[-3:]
-        return int(tail) if tail.isdigit() else None
+        return parse_vmethod(self.vmethod)[1]
 
 
 @dataclass

@@ -26,6 +26,8 @@ from .engine import (
     SimilarityMatrix,
     combine_similarities,
     compute_all_pairs,
+    parse_vmethod,
+    vmethod_label,
 )
 from .evaluation import (
     AgreementSummary,
@@ -38,16 +40,15 @@ from .segmenter import (
     CATEGORIES,
     FilteredNote,
     RelevancyMap,
-    build_title_space,
-    expand_prototypes,
     filter_segments,
+    relevancy_from_prototypes,
     segment_patient,
     unfiltered_notes,
 )
 from .vectorizer import (
     LsaModel,
     VectorizerConfig,
-    build_patient_matrix,
+    build_patient_matrices,
     embeddings_at_dim,
     fit_lsa,
     import_embeddings,
@@ -117,16 +118,6 @@ class EvalReport:
     exclusions: dict[str, list[str]] = field(default_factory=dict)
 
 
-def _parse_vmethod(vmethod: str) -> tuple[str, int | None]:
-    if vmethod == "combined":
-        return "combined", None
-    return vmethod[:-3], int(vmethod[-3:])
-
-
-def _leg_name(family: str, dim: int) -> str:
-    return f"{family}{dim:03d}"
-
-
 class _GridRunner:
     def __init__(
         self,
@@ -137,7 +128,6 @@ class _GridRunner:
         imports_dir: Path | None,
         options: GridOptions,
     ):
-        self.corpus = corpus
         self.validation = validation
         self.options = options
         self.imports_dir = imports_dir
@@ -149,12 +139,10 @@ class _GridRunner:
                 f"validation references patients absent from the corpus: "
                 f"{sorted(missing)[:5]}{'...' if len(missing) > 5 else ''}"
             )
-        self.subset = {
-            pid: corpus.patients[pid] for pid in sorted(validation.patient_ids())
-        }
+        self.subset = [corpus.patients[pid] for pid in sorted(validation.patient_ids())]
 
         log.info("segmenting %d patients", len(corpus.patients))
-        self.segments = {
+        segments = {
             pid: segment_patient(p, options.inherit_untitled)
             for pid, p in corpus.patients.items()
         }
@@ -165,14 +153,11 @@ class _GridRunner:
                     "grid search needs a relevancy map or prototype titles "
                     "for the filtered legs"
                 )
-            titles = {s.title for segs in self.segments.values()
-                      for note in segs for s in note}
-            dim = min(options.title_dim, max(2, len(titles)))
-            space = build_title_space(
-                corpus, dim, seed=options.seed,
-                inherit_untitled=options.inherit_untitled,
+            relevancy = relevancy_from_prototypes(
+                prototypes, corpus, segments.values(),
+                title_dim=options.title_dim, threshold=options.threshold,
+                seed=options.seed, inherit_untitled=options.inherit_untitled,
             )
-            relevancy = expand_prototypes(prototypes, space, options.threshold)
         self.relevancy = relevancy
 
         # filtered note text per category, full corpus (models fit on all of it)
@@ -181,13 +166,12 @@ class _GridRunner:
             titles = relevancy.for_category(cat)
             self.filtered[cat.name] = {
                 pid: filter_segments(segs, titles)
-                for pid, segs in self.segments.items()
+                for pid, segs in segments.items()
             }
         self.unfiltered = {
             pid: unfiltered_notes(p) for pid, p in corpus.patients.items()
         }
 
-        self._models: dict[tuple[str | None, int], LsaModel | None] = {}
         self._imports: dict[str, dict | None] = {}
         self._matrices: dict[tuple[bool, str | None, str], dict | None] = {}
         self._sims: dict[tuple[bool, str | None, str, str], SimilarityMatrix | None] = {}
@@ -195,26 +179,23 @@ class _GridRunner:
     # -- embedding legs ----------------------------------------------------
 
     def _lsa_model(self, category: str | None, dim: int) -> LsaModel | None:
-        key = (category, dim)
-        if key not in self._models:
-            notes = self.unfiltered if category is None else self.filtered[category]
-            docs = [fn.text for fns in notes.values() for fn in fns]
-            cfg = VectorizerConfig(
-                method="lsa",
-                dim=dim,
-                seed=self.options.seed,
-                min_doc_freq=self.options.min_doc_freq,
-                sublinear_tf=self.options.sublinear_tf,
-            )
-            try:
-                self._models[key] = fit_lsa(docs, cfg)
-            except DimTooLarge as exc:
-                log.warning("lsa dim %d for %s: %s", dim, category or "all", exc)
-                self._models[key] = None
-        return self._models[key]
+        # not cached: each model feeds one leg, which _matrices_for caches
+        notes = self.unfiltered if category is None else self.filtered[category]
+        docs = [fn.text for fns in notes.values() for fn in fns]
+        cfg = VectorizerConfig(
+            dim=dim,
+            seed=self.options.seed,
+            min_doc_freq=self.options.min_doc_freq,
+            sublinear_tf=self.options.sublinear_tf,
+        )
+        try:
+            return fit_lsa(docs, cfg)
+        except DimTooLarge as exc:
+            log.warning("lsa dim %d for %s: %s", dim, category or "all", exc)
+            return None
 
     def _import_map(self, family: str, dim: int) -> dict | None:
-        leg = _leg_name(family, dim)
+        leg = vmethod_label(family, dim)
         if leg not in self._imports:
             if self.imports_dir is None:
                 self._imports[leg] = None
@@ -231,7 +212,8 @@ class _GridRunner:
         self, filtered: bool, category: str | None, family: str, dim: int
     ) -> dict | None:
         """Patient matrices for one leg, or None when the leg is unavailable."""
-        key = (filtered, category, _leg_name(family, dim))
+        leg = vmethod_label(family, dim)
+        key = (filtered, category, leg)
         if key in self._matrices:
             return self._matrices[key]
         if family == "lsa":
@@ -242,17 +224,9 @@ class _GridRunner:
             self._matrices[key] = None
             return None
         notes = self.unfiltered if not filtered else self.filtered[category]
-        mats = {}
-        absent = []
-        for pid, patient in self.subset.items():
-            fns = notes[pid]
-            mat = build_patient_matrix(patient, fns, embedder) if fns else None
-            if mat is None:
-                absent.append(pid)
-            else:
-                mats[pid] = mat
+        mats, absent = build_patient_matrices(self.subset, notes, embedder)
         if absent:
-            tag = f"{'filtered' if filtered else 'unfiltered'}/{category or 'all'}/{_leg_name(family, dim)}"
+            tag = f"{'filtered' if filtered else 'unfiltered'}/{category or 'all'}/{leg}"
             self.exclusions[tag] = absent
         self._matrices[key] = mats
         return mats
@@ -265,7 +239,7 @@ class _GridRunner:
         key = (filtered, category, vmethod, mmethod)
         if key in self._sims:
             return self._sims[key]
-        family, dim = _parse_vmethod(vmethod)
+        family, dim = parse_vmethod(vmethod)
         config = RunConfig(
             filter=filtered,
             vmethod=vmethod,
@@ -278,7 +252,7 @@ class _GridRunner:
         if family == "combined":
             members = []
             for fam in ("lsa",) + IMPORT_FAMILIES:
-                member = self._similarity(filtered, category, _leg_name(fam, 50), mmethod)
+                member = self._similarity(filtered, category, vmethod_label(fam, 50), mmethod)
                 if member is not None:
                     members.append(member)
             sim = combine_similarities(members, config) if members else None
@@ -294,7 +268,7 @@ class _GridRunner:
     def _family_present(self, filtered: bool, family: str, mmethod: str) -> bool:
         """Did this family's dim-50 leg score anything the cell needed?"""
         contexts = [None] if not filtered else [c.name for c in CATEGORIES]
-        leg = _leg_name(family, 50)
+        leg = vmethod_label(family, 50)
         return any(
             self._sims.get((filtered, ctx, leg, mmethod)) is not None
             for ctx in contexts
@@ -303,12 +277,12 @@ class _GridRunner:
     # -- cells ---------------------------------------------------------------
 
     def cell(self, filtered: bool, vmethod: str, mmethod: str) -> GridCell:
-        family, dim = _parse_vmethod(vmethod)
+        family, dim = parse_vmethod(vmethod)
         if family in IMPORT_FAMILIES and self._import_map(family, dim) is None:
             return GridCell(
                 filtered, vmethod, mmethod, "skipped",
                 {c.name: None for c in CATEGORIES}, None,
-                note=f"import file {_leg_name(family, dim)}.jsonl not found",
+                note=f"import file {vmethod}.jsonl not found",
             )
         per_category: dict[str, float | None] = {}
         notes: list[str] = []
@@ -414,13 +388,18 @@ def summary_csv(report: EvalReport) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_top10(report: EvalReport, limit: int = 10) -> str:
-    """Best configurations with per-category detail columns 01..10."""
-    ranked = sorted(
+def _top_cells(report: EvalReport, limit: int) -> list[GridCell]:
+    """The valued cells, best printed mean first, ties broken by exact mean."""
+    return sorted(
         (c for c in report.cells if c.status != "skipped" and c.mean is not None),
         key=lambda c: (-(c.display_mean() or 0.0), -(c.mean or 0.0),
                        c.mmethod, c.vmethod, c.filter),
     )[:limit]
+
+
+def render_top10(report: EvalReport, limit: int = 10) -> str:
+    """Best configurations with per-category detail columns 01..10."""
+    ranked = _top_cells(report, limit)
     header = ["mmethod", "vmethod", "filter"] + \
         [f"{c.id:02d}" for c in CATEGORIES] + ["mean"]
     rows = [header]
@@ -437,11 +416,7 @@ def render_top10(report: EvalReport, limit: int = 10) -> str:
 
 
 def top10_csv(report: EvalReport, limit: int = 10) -> str:
-    ranked = sorted(
-        (c for c in report.cells if c.status != "skipped" and c.mean is not None),
-        key=lambda c: (-(c.display_mean() or 0.0), -(c.mean or 0.0),
-                       c.mmethod, c.vmethod, c.filter),
-    )[:limit]
+    ranked = _top_cells(report, limit)
     cats = [f"cat{c.id:02d}" for c in CATEGORIES]
     out = ["mmethod,vmethod,filter," + ",".join(cats) + ",mean"]
     for cell in ranked:

@@ -35,6 +35,7 @@ __all__ = [
     "segment_patient",
     "build_title_space",
     "expand_prototypes",
+    "relevancy_from_prototypes",
     "filter_patient",
     "filter_segments",
     "unfiltered_notes",
@@ -249,7 +250,7 @@ def build_title_space(
     if dim > len(titles):
         raise DimTooLarge(f"dim {dim} > {len(titles)} distinct titles")
     docs = ["\n".join(bodies[t]) for t in titles]
-    model = fit_lsa(docs, VectorizerConfig(method="lsa", dim=dim, seed=seed))
+    model = fit_lsa(docs, VectorizerConfig(dim=dim, seed=seed))
     space: dict[str, np.ndarray] = {}
     for title, doc in zip(titles, docs):
         vec = embed(model, doc)
@@ -286,6 +287,23 @@ def expand_prototypes(
         expanded = {t for t, s in zip(titles, best) if s >= threshold}
         entries[cat.name] = frozenset(normed | expanded)
     return RelevancyMap(entries)
+
+
+def relevancy_from_prototypes(
+    prototypes: Mapping[object, Iterable[str]], corpus: "Corpus",
+    segments: Iterable[list[list[Segment]]], title_dim: int = 16,
+    threshold: float = 0.7, seed: int = 0, inherit_untitled: bool = False,
+) -> RelevancyMap:
+    """Expand prototype titles through a title space fitted on the corpus.
+
+    segments holds every patient's segment_patient output, made with the
+    same inherit_untitled. The space has title_dim dimensions, lowered to
+    the number of distinct titles in segments but never below 2.
+    """
+    n_titles = len({s.title for patient in segments for note in patient for s in note})
+    dim = min(title_dim, max(2, n_titles))
+    space = build_title_space(corpus, dim, seed=seed, inherit_untitled=inherit_untitled)
+    return expand_prototypes(prototypes, space, threshold)
 
 
 def filter_segments(

@@ -15,7 +15,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +47,7 @@ __all__ = [
     "compress_embeddings",
     "embeddings_at_dim",
     "build_patient_matrix",
+    "build_patient_matrices",
     "save_lsa_model",
     "load_lsa_model",
     "save_matrices",
@@ -61,6 +62,11 @@ LSA_MAGIC = b"PATSIM-LSA-1\n"
 MAT_MAGIC = b"PATSIM-MAT-1\n"
 _ZERO_NORM = 1e-12
 
+_SVD_OVERSAMPLE = 10
+_SVD_MIN_POWER_ITERS = 4
+_SVD_MAX_POWER_ITERS = 200
+_SVD_RTOL = 3e-9
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs; 1-char tokens kept."""
@@ -69,27 +75,16 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class VectorizerConfig:
-    """Settings for one vectorization leg.
+    """Settings for fitting one LSA leg; the grid uses dim 50 and 200."""
 
-    method "lsa" fits a model on the corpus; "import" reads precomputed
-    vectors from import_path. The grid runs use dim 50 and 200, but any
-    positive dim is accepted.
-    """
-
-    method: str = "lsa"
     dim: int = 50
-    import_path: str | Path | None = None
     seed: int = 0
     min_doc_freq: int = 1
     sublinear_tf: bool = True
 
     def __post_init__(self):
-        if self.method not in ("lsa", "import"):
-            raise ValueError(f"unknown vectorizer method {self.method!r}")
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if self.method == "import" and self.import_path is None:
-            raise ValueError("method 'import' requires import_path")
         if self.min_doc_freq < 1:
             raise ValueError("min_doc_freq must be >= 1")
 
@@ -130,41 +125,33 @@ class PatientMatrix:
         return self.rows.shape[1]
 
 
-def randomized_svd(
-    x,
-    k: int,
-    oversample: int = 10,
-    min_power_iters: int = 4,
-    max_power_iters: int = 200,
-    rtol: float = 3e-9,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+def randomized_svd(x, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Truncated SVD by randomized subspace iteration.
 
     Returns (singular_values[:k], vt[:k]). Power iterations continue past
     the minimum until the top-k singular value estimates stabilize to
-    rtol, so tight accuracy holds even on slowly decaying spectra.
+    _SVD_RTOL, so tight accuracy holds even on slowly decaying spectra.
     Deterministic for a fixed seed. Accepts dense or scipy.sparse input.
     """
     n, v = x.shape
     if k < 1 or k > min(n, v):
         raise DimTooLarge(f"rank {k} not in [1, {min(n, v)}]")
     rng = np.random.default_rng(seed)
-    width = min(k + oversample, min(n, v))
+    width = min(k + _SVD_OVERSAMPLE, min(n, v))
     omega = rng.standard_normal((v, width))
     q, _ = np.linalg.qr(x @ omega)
     s_prev = None
-    for it in range(1, max_power_iters + 1):
+    for it in range(1, _SVD_MAX_POWER_ITERS + 1):
         z, _ = np.linalg.qr(x.T @ q)
         q, _ = np.linalg.qr(x @ z)
-        if it < min_power_iters:
+        if it < _SVD_MIN_POWER_ITERS:
             continue
         b = q.T @ x
         b = np.asarray(b)
         s = np.linalg.svd(b, compute_uv=False)[:k]
         if s_prev is not None:
             change = np.max(np.abs(s - s_prev) / np.maximum(s, _ZERO_NORM))
-            if change < rtol:
+            if change < _SVD_RTOL:
                 break
         s_prev = s
     b = np.asarray(q.T @ x)
@@ -386,6 +373,26 @@ def build_patient_matrix(
         rows=np.ascontiguousarray(np.vstack(rows)),
         note_indices=np.asarray(kept, dtype=np.int64),
     )
+
+
+def build_patient_matrices(
+    patients: Iterable["PatientRecord"], notes: Mapping[str, Sequence["FilteredNote"]],
+    embedder: LsaModel | Mapping[tuple[str, int], np.ndarray],
+) -> tuple[dict[str, PatientMatrix], list[str]]:
+    """One leg's patient matrices, and the ids of the patients absent from it.
+
+    notes maps each patient id to its retained notes. A patient with no
+    notes left, or whose notes all embed to zero, is absent.
+    """
+    matrices: dict[str, PatientMatrix] = {}
+    absent: list[str] = []
+    for patient in patients:
+        mat = build_patient_matrix(patient, notes[patient.patient_id], embedder)
+        if mat is None:
+            absent.append(patient.patient_id)
+        else:
+            matrices[patient.patient_id] = mat
+    return matrices, absent
 
 
 def _write_container(path: str | Path, magic: bytes, header: dict, arrays) -> None:

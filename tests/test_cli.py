@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from patsim.cli import load_config_file, main
+from patsim.cli import build_parser, load_config_file, main
 from patsim.engine import load_similarity
 from patsim.exceptions import ConfigError
 from patsim.synth import load_assignment_csv, synthesize_validation
@@ -113,6 +113,18 @@ class TestVectorize:
             "--imports", str(emb), "--label", "d2v012", "--out", str(out),
         ) == 0
 
+    @pytest.mark.parametrize("label", ["lsa200", "lsa8", "combined"])
+    def test_label_must_carry_dim(self, label, pipeline_dir, tmp_path):
+        # a dim-8 container labelled lsa200 would make pairs record dim 200
+        out = tmp_path / "mislabelled.bin"
+        args = build_parser().parse_args([
+            "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
+            "--dim", "8", "--label", label, "--out", str(out),
+        ])
+        with pytest.raises(ConfigError, match="label"):
+            args.func(args)
+        assert not out.exists()
+
 
 class TestPairs:
     def test_writes_similarity_and_csv(self, pipeline_dir, tmp_path):
@@ -203,7 +215,9 @@ class TestHelp:
     def test_help_lists_flags_with_defaults(self, command):
         proc = run_proc(command, "--help")
         assert proc.returncode == 0
-        assert "--seed" in proc.stdout or command == "report"
+        # only the commands with a randomized step take a seed
+        assert ("--seed" in proc.stdout) == (
+            command in ("synth", "vectorize", "gridsearch"))
         assert "--config" in proc.stdout
 
     def test_pairs_help_mentions_workers_default(self):

@@ -11,10 +11,12 @@ from patsim.engine import (
     compute_all_pairs,
     export_csv,
     load_similarity,
+    parse_vmethod,
     persist_similarity,
     timing_report,
+    vmethod_label,
 )
-from patsim.exceptions import DimMismatch, FormatError, TooFewPatients
+from patsim.exceptions import ConfigError, DimMismatch, FormatError, TooFewPatients
 from patsim.vectorizer import PatientMatrix
 
 from conftest import unit_rows
@@ -229,6 +231,14 @@ class TestRunConfig:
     def test_grid_dim_parsing(self):
         assert config(vmethod="lsa200").dim == 200
         assert config(vmethod="combined").dim is None
+
+    def test_leg_label_rule(self):
+        assert parse_vmethod("d2v050") == ("d2v", 50)
+        assert parse_vmethod(vmethod_label("rbc", 7)) == ("rbc", 7)
+        assert parse_vmethod("combined") == ("combined", None)
+        for bad in ("lsa50", "lsa0050", "xyz050", "combined050"):
+            with pytest.raises(ConfigError):
+                parse_vmethod(bad)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

@@ -121,6 +121,19 @@ def _edit_header(blob: bytes, magic: bytes, edit) -> bytes:
     return magic + struct.pack("<I", len(raw)) + raw + blob[start + hlen:]
 
 
+def _edit_trailer(blob: bytes, edit) -> bytes:
+    """Replace the JSON trailer of a similarity file with edit(old trailer)."""
+    off = len(SIM_MAGIC)
+    (ids_len,) = struct.unpack_from("<I", blob, off)
+    n = len(json.loads(blob[off + 4:off + 4 + ids_len]))
+    off += 4 + ids_len
+    (npairs,) = struct.unpack_from("<Q", blob, off)
+    off += 8 + 8 * npairs + (npairs + 7) // 8 + (n + 7) // 8
+    (tlen,) = struct.unpack_from("<I", blob, off)
+    raw = json.dumps(edit(json.loads(blob[off + 4:off + 4 + tlen]))).encode("utf-8")
+    return blob[:off] + struct.pack("<I", len(raw)) + raw
+
+
 def _drop(key):
     return lambda h: {k: v for k, v in h.items() if k != key}
 
@@ -145,3 +158,19 @@ def test_malformed_header_raises_format_error(fmt, edit, valid):
     path.write_bytes(_edit_header(blobs[fmt], magic, edit))
     with pytest.raises(FormatError):
         load(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("category", ["x"]),
+    ("filter", "yes"),
+    ("seed", "zero"),
+    ("seed", True),
+    ("workers", 2.0),
+])
+def test_mistyped_trailer_config_raises_format_error(field, value, valid):
+    # a mistyped config must not load: hashing it would raise TypeError
+    blobs, path = valid
+    path.write_bytes(_edit_trailer(
+        blobs["sim"], lambda t: {**t, "config": {**t["config"], field: value}}))
+    with pytest.raises(FormatError, match="bad trailer"):
+        load_similarity(path)

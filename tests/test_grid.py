@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from patsim import cli, segmenter
+from patsim.corpus import load_corpus, write_corpus
 from patsim.exceptions import ConfigError
 from patsim.grid import (
     GridOptions,
+    _GridRunner,
     cells_csv,
     grid_search,
     render_agreement,
@@ -21,6 +25,7 @@ from patsim.synth import (
     generate_synthetic,
     synthesize_validation,
 )
+from patsim.vectorizer import load_matrices
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +160,43 @@ class TestGridValidation:
         validation = synthesize_validation(assignment, n_pivots=3, seed=1)
         with pytest.raises(ConfigError):
             grid_search(corpus, validation)
+
+
+def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
+    """vectorize --category --prototypes gives the grid's filtered lsa050 leg."""
+    corpus, assignment = generate_synthetic(SynthSpec(
+        n_patients=50, n_clusters=4, notes_per_patient=(14, 18),
+        segments_per_note=(3, 5), seed=21,
+    ))
+    validation = synthesize_validation(
+        assignment, n_pivots=8, per_pivot=5, n_annotators=3, noise=1.0, seed=5
+    )
+    write_corpus(corpus, tmp_path / "corpus.jsonl")
+    (tmp_path / "protos.json").write_text(json.dumps(default_prototypes()))
+    corpus = load_corpus(tmp_path / "corpus.jsonl")
+    runner = _GridRunner(corpus, validation, None, default_prototypes(), None,
+                         GridOptions(seed=3, threshold=0.6))
+    grid_mats = runner._matrices_for(True, "Medication", "lsa", 50)
+
+    built = []
+
+    def relevancy_from_prototypes(*args, **kwargs):
+        built.append(segmenter.relevancy_from_prototypes(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "relevancy_from_prototypes", relevancy_from_prototypes)
+    assert cli.main([
+        "vectorize", "--corpus", str(tmp_path / "corpus.jsonl"),
+        "--category", "Medication", "--prototypes", str(tmp_path / "protos.json"),
+        "--threshold", "0.6", "--dim", "50", "--seed", "3",
+        "--out", str(tmp_path / "med.bin"),
+    ]) == 0
+    assert built == [runner.relevancy]
+    cli_mats, meta = load_matrices(tmp_path / "med.bin")
+    assert meta["vmethod"] == "lsa050" and meta["category"] == "Medication"
+
+    assert grid_mats and set(grid_mats) == validation.patient_ids() & set(cli_mats)
+    for pid, mat in grid_mats.items():
+        assert np.array_equal(mat.rows.view(np.uint64),
+                              cli_mats[pid].rows.view(np.uint64))
+        assert np.array_equal(mat.note_indices, cli_mats[pid].note_indices)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patsim.exceptions import ConfigError, InsufficientTitles, UnknownTitle
+from patsim.exceptions import ConfigError, DimTooLarge, InsufficientTitles, UnknownTitle
 from patsim.segmenter import (
     CATEGORIES,
     UNTITLED,
@@ -14,8 +14,10 @@ from patsim.segmenter import (
     expand_prototypes,
     filter_patient,
     normalize_title,
+    relevancy_from_prototypes,
     resolve_category,
     segment_note,
+    segment_patient,
     unfiltered_notes,
 )
 
@@ -307,6 +309,28 @@ class TestExpandPrototypes:
     def test_bad_threshold(self):
         with pytest.raises(ConfigError):
             expand_prototypes({"Medication": ["medication"]}, self.space(), 0.0)
+
+
+class TestRelevancyFromPrototypes:
+    def test_two_titles_clamp_the_title_dim(self):
+        corpus = make_corpus({
+            "a": [("2020-01-01", "One: alpha beta alpha gamma\n\nTwo: omega psi chi omega")],
+            "b": [("2020-01-01", "One: beta gamma alpha beta\n\nTwo: psi chi omega psi")],
+        })
+        segments = [segment_patient(p) for p in corpus]
+        protos = {"Medication": ["one"]}
+        with pytest.raises(DimTooLarge):
+            build_title_space(corpus, dim=16)
+        got = relevancy_from_prototypes(protos, corpus, segments, title_dim=16,
+                                        threshold=0.5)
+        assert got == expand_prototypes(protos, build_title_space(corpus, dim=2), 0.5)
+        assert got.for_category("Medication") == {"one"}
+
+    def test_one_title_is_insufficient(self):
+        corpus = make_corpus({"a": [("2020-01-01", "Only: body text")]})
+        with pytest.raises(InsufficientTitles):
+            relevancy_from_prototypes({"Medication": ["only"]}, corpus,
+                                      [segment_patient(p) for p in corpus])
 
 
 class TestRelevancyMapFile:

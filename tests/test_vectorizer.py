@@ -18,6 +18,7 @@ from patsim.segmenter import FilteredNote
 from patsim.vectorizer import (
     PatientMatrix,
     VectorizerConfig,
+    build_patient_matrices,
     build_patient_matrix,
     compress_embeddings,
     embed,
@@ -308,6 +309,19 @@ class TestBuildPatientMatrix:
             patient, [FilteredNote(0, "x"), FilteredNote(1, "y")], emb
         )
         np.testing.assert_array_equal(mat.rows, np.eye(2))
+
+
+class TestBuildPatientMatrices:
+    def test_absent_ids_rule(self, rng):
+        # no notes left, or every note embedding to zero, leaves a patient out
+        docs, model = lsa_for_matrix_tests(rng)
+        corpus = make_corpus({pid: [("2020-01-01", "x")] for pid in ("c", "a", "b")})
+        notes = {"c": [FilteredNote(0, docs[0])], "a": [], "b": [FilteredNote(0, "zzz")]}
+        matrices, absent = build_patient_matrices(corpus, notes, model)
+        assert list(matrices) == ["c"]
+        assert absent == ["a", "b"]
+        want = build_patient_matrix(corpus.patients["c"], notes["c"], model)
+        np.testing.assert_array_equal(matrices["c"].rows, want.rows)
 
 
 class TestModelPersistence:
