@@ -91,15 +91,16 @@ def _fill_defaults(args: argparse.Namespace, mapping: dict[str, str]) -> None:
 
 
 def _resolve_workers(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("PATSIM_WORKERS")
-    if env:
+    """--workers, else PATSIM_WORKERS, else 1; a count below 1 is rejected."""
+    source, env = "--workers", os.environ.get("PATSIM_WORKERS")
+    if value is None and env:
         try:
-            return max(1, int(env))
+            source, value = "PATSIM_WORKERS", int(env)
         except ValueError:
             raise ConfigError(f"PATSIM_WORKERS must be an integer, got {env!r}")
-    return 1
+    if value is not None and value < 1:
+        raise ConfigError(f"{source} must be >= 1, got {value}")
+    return value or 1
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -111,12 +112,21 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             )
 
 
+def _require_counts(args: argparse.Namespace, *names: str) -> None:
+    """Reject a count flag below 1 before any input is read."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, "
+                              f"got {getattr(args, name)}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
     _require(args, "out")
+    _require_counts(args, "patients", "clusters", "notes_min", "notes_max", "vocab")
     spec = synth.SynthSpec(
         n_patients=args.patients,
         n_clusters=args.clusters,
@@ -167,6 +177,7 @@ def cmd_segment(args) -> int:
 
 def cmd_vectorize(args) -> int:
     _require(args, "corpus", "out")
+    _require_counts(args, "dim", "min_doc_freq", "title_dim")
     if args.method == "import":
         _require(args, "imports", "label")
     label = args.label or engine.vmethod_label("lsa", args.dim)
@@ -187,9 +198,8 @@ def cmd_vectorize(args) -> int:
         elif args.prototypes:
             relevancy = relevancy_from_prototypes(
                 json.loads(Path(args.prototypes).read_text(encoding="utf-8")),
-                corpus, segments.values(), title_dim=args.title_dim,
+                segments.values(), title_dim=args.title_dim,
                 threshold=args.threshold, seed=seed,
-                inherit_untitled=args.inherit_untitled,
             )
         else:
             raise ConfigError("need --relevancy or --prototypes for a filtered run")
@@ -235,13 +245,14 @@ def cmd_vectorize(args) -> int:
 
 def cmd_pairs(args) -> int:
     _require(args, "matrices", "out")
+    workers = _resolve_workers(args.workers)
     matrices, meta = load_matrices(args.matrices)
     config = engine.RunConfig(
         filter=bool(meta.get("filter", False)),
         vmethod=str(meta.get("vmethod", "lsa050")),
         mmethod=args.mmethod,
         category=meta.get("category"),
-        workers=_resolve_workers(args.workers),
+        workers=workers,
         seed=int(meta.get("seed", 0)),
     )
     sim = engine.compute_all_pairs(matrices, config)
@@ -294,12 +305,7 @@ def cmd_gridsearch(args) -> int:
     _require(args, "corpus", "annotations")
     if args.out_dir is None:
         raise ConfigError("--out is required (flag or config file)")
-    corpus = load_corpus(args.corpus)
-    validation = evaluation.load_annotations(args.annotations)
-    relevancy = RelevancyMap.load(args.relevancy) if args.relevancy else None
-    prototypes = None
-    if relevancy is None and args.prototypes:
-        prototypes = json.loads(Path(args.prototypes).read_text(encoding="utf-8"))
+    _require_counts(args, "min_doc_freq", "title_dim")
     options = grid.GridOptions(
         seed=args.seed or 0,
         workers=_resolve_workers(args.workers),
@@ -309,6 +315,12 @@ def cmd_gridsearch(args) -> int:
         sublinear_tf=not args.raw_tf,
         inherit_untitled=args.inherit_untitled,
     )
+    corpus = load_corpus(args.corpus)
+    validation = evaluation.load_annotations(args.annotations)
+    relevancy = RelevancyMap.load(args.relevancy) if args.relevancy else None
+    prototypes = None
+    if relevancy is None and args.prototypes:
+        prototypes = json.loads(Path(args.prototypes).read_text(encoding="utf-8"))
     report = grid.grid_search(
         corpus,
         validation,

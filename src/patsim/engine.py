@@ -1,9 +1,10 @@
 """All-pairs patient similarity: parallel computation and persistence.
 
-The upper triangle of the score matrix is split into contiguous ranges
-of linearized pair indices and farmed out to worker processes. Every
-pair is scored by the same kernel on the same operands regardless of
-chunking, so the output is bitwise identical for any worker count.
+The upper triangle of the score matrix is enumerated once, row by row
+(np.triu_indices), and contiguous slices of it are farmed out to worker
+processes. Every pair is scored by kernels.score_pairs on the same
+operands regardless of chunking, so the output is bitwise identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -136,74 +137,18 @@ class SimilarityMatrix:
         return len(self.patient_ids)
 
 
-def _pair_rows(n: int) -> np.ndarray:
-    """Start offset of each row's pairs in the linearized upper triangle."""
-    i = np.arange(n, dtype=np.int64)
-    return i * (n - 1) - (i * (i - 1)) // 2
-
-
-def _pair_ij(ks: np.ndarray, n: int, row_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    i = np.searchsorted(row_starts, ks, side="right") - 1
-    j = ks - row_starts[i] + i + 1
-    return i.astype(np.int64), j.astype(np.int64)
-
-
-def _pack(matrices: Mapping[str, PatientMatrix], ids: Sequence[str], mmethod: str) -> dict:
-    dim = matrices[ids[0]].rows.shape[1]
-    payload: dict = {"mmethod": mmethod, "n": len(ids), "dim": dim}
-    if mmethod == "rv2":
-        grams = np.zeros((len(ids), dim * dim), dtype=np.float64)
-        valid = np.zeros(len(ids), dtype=bool)
-        for idx, pid in enumerate(ids):
-            g = kernels.rv2_gram(matrices[pid].rows)
-            if g is not None:
-                grams[idx] = g
-                valid[idx] = True
-        payload["grams"] = grams
-        payload["valid"] = valid
-    else:
-        counts = [matrices[pid].rows.shape[0] for pid in ids]
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        rows = np.empty((offsets[-1], dim), dtype=np.float64)
-        for idx, pid in enumerate(ids):
-            rows[offsets[idx]:offsets[idx + 1]] = matrices[pid].rows
-        payload["rows"] = np.ascontiguousarray(rows)
-        payload["offsets"] = offsets
-    return payload
-
-
-def _score_range(payload: dict, start: int, stop: int, row_starts: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    ks = np.arange(start, stop, dtype=np.int64)
-    ii, jj = _pair_ij(ks, payload["n"], row_starts)
-    mmethod = payload["mmethod"]
-    if mmethod == "rv2":
-        scores = kernels.rv2_batch(payload["grams"], ii, jj)
-        ok = payload["valid"][ii] & payload["valid"][jj]
-        scores = np.where(ok, scores, np.nan)
-        return scores, ok
-    if mmethod == "mms":
-        scores = kernels.mms_batch(payload["rows"], payload["offsets"], ii, jj)
-    else:
-        scores = kernels.eds_batch(payload["rows"], payload["offsets"], ii, jj)
-    return scores, np.ones(ks.size, dtype=bool)
-
-
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(payload: dict, row_starts: np.ndarray) -> None:
-    _WORKER_STATE["payload"] = payload
-    _WORKER_STATE["row_starts"] = row_starts
+def _init_worker(payload: dict, ii: np.ndarray, jj: np.ndarray) -> None:
+    _WORKER_STATE.update(payload=payload, ii=ii, jj=jj)
 
 
-def _worker_chunk(args: tuple[int, int]) -> tuple[int, np.ndarray, np.ndarray]:
+def _worker_chunk(args: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     start, stop = args
-    scores, ok = _score_range(
-        _WORKER_STATE["payload"], start, stop, _WORKER_STATE["row_starts"]
-    )
-    return start, scores, ok
+    state = _WORKER_STATE
+    return kernels.score_pairs(state["payload"], state["ii"][start:stop],
+                               state["jj"][start:stop])
 
 
 def compute_all_pairs(
@@ -223,11 +168,9 @@ def compute_all_pairs(
         raise DimMismatch(f"patient matrices disagree on dim: {sorted(dims)}")
 
     t0 = time.perf_counter()
-    payload = _pack(matrices, ids, config.mmethod)
-    row_starts = _pair_rows(n)
-    npairs = n * (n - 1) // 2
-    tri = np.empty(npairs, dtype=np.float64)
-    tri_ok = np.empty(npairs, dtype=bool)
+    payload = kernels.pack(config.mmethod, [matrices[pid].rows for pid in ids])
+    ii, jj = np.triu_indices(n, k=1)
+    npairs = ii.size
 
     if config.workers > 1 and npairs >= _MIN_PAIRS_FOR_POOL:
         chunk = max(1, -(-npairs // (config.workers * 8)))
@@ -239,16 +182,15 @@ def compute_all_pairs(
         with ctx.Pool(
             processes=config.workers,
             initializer=_init_worker,
-            initargs=(payload, row_starts),
+            initargs=(payload, ii, jj),
         ) as pool:
-            for start, scores, ok in pool.imap_unordered(_worker_chunk, ranges):
-                tri[start:start + scores.size] = scores
-                tri_ok[start:start + scores.size] = ok
+            parts = pool.map(_worker_chunk, ranges)
+        tri = np.concatenate([scores for scores, _ in parts])
+        tri_ok = np.concatenate([ok for _, ok in parts])
     else:
-        tri, tri_ok = _score_range(payload, 0, npairs, row_starts)
+        tri, tri_ok = kernels.score_pairs(payload, ii, jj)
 
-    diag_ok = payload["valid"] if config.mmethod == "rv2" else np.ones(n, dtype=bool)
-    sim = _from_triangle(ids, tri, tri_ok, diag_ok, config)
+    sim = _from_triangle(ids, tri, tri_ok, payload["valid"], config)
     sim.wall_time_seconds = time.perf_counter() - t0
     return sim
 

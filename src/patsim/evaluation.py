@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import LengthMismatch, ParseError, TooShort
+from .exceptions import ConfigError, LengthMismatch, ParseError, TooShort
 from .segmenter import CATEGORIES, resolve_category
 
 if TYPE_CHECKING:
@@ -121,7 +121,7 @@ def load_annotations(path: str | Path) -> ValidationSet:
                     category=category,
                     score=score,
                 )
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ConfigError, ValueError, KeyError, TypeError) as exc:
                 raise ParseError(f"bad annotation row: {exc}", path=path, line=lineno)
             records.append(rec)
             if rec.pivot_id not in relevants:

@@ -154,9 +154,9 @@ class _GridRunner:
                     "for the filtered legs"
                 )
             relevancy = relevancy_from_prototypes(
-                prototypes, corpus, segments.values(),
+                prototypes, segments.values(),
                 title_dim=options.title_dim, threshold=options.threshold,
-                seed=options.seed, inherit_untitled=options.inherit_untitled,
+                seed=options.seed,
             )
         self.relevancy = relevancy
 

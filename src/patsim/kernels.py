@@ -19,7 +19,11 @@ m[t] + cum[j] - cum[t-1], so each row reduces to a running maximum.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+
+from .exceptions import ConfigError
 
 __all__ = [
     "BACKEND",
@@ -27,12 +31,12 @@ __all__ = [
     "eds_score_with_iters",
     "eds_trace",
     "eds_best_path",
-    "mms_score",
     "rv2_gram",
-    "rv2_score",
     "rv2_batch",
     "mms_batch",
     "eds_batch",
+    "pack",
+    "score_pairs",
 ]
 
 # The one kernel implementation; kept as a name so run records can show it.
@@ -90,12 +94,6 @@ def _eds_score(c: np.ndarray) -> list[float]:
     return trace
 
 
-def _mms_score(a, b) -> float:
-    c = a @ b.T
-    return float((c.max(axis=1).sum() + c.max(axis=0).sum())
-                 / (c.shape[0] + c.shape[1]))
-
-
 # ---------------------------------------------------------------------------
 # Public kernels.
 # ---------------------------------------------------------------------------
@@ -125,12 +123,6 @@ def eds_best_path(c: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     return float(lam), path
 
 
-def mms_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean of the concatenated row-wise and column-wise cosine maxima."""
-    return _mms_score(np.ascontiguousarray(a, dtype=np.float64),
-                      np.ascontiguousarray(b, dtype=np.float64))
-
-
 def rv2_gram(rows: np.ndarray) -> np.ndarray | None:
     """Flattened, Frobenius-normalized column cross-product with zero diagonal.
 
@@ -146,13 +138,12 @@ def rv2_gram(rows: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray((g / norm).ravel())
 
 
-def rv2_score(ga: np.ndarray, gb: np.ndarray) -> float:
-    """Cosine of two prepared gram vectors; in [-1, 1] by Cauchy-Schwarz."""
-    return float(np.dot(ga, gb))
-
-
 def rv2_batch(grams: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Scores for index pairs (ii[p], jj[p]) over prepared gram rows."""
+    """Scores for index pairs (ii[p], jj[p]) over prepared gram rows.
+
+    Each score is the cosine of two gram vectors, in [-1, 1] by
+    Cauchy-Schwarz.
+    """
     out = np.empty(ii.size, dtype=np.float64)
     for p in range(ii.size):
         out[p] = np.dot(grams[ii[p]], grams[jj[p]])
@@ -162,12 +153,18 @@ def rv2_batch(grams: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
 def mms_batch(
     rows: np.ndarray, offsets: np.ndarray, ii: np.ndarray, jj: np.ndarray
 ) -> np.ndarray:
-    """mms for index pairs over patients packed as rows[offsets[k]:offsets[k + 1]]."""
+    """mms for index pairs over patients packed as rows[offsets[k]:offsets[k + 1]].
+
+    A pair's score is the mean of the concatenated row-wise and
+    column-wise maxima of its cosine matrix.
+    """
     out = np.empty(ii.size, dtype=np.float64)
     for p in range(ii.size):
         a = rows[offsets[ii[p]]:offsets[ii[p] + 1]]
         b = rows[offsets[jj[p]]:offsets[jj[p] + 1]]
-        out[p] = _mms_score(a, b)
+        c = a @ b.T
+        out[p] = ((c.max(axis=1).sum() + c.max(axis=0).sum())
+                  / (c.shape[0] + c.shape[1]))
     return out
 
 
@@ -181,3 +178,42 @@ def eds_batch(
         b = rows[offsets[jj[p]]:offsets[jj[p] + 1]]
         out[p] = _eds_score(a @ b.T)[-1]
     return out
+
+
+def pack(mmethod: str, blocks: Sequence[np.ndarray]) -> dict:
+    """Prepare the patients' row blocks (equal dims) for score_pairs.
+
+    rv2 keeps one gram row per patient; a vanishing gram leaves a zero
+    row and the patient invalid, so its pairs are undefined. mms and eds
+    stack the rows, patient k at rows[offsets[k]:offsets[k + 1]].
+    """
+    if mmethod == "rv2":
+        dim = blocks[0].shape[1]
+        grams = np.zeros((len(blocks), dim * dim), dtype=np.float64)
+        valid = np.zeros(len(blocks), dtype=bool)
+        for k, rows in enumerate(blocks):
+            g = rv2_gram(rows)
+            if g is not None:
+                grams[k] = g
+                valid[k] = True
+        return {"mmethod": mmethod, "grams": grams, "valid": valid}
+    if mmethod not in ("mms", "eds"):
+        raise ConfigError(f"unknown similarity method {mmethod!r}")
+    return {"mmethod": mmethod, "rows": np.concatenate(blocks, dtype=np.float64),
+            "offsets": np.cumsum([0] + [rows.shape[0] for rows in blocks]),
+            "valid": np.ones(len(blocks), dtype=bool)}
+
+
+def score_pairs(payload: dict, ii: np.ndarray, jj: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the pairs (ii[p], jj[p]) of a pack, NaN where undefined.
+
+    A pair is defined when both of its patients are valid.
+    """
+    if payload["mmethod"] == "rv2":
+        scores = rv2_batch(payload["grams"], ii, jj)
+    else:
+        batch = mms_batch if payload["mmethod"] == "mms" else eds_batch
+        scores = batch(payload["rows"], payload["offsets"], ii, jj)
+    defined = payload["valid"][ii] & payload["valid"][jj]
+    return np.where(defined, scores, np.nan), defined

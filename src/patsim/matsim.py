@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .exceptions import ConfigError, DegenerateInput, DimMismatch
+from .exceptions import DegenerateInput, DimMismatch
 from .vectorizer import PatientMatrix
 
 __all__ = [
@@ -73,6 +73,16 @@ def cross_sim(a, b) -> np.ndarray:
     return ra @ rb.T
 
 
+_ONE_PAIR = (np.array([0]), np.array([1]))
+
+
+def _score(mmethod: str, a, b) -> SimScore:
+    """One pair through the all-pairs path: pack both patients, score (0, 1)."""
+    payload = kernels.pack(mmethod, _paired_rows(a, b))
+    scores, defined = kernels.score_pairs(payload, *_ONE_PAIR)
+    return SimScore(float(scores[0]), True) if defined[0] else UNDEFINED_SCORE
+
+
 def rv2(a, b) -> SimScore:
     """Diagonal-removed cross-product correlation of two patient matrices.
 
@@ -80,31 +90,22 @@ def rv2(a, b) -> SimScore:
     (for example exactly orthogonal columns); callers must not read the
     value in that case.
     """
-    ra, rb = _paired_rows(a, b)
-    ga = kernels.rv2_gram(ra)
-    gb = kernels.rv2_gram(rb)
-    if ga is None or gb is None:
-        return UNDEFINED_SCORE
-    return SimScore(kernels.rv2_score(ga, gb), True)
+    return _score("rv2", a, b)
 
 
 def mms(a, b) -> SimScore:
     """Best note-to-note matching score, order-free."""
-    ra, rb = _paired_rows(a, b)
-    return SimScore(kernels.mms_score(ra, rb), True)
+    return _score("mms", a, b)
 
 
 def eds(a, b) -> SimScore:
     """Best time-consistent alignment score, order-sensitive."""
-    c = cross_sim(a, b)
-    return SimScore(kernels.eds_score(c), True)
+    return _score("eds", a, b)
 
 
 def eds_alignment(a, b) -> tuple[SimScore, list[tuple[int, int]]]:
     """eds score together with one optimal path, for diagnostics."""
-    c = cross_sim(a, b)
-    score, path = kernels.eds_best_path(c)
-    return SimScore(score, True), path
+    return eds(a, b), kernels.eds_best_path(cross_sim(a, b))[1]
 
 
 def pair_diagnostic(a, b, method: str) -> dict:
@@ -113,15 +114,12 @@ def pair_diagnostic(a, b, method: str) -> dict:
     Matches the optional diagnostic dump format: the path appears only
     for the alignment method (as [i, j] cell pairs).
     """
-    fn = {"rv2": rv2, "mms": mms, "eds": eds}.get(method)
-    if fn is None:
-        raise ConfigError(f"unknown similarity method {method!r}")
     out: dict = {"method": method}
     if method == "eds":
         score, path = eds_alignment(a, b)
         out["path"] = [[int(i), int(j)] for i, j in path]
     else:
-        score = fn(a, b)
+        score = _score(method, a, b)
     out["score"] = score.value if score.defined else None
     out["defined"] = score.defined
     return out

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .exceptions import ConfigError, DimTooLarge, InsufficientTitles, UnknownTit
 from .vectorizer import VectorizerConfig, embed, fit_lsa
 
 if TYPE_CHECKING:
-    from .corpus import Corpus, PatientRecord
+    from .corpus import PatientRecord
 
 __all__ = [
     "CATEGORY_NAMES",
@@ -220,29 +220,38 @@ class RelevancyMap:
 
     @classmethod
     def load(cls, path: str | Path) -> "RelevancyMap":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{path}: relevancy file must be a JSON object")
-        entries = {}
-        for name, titles in obj.items():
-            cat = resolve_category(name)
-            entries[cat.name] = frozenset(normalize_title(t) for t in titles)
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(obj, dict):
+                raise ConfigError("relevancy file must be a JSON object")
+            entries = {}
+            for name, titles in obj.items():
+                if not (isinstance(titles, list)
+                        and all(isinstance(t, str) for t in titles)):
+                    raise ConfigError(f"entry {name!r} must be a list of title strings")
+                entries[resolve_category(name).name] = frozenset(
+                    normalize_title(t) for t in titles)
+        except ValueError as exc:  # JSON syntax
+            raise ConfigError(f"{path}: relevancy file is not valid JSON: {exc}")
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         return cls(entries)
 
 
 def build_title_space(
-    corpus: "Corpus", dim: int, seed: int = 0, inherit_untitled: bool = False
+    segments: Iterable[list[list[Segment]]], dim: int, seed: int = 0
 ) -> dict[str, np.ndarray]:
     """Embed every distinct segment title into a unit-vector latent space.
 
-    All bodies filed under a title form one document; the documents are
-    run through the same TF-IDF + SVD used for notes, so titles heading
-    similar content land close together.
+    segments holds every patient's segment_patient output, in corpus
+    order. All bodies filed under a title form one document; the
+    documents are run through the same TF-IDF + SVD used for notes, so
+    titles heading similar content land close together.
     """
     bodies: dict[str, list[str]] = {}
-    for patient in corpus:
-        for idx, note in enumerate(patient.notes):
-            for seg in segment_note(note.text, idx, inherit_untitled):
+    for patient in segments:
+        for note in patient:
+            for seg in note:
                 bodies.setdefault(seg.title, []).append(seg.body)
     titles = sorted(bodies)
     if len(titles) < 2:
@@ -290,19 +299,19 @@ def expand_prototypes(
 
 
 def relevancy_from_prototypes(
-    prototypes: Mapping[object, Iterable[str]], corpus: "Corpus",
-    segments: Iterable[list[list[Segment]]], title_dim: int = 16,
-    threshold: float = 0.7, seed: int = 0, inherit_untitled: bool = False,
+    prototypes: Mapping[object, Iterable[str]],
+    segments: Collection[list[list[Segment]]], title_dim: int = 16,
+    threshold: float = 0.7, seed: int = 0,
 ) -> RelevancyMap:
-    """Expand prototype titles through a title space fitted on the corpus.
+    """Expand prototype titles through a title space fitted on the segments.
 
-    segments holds every patient's segment_patient output, made with the
-    same inherit_untitled. The space has title_dim dimensions, lowered to
-    the number of distinct titles in segments but never below 2.
+    segments is as in build_title_space. The space has title_dim
+    dimensions, lowered to the number of distinct titles in segments but
+    never below 2.
     """
     n_titles = len({s.title for patient in segments for note in patient for s in note})
     dim = min(title_dim, max(2, n_titles))
-    space = build_title_space(corpus, dim, seed=seed, inherit_untitled=inherit_untitled)
+    space = build_title_space(segments, dim, seed=seed)
     return expand_prototypes(prototypes, space, threshold)
 
 

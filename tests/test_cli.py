@@ -154,6 +154,35 @@ class TestPairs:
                        str(tmp_path / "x.bin")) == 1
 
 
+class TestCounts:
+    """A count below 1 is a one-line error, raised before any input is read
+    (the input paths here do not exist)."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["pairs", "--mmethod", "mms", "--matrices", "missing.bin", "--out", "x.sim",
+          "--workers", "0"], "--workers"),
+        (["gridsearch", "--corpus", "missing.jsonl", "--annotations", "missing.csv",
+          "--out", "report", "--workers", "0"], "--workers"),
+        (["vectorize", "--corpus", "missing.jsonl", "--out", "x.bin", "--dim", "0"],
+         "--dim"),
+        (["vectorize", "--corpus", "missing.jsonl", "--out", "x.bin",
+          "--min-doc-freq", "0"], "--min-doc-freq"),
+    ])
+    def test_flag_below_one(self, argv, flag, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be >= 1")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_workers_env_below_one(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PATSIM_WORKERS", "0")
+        assert run_cli("pairs", "--mmethod", "mms", "--matrices", "missing.bin",
+                       "--out", "x.sim") == 1
+        assert capsys.readouterr().err == "error: PATSIM_WORKERS must be >= 1, got 0\n"
+
+
 class TestEvaluate:
     def test_end_to_end(self, pipeline_dir, tmp_path):
         sim_path = tmp_path / "sim.bin"

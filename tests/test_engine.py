@@ -119,18 +119,6 @@ class TestComputeAllPairs:
         sim = compute_all_pairs(mats, config())
         assert sim.patient_ids == sorted(mats)
 
-    def test_pair_index_mapping_is_a_bijection(self):
-        from patsim.engine import _pair_ij, _pair_rows
-
-        n = 13
-        npairs = n * (n - 1) // 2
-        row_starts = _pair_rows(n)
-        ii, jj = _pair_ij(np.arange(npairs), n, row_starts)
-        seen = set(zip(ii.tolist(), jj.tolist()))
-        assert len(seen) == npairs
-        assert all(i < j for i, j in seen)
-        assert seen == {(i, j) for i in range(n) for j in range(i + 1, n)}
-
 
 class TestCombine:
     def sim_of(self, ids, scores, defined, mmethod="mms"):

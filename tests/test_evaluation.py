@@ -254,6 +254,18 @@ class TestAnnotationFile:
         with pytest.raises(ParseError):
             load_annotations(path)
 
+    def test_unknown_category_names_path_and_line(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_text(
+            "annotator_id,pivot_id,relevant_id,category,score\n"
+            "a1,p,r1,Medication,5\n"
+            "a1,p,r2,Nonsense,5\n"
+        )
+        with pytest.raises(ParseError, match="Nonsense") as info:
+            load_annotations(path)
+        assert info.value.path == path
+        assert info.value.line == 3
+
     def test_duplicate_judgment_rejected(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text(

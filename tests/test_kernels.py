@@ -88,16 +88,6 @@ class TestLaneAgreement:
             assert got_eds[p] == pytest.approx(kernels.eds_score(a @ b.T), abs=1e-12)
 
 
-class TestMms:
-    def test_against_loop_reference(self, rng):
-        for _ in range(60):
-            a = unit_rows(rng, int(rng.integers(1, 7)), 5)
-            b = unit_rows(rng, int(rng.integers(1, 7)), 5)
-            assert kernels.mms_score(a, b) == pytest.approx(
-                mms_reference(a, b), abs=1e-12
-            )
-
-
 class TestRv2Gram:
     def test_single_column_is_degenerate(self):
         rows = np.ones((3, 1))

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+
+from patsim.engine import RunConfig, compute_all_pairs
 
 from patsim.exceptions import ConfigError, DegenerateInput, DimMismatch
 from patsim.matsim import (
@@ -15,6 +19,7 @@ from patsim.matsim import (
     pair_diagnostic,
     rv2,
 )
+from patsim.vectorizer import PatientMatrix
 
 from conftest import unit_rows
 from oracles import enumerate_best_mean_path, mms_reference, rv2_reference
@@ -210,6 +215,25 @@ class TestSyntheticCrossPatterns:
         assert path[0] == (0, 0) and path[-1] == (n - 1, n - 1)
         for (i0, j0), (i1, j1) in zip(path, path[1:]):
             assert (i1 - i0, j1 - j0) in {(1, 0), (0, 1), (1, 1)}
+
+
+class TestSinglePairIsAllPairs:
+    def test_bitwise_equal_to_compute_all_pairs(self, rng):
+        # the set includes an rv2-degenerate patient (identity rows)
+        blocks = [unit_rows(rng, int(rng.integers(1, 7)), 3) for _ in range(6)]
+        blocks.append(np.eye(3))
+        mats = {f"p{k}": PatientMatrix(f"p{k}", rows, np.arange(rows.shape[0]))
+                for k, rows in enumerate(blocks)}
+        for mmethod, fn in (("rv2", rv2), ("mms", mms), ("eds", eds)):
+            sim = compute_all_pairs(mats, RunConfig(
+                filter=False, vmethod="lsa050", mmethod=mmethod))
+            for id_a, id_b in itertools.combinations(sorted(mats), 2):
+                want, want_defined = sim.get(id_a, id_b)
+                got = fn(mats[id_a], mats[id_b])
+                assert got.defined == want_defined
+                assert (np.float64(got.value).tobytes()
+                        == np.float64(want).tobytes())
+        assert not rv2(mats["p6"], mats["p0"]).defined
 
 
 class TestPairDiagnostic:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,9 +231,13 @@ def synonym_corpus():
     return make_corpus(spec)
 
 
+def segments_of(corpus):
+    return [segment_patient(p) for p in corpus]
+
+
 class TestTitleSpace:
     def test_synonym_titles_are_close(self):
-        space = build_title_space(synonym_corpus(), dim=2)
+        space = build_title_space(segments_of(synonym_corpus()), dim=2)
         med, drugs, fam = space["medication"], space["drugs"], space["family history"]
         assert float(med @ drugs) > float(med @ fam)
 
@@ -240,7 +246,7 @@ class TestTitleSpace:
             "a": [("2020-01-01", "One: alpha beta gamma\n\nTwo: alpha beta gamma")],
             "b": [("2020-01-01", "One: alpha beta gamma\n\nTwo: alpha beta gamma")],
         })
-        space = build_title_space(corpus, dim=2)
+        space = build_title_space(segments_of(corpus), dim=2)
         assert float(space["one"] @ space["two"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_vocabularies_are_orthogonal(self):
@@ -248,29 +254,29 @@ class TestTitleSpace:
             "a": [("2020-01-01", "One: alpha beta alpha gamma\n\nTwo: omega psi chi omega")],
             "b": [("2020-01-01", "One: beta gamma alpha beta\n\nTwo: psi chi omega psi")],
         })
-        space = build_title_space(corpus, dim=2)
+        space = build_title_space(segments_of(corpus), dim=2)
         assert abs(float(space["one"] @ space["two"])) < 0.05
 
     def test_insufficient_titles(self):
         corpus = make_corpus({"a": [("2020-01-01", "Only: body text")]})
         with pytest.raises(InsufficientTitles):
-            build_title_space(corpus, dim=1)
+            build_title_space(segments_of(corpus), dim=1)
 
     def test_dim_cannot_exceed_title_count(self):
         from patsim.exceptions import DimTooLarge
 
         with pytest.raises(DimTooLarge):
-            build_title_space(synonym_corpus(), dim=5)
+            build_title_space(segments_of(synonym_corpus()), dim=5)
 
     def test_unit_norm_embeddings(self):
-        space = build_title_space(synonym_corpus(), dim=2)
+        space = build_title_space(segments_of(synonym_corpus()), dim=2)
         for vec in space.values():
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestExpandPrototypes:
     def space(self):
-        return build_title_space(synonym_corpus(), dim=2)
+        return build_title_space(segments_of(synonym_corpus()), dim=2)
 
     def test_threshold_one_keeps_prototypes(self):
         space = self.space()
@@ -317,20 +323,19 @@ class TestRelevancyFromPrototypes:
             "a": [("2020-01-01", "One: alpha beta alpha gamma\n\nTwo: omega psi chi omega")],
             "b": [("2020-01-01", "One: beta gamma alpha beta\n\nTwo: psi chi omega psi")],
         })
-        segments = [segment_patient(p) for p in corpus]
+        segments = segments_of(corpus)
         protos = {"Medication": ["one"]}
         with pytest.raises(DimTooLarge):
-            build_title_space(corpus, dim=16)
-        got = relevancy_from_prototypes(protos, corpus, segments, title_dim=16,
+            build_title_space(segments_of(corpus), dim=16)
+        got = relevancy_from_prototypes(protos, segments, title_dim=16,
                                         threshold=0.5)
-        assert got == expand_prototypes(protos, build_title_space(corpus, dim=2), 0.5)
+        assert got == expand_prototypes(protos, build_title_space(segments_of(corpus), dim=2), 0.5)
         assert got.for_category("Medication") == {"one"}
 
     def test_one_title_is_insufficient(self):
         corpus = make_corpus({"a": [("2020-01-01", "Only: body text")]})
         with pytest.raises(InsufficientTitles):
-            relevancy_from_prototypes({"Medication": ["only"]}, corpus,
-                                      [segment_patient(p) for p in corpus])
+            relevancy_from_prototypes({"Medication": ["only"]}, segments_of(corpus))
 
 
 class TestRelevancyMapFile:
@@ -349,3 +354,16 @@ class TestRelevancyMapFile:
         path.write_text('{"Medication": ["  Drugs: ", "M:"]}', encoding="utf-8")
         rmap = RelevancyMap.load(path)
         assert rmap.for_category("Medication") == {"drugs", "m"}
+
+    @pytest.mark.parametrize("text", [
+        '{"Medication": ["drugs"',
+        '{"Medication": 5}',
+        '{"Medication": "medication"}',
+        '{"Medication": ["drugs", 5]}',
+    ], ids=["invalid_json", "entry_not_a_list", "entry_is_a_string",
+            "title_not_a_string"])
+    def test_bad_file_names_the_file(self, tmp_path, text):
+        path = tmp_path / "relevancy.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            RelevancyMap.load(path)
