@@ -127,13 +127,16 @@ def _require_counts(args: argparse.Namespace, *names: str) -> None:
 def cmd_synth(args) -> int:
     _require(args, "out")
     _require_counts(args, "patients", "clusters", "notes_min", "notes_max", "vocab")
-    spec = synth.SynthSpec(
-        n_patients=args.patients,
-        n_clusters=args.clusters,
-        notes_per_patient=(args.notes_min, args.notes_max),
-        seed=args.seed or 0,
-        vocab_size=args.vocab,
-    )
+    try:
+        spec = synth.SynthSpec(
+            n_patients=args.patients,
+            n_clusters=args.clusters,
+            notes_per_patient=(args.notes_min, args.notes_max),
+            seed=args.seed or 0,
+            vocab_size=args.vocab,
+        )
+    except ValueError as exc:  # counts that are each valid but inconsistent
+        raise ConfigError(str(exc)) from None
     corpus, assignment = synth.generate_synthetic(spec)
     write_corpus(corpus, args.out)
     print(f"wrote {corpus.summary.n_notes} notes for "
@@ -186,7 +189,6 @@ def cmd_vectorize(args) -> int:
             f"--label must be <family><dim> with dim {args.dim}, got {label!r}"
         )
     corpus = load_corpus(args.corpus)
-    seed = args.seed or 0
     filtered = args.category is not None and args.category.lower() != "all"
     if filtered:
         category = resolve_category(args.category)
@@ -199,7 +201,7 @@ def cmd_vectorize(args) -> int:
             relevancy = relevancy_from_prototypes(
                 json.loads(Path(args.prototypes).read_text(encoding="utf-8")),
                 segments.values(), title_dim=args.title_dim,
-                threshold=args.threshold, seed=seed,
+                threshold=args.threshold,
             )
         else:
             raise ConfigError("need --relevancy or --prototypes for a filtered run")
@@ -213,7 +215,7 @@ def cmd_vectorize(args) -> int:
     if args.method == "lsa":
         docs = [fn.text for fns in notes.values() for fn in fns]
         embedder = fit_lsa(docs, VectorizerConfig(
-            dim=args.dim, seed=seed,
+            dim=args.dim,
             min_doc_freq=args.min_doc_freq,
             sublinear_tf=not args.raw_tf,
         ))
@@ -222,7 +224,7 @@ def cmd_vectorize(args) -> int:
             print(f"wrote model dump to {args.model_out}")
     else:
         embedder = embeddings_at_dim(import_embeddings(args.imports), args.dim,
-                                     args.imports, seed=seed)
+                                     args.imports)
 
     matrices, absent = build_patient_matrices(corpus, notes, embedder)
     if not matrices:
@@ -231,7 +233,6 @@ def cmd_vectorize(args) -> int:
         "vmethod": label,
         "filter": filtered,
         "category": category.name if filtered else None,
-        "seed": seed,
     })
     print(f"wrote {len(matrices)} patient matrices (dim {args.dim}) to {args.out}")
     if absent:
@@ -307,7 +308,6 @@ def cmd_gridsearch(args) -> int:
         raise ConfigError("--out is required (flag or config file)")
     _require_counts(args, "min_doc_freq", "title_dim")
     options = grid.GridOptions(
-        seed=args.seed or 0,
         workers=_resolve_workers(args.workers),
         threshold=args.threshold,
         title_dim=args.title_dim,
@@ -362,12 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparser_kw = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seeded: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None,
                        help="key = value config file; flags override it")
-        if seeded:
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed for all randomized steps (unset means 0)")
 
     def leg_settings(p: argparse.ArgumentParser) -> None:
         """The flags that decide how a leg's notes are filtered and fitted."""
@@ -386,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus",
                        **subparser_kw)
-    common(p, seeded=True)
+    common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for the generator (unset means 0)")
     p.add_argument("--patients", type=int, required=True,
                    help="number of patients to generate")
     p.add_argument("--clusters", type=int, required=True,
@@ -415,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vectorize", help="build patient matrices",
                        **subparser_kw)
-    common(p, seeded=True)
+    common(p)
     p.add_argument("--corpus", default=None, help="corpus JSONL path")
     p.add_argument("--category", default="all",
                    help="similarity category name, id, or 'all' (no filtering)")
@@ -461,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gridsearch", help="run the full 2x7x3 evaluation grid",
                        **subparser_kw)
-    common(p, seeded=True)
+    common(p)
     p.add_argument("--corpus", default=None, help="corpus JSONL path")
     p.add_argument("--annotations", default=None,
                    help="annotation CSV path")
@@ -489,7 +488,7 @@ _CONFIG_FILL = {
     "synth": {"out": "out", "seed": "seed"},
     "segment": {"corpus": "corpus", "out": "out"},
     "vectorize": {
-        "corpus": "corpus", "out": "out", "seed": "seed",
+        "corpus": "corpus", "out": "out",
         "relevancy": "relevancy", "prototypes": "prototypes",
         "imports": "imports",
     },
@@ -499,7 +498,7 @@ _CONFIG_FILL = {
         "corpus": "corpus", "annotations": "annotations",
         "imports": "imports", "out_dir": "out_dir",
         "relevancy": "relevancy", "prototypes": "prototypes",
-        "workers": "workers", "seed": "seed",
+        "workers": "workers",
     },
     "report": {},
 }

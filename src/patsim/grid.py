@@ -72,7 +72,7 @@ IMPORT_FAMILIES = ("d2v", "rbc")
 
 @dataclass(frozen=True)
 class GridOptions:
-    seed: int = 0
+    seed: int = 0  # recorded in each cell's RunConfig; no grid step is random
     workers: int = 1
     threshold: float = 0.7
     title_dim: int = 16
@@ -156,7 +156,6 @@ class _GridRunner:
             relevancy = relevancy_from_prototypes(
                 prototypes, segments.values(),
                 title_dim=options.title_dim, threshold=options.threshold,
-                seed=options.seed,
             )
         self.relevancy = relevancy
 
@@ -184,7 +183,6 @@ class _GridRunner:
         docs = [fn.text for fns in notes.values() for fn in fns]
         cfg = VectorizerConfig(
             dim=dim,
-            seed=self.options.seed,
             min_doc_freq=self.options.min_doc_freq,
             sublinear_tf=self.options.sublinear_tf,
         )
@@ -205,7 +203,7 @@ class _GridRunner:
                     self._imports[leg] = None
                 else:
                     self._imports[leg] = embeddings_at_dim(
-                        import_embeddings(path), dim, path, seed=self.options.seed)
+                        import_embeddings(path), dim, path)
         return self._imports[leg]
 
     def _matrices_for(

@@ -239,7 +239,7 @@ class RelevancyMap:
 
 
 def build_title_space(
-    segments: Iterable[list[list[Segment]]], dim: int, seed: int = 0
+    segments: Iterable[list[list[Segment]]], dim: int
 ) -> dict[str, np.ndarray]:
     """Embed every distinct segment title into a unit-vector latent space.
 
@@ -259,7 +259,7 @@ def build_title_space(
     if dim > len(titles):
         raise DimTooLarge(f"dim {dim} > {len(titles)} distinct titles")
     docs = ["\n".join(bodies[t]) for t in titles]
-    model = fit_lsa(docs, VectorizerConfig(dim=dim, seed=seed))
+    model = fit_lsa(docs, VectorizerConfig(dim=dim))
     space: dict[str, np.ndarray] = {}
     for title, doc in zip(titles, docs):
         vec = embed(model, doc)
@@ -301,7 +301,7 @@ def expand_prototypes(
 def relevancy_from_prototypes(
     prototypes: Mapping[object, Iterable[str]],
     segments: Collection[list[list[Segment]]], title_dim: int = 16,
-    threshold: float = 0.7, seed: int = 0,
+    threshold: float = 0.7,
 ) -> RelevancyMap:
     """Expand prototype titles through a title space fitted on the segments.
 
@@ -311,7 +311,7 @@ def relevancy_from_prototypes(
     """
     n_titles = len({s.title for patient in segments for note in patient for s in note})
     dim = min(title_dim, max(2, n_titles))
-    space = build_title_space(segments, dim, seed=seed)
+    space = build_title_space(segments, dim)
     return expand_prototypes(prototypes, space, threshold)
 
 

@@ -38,7 +38,7 @@ def pipeline_dir(tmp_path_factory):
     assert run_cli(
         "vectorize", "--corpus", str(root / "corpus.jsonl"),
         "--category", "all", "--method", "lsa", "--dim", "12",
-        "--seed", "1", "--out", str(root / "mats.bin"),
+        "--out", str(root / "mats.bin"),
     ) == 0
     return root
 
@@ -77,7 +77,7 @@ class TestVectorize:
         assert run_cli(
             "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
             "--category", "all", "--method", "lsa", "--dim", "12",
-            "--seed", "1", "--out", str(out2),
+            "--out", str(out2),
         ) == 0
         assert out2.read_bytes() == (pipeline_dir / "mats.bin").read_bytes()
 
@@ -87,7 +87,7 @@ class TestVectorize:
             "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
             "--category", "Medication",
             "--prototypes", str(pipeline_dir / "protos.json"),
-            "--method", "lsa", "--dim", "8", "--seed", "1", "--out", str(out),
+            "--method", "lsa", "--dim", "8", "--out", str(out),
         ) == 0
         assert out.exists()
 
@@ -182,6 +182,21 @@ class TestCounts:
                        "--out", "x.sim") == 1
         assert capsys.readouterr().err == "error: PATSIM_WORKERS must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("counts, message", [
+        (["--patients", "3", "--clusters", "5"], "n_clusters cannot exceed n_patients"),
+        (["--patients", "5", "--clusters", "2", "--notes-min", "5", "--notes-max", "2"],
+         "notes_per_patient range (5, 2) is empty"),
+        (["--patients", "5", "--clusters", "2", "--vocab", "50"],
+         "vocab_size too small"),
+    ])
+    def test_inconsistent_synth_counts(self, counts, message, capsys, tmp_path):
+        # each count is >= 1, but together they describe no corpus
+        assert run_cli("synth", *counts, "--out", str(tmp_path / "c.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "c.jsonl").exists()
+
 
 class TestEvaluate:
     def test_end_to_end(self, pipeline_dir, tmp_path):
@@ -225,7 +240,7 @@ class TestGridsearch:
             "gridsearch", "--corpus", str(root / "c.jsonl"),
             "--annotations", str(root / "ann.csv"),
             "--prototypes", str(root / "p.json"),
-            "--threshold", "0.6", "--seed", "3",
+            "--threshold", "0.6",
             "--out", str(root / "report"),
         ) == 0
         lines = (root / "report" / "cells.csv").read_text().strip().splitlines()
@@ -244,9 +259,8 @@ class TestHelp:
     def test_help_lists_flags_with_defaults(self, command):
         proc = run_proc(command, "--help")
         assert proc.returncode == 0
-        # only the commands with a randomized step take a seed
-        assert ("--seed" in proc.stdout) == (
-            command in ("synth", "vectorize", "gridsearch"))
+        # only the generator takes a seed; every other step is deterministic
+        assert ("--seed" in proc.stdout) == (command == "synth")
         assert "--config" in proc.stdout
 
     def test_pairs_help_mentions_workers_default(self):
@@ -277,15 +291,16 @@ class TestConfigFile:
 
     def test_flag_overrides_config(self, pipeline_dir, tmp_path):
         cfg = tmp_path / "patsim.cfg"
-        cfg.write_text("seed = 99\n")
+        cfg.write_text(f"out = {tmp_path / 'from_config.bin'}\n")
         out = tmp_path / "override.bin"
         assert run_cli(
             "vectorize", "--config", str(cfg),
             "--corpus", str(pipeline_dir / "corpus.jsonl"),
             "--category", "all", "--method", "lsa", "--dim", "12",
-            "--seed", "1", "--out", str(out),
+            "--out", str(out),
         ) == 0
         assert out.read_bytes() == (pipeline_dir / "mats.bin").read_bytes()
+        assert not (tmp_path / "from_config.bin").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "patsim.cfg"

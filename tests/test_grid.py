@@ -188,7 +188,7 @@ def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
     assert cli.main([
         "vectorize", "--corpus", str(tmp_path / "corpus.jsonl"),
         "--category", "Medication", "--prototypes", str(tmp_path / "protos.json"),
-        "--threshold", "0.6", "--dim", "50", "--seed", "3",
+        "--threshold", "0.6", "--dim", "50",
         "--out", str(tmp_path / "med.bin"),
     ]) == 0
     assert built == [runner.relevancy]

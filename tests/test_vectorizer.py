@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from patsim import vectorizer
 from patsim.exceptions import (
     BadVector,
     ConfigError,
@@ -63,7 +67,7 @@ def random_docs(rng, n_docs, vocab_size, lo=5, hi=30):
 class TestFitLsa:
     def test_identical_documents_rank_one(self):
         docs = ["alpha beta gamma"] * 3
-        model = fit_lsa(docs, VectorizerConfig(dim=1, seed=0))
+        model = fit_lsa(docs, VectorizerConfig(dim=1))
         vecs = [embed(model, d) for d in docs]
         assert np.array_equal(vecs[0], vecs[1])
         assert np.array_equal(vecs[1], vecs[2])
@@ -80,10 +84,10 @@ class TestFitLsa:
     def test_singular_values_match_dense_oracle(self, rng):
         docs = random_docs(rng, 200, 120)
         dim = 10
-        model = fit_lsa(docs, VectorizerConfig(dim=dim, seed=1))
+        model = fit_lsa(docs, VectorizerConfig(dim=dim))
         x = tfidf_matrix_reference([tokenize(d) for d in docs])
         s_true = np.linalg.svd(x, compute_uv=False)[:dim]
-        s_hat, _ = randomized_svd(x, dim, seed=1)
+        s_hat, _ = randomized_svd(x, dim)
         rel = np.max(np.abs(s_hat - s_true) / s_true)
         assert rel < 1e-6
         gram = model.projection.T @ model.projection
@@ -92,36 +96,99 @@ class TestFitLsa:
     def test_disjoint_groups_embed_orthogonally(self, rng):
         group_a = random_docs(rng, 12, 15)
         group_b = [d.replace("t", "u") for d in random_docs(rng, 12, 15)]
-        model = fit_lsa(group_a + group_b, VectorizerConfig(dim=2, seed=3))
+        model = fit_lsa(group_a + group_b, VectorizerConfig(dim=2))
         va = embed(model, group_a[0])
         vb = embed(model, group_b[0])
         assert abs(float(va @ vb)) < 0.05
 
-    def test_deterministic_for_seed(self, rng):
+    def test_fit_is_deterministic(self, rng):
         docs = random_docs(rng, 60, 40)
-        m1 = fit_lsa(docs, VectorizerConfig(dim=5, seed=9))
-        m2 = fit_lsa(docs, VectorizerConfig(dim=5, seed=9))
+        m1 = fit_lsa(docs, VectorizerConfig(dim=5))
+        m2 = fit_lsa(docs, VectorizerConfig(dim=5))
         assert m1.projection.tobytes() == m2.projection.tobytes()
         assert m1.idf.tobytes() == m2.idf.tobytes()
 
     def test_idf_positive_finite(self, rng):
         docs = random_docs(rng, 30, 20)
-        model = fit_lsa(docs, VectorizerConfig(dim=4, seed=0))
+        model = fit_lsa(docs, VectorizerConfig(dim=4))
         assert np.all(np.isfinite(model.idf))
         assert np.all(model.idf > 0)
 
     def test_min_doc_freq_prunes_vocab(self):
         docs = ["common word here"] * 5 + ["common rareword here"]
-        model = fit_lsa(docs, VectorizerConfig(dim=2, seed=0, min_doc_freq=2))
+        model = fit_lsa(docs, VectorizerConfig(dim=2, min_doc_freq=2))
         assert "rareword" not in model.vocabulary
         assert "common" in model.vocabulary
+
+
+class TestRandomizedSvdOracle:
+    """Both solver branches against LAPACK on the dense matrix: singular
+    values within 1e-12 of the largest, vt orthonormal within 1e-12, and
+    the same bytes from a repeated call."""
+
+    @pytest.fixture(params=["eigh", "arpack"])
+    def solver(self, request, monkeypatch):
+        # the Gram-size limit picks the branch whenever k < min(shape)
+        limit = 10**9 if request.param == "eigh" else 0
+        monkeypatch.setattr(vectorizer, "_GRAM_EIGH_MAX", limit)
+
+    @staticmethod
+    def check(x, k):
+        dense = x.toarray() if sp.issparse(x) else x
+        s_true = np.linalg.svd(dense, compute_uv=False)[:k]
+        s, vt = randomized_svd(x, k)
+        assert s.shape == (k,) and vt.shape == (k, x.shape[1])
+        assert np.max(np.abs(s - s_true)) <= 1e-12 * s_true[0]
+        assert np.max(np.abs(vt @ vt.T - np.eye(k))) <= 1e-12
+        # each vt row is a right singular vector: |x v_i| = s_i
+        np.testing.assert_allclose(np.linalg.norm(dense @ vt.T, axis=0), s,
+                                   rtol=0, atol=1e-12 * s_true[0])
+        s2, vt2 = randomized_svd(x, k)
+        assert s.tobytes() == s2.tobytes() and vt.tobytes() == vt2.tobytes()
+
+    def test_sparse_tfidf_below_full_rank(self, rng, solver):
+        docs = [tokenize(d) for d in random_docs(rng, 200, 120)]
+        x = sp.csr_matrix(tfidf_matrix_reference(docs))
+        for k in (1, 10, min(x.shape) - 1):
+            self.check(x, k)
+            self.check(x.T.tocsr(), k)
+
+    # k == min(shape) takes eigh under either limit: ARPACK cannot return
+    # every value
+    def test_dense_at_full_rank(self, rng, solver):
+        self.check(rng.standard_normal((2, 40)), 2)
+
+    def test_sparse_at_full_rank(self, rng, solver):
+        x = sp.random(30, 80, density=0.2, random_state=rng, format="csr")
+        self.check(x, 30)
+
+    def test_two_identical_rows(self, rng, solver):
+        a, b = rng.standard_normal((2, 20))
+        self.check(np.vstack([a, a, b]), 2)
+
+    def test_repeated_rows_past_the_rank(self, rng, solver):
+        # rank 10, so 40 of the 50 requested values are zero
+        x = np.tile(rng.standard_normal((10, 256)), (6, 1))
+        self.check(x, 50)
+
+    def test_rank_out_of_range(self):
+        x = np.ones((3, 5))
+        for k in (0, 4):
+            with pytest.raises(DimTooLarge):
+                randomized_svd(x, k)
+
+    def test_small_input_does_not_load_arpack(self):
+        code = ("import sys, numpy as np; from patsim.vectorizer import randomized_svd; "
+                "randomized_svd(np.random.default_rng(0).standard_normal((60, 40)), 5); "
+                "assert 'scipy.sparse.linalg' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestEmbed:
     def fit(self, rng, sublinear=True):
         docs = random_docs(rng, 50, 30)
         return docs, fit_lsa(
-            docs, VectorizerConfig(dim=4, seed=2, sublinear_tf=sublinear)
+            docs, VectorizerConfig(dim=4, sublinear_tf=sublinear)
         )
 
     def test_training_doc_cosine_one(self, rng):
@@ -200,7 +267,7 @@ class TestCompressEmbeddings:
             (f"p{k}", 0): (lambda v: v / np.linalg.norm(v))(rng.standard_normal(200))
             for k in range(40)
         }
-        out = compress_embeddings(emb, 50, seed=1)
+        out = compress_embeddings(emb, 50)
         assert set(out) == set(emb)
         norms = [np.linalg.norm(v) for v in out.values()]
         assert all(abs(n - 1.0) < 1e-9 or n == 0.0 for n in norms)
@@ -229,8 +296,8 @@ class TestEmbeddingsAtDim:
 
     def test_larger_native_dim_is_compressed(self, rng):
         emb = self.unit(rng, 20)
-        out = embeddings_at_dim(emb, 6, "legs.jsonl", seed=2)
-        want = compress_embeddings(emb, 6, seed=2)
+        out = embeddings_at_dim(emb, 6, "legs.jsonl")
+        want = compress_embeddings(emb, 6)
         assert set(out) == set(want)
         for key in want:
             np.testing.assert_array_equal(out[key], want[key])
@@ -242,7 +309,7 @@ class TestEmbeddingsAtDim:
 
 def lsa_for_matrix_tests(rng):
     docs = random_docs(rng, 80, 40)
-    return docs, fit_lsa(docs, VectorizerConfig(dim=50 if False else 6, seed=4))
+    return docs, fit_lsa(docs, VectorizerConfig(dim=6))
 
 
 class TestBuildPatientMatrix:
@@ -256,7 +323,7 @@ class TestBuildPatientMatrix:
     def test_shape_matches_note_count_and_dim(self, rng):
         # 62 retained notes at dim 50 give a 62 x 50 matrix.
         docs = random_docs(rng, 120, 80)
-        model = fit_lsa(docs, VectorizerConfig(dim=50, seed=5))
+        model = fit_lsa(docs, VectorizerConfig(dim=50))
         patient = self.patient(62)
         filtered = [FilteredNote(k, docs[k]) for k in range(62)]
         mat = build_patient_matrix(patient, filtered, model)
@@ -327,7 +394,7 @@ class TestBuildPatientMatrices:
 class TestModelPersistence:
     def test_round_trip(self, rng, tmp_path):
         docs = random_docs(rng, 40, 25)
-        model = fit_lsa(docs, VectorizerConfig(dim=3, seed=6))
+        model = fit_lsa(docs, VectorizerConfig(dim=3))
         path = tmp_path / "model.bin"
         save_lsa_model(model, path)
         again = load_lsa_model(path)
@@ -345,7 +412,7 @@ class TestModelPersistence:
 
     def test_truncated(self, rng, tmp_path):
         docs = random_docs(rng, 40, 25)
-        model = fit_lsa(docs, VectorizerConfig(dim=3, seed=6))
+        model = fit_lsa(docs, VectorizerConfig(dim=3))
         path = tmp_path / "model.bin"
         save_lsa_model(model, path)
         path.write_bytes(path.read_bytes()[:-16])
