@@ -9,10 +9,8 @@ any worker count.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import re
-import struct
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -20,8 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import kernels
-from .exceptions import ConfigError, DimMismatch, FormatError, TooFewPatients
+from . import formats, kernels
+from .exceptions import ConfigError, DimMismatch, TooFewPatients
 from .vectorizer import PatientMatrix
 
 __all__ = [
@@ -258,105 +256,54 @@ def combine_similarities(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: magic, id table, packed triangle, definedness bitmaps and a
-# JSON trailer with config and timing.
+# Persistence: PATSIM-SIM-1, its parts in patsim.formats framing.
 # ---------------------------------------------------------------------------
 
 def persist_similarity(sim: SimilarityMatrix, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n = sim.n
-    iu, ju = np.triu_indices(n, k=1)
-    tri = np.ascontiguousarray(sim.scores[iu, ju], dtype="<f8")
-    tri_ok = sim.defined[iu, ju]
-    diag_ok = sim.defined[np.arange(n), np.arange(n)]
-    ids_blob = json.dumps(sim.patient_ids, ensure_ascii=False).encode("utf-8")
-    trailer = json.dumps(
-        {
-            "version": 1,
-            "config": asdict(sim.config),
-            "wall_time_seconds": sim.wall_time_seconds,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(SIM_MAGIC)
-        fh.write(struct.pack("<I", len(ids_blob)))
-        fh.write(ids_blob)
-        fh.write(struct.pack("<Q", tri.size))
-        fh.write(tri.tobytes())
-        fh.write(np.packbits(tri_ok, bitorder="little").tobytes())
-        fh.write(np.packbits(diag_ok, bitorder="little").tobytes())
-        fh.write(struct.pack("<I", len(trailer)))
-        fh.write(trailer)
-
-
-def _take(blob: bytes, off: int, count: int, what: str) -> tuple[bytes, int]:
-    if off + count > len(blob):
-        raise FormatError(f"similarity file truncated in {what}")
-    return blob[off:off + count], off + count
+    iu, ju = np.triu_indices(sim.n, k=1)
+    trailer = {"version": 1, "config": asdict(sim.config),
+               "wall_time_seconds": sim.wall_time_seconds}
+    formats.write(path, SIM_MAGIC, [
+        formats.json_block(sim.patient_ids),
+        formats.count(iu.size),
+        np.ascontiguousarray(sim.scores[iu, ju], dtype="<f8"),
+        formats.mask(sim.defined[iu, ju]),
+        formats.mask(sim.defined.diagonal()),
+        formats.json_block(trailer, ascii=True),
+    ])
 
 
 def load_similarity(path: str | Path) -> SimilarityMatrix:
-    path = Path(path)
-    blob = path.read_bytes()
-    if not blob.startswith(SIM_MAGIC):
-        raise FormatError(f"{path} is not a similarity file (bad magic)")
-    off = len(SIM_MAGIC)
-    raw, off = _take(blob, off, 4, "id table length")
-    (ids_len,) = struct.unpack("<I", raw)
-    raw, off = _take(blob, off, ids_len, "id table")
-    try:
-        ids = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
-        raise FormatError(f"bad id table in {path}: {exc}")
-    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-            and len(set(ids)) == len(ids)):
-        raise FormatError(f"bad id table in {path}: not a list of distinct ids")
+    r = formats.Reader(path, SIM_MAGIC, "similarity file")
+    ids = r.json("id table")
+    if not formats.unique_strings(ids):
+        raise r.error("id table is not a list of distinct ids")
     n = len(ids)
-    raw, off = _take(blob, off, 8, "pair count")
-    (npairs,) = struct.unpack("<Q", raw)
+    npairs = r.count("pair count")
     if npairs != n * (n - 1) // 2:
-        raise FormatError(f"pair count {npairs} does not match {n} ids")
-    raw, off = _take(blob, off, npairs * 8, "triangle payload")
-    tri = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    raw, off = _take(blob, off, (npairs + 7) // 8, "pair bitmap")
-    tri_ok = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8), bitorder="little"
-    )[:npairs].astype(bool)
-    raw, off = _take(blob, off, (n + 7) // 8, "diagonal bitmap")
-    diag_ok = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8), bitorder="little"
-    )[:n].astype(bool)
-    raw, off = _take(blob, off, 4, "trailer length")
-    (tlen,) = struct.unpack("<I", raw)
-    raw, off = _take(blob, off, tlen, "trailer")
-    if off != len(blob):
-        raise FormatError(f"trailing bytes in {path}")
+        raise r.error(f"pair count {npairs} does not match {n} ids")
+    tri = r.array("<f8", npairs, "triangle")
+    tri_ok = r.mask(npairs, "pair mask")
+    diag_ok = r.mask(n, "diagonal mask")
+    trailer = r.json("trailer", dict)
+    r.end()
     try:
-        trailer = json.loads(raw.decode("utf-8"))
         if trailer["version"] != 1:
-            raise FormatError(f"unsupported similarity version {trailer['version']}")
+            raise r.error(f"unsupported similarity version {trailer['version']}")
         config = RunConfig(**trailer["config"])
         wall = float(trailer["wall_time_seconds"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad trailer in {path}: {exc}")
+        raise r.error(f"bad trailer: {exc}")
     return _from_triangle(ids, tri, tri_ok, diag_ok, config, wall)
 
 
 def export_csv(sim: SimilarityMatrix, path: str | Path) -> None:
     """Dump the upper triangle as id_a,id_b,score,defined rows."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id_a,id_b,score,defined\n")
-        ids = sim.patient_ids
-        for i in range(sim.n):
-            for j in range(i + 1, sim.n):
-                if sim.defined[i, j]:
-                    fh.write(f"{ids[i]},{ids[j]},{sim.scores[i, j]:.17g},true\n")
-                else:
-                    fh.write(f"{ids[i]},{ids[j]},,false\n")
+    ids = [formats.csv_field(pid) for pid in sim.patient_ids]
+    formats.write_csv(path, "id_a,id_b,score,defined", (
+        f"{ids[i]},{ids[j]},{sim.scores[i, j]:.17g},true\n" if sim.defined[i, j]
+        else f"{ids[i]},{ids[j]},,false\n"
+        for i in range(sim.n) for j in range(i + 1, sim.n)))
 
 
 # ---------------------------------------------------------------------------

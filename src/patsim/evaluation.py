@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from . import formats
 from .exceptions import ConfigError, LengthMismatch, ParseError, TooShort
 from .segmenter import CATEGORIES, resolve_category
 
@@ -135,14 +136,11 @@ def load_annotations(path: str | Path) -> ValidationSet:
 
 
 def save_annotations(validation: ValidationSet, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("annotator_id,pivot_id,relevant_id,category,score\n")
-        for r in validation.annotations:
-            fh.write(
-                f"{r.annotator_id},{r.pivot_id},{r.relevant_id},{r.category},{r.score}\n"
-            )
+    q = {name: formats.csv_field(name) for r in validation.annotations
+         for name in (r.annotator_id, r.pivot_id, r.relevant_id)}
+    formats.write_csv(path, "annotator_id,pivot_id,relevant_id,category,score", (
+        f"{q[r.annotator_id]},{q[r.pivot_id]},{q[r.relevant_id]},{r.category},{r.score}\n"
+        for r in validation.annotations))
 
 
 def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float | None:

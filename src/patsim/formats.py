@@ -1,0 +1,113 @@
+"""One framing for patsim's binary files: PATSIM-SIM-1, -MAT-1 and -LSA-1.
+
+A file is a magic line, then parts: JSON blocks (u32 byte length, UTF-8
+JSON, sorted keys), u64 counts, raw little-endian arrays sized by earlier
+parts, and masks (booleans bit-packed little-endian). Each format lists
+its parts and checks its values; Reader bounds-checks every part, so a
+truncated or corrupt file raises FormatError and nothing else.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import struct
+from pathlib import Path
+
+import numpy as np
+
+from .exceptions import FormatError
+
+
+def json_block(value, ascii: bool = False) -> bytes:
+    """A JSON part; ascii escapes non-ASCII text as \\uXXXX."""
+    raw = json.dumps(value, ensure_ascii=ascii, sort_keys=True).encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def count(n: int) -> bytes:
+    return struct.pack("<Q", n)
+
+
+def mask(bits: np.ndarray) -> np.ndarray:
+    return np.packbits(bits, bitorder="little")
+
+
+def write(path: str | Path, magic: bytes, parts: list) -> None:
+    """The magic line, then each part: bytes, or a contiguous array written raw."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.writelines(parts)
+
+
+class Reader:
+    """A bounds-checked cursor over one file's parts; errors name what and part."""
+
+    def __init__(self, path: str | Path, magic: bytes, what: str):
+        self.path, self.what = Path(path), what
+        self._blob = self.path.read_bytes()
+        if not self._blob.startswith(magic):
+            raise FormatError(f"{self.path} is not a {what} (bad magic)")
+        self._off = len(magic)
+
+    def error(self, problem: str) -> FormatError:
+        return FormatError(f"corrupt {self.what} {self.path}: {problem}")
+
+    def array(self, dtype: str, n: int, part: str) -> np.ndarray:
+        """The next n values, a read-only view of the file's bytes."""
+        dt = np.dtype(dtype)
+        if n * dt.itemsize > len(self._blob) - self._off:
+            raise self.error(f"truncated in {part}")
+        out = np.frombuffer(self._blob, dtype=dt, count=n, offset=self._off)
+        self._off += out.nbytes
+        return out
+
+    def count(self, part: str) -> int:
+        return int(self.array("<u8", 1, part)[0])
+
+    def mask(self, n: int, part: str) -> np.ndarray:
+        packed = self.array("u1", (n + 7) // 8, part)
+        return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+
+    def json(self, part: str, kind: type = object):
+        raw = self.array("u1", int(self.array("<u4", 1, part)[0]), part)
+        try:
+            value = json.loads(raw.tobytes().decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise self.error(f"bad {part}: {exc}")
+        if not isinstance(value, kind):
+            raise self.error(f"{part} is not a JSON {kind.__name__}")
+        return value
+
+    def end(self) -> None:
+        if self._off != len(self._blob):
+            raise self.error("trailing bytes after the last part")
+
+
+def is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def unique_strings(value) -> bool:
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and len(set(value)) == len(value))
+
+
+def write_csv(path: str | Path, header: str, lines) -> None:
+    """A UTF-8 CSV file: the header, then lines ending in "\\n", ids csv_field-quoted."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
+
+
+def csv_field(text: str) -> str:
+    """text as one CSV field: quoted by csv rules when it holds a comma, a
+    quote or a line break, else unchanged. Writers quote each id once."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]

@@ -82,8 +82,9 @@ def _eds_backtrack(d: np.ndarray) -> list[tuple[int, int]]:
     return path
 
 
-def _eds_score(c: np.ndarray) -> list[float]:
-    """The Dinkelbach level sequence; its last entry is the score."""
+def _eds_score(c: np.ndarray) -> tuple[list[float], list[tuple[int, int]]]:
+    """The Dinkelbach levels (the last is the score) and the last step's path:
+    optimal at the final level, or at the iteration cap the one that set it."""
     trace = [float(c.min())]
     for _ in range(_MAX_DINKELBACH_ITERS):
         path = _eds_backtrack(_eds_dp(c - trace[-1]))
@@ -91,7 +92,7 @@ def _eds_score(c: np.ndarray) -> list[float]:
         if not ratio > trace[-1]:
             break
         trace.append(ratio)
-    return trace
+    return trace, path
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ def _eds_score(c: np.ndarray) -> list[float]:
 
 def eds_score_with_iters(c: np.ndarray) -> tuple[float, int]:
     """Alignment score plus the number of Dinkelbach level updates."""
-    trace = _eds_score(np.ascontiguousarray(c, dtype=np.float64))
+    trace = _eds_score(np.ascontiguousarray(c, dtype=np.float64))[0]
     return float(trace[-1]), len(trace) - 1
 
 
@@ -111,16 +112,14 @@ def eds_score(c: np.ndarray) -> float:
 
 def eds_trace(c: np.ndarray) -> tuple[float, list[float]]:
     """Score plus the full level sequence, for diagnostics."""
-    trace = _eds_score(np.asarray(c, dtype=np.float64))
+    trace = _eds_score(np.asarray(c, dtype=np.float64))[0]
     return float(trace[-1]), trace
 
 
 def eds_best_path(c: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     """Score plus one optimal path, for plotting alignment overlays."""
-    c = np.asarray(c, dtype=np.float64)
-    lam = _eds_score(c)[-1]
-    path = _eds_backtrack(_eds_dp(c - lam))
-    return float(lam), path
+    trace, path = _eds_score(np.asarray(c, dtype=np.float64))
+    return float(trace[-1]), path
 
 
 def rv2_gram(rows: np.ndarray) -> np.ndarray | None:
@@ -176,7 +175,7 @@ def eds_batch(
     for p in range(ii.size):
         a = rows[offsets[ii[p]]:offsets[ii[p] + 1]]
         b = rows[offsets[jj[p]]:offsets[jj[p] + 1]]
-        out[p] = _eds_score(a @ b.T)[-1]
+        out[p] = _eds_score(a @ b.T)[0][-1]
     return out
 
 

@@ -104,8 +104,9 @@ def eds(a, b) -> SimScore:
 
 
 def eds_alignment(a, b) -> tuple[SimScore, list[tuple[int, int]]]:
-    """eds score together with one optimal path, for diagnostics."""
-    return eds(a, b), kernels.eds_best_path(cross_sim(a, b))[1]
+    """eds score together with one optimal path, from one Dinkelbach run."""
+    score, path = kernels.eds_best_path(cross_sim(a, b))
+    return SimScore(score, True), path
 
 
 def pair_diagnostic(a, b, method: str) -> dict:

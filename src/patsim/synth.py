@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import formats
 from .corpus import Corpus, NoteRecord, PatientRecord
 from .evaluation import AnnotationRecord, ValidationSet
 from .segmenter import CATEGORY_NAMES
@@ -167,12 +168,8 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, dict[str, int]]:
 
 
 def write_assignment_csv(assignment: dict[str, int], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("patient_id,cluster\n")
-        for pid in sorted(assignment):
-            fh.write(f"{pid},{assignment[pid]}\n")
+    formats.write_csv(path, "patient_id,cluster", (
+        f"{formats.csv_field(pid)},{assignment[pid]}\n" for pid in sorted(assignment)))
 
 
 def load_assignment_csv(path: str | Path) -> dict[str, int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import formats
 from .exceptions import (
     BadVector,
     ConfigError,
@@ -391,25 +391,13 @@ def build_patient_matrices(
     return matrices, absent
 
 
-def _write_container(path: str | Path, magic: bytes, header: dict, arrays) -> None:
-    """Magic, u32 header length, JSON header, then raw little-endian arrays."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    raw = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-        for arr in arrays:
-            fh.write(arr.tobytes())
-
-
 def save_lsa_model(model: LsaModel, path: str | Path) -> None:
-    """Write a model dump: magic header, JSON metadata, raw arrays."""
+    """Write a model dump: magic, JSON header, idf and projection arrays."""
     terms = sorted(model.vocabulary, key=model.vocabulary.__getitem__)
     header = {"dim": model.dim, "sublinear_tf": model.sublinear_tf,
               "vocab_size": len(terms), "vocabulary": terms}
-    _write_container(path, LSA_MAGIC, header, [
+    formats.write(path, LSA_MAGIC, [
+        formats.json_block(header),
         np.ascontiguousarray(model.idf, dtype="<f8"),
         np.ascontiguousarray(model.projection, dtype="<f8"),
     ])
@@ -420,13 +408,8 @@ def save_matrices(
     path: str | Path,
     meta: Mapping[str, object] | None = None,
 ) -> None:
-    """Write a set of patient matrices as one deterministic binary file.
-
-    Layout: magic, JSON header (dim, patient ids, row counts, caller
-    metadata), then all note indices and all rows as raw little-endian
-    arrays. Byte-identical for identical inputs, so pipeline outputs can
-    be compared directly.
-    """
+    """Write a set of patient matrices as one deterministic binary file:
+    byte-identical for identical inputs, so pipeline outputs compare directly."""
     ids = sorted(matrices)
     if not ids:
         raise FormatError("refusing to write an empty matrix container")
@@ -436,87 +419,48 @@ def save_matrices(
             raise DimMismatch(f"matrix for {pid} has dim {matrices[pid].rows.shape[1]}")
     counts = [int(matrices[pid].rows.shape[0]) for pid in ids]
     header = {"dim": dim, "ids": ids, "counts": counts, "meta": dict(meta or {})}
-    _write_container(path, MAT_MAGIC, header, [
+    formats.write(path, MAT_MAGIC, [
+        formats.json_block(header),
         *(np.ascontiguousarray(matrices[pid].note_indices, dtype="<i8") for pid in ids),
         *(np.ascontiguousarray(matrices[pid].rows, dtype="<f8") for pid in ids),
     ])
-
-
-def _read_header(path: Path, magic: bytes, what: str) -> tuple[bytes, dict, int]:
-    """A container's bytes, its JSON-object header and the payload offset."""
-    blob = path.read_bytes()
-    if not blob.startswith(magic):
-        raise FormatError(f"{path} is not a {what} (bad magic)")
-    off = len(magic) + 4
-    try:
-        (hlen,) = struct.unpack_from("<I", blob, len(magic))
-        header = json.loads(blob[off:off + hlen].decode("utf-8"))
-    except (ValueError, struct.error) as exc:
-        raise FormatError(f"corrupt {what} {path}: {exc}")
-    if not isinstance(header, dict):
-        raise FormatError(f"corrupt {what} {path}: header is not a JSON object")
-    return blob, header, off + hlen
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _unique_strings(value) -> bool:
-    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
-            and len(set(value)) == len(value))
 
 
 def load_matrices(
     path: str | Path,
 ) -> tuple[dict[str, PatientMatrix], dict[str, object]]:
     """Read a matrix container; returns (matrices, caller metadata)."""
-    path = Path(path)
-    blob, header, off = _read_header(path, MAT_MAGIC, "matrix container")
+    r = formats.Reader(path, MAT_MAGIC, "matrix container")
+    header = r.json("header", dict)
     dim, ids, counts = header.get("dim"), header.get("ids"), header.get("counts")
     meta = header.get("meta", {})
-    if not (_is_count(dim) and _unique_strings(ids) and isinstance(counts, list)
-            and len(counts) == len(ids) and all(map(_is_count, counts))
-            and isinstance(meta, dict)):
-        raise FormatError(f"corrupt matrix container {path}: bad header fields")
+    if not (formats.is_count(dim) and formats.unique_strings(ids)
+            and isinstance(counts, list) and len(counts) == len(ids)
+            and all(map(formats.is_count, counts)) and isinstance(meta, dict)):
+        raise r.error("bad header fields")
     total = sum(counts)
-    need = off + total * 8 + total * dim * 8
-    if need != len(blob):
-        raise FormatError(f"matrix container {path} has wrong payload size")
-    note_idx = np.frombuffer(blob, dtype="<i8", count=total, offset=off)
-    off += total * 8
-    rows = np.frombuffer(blob, dtype="<f8", count=total * dim, offset=off)
-    rows = rows.reshape(total, dim)
-    matrices: dict[str, PatientMatrix] = {}
-    pos = 0
-    for pid, count in zip(ids, counts):
-        matrices[pid] = PatientMatrix(
-            patient_id=pid,
-            rows=np.ascontiguousarray(rows[pos:pos + count]),
-            note_indices=note_idx[pos:pos + count].astype(np.int64),
-        )
-        pos += count
-    return matrices, dict(meta)
+    note_idx = r.array("<i8", total, "note indices")
+    rows = r.array("<f8", total * dim, "rows").reshape(total, dim)
+    r.end()
+    if not np.isfinite(rows).all():
+        raise r.error("non-finite value in rows")
+    bounds = np.cumsum(counts)[:-1]
+    return {pid: PatientMatrix(pid, block, idx.astype(np.int64)) for pid, block, idx
+            in zip(ids, np.split(rows, bounds), np.split(note_idx, bounds))}, meta
 
 
 def load_lsa_model(path: str | Path) -> LsaModel:
-    path = Path(path)
-    blob, header, off = _read_header(path, LSA_MAGIC, "model dump")
+    r = formats.Reader(path, LSA_MAGIC, "model dump")
+    header = r.json("header", dict)
     vocab_size, dim = header.get("vocab_size"), header.get("dim")
     terms, sublinear_tf = header.get("vocabulary"), header.get("sublinear_tf")
-    if not (_is_count(vocab_size) and _is_count(dim) and _unique_strings(terms)
-            and len(terms) == vocab_size and isinstance(sublinear_tf, bool)):
-        raise FormatError(f"corrupt model dump {path}: bad header fields")
-    if off + vocab_size * (1 + dim) * 8 != len(blob):
-        raise FormatError(f"model dump {path} has wrong payload size")
-    idf = np.frombuffer(blob, dtype="<f8", count=vocab_size, offset=off).copy()
-    proj = np.frombuffer(
-        blob, dtype="<f8", count=vocab_size * dim, offset=off + vocab_size * 8
-    ).reshape(vocab_size, dim).copy()
-    return LsaModel(
-        vocabulary={t: i for i, t in enumerate(terms)},
-        idf=idf,
-        projection=proj,
-        dim=dim,
-        sublinear_tf=sublinear_tf,
-    )
+    if not (formats.is_count(vocab_size) and formats.is_count(dim)
+            and formats.unique_strings(terms) and len(terms) == vocab_size
+            and isinstance(sublinear_tf, bool)):
+        raise r.error("bad header fields")
+    idf = r.array("<f8", vocab_size, "idf").copy()
+    proj = r.array("<f8", vocab_size * dim, "projection").reshape(vocab_size, dim).copy()
+    r.end()
+    if not (np.isfinite(idf).all() and np.isfinite(proj).all()):
+        raise r.error("non-finite value in idf or projection")
+    return LsaModel({t: i for i, t in enumerate(terms)}, idf, proj, dim, sublinear_tf)

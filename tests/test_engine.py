@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,19 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "id_a,id_b,score,defined"
         assert len(lines) == 1 + 3
+
+    @pytest.mark.parametrize("prefix", ["a,b", 'q"'])
+    def test_csv_export_quotes_ids(self, rng, tmp_path, prefix):
+        mats = {prefix + pid: PatientMatrix(prefix + pid, m.rows, m.note_indices)
+                for pid, m in make_matrices(rng, 3).items()}
+        sim = compute_all_pairs(mats, config())
+        export_csv(sim, tmp_path / "sim.csv")
+        with open(tmp_path / "sim.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        ids = sim.patient_ids
+        assert [row[:2] for row in rows] == [[ids[0], ids[1]], [ids[0], ids[2]],
+                                             [ids[1], ids[2]]]
+        assert all(len(row) == 4 for row in rows)
 
 
 class TestTimingReport:

@@ -22,7 +22,7 @@ from patsim.evaluation import (
 )
 from patsim.exceptions import LengthMismatch, ParseError, TooShort
 from patsim.segmenter import CATEGORY_NAMES
-from patsim.synth import synthesize_validation
+from patsim.synth import load_assignment_csv, synthesize_validation, write_assignment_csv
 
 from oracles import kendall_tau_b_reference
 
@@ -233,6 +233,15 @@ class TestAnnotationFile:
         assert again.pivots == vs.pivots
         assert again.relevants == vs.relevants
         assert again.annotations == vs.annotations
+
+    @pytest.mark.parametrize("prefix", ["p,", 'p"'])
+    def test_round_trip_of_ids_that_need_quotes(self, tmp_path, prefix):
+        assignment = {f"{prefix}{k:03d}": k % 3 for k in range(30)}
+        write_assignment_csv(assignment, tmp_path / "clusters.csv")
+        assert load_assignment_csv(tmp_path / "clusters.csv") == assignment
+        vs = synthesize_validation(assignment, n_pivots=4, per_pivot=5, seed=2)
+        save_annotations(vs, tmp_path / "ann.csv")
+        assert load_annotations(tmp_path / "ann.csv").annotations == vs.annotations
 
     def test_category_by_id(self, tmp_path):
         path = tmp_path / "ann.csv"

@@ -7,6 +7,7 @@ single-bit flips. Any other exception escaping a loader is a bug.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from patsim.engine import (
     SIM_MAGIC,
     RunConfig,
+    SimilarityMatrix,
     compute_all_pairs,
     load_similarity,
     persist_similarity,
@@ -174,3 +176,89 @@ def test_mistyped_trailer_config_raises_format_error(field, value, valid):
         blobs["sim"], lambda t: {**t, "config": {**t["config"], field: value}}))
     with pytest.raises(FormatError, match="bad trailer"):
         load_similarity(path)
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes: each format written from fixed arrays, never from computed
+# scores, so the hashes pin the byte layout on any machine.
+# ---------------------------------------------------------------------------
+
+_GOLDEN_IDS = ["p1", "pé-2", "q,3"]
+
+
+def _golden_sim(path):
+    nan = float("nan")
+    scores = np.array([[1.0, 0.25, nan], [0.25, 1.0, -0.5], [nan, -0.5, nan]])
+    defined = ~np.isnan(scores)
+    config = RunConfig(filter=True, vmethod="lsa050", mmethod="eds",
+                       category="Médication", workers=2, seed=7)
+    persist_similarity(SimilarityMatrix(_GOLDEN_IDS, scores, defined, config,
+                                        wall_time_seconds=1.5), path)
+
+
+def _golden_mat(path):
+    save_matrices({
+        pid: PatientMatrix(pid, np.array(rows, dtype=np.float64),
+                           np.array(idx, dtype=np.int64))
+        for pid, rows, idx in zip(_GOLDEN_IDS, (
+            [[0.6, 0.8], [1.0, 0.0]], [[0.0, -1.0]], [[0.8, 0.6], [-0.6, 0.8], [0.0, 1.0]],
+        ), ([0, 2], [1], [0, 1, 5]))
+    }, path, meta={"vmethod": "lsa050", "filter": True, "category": "Médication"})
+
+
+def _golden_lsa(path):
+    save_lsa_model(LsaModel(
+        vocabulary={"alpha": 0, "bêta": 1, "gamma": 2},
+        idf=np.array([1.0, 1.5, 2.25]),
+        projection=np.array([[0.5, -0.5], [0.25, 0.75], [-1.0, 0.0]]),
+        dim=2, sublinear_tf=False,
+    ), path)
+
+
+@pytest.mark.parametrize("write, sha256", [
+    (_golden_sim, "965cdc6f3bca440cd31fbb06b78b3323a26be4ec3220f339018d144edd7315cf"),
+    (_golden_mat, "54e924ac45b71654642d94c9eecd3c91b831bf9dd2edd31e8328c05c6dc78558"),
+    (_golden_lsa, "afcb9d1539a074c2a6405b1c319163b52e2fb360268f8d32f5135183ffa38198"),
+], ids=["sim", "mat", "lsa"])
+def test_golden_bytes(write, sha256, tmp_path):
+    write(tmp_path / "f")
+    assert hashlib.sha256((tmp_path / "f").read_bytes()).hexdigest() == sha256
+
+
+# ---------------------------------------------------------------------------
+# Finite payloads: a NaN or inf in a matrix row or an LSA array is corrupt.
+# Similarity triangles hold NaN for undefined pairs by design.
+# ---------------------------------------------------------------------------
+
+def _mat_with(value):
+    def write(path):
+        mats = _matrices()
+        rows = mats["c"].rows.copy()
+        rows[1, 2] = value
+        mats["c"] = PatientMatrix("c", rows, mats["c"].note_indices)
+        save_matrices(mats, path)
+    return write
+
+
+def _lsa_with(field, value):
+    def write(path):
+        arrays = {"idf": np.array([1.0, 1.5, 2.0]),
+                  "projection": np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])}
+        arrays[field].flat[-1] = value
+        save_lsa_model(LsaModel({"a": 0, "b": 1, "c": 2}, dim=2, **arrays), path)
+    return write
+
+
+@pytest.mark.parametrize("write, load", [
+    (_mat_with(np.nan), load_matrices),
+    (_mat_with(np.inf), load_matrices),
+    (_lsa_with("idf", np.nan), load_lsa_model),
+    (_lsa_with("idf", np.inf), load_lsa_model),
+    (_lsa_with("projection", np.nan), load_lsa_model),
+    (_lsa_with("projection", -np.inf), load_lsa_model),
+], ids=["mat-nan", "mat-inf", "lsa-idf-nan", "lsa-idf-inf",
+        "lsa-projection-nan", "lsa-projection-inf"])
+def test_non_finite_payload_raises_format_error(write, load, tmp_path):
+    write(tmp_path / "f")
+    with pytest.raises(FormatError, match="non-finite"):
+        load(tmp_path / "f")

@@ -58,6 +58,15 @@ class TestEdsPath:
             mean = sum(c[i, j] for i, j in path) / len(path)
             assert mean == pytest.approx(score, abs=1e-9)
 
+    def test_path_at_the_iteration_cap_scores_the_returned_level(self, rng, monkeypatch):
+        # one level update, then the cap: no step has run at the final level
+        monkeypatch.setattr(kernels, "_MAX_DINKELBACH_ITERS", 1)
+        for _ in range(20):
+            c = rng.uniform(-1, 1, (int(rng.integers(2, 9)), int(rng.integers(2, 9))))
+            score, path = kernels.eds_best_path(c)
+            assert score == kernels.eds_score(c)
+            assert sum(c[i, j] for i, j in path) / len(path) == score
+
 
 class TestLaneAgreement:
     """The vectorized kernels against the plain-loop references."""

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from patsim import kernels
 from patsim.engine import RunConfig, compute_all_pairs
 
 from patsim.exceptions import ConfigError, DegenerateInput, DimMismatch
@@ -165,6 +166,24 @@ class TestEds:
         assert path[0] == (0, 0)
         assert path[-1] == (3, 5)
         assert score.defined
+
+    def test_alignment_solves_the_pair_once(self, rng, monkeypatch):
+        a = unit_rows(rng, 12, 6)
+        b = unit_rows(rng, 15, 6)
+        calls = []
+        dp = kernels._eds_dp
+        monkeypatch.setattr(kernels, "_eds_dp", lambda cp: calls.append(1) or dp(cp))
+        want = eds(a, b)
+        solves = len(calls)
+        score, _ = eds_alignment(a, b)
+        assert len(calls) - solves == solves
+        assert score == want
+
+    def test_alignment_score_is_eds_bitwise(self, rng):
+        for _ in range(40):
+            a = unit_rows(rng, int(rng.integers(1, 10)), 5)
+            b = unit_rows(rng, int(rng.integers(1, 10)), 5)
+            assert eds_alignment(a, b)[0] == eds(a, b)
 
 
 class TestSymmetryAndBounds:
