@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import engine, evaluation, grid, synth
 from .corpus import load_corpus, write_corpus
-from .exceptions import ConfigError, PatsimError
+from .exceptions import ConfigError, FormatError, PatsimError
 from .segmenter import (
     CATEGORIES,
     RelevancyMap,
@@ -248,14 +248,18 @@ def cmd_pairs(args) -> int:
     _require(args, "matrices", "out")
     workers = _resolve_workers(args.workers)
     matrices, meta = load_matrices(args.matrices)
-    config = engine.RunConfig(
-        filter=bool(meta.get("filter", False)),
-        vmethod=str(meta.get("vmethod", "lsa050")),
-        mmethod=args.mmethod,
-        category=meta.get("category"),
-        workers=workers,
-        seed=int(meta.get("seed", 0)),
-    )
+    try:
+        config = engine.RunConfig(
+            filter=meta.get("filter", False),
+            vmethod=meta.get("vmethod", "lsa050"),
+            mmethod=args.mmethod,
+            category=meta.get("category"),
+            workers=workers,
+            seed=meta.get("seed", 0),
+        )
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"corrupt matrix container {args.matrices}: "
+                          f"bad meta: {exc}") from None
     sim = engine.compute_all_pairs(matrices, config)
     engine.persist_similarity(sim, args.out)
     npairs = sim.n * (sim.n - 1) // 2

@@ -111,7 +111,7 @@ def load_annotations(path: str | Path) -> ValidationSet:
             raise ParseError(
                 f"annotation file must have columns {sorted(required)}", path=path
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 category = resolve_category(row["category"]).name
                 score = int(row["score"])
@@ -123,7 +123,8 @@ def load_annotations(path: str | Path) -> ValidationSet:
                     score=score,
                 )
             except (ConfigError, ValueError, KeyError, TypeError) as exc:
-                raise ParseError(f"bad annotation row: {exc}", path=path, line=lineno)
+                raise ParseError(f"bad annotation row: {exc}", path=path,
+                                 line=reader.line_num)
             records.append(rec)
             if rec.pivot_id not in relevants:
                 relevants[rec.pivot_id] = []

@@ -15,10 +15,13 @@ Score conventions used throughout:
 The alignment DP is vectorized one row at a time: entering row i at
 column t and walking right to column j accumulates
 m[t] + cum[j] - cum[t-1], so each row reduces to a running maximum.
+One row step serves a whole block of pairs, padded to a common shape,
+and the one-pair functions are the block of one.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Sequence
 
 import numpy as np
@@ -44,55 +47,134 @@ BACKEND = "numpy"
 
 _MAX_DINKELBACH_ITERS = 100
 
+# Float64 cells in one padded block of eds_batch pairs (4 MiB per array).
+_CELL_BUDGET = 1 << 19
+
+log = logging.getLogger(__name__)
+
 
 def _eds_dp(cp: np.ndarray) -> np.ndarray:
-    n1, n2 = cp.shape
-    d = np.empty_like(cp)
-    np.cumsum(cp[0], out=d[0])
+    """Max-sum DP over a block of level-shifted cross matrices, in place.
+
+    On return cp[p, i, j] is the best path sum of pair p from (0, 0) to
+    (i, j). A cell reads only cells above and to its left, so padding
+    past a pair's own shape never reaches its cells.
+    """
+    k, n1, n2 = cp.shape
+    np.cumsum(cp[:, 0], axis=1, out=cp[:, 0])
+    m = np.empty((k, n2))
+    shifted = np.zeros((k, n2))
     for i in range(1, n1):
-        m = np.empty(n2)
-        m[0] = d[i - 1, 0]
-        np.maximum(d[i - 1, 1:], d[i - 1, :-1], out=m[1:])
-        cum = np.cumsum(cp[i])
-        shifted = np.empty(n2)
-        shifted[0] = 0.0
-        shifted[1:] = cum[:-1]
-        d[i] = cum + np.maximum.accumulate(m - shifted)
-    return d
+        prev, row = cp[:, i - 1], cp[:, i]
+        m[:, 0] = prev[:, 0]
+        np.maximum(prev[:, 1:], prev[:, :-1], out=m[:, 1:])
+        np.cumsum(row, axis=1, out=row)
+        shifted[:, 1:] = row[:, :-1]
+        m -= shifted
+        np.maximum.accumulate(m, axis=1, out=m)
+        row += m
+    return cp
 
 
-def _eds_backtrack(d: np.ndarray) -> list[tuple[int, int]]:
-    i, j = d.shape[0] - 1, d.shape[1] - 1
-    path = [(i, j)]
-    while i > 0 or j > 0:
-        best = -np.inf
-        move = None
-        if i > 0 and j > 0 and d[i - 1, j - 1] >= best:
-            best = d[i - 1, j - 1]
-            move = (i - 1, j - 1)
-        if i > 0 and d[i - 1, j] > best:
-            best = d[i - 1, j]
-            move = (i - 1, j)
-        if j > 0 and d[i, j - 1] > best:
-            best = d[i, j - 1]
-            move = (i, j - 1)
-        i, j = move
-        path.append(move)
-    path.reverse()
-    return path
+def _eds_walk(d: np.ndarray, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Each pair's backtrack through its DP table d[p], from its corner
+    (n1[p] - 1, n2[p] - 1) to (0, 0).
+
+    A step goes diagonally, unless up is greater, unless left is greater
+    still. walk[:, t, p] is pair p's (i, j) cell after t steps; a walk
+    that has reached (0, 0) stays there.
+    """
+    k, _, w = d.shape
+    flat = d.reshape(-1)
+    base = np.arange(k) * d[0].size
+    i, j = n1 - 1, n2 - 1
+    walk = np.empty((2, int((i + j).max()) + 1, k), dtype=np.intp)
+    walk[:, 0] = i, j
+    for t in range(1, walk.shape[1]):
+        at = base + i * w + j
+        has_i, has_j = i > 0, j > 0
+        best = np.where(has_i & has_j, flat[at - w - 1], -np.inf)
+        up = flat[at - w]
+        go_up = has_i & (up > best)
+        go_left = has_j & (flat[at - 1] > np.where(go_up, up, best))
+        i = i - (has_i & ~go_left)
+        j = j - (has_j & (go_left | ~go_up))
+        walk[:, t] = i, j
+    return walk
+
+
+def _eds_path_means(c: np.ndarray, pairs: np.ndarray, walk: np.ndarray
+                    ) -> np.ndarray:
+    """Mean of c[pairs[q]] along walk[:, :, q], summed from (0, 0) forward.
+
+    Steps past a walk's end add -0.0, which leaves any sum unchanged.
+    """
+    wi, wj = walk
+    length = 1 + np.count_nonzero(wi[:-1] + wj[:-1], axis=0)
+    vals = c.reshape(-1)[pairs * c[0].size + wi * c.shape[2] + wj]
+    vals[np.arange(wi.shape[0])[:, None] >= length] = -0.0
+    total = np.zeros(pairs.size)
+    for v in vals[::-1]:
+        total += v
+    return total / length
+
+
+def _eds_block(c: np.ndarray, n1: np.ndarray, n2: np.ndarray, lam: np.ndarray
+               ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Dinkelbach iteration for a block of cross matrices, pair p's being
+    c[p, :n1[p], :n2[p]], from the levels lam (each pair's minimum).
+
+    Returns the level trace, one array per update (a pair that has
+    stopped keeps its level), each pair's update count, and the walks
+    (laid out as _eds_walk gives them) of each pair's last path: optimal
+    at its final level, or at the iteration cap the one that set it. A
+    pair leaves the active set once its level stops rising.
+    """
+    trace = [lam]
+    iters = np.zeros(lam.size, dtype=np.intp)
+    walks = np.zeros((2, int(n1.max() + n2.max()) - 1, lam.size), dtype=np.intp)
+    buf = np.empty(c.shape)
+    active = np.arange(lam.size)
+    for _ in range(_MAX_DINKELBACH_ITERS):
+        cp = buf[:active.size]
+        if active.size == len(c):
+            np.subtract(c, lam[:, None, None], out=cp)
+        else:
+            np.take(c, active, axis=0, out=cp, mode="clip")
+            cp -= lam[:, None, None]
+        walk = _eds_walk(_eds_dp(cp), n1, n2)
+        walks[:, :walk.shape[1], active] = walk
+        ratio = _eds_path_means(c, active, walk)
+        rising = ratio > lam
+        if not rising.any():
+            break
+        level = trace[-1].copy()
+        level[active[rising]] = ratio[rising]
+        trace.append(level)
+        iters[active[rising]] += 1
+        if not rising.all():
+            active, n1, n2 = active[rising], n1[rising], n2[rising]
+        lam = ratio[rising]
+    return trace, iters, walks
+
+
+def _warn_at_cap(iters: np.ndarray) -> None:
+    capped = int(np.count_nonzero(iters == _MAX_DINKELBACH_ITERS))
+    if capped:
+        log.warning("eds: %d of %d pairs stopped at the cap of %d Dinkelbach "
+                    "iterations; their scores may be below the optimum",
+                    capped, iters.size, _MAX_DINKELBACH_ITERS)
 
 
 def _eds_score(c: np.ndarray) -> tuple[list[float], list[tuple[int, int]]]:
     """The Dinkelbach levels (the last is the score) and the last step's path:
     optimal at the final level, or at the iteration cap the one that set it."""
-    trace = [float(c.min())]
-    for _ in range(_MAX_DINKELBACH_ITERS):
-        path = _eds_backtrack(_eds_dp(c - trace[-1]))
-        ratio = sum(c[i, j] for i, j in path) / len(path)
-        if not ratio > trace[-1]:
-            break
-        trace.append(ratio)
-    return trace, path
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    trace, iters, (wi, wj) = _eds_block(c[None], np.array([c.shape[0]]),
+                                        np.array([c.shape[1]]), np.array([c.min()]))
+    _warn_at_cap(iters)
+    walk = list(zip(wi[:, 0].tolist(), wj[:, 0].tolist()))
+    return [float(t[0]) for t in trace], walk[:walk.index((0, 0)) + 1][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +183,8 @@ def _eds_score(c: np.ndarray) -> tuple[list[float], list[tuple[int, int]]]:
 
 def eds_score_with_iters(c: np.ndarray) -> tuple[float, int]:
     """Alignment score plus the number of Dinkelbach level updates."""
-    trace = _eds_score(np.ascontiguousarray(c, dtype=np.float64))[0]
-    return float(trace[-1]), len(trace) - 1
+    trace = _eds_score(c)[0]
+    return trace[-1], len(trace) - 1
 
 
 def eds_score(c: np.ndarray) -> float:
@@ -112,14 +194,14 @@ def eds_score(c: np.ndarray) -> float:
 
 def eds_trace(c: np.ndarray) -> tuple[float, list[float]]:
     """Score plus the full level sequence, for diagnostics."""
-    trace = _eds_score(np.asarray(c, dtype=np.float64))[0]
-    return float(trace[-1]), trace
+    trace = _eds_score(c)[0]
+    return trace[-1], trace
 
 
 def eds_best_path(c: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     """Score plus one optimal path, for plotting alignment overlays."""
-    trace, path = _eds_score(np.asarray(c, dtype=np.float64))
-    return float(trace[-1]), path
+    trace, path = _eds_score(c)
+    return trace[-1], path
 
 
 def rv2_gram(rows: np.ndarray) -> np.ndarray | None:
@@ -170,12 +252,30 @@ def mms_batch(
 def eds_batch(
     rows: np.ndarray, offsets: np.ndarray, ii: np.ndarray, jj: np.ndarray
 ) -> np.ndarray:
-    """eds for index pairs over patients packed as in mms_batch."""
+    """eds for index pairs over patients packed as in mms_batch.
+
+    The pairs are solved together in blocks, each padded to its largest
+    pair shape and holding at most _CELL_BUDGET cells. Every score is
+    bitwise the one a pair gets on its own.
+    """
+    sizes = np.diff(offsets)
+    n1, n2 = sizes[ii], sizes[jj]
+    step = max(1, _CELL_BUDGET // int(n1.max(initial=1) * n2.max(initial=1)))
     out = np.empty(ii.size, dtype=np.float64)
-    for p in range(ii.size):
-        a = rows[offsets[ii[p]]:offsets[ii[p] + 1]]
-        b = rows[offsets[jj[p]]:offsets[jj[p] + 1]]
-        out[p] = _eds_score(a @ b.T)[0][-1]
+    iters = np.empty(ii.size, dtype=np.intp)
+    for s in range(0, ii.size, step):
+        b1, b2 = n1[s:s + step], n2[s:s + step]
+        c = np.zeros((b1.size, b1.max(), b2.max()))
+        lam = np.empty(b1.size)
+        for p in range(b1.size):
+            x, y = ii[s + p], jj[s + p]
+            cell = np.matmul(rows[offsets[x]:offsets[x + 1]],
+                             rows[offsets[y]:offsets[y + 1]].T,
+                             out=c[p, :b1[p], :b2[p]])
+            lam[p] = cell.min()
+        trace, iters[s:s + b1.size], _ = _eds_block(c, b1, b2, lam)
+        out[s:s + b1.size] = trace[-1]
+    _warn_at_cap(iters)
     return out
 
 

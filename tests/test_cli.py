@@ -12,6 +12,7 @@ from patsim.engine import load_similarity
 from patsim.exceptions import ConfigError
 from patsim.synth import load_assignment_csv, synthesize_validation
 from patsim.evaluation import save_annotations
+from patsim.vectorizer import load_matrices, save_matrices
 
 
 def run_cli(*argv):
@@ -152,6 +153,22 @@ class TestPairs:
     def test_missing_required_path_is_domain_error(self, tmp_path):
         assert run_cli("pairs", "--mmethod", "mms", "--out",
                        str(tmp_path / "x.bin")) == 1
+
+    @pytest.mark.parametrize("meta", [
+        {"vmethod": "lsa012", "seed": "x"},
+        {"vmethod": "lsa012", "category": 5},
+        {"vmethod": "bogus"},
+    ])
+    def test_bad_container_meta_is_one_error_line(self, pipeline_dir, tmp_path,
+                                                  capsys, meta):
+        matrices, _ = load_matrices(pipeline_dir / "mats.bin")
+        save_matrices(matrices, tmp_path / "mats.bin", meta=meta)
+        assert run_cli("pairs", "--matrices", str(tmp_path / "mats.bin"),
+                       "--mmethod", "mms", "--out", str(tmp_path / "x.sim")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt matrix container ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.sim").exists()
 
 
 class TestCounts:

@@ -275,6 +275,18 @@ class TestAnnotationFile:
         assert info.value.path == path
         assert info.value.line == 3
 
+    def test_error_line_counts_line_breaks_inside_quoted_ids(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_text(
+            "annotator_id,pivot_id,relevant_id,category,score\n"
+            'a1,"p\nq",r1,Medication,5\n'
+            "a1,p,r2,Medication,x\n"
+        )
+        with pytest.raises(ParseError) as info:
+            load_annotations(path)
+        assert info.value.line == 4
+        assert str(info.value).endswith(f"({path}:4)")
+
     def test_duplicate_judgment_rejected(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text(

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patsim import kernels
 
@@ -58,6 +62,15 @@ class TestEdsPath:
             mean = sum(c[i, j] for i, j in path) / len(path)
             assert mean == pytest.approx(score, abs=1e-9)
 
+    @pytest.mark.parametrize("shape, want", [
+        ((2, 2), [(0, 0), (1, 1)]),
+        ((2, 3), [(0, 0), (0, 1), (1, 2)]),
+        ((3, 2), [(0, 0), (1, 0), (2, 1)]),
+    ])
+    def test_ties_prefer_diagonal_then_up_then_left(self, shape, want):
+        # a constant matrix ties every step of the backtrack
+        assert kernels.eds_best_path(np.ones(shape)) == (1.0, want)
+
     def test_path_at_the_iteration_cap_scores_the_returned_level(self, rng, monkeypatch):
         # one level update, then the cap: no step has run at the final level
         monkeypatch.setattr(kernels, "_MAX_DINKELBACH_ITERS", 1)
@@ -95,6 +108,112 @@ class TestLaneAgreement:
             a, b = mats[ii[p]], mats[jj[p]]
             assert got_mms[p] == pytest.approx(mms_reference(a, b), abs=1e-12)
             assert got_eds[p] == pytest.approx(kernels.eds_score(a @ b.T), abs=1e-12)
+
+
+def _packed(mats):
+    """eds_batch operands for the ordered pairs (i, j), i != j, of mats."""
+    offsets = np.zeros(len(mats) + 1, dtype=np.int64)
+    np.cumsum([m.shape[0] for m in mats], out=offsets[1:])
+    ii, jj = np.nonzero(~np.eye(len(mats), dtype=bool))
+    return np.vstack(mats), offsets, ii, jj
+
+
+def _tie_rows(rng, n):
+    """Rows drawn from three axes: cross matrices of 0s and 1s, full of ties."""
+    return np.eye(3)[rng.integers(0, 3, n)]
+
+
+def _mixed_patients(rng):
+    """Shapes 1 to 7 and both random and tied rows, in a shuffled order."""
+    mats = [unit_rows(rng, 1, 3), unit_rows(rng, 7, 3), np.tile(np.eye(3)[0], (4, 1)),
+            np.tile(np.eye(3)[1], (2, 1)), np.eye(3)[[0]]]
+    mats += [unit_rows(rng, int(n), 3) for n in rng.integers(1, 8, 4)]
+    mats += [_tie_rows(rng, int(n)) for n in rng.integers(1, 8, 4)]
+    return [mats[k] for k in rng.permutation(len(mats))]
+
+
+def _spy_blocks(monkeypatch):
+    """Record each _eds_block call's per-pair update counts."""
+    seen = []
+    block = kernels._eds_block
+
+    def spy(*args):
+        out = block(*args)
+        seen.append(out[1].copy())
+        return out
+
+    monkeypatch.setattr(kernels, "_eds_block", spy)
+    return seen
+
+
+class TestEdsBatch:
+    """The pair-batched Dinkelbach against the one-pair case and the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(1, 9), min_size=2, max_size=7),
+           ties=st.lists(st.booleans(), min_size=7, max_size=7),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scores_do_not_depend_on_the_batch(self, counts, ties, seed):
+        rng = np.random.default_rng(seed)
+        mats = [_tie_rows(rng, n) if tie else unit_rows(rng, n, 3)
+                for n, tie in zip(counts, ties)]
+        rows, offsets, ii, jj = _packed(mats)
+        got = kernels.eds_batch(rows, offsets, ii, jj)
+        want = [kernels.eds_score(mats[i] @ mats[j].T) for i, j in zip(ii, jj)]
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+    def test_iteration_counts_do_not_depend_on_the_batch(self, rng, monkeypatch):
+        mats = _mixed_patients(rng)
+        rows, offsets, ii, jj = _packed(mats)
+        seen = _spy_blocks(monkeypatch)
+        got = kernels.eds_batch(rows, offsets, ii, jj)
+        assert len(seen) == 1
+        for p in range(ii.size):
+            alone, iters = kernels.eds_score_with_iters(mats[ii[p]] @ mats[jj[p]].T)
+            assert got[p].view(np.uint64) == np.float64(alone).view(np.uint64)
+            assert seen[0][p] == iters
+
+    def test_shape_and_tie_cases_match_the_loop_reference(self, rng):
+        mats = _mixed_patients(rng)
+        rows, offsets, ii, jj = _packed(mats)
+        got = kernels.eds_batch(rows, offsets, ii, jj)
+        shapes = set()
+        for p in range(ii.size):
+            c = mats[ii[p]] @ mats[jj[p]].T
+            shapes.add((min(c.shape[0], 2), min(c.shape[1], 2), bool(np.ptp(c) == 0)))
+            assert abs(got[p] - eds_loop_reference(c)[0]) < 1e-12
+        # 1x1, then 1xk, kx1 and kxk, each constant and not
+        assert len(shapes) == 7
+
+    def test_one_call_over_several_blocks(self, rng, monkeypatch):
+        mats = _mixed_patients(rng)
+        rows, offsets, ii, jj = _packed(mats)
+        whole = kernels.eds_batch(rows, offsets, ii, jj)
+        monkeypatch.setattr(kernels, "_CELL_BUDGET", 200)
+        seen = _spy_blocks(monkeypatch)
+        got = kernels.eds_batch(rows, offsets, ii, jj)
+        # at most four 7x7 pairs per block
+        assert len(seen) == -(-ii.size // 4)
+        assert got.view(np.uint64).tolist() == whole.view(np.uint64).tolist()
+
+    def test_cap_hits_warn_once_per_call(self, rng, monkeypatch, caplog):
+        monkeypatch.setattr(kernels, "_MAX_DINKELBACH_ITERS", 1)
+        mats = _mixed_patients(rng)
+        rows, offsets, ii, jj = _packed(mats)
+        seen = _spy_blocks(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="patsim.kernels"):
+            kernels.eds_batch(rows, offsets, ii, jj)
+        capped = int(np.count_nonzero(seen[0] == 1))
+        # constant cross matrices stop at once; the others reach the cap
+        assert 0 < capped < ii.size
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert f"{capped} of {ii.size} pairs" in caplog.records[0].getMessage()
+
+    def test_no_warning_below_the_cap(self, rng, caplog):
+        rows, offsets, ii, jj = _packed(_mixed_patients(rng))
+        with caplog.at_level(logging.WARNING, logger="patsim.kernels"):
+            kernels.eds_batch(rows, offsets, ii, jj)
+        assert caplog.records == []
 
 
 class TestRv2Gram:
