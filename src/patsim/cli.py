@@ -15,13 +15,14 @@ import os
 import sys
 from pathlib import Path
 
-from . import engine, evaluation, grid, synth
+from . import engine, evaluation, formats, grid, synth
 from .corpus import load_corpus, write_corpus
 from .exceptions import ConfigError, FormatError, PatsimError
 from .segmenter import (
     CATEGORIES,
     RelevancyMap,
     filter_segments,
+    load_prototypes,
     relevancy_from_prototypes,
     resolve_category,
     segment_patient,
@@ -199,7 +200,7 @@ def cmd_vectorize(args) -> int:
             relevancy = RelevancyMap.load(args.relevancy)
         elif args.prototypes:
             relevancy = relevancy_from_prototypes(
-                json.loads(Path(args.prototypes).read_text(encoding="utf-8")),
+                load_prototypes(args.prototypes),
                 segments.values(), title_dim=args.title_dim,
                 threshold=args.threshold,
             )
@@ -279,29 +280,18 @@ def cmd_evaluate(args) -> int:
         categories = [resolve_category(args.category)]
     else:
         categories = list(CATEGORIES)
-    rows = []
+    table = [["category", "tau", "pivots", "skipped", "excluded"]]
     for cat in categories:
         res = evaluation.evaluate_config(sim, validation, cat)
-        rows.append((cat, res))
-    print(f"{'category':<16} {'tau':>7} {'pivots':>7} {'skipped':>8} {'excluded':>9}")
-    means = []
-    for cat, res in rows:
-        tau = "-" if res.mean is None else f"{res.mean:7.3f}"
         used = sum(1 for v in res.per_pivot.values() if v is not None)
-        print(f"{cat.name:<16} {tau:>7} {used:>7} "
-              f"{len(res.skipped_pivots):>8} {res.excluded_pairs:>9}")
-        if res.mean is not None:
-            means.append(res.mean)
-    if len(rows) > 1 and means:
-        print(f"{'mean':<16} {sum(means) / len(means):7.3f}")
+        table.append([cat.name, res.mean, str(used), str(len(res.skipped_pivots)),
+                      str(res.excluded_pairs)])
+    means = [row[1] for row in table[1:] if row[1] is not None]
+    mean_row = [["mean", sum(means) / len(means), "", "", ""]] \
+        if len(table) > 2 and means else []
+    print(formats.text_table(table + mean_row, 3))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("category,tau,pivots,skipped,excluded\n")
-            for cat, res in rows:
-                tau = "" if res.mean is None else f"{res.mean:.4f}"
-                used = sum(1 for v in res.per_pivot.values() if v is not None)
-                fh.write(f"{cat.name},{tau},{used},"
-                         f"{len(res.skipped_pivots)},{res.excluded_pairs}\n")
+        formats.write_csv(args.out, [formats.csv_table(table, 4)])
         print(f"wrote {args.out}")
     return 0
 
@@ -324,7 +314,7 @@ def cmd_gridsearch(args) -> int:
     relevancy = RelevancyMap.load(args.relevancy) if args.relevancy else None
     prototypes = None
     if relevancy is None and args.prototypes:
-        prototypes = json.loads(Path(args.prototypes).read_text(encoding="utf-8"))
+        prototypes = load_prototypes(args.prototypes)
     report = grid.grid_search(
         corpus,
         validation,
@@ -347,7 +337,7 @@ def cmd_report(args) -> int:
     table = engine.timing_report(runs)
     print(table.render())
     if args.csv:
-        Path(args.csv).write_text(table.to_csv(), encoding="utf-8")
+        formats.write_csv(args.csv, [table.to_csv()])
         print(f"wrote {args.csv}")
     return 0
 
@@ -519,7 +509,7 @@ def main(argv=None) -> int:
     try:
         _fill_defaults(args, _CONFIG_FILL.get(args.command, {}))
         return args.func(args)
-    except PatsimError as exc:
+    except (PatsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -300,7 +300,7 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
 def export_csv(sim: SimilarityMatrix, path: str | Path) -> None:
     """Dump the upper triangle as id_a,id_b,score,defined rows."""
     ids = [formats.csv_field(pid) for pid in sim.patient_ids]
-    formats.write_csv(path, "id_a,id_b,score,defined", (
+    formats.write_csv(path, ["id_a,id_b,score,defined\n"], (
         f"{ids[i]},{ids[j]},{sim.scores[i, j]:.17g},true\n" if sim.defined[i, j]
         else f"{ids[i]},{ids[j]},,false\n"
         for i in range(sim.n) for j in range(i + 1, sim.n)))
@@ -318,21 +318,16 @@ class TimingReport:
 
     def render(self) -> str:
         dims = sorted({d for _, d, _ in self.rows if d is not None})
-        lines = ["dimension  " + "  ".join(f"{m:>8}" for m in MMETHODS)]
+        table = [["dimension", *MMETHODS]]
         for d in dims:
-            cells = []
-            for m in MMETHODS:
-                walls = [w for mm, dd, w in self.rows if mm == m and dd == d]
-                cells.append(f"{np.mean(walls):8.2f}" if walls else f"{'-':>8}")
-            lines.append(f"{d:>9}  " + "  ".join(cells))
-        lines.append("(seconds per run)")
-        return "\n".join(lines)
+            walls = [[w for mm, dd, w in self.rows if mm == m and dd == d]
+                     for m in MMETHODS]
+            table.append([str(d)] + [np.mean(w) if w else None for w in walls])
+        return formats.text_table(table, 2) + "\n(seconds per run)"
 
     def to_csv(self) -> str:
-        out = ["mmethod,dim,wall_time_seconds"]
-        for m, d, w in self.rows:
-            out.append(f"{m},{'' if d is None else d},{w:.6f}")
-        return "\n".join(out) + "\n"
+        return formats.csv_table([["mmethod", "dim", "wall_time_seconds"]] + [
+            [m, None if d is None else str(d), w] for m, d, w in self.rows], 6)
 
 
 def timing_report(runs: Sequence[SimilarityMatrix]) -> TimingReport:

@@ -72,6 +72,7 @@ class ValidationSet:
                 if key in self._scores:
                     raise ParseError(f"duplicate annotation for {key}")
                 self._scores[key] = rec.score
+        self._annotators = sorted({r.annotator_id for r in self.annotations})
         for pivot, rels in self.relevants.items():
             if len(rels) < 2:
                 raise ParseError(
@@ -80,7 +81,7 @@ class ValidationSet:
 
     @property
     def annotators(self) -> list[str]:
-        return sorted({r.annotator_id for r in self.annotations})
+        return self._annotators
 
     def score_of(
         self, annotator: str, pivot: str, relevant: str, category: str
@@ -139,7 +140,7 @@ def load_annotations(path: str | Path) -> ValidationSet:
 def save_annotations(validation: ValidationSet, path: str | Path) -> None:
     q = {name: formats.csv_field(name) for r in validation.annotations
          for name in (r.annotator_id, r.pivot_id, r.relevant_id)}
-    formats.write_csv(path, "annotator_id,pivot_id,relevant_id,category,score", (
+    formats.write_csv(path, ["annotator_id,pivot_id,relevant_id,category,score\n"], (
         f"{q[r.annotator_id]},{q[r.pivot_id]},{q[r.relevant_id]},{r.category},{r.score}\n"
         for r in validation.annotations))
 

@@ -96,13 +96,14 @@ def unique_strings(value) -> bool:
             and len(set(value)) == len(value))
 
 
-def write_csv(path: str | Path, header: str, lines) -> None:
-    """A UTF-8 CSV file: the header, then lines ending in "\\n", ids csv_field-quoted."""
+def write_csv(path: str | Path, *parts) -> None:
+    """A UTF-8 CSV file: the strings of each part (a list or a generator)
+    in turn, every line ending in "\\n", ids csv_field-quoted."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(lines)
+        for part in parts:
+            fh.writelines(part)
 
 
 def csv_field(text: str) -> str:
@@ -111,3 +112,27 @@ def csv_field(text: str) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow([text])
     return buf.getvalue()[:-2]
+
+
+# ---------------------------------------------------------------------------
+# Report tables: a table is a list of rows of values, each a str, a float
+# or None (missing). The first rows are the header.
+# ---------------------------------------------------------------------------
+
+def text_table(rows: list[list], digits: int, left: bool = False) -> str:
+    """Aligned text: None as "-", floats at digits, columns two spaces apart,
+    each as wide as its widest cell, right-aligned unless left."""
+    cells = [["-" if v is None else v if isinstance(v, str) else f"{v:.{digits}f}"
+              for v in row] for row in rows]
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    pad = str.ljust if left else str.rjust
+    return "\n".join("  ".join(pad(v, w) for v, w in zip(row, widths))
+                     for row in cells)
+
+
+def csv_table(rows: list[list], digits: int) -> str:
+    """CSV text, each line ending in "\\n": None and "" as an empty field,
+    floats at digits, other strings csv_field-quoted."""
+    return "".join(",".join(
+        "" if v is None or v == "" else csv_field(v) if isinstance(v, str)
+        else f"{v:.{digits}f}" for v in row) + "\n" for row in rows)

@@ -18,6 +18,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import formats
 from .corpus import Corpus
 from .engine import (
     MMETHODS,
@@ -330,6 +331,7 @@ def grid_search(
     options: GridOptions = GridOptions(),
 ) -> EvalReport:
     """Run all 42 grid cells and collect the evaluation report."""
+    agreement = inter_annotator_agreement(validation)  # fails before any scoring
     runner = _GridRunner(
         corpus,
         validation,
@@ -344,7 +346,6 @@ def grid_search(
             for filtered in (False, True):
                 log.info("grid cell: %s %s filter=%s", mmethod, vmethod, filtered)
                 cells.append(runner.cell(filtered, vmethod, mmethod))
-    agreement = inter_annotator_agreement(validation)
     return EvalReport(cells, agreement, runner.exclusions)
 
 
@@ -352,38 +353,26 @@ def grid_search(
 # Rendering.
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float | None) -> str:
-    return "-" if v is None else f"{v:.2f}"
-
-
-def render_summary(report: EvalReport) -> str:
-    """Grid overview: measures as rows, vectorizer x filter as columns."""
+def _summary_table(report: EvalReport) -> list[list]:
+    """Measures as rows, vectorizer x filter as columns, "skip" for skipped."""
     by_key = {(c.mmethod, c.vmethod, c.filter): c for c in report.cells}
     vorder = ("combined",) + tuple(v for v in VMETHODS if v != "combined")
-    header1 = ["mmethod"] + [v for v in vorder for _ in (0, 1)]
-    header2 = ["filter"] + ["no", "yes"] * len(vorder)
-    rows = [header1, header2]
+    table = [["mmethod"] + [v for v in vorder for _ in (0, 1)],
+             ["filter"] + ["no", "yes"] * len(vorder)]
     for mmethod in MMETHODS:
-        row = [mmethod]
-        for vmethod in vorder:
-            for filtered in (False, True):
-                cell = by_key[(mmethod, vmethod, filtered)]
-                row.append("skip" if cell.status == "skipped"
-                           else _fmt(cell.display_mean()))
-        rows.append(row)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(val.rjust(w) for val, w in zip(r, widths)) for r in rows]
-    return "\n".join(lines)
+        cells = [by_key[(mmethod, v, f)] for v in vorder for f in (False, True)]
+        table.append([mmethod] + ["skip" if c.status == "skipped"
+                                  else c.display_mean() for c in cells])
+    return table
 
 
-def summary_csv(report: EvalReport) -> str:
-    out = ["mmethod,vmethod,filter,status,mean"]
-    for c in report.cells:
-        out.append(
-            f"{c.mmethod},{c.vmethod},{'yes' if c.filter else 'no'},"
-            f"{c.status},{_fmt(c.display_mean()) if c.status != 'skipped' else ''}"
-        )
-    return "\n".join(out) + "\n"
+def _key(cell: GridCell) -> list[str]:
+    return [cell.mmethod, cell.vmethod, "yes" if cell.filter else "no"]
+
+
+def _category_values(cell: GridCell) -> list[float | None]:
+    shown = cell.display_values()
+    return [shown[c.name] for c in CATEGORIES]
 
 
 def _top_cells(report: EvalReport, limit: int) -> list[GridCell]:
@@ -395,101 +384,70 @@ def _top_cells(report: EvalReport, limit: int) -> list[GridCell]:
     )[:limit]
 
 
+def _top10_table(report: EvalReport, limit: int, category_prefix: str) -> list[list]:
+    """Best configurations with one column per category, named prefix + id."""
+    header = ["mmethod", "vmethod", "filter"] + \
+        [f"{category_prefix}{c.id:02d}" for c in CATEGORIES] + ["mean"]
+    return [header] + [_key(cell) + _category_values(cell) + [cell.display_mean()]
+                       for cell in _top_cells(report, limit)]
+
+
+def _agreement_table(report: EvalReport) -> list[list]:
+    table = [["category", "pairs", "min", "median", "max"]]
+    for cat in CATEGORIES:
+        s = report.agreement[cat.name]
+        table.append([cat.name, str(len(s.values)), s.minimum, s.median, s.maximum])
+    return table
+
+
+def render_summary(report: EvalReport) -> str:
+    """Grid overview: measures as rows, vectorizer x filter as columns."""
+    return formats.text_table(_summary_table(report), 2)
+
+
 def render_top10(report: EvalReport, limit: int = 10) -> str:
     """Best configurations with per-category detail columns 01..10."""
-    ranked = _top_cells(report, limit)
-    header = ["mmethod", "vmethod", "filter"] + \
-        [f"{c.id:02d}" for c in CATEGORIES] + ["mean"]
-    rows = [header]
-    for cell in ranked:
-        shown = cell.display_values()
-        rows.append(
-            [cell.mmethod, cell.vmethod, "yes" if cell.filter else "no"]
-            + [_fmt(shown[c.name]) for c in CATEGORIES]
-            + [_fmt(cell.display_mean())]
-        )
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(val.rjust(w) for val, w in zip(r, widths)) for r in rows]
-    return "\n".join(lines)
+    return formats.text_table(_top10_table(report, limit, ""), 2)
 
 
 def top10_csv(report: EvalReport, limit: int = 10) -> str:
-    ranked = _top_cells(report, limit)
-    cats = [f"cat{c.id:02d}" for c in CATEGORIES]
-    out = ["mmethod,vmethod,filter," + ",".join(cats) + ",mean"]
-    for cell in ranked:
-        shown = cell.display_values()
-        vals = [_fmt(shown[c.name]) for c in CATEGORIES]
-        out.append(
-            f"{cell.mmethod},{cell.vmethod},{'yes' if cell.filter else 'no'},"
-            + ",".join(v if v != "-" else "" for v in vals)
-            + f",{_fmt(cell.display_mean())}"
-        )
-    return "\n".join(out) + "\n"
+    return formats.csv_table(_top10_table(report, limit, "cat"), 2)
 
 
 def render_agreement(report: EvalReport) -> str:
-    rows = [["category", "pairs", "min", "median", "max"]]
-    for cat in CATEGORIES:
-        s = report.agreement[cat.name]
-        rows.append([
-            cat.name, str(len(s.values)),
-            _fmt(s.minimum), _fmt(s.median), _fmt(s.maximum),
-        ])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(val.ljust(w) for val, w in zip(r, widths)) for r in rows]
-    return "\n".join(lines)
-
-
-def agreement_csv(report: EvalReport) -> str:
-    out = ["category,pairs,min,median,max"]
-    for cat in CATEGORIES:
-        s = report.agreement[cat.name]
-        out.append(
-            f"{cat.name},{len(s.values)},"
-            f"{'' if s.minimum is None else f'{s.minimum:.4f}'},"
-            f"{'' if s.median is None else f'{s.median:.4f}'},"
-            f"{'' if s.maximum is None else f'{s.maximum:.4f}'}"
-        )
-    return "\n".join(out) + "\n"
+    return formats.text_table(_agreement_table(report), 2, left=True)
 
 
 def cells_csv(report: EvalReport) -> str:
-    cats = [f"cat{c.id:02d}" for c in CATEGORIES]
-    out = ["mmethod,vmethod,filter,status," + ",".join(cats) + ",mean,note"]
-    for cell in report.cells:
-        shown = cell.display_values()
-        vals = [
-            "" if shown[c.name] is None else f"{shown[c.name]:.2f}"
-            for c in CATEGORIES
-        ]
-        mean = cell.display_mean()
-        note = cell.note.replace(",", ";")
-        out.append(
-            f"{cell.mmethod},{cell.vmethod},{'yes' if cell.filter else 'no'},"
-            f"{cell.status}," + ",".join(vals)
-            + f",{'' if mean is None else f'{mean:.2f}'},{note}"
-        )
-    return "\n".join(out) + "\n"
+    header = ["mmethod", "vmethod", "filter", "status"] + \
+        [f"cat{c.id:02d}" for c in CATEGORIES] + ["mean", "note"]
+    return formats.csv_table([header] + [
+        _key(cell) + [cell.status] + _category_values(cell)
+        + [cell.display_mean(), cell.note] for cell in report.cells], 2)
 
 
 def write_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     """Write every table (text and CSV) plus the exclusion sidecar."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = {
-        "summary.txt": render_summary(report) + "\n",
-        "summary.csv": summary_csv(report),
-        "top10.txt": render_top10(report) + "\n",
-        "top10.csv": top10_csv(report),
-        "agreement.txt": render_agreement(report) + "\n",
-        "agreement.csv": agreement_csv(report),
-        "cells.csv": cells_csv(report),
-        "exclusions.json": json.dumps(report.exclusions, indent=2, sort_keys=True) + "\n",
+    summary = [["mmethod", "vmethod", "filter", "status", "mean"]] + [
+        _key(c) + [c.status, None if c.status == "skipped" else c.display_mean()]
+        for c in report.cells]
+    agreement = _agreement_table(report)
+    texts = {
+        "summary.txt": render_summary(report),
+        "top10.txt": render_top10(report),
+        "agreement.txt": formats.text_table(agreement, 2, left=True),
+        "exclusions.json": json.dumps(report.exclusions, indent=2, sort_keys=True),
     }
-    paths = []
-    for name, text in artifacts.items():
-        path = out_dir / name
-        path.write_text(text, encoding="utf-8")
-        paths.append(path)
-    return paths
+    csvs = {
+        "summary.csv": formats.csv_table(summary, 2),
+        "top10.csv": top10_csv(report),
+        "agreement.csv": formats.csv_table(agreement, 4),
+        "cells.csv": cells_csv(report),
+    }
+    for name, text in texts.items():
+        (out_dir / name).write_text(text + "\n", encoding="utf-8")
+    for name, text in csvs.items():
+        formats.write_csv(out_dir / name, [text])
+    return [out_dir / name for name in (*texts, *csvs)]

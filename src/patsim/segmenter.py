@@ -36,6 +36,7 @@ __all__ = [
     "build_title_space",
     "expand_prototypes",
     "relevancy_from_prototypes",
+    "load_prototypes",
     "filter_patient",
     "filter_segments",
     "unfiltered_notes",
@@ -220,22 +221,34 @@ class RelevancyMap:
 
     @classmethod
     def load(cls, path: str | Path) -> "RelevancyMap":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(obj, dict):
-                raise ConfigError("relevancy file must be a JSON object")
-            entries = {}
-            for name, titles in obj.items():
-                if not (isinstance(titles, list)
-                        and all(isinstance(t, str) for t in titles)):
-                    raise ConfigError(f"entry {name!r} must be a list of title strings")
-                entries[resolve_category(name).name] = frozenset(
-                    normalize_title(t) for t in titles)
-        except ValueError as exc:  # JSON syntax
-            raise ConfigError(f"{path}: relevancy file is not valid JSON: {exc}")
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        return cls(entries)
+        return cls({
+            resolve_category(name).name: frozenset(normalize_title(t) for t in titles)
+            for name, titles in _load_title_lists(path, "relevancy").items()
+        })
+
+
+def load_prototypes(path: str | Path) -> dict[str, list[str]]:
+    """A prototype titles file: a JSON object mapping categories to titles."""
+    return _load_title_lists(path, "prototypes")
+
+
+def _load_title_lists(path: str | Path, what: str) -> dict[str, list[str]]:
+    """A JSON object mapping category names to lists of title strings; any
+    fault raises ConfigError naming the file."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{what} file must be a JSON object")
+        for name, titles in obj.items():
+            if not (isinstance(titles, list)
+                    and all(isinstance(t, str) for t in titles)):
+                raise ConfigError(f"entry {name!r} must be a list of title strings")
+            resolve_category(name)
+    except ValueError as exc:  # JSON syntax
+        raise ConfigError(f"{path}: {what} file is not valid JSON: {exc}")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return obj
 
 
 def build_title_space(

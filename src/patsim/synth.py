@@ -168,7 +168,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, dict[str, int]]:
 
 
 def write_assignment_csv(assignment: dict[str, int], path: str | Path) -> None:
-    formats.write_csv(path, "patient_id,cluster", (
+    formats.write_csv(path, ["patient_id,cluster\n"], (
         f"{formats.csv_field(pid)},{assignment[pid]}\n" for pid in sorted(assignment)))
 
 

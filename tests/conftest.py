@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from patsim.corpus import Corpus, NoteRecord, PatientRecord, parse_timestamp
+
+# pytest finds patsim through pyproject's pythonpath; the tests that run
+# `python -m patsim.cli` in a subprocess find it through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

@@ -350,3 +350,82 @@ class TestConfigFile:
             "--mmethod", "mms", "--out", str(sim_path),
         ) == 0
         assert load_similarity(sim_path).config.workers == 2
+
+
+class TestPathErrors:
+    """A missing or unwritable path is one error line with exit code 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["vectorize", "--category", "Medication", "--relevancy", "{tmp}/missing.json"],
+        ["vectorize", "--category", "Medication", "--prototypes", "{tmp}/missing.json"],
+        ["vectorize", "--method", "import", "--imports", "{tmp}/nope.jsonl",
+         "--label", "d2v050"],
+        ["gridsearch", "--annotations", "{tmp}/ann.csv",
+         "--prototypes", "{tmp}/missing.json"],
+    ], ids=["relevancy", "prototypes", "imports", "gridsearch-prototypes"])
+    def test_missing_input_file(self, argv, pipeline_dir, tmp_path, capsys):
+        assignment = load_assignment_csv(pipeline_dir / "assign.csv")
+        save_annotations(synthesize_validation(assignment, n_pivots=3, seed=1),
+                         tmp_path / "ann.csv")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert run_cli(*argv, "--corpus", str(pipeline_dir / "corpus.jsonl"),
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "missing.json" in err or "nope.jsonl" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["pairs", "--mmethod", "rv2", "--matrices", "{tmp}/nope.bin",
+         "--out", "{tmp}/x.sim"],
+        ["report", "--sims", "{tmp}/nope.sim"],
+        ["report", "--sims", "{sim}", "--csv", "{tmp}/afile/t.csv"],
+        ["evaluate", "--sim", "{sim}", "--annotations", "{tmp}/ann.csv",
+         "--out", "{tmp}/afile/e.csv"],
+    ], ids=["pairs-matrices", "report-sims", "report-csv-under-a-file",
+            "evaluate-out-under-a-file"])
+    def test_missing_or_unwritable(self, argv, pipeline_dir, tmp_path, capsys):
+        sim = tmp_path / "s.sim"
+        assert run_cli("pairs", "--matrices", str(pipeline_dir / "mats.bin"),
+                       "--mmethod", "rv2", "--out", str(sim)) == 0
+        assignment = load_assignment_csv(pipeline_dir / "assign.csv")
+        save_annotations(synthesize_validation(assignment, n_pivots=3, seed=1),
+                         tmp_path / "ann.csv")
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        capsys.readouterr()
+        argv = [a.replace("{tmp}", str(tmp_path)).replace("{sim}", str(sim))
+                for a in argv]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_report_csv_makes_its_directory(self, pipeline_dir, tmp_path):
+        sim = tmp_path / "s.sim"
+        assert run_cli("pairs", "--matrices", str(pipeline_dir / "mats.bin"),
+                       "--mmethod", "rv2", "--out", str(sim)) == 0
+        assert run_cli("report", "--sims", str(sim),
+                       "--csv", str(tmp_path / "nodir" / "t.csv")) == 0
+        lines = (tmp_path / "nodir" / "t.csv").read_text().splitlines()
+        assert lines[0] == "mmethod,dim,wall_time_seconds" and len(lines) == 2
+
+
+class TestBadPrototypesFile:
+    @pytest.mark.parametrize("text", ['{bad', '["medication"]'],
+                             ids=["invalid_json", "a_list"])
+    @pytest.mark.parametrize("command", ["vectorize", "gridsearch"])
+    def test_one_error_line_naming_the_file(self, command, text, pipeline_dir,
+                                            tmp_path, capsys):
+        protos = tmp_path / "protos.json"
+        protos.write_text(text, encoding="utf-8")
+        assignment = load_assignment_csv(pipeline_dir / "assign.csv")
+        save_annotations(synthesize_validation(assignment, n_pivots=3, seed=1),
+                         tmp_path / "ann.csv")
+        extra = (["--category", "Medication"] if command == "vectorize"
+                 else ["--annotations", str(tmp_path / "ann.csv")])
+        assert run_cli(command, "--corpus", str(pipeline_dir / "corpus.jsonl"),
+                       "--prototypes", str(protos), "--out", str(tmp_path / "out"),
+                       *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {protos}: ")
+        assert len(err.strip().splitlines()) == 1

@@ -359,3 +359,10 @@ class TestClusterPrecision:
         # for "a" the only defined candidate is "c" (wrong cluster)
         prec = cluster_precision_at_k(sim, assignment, k=1)
         assert prec == pytest.approx((0 + 0 + 0) / 3 + 0, abs=1e-12)
+
+
+def test_annotators_are_computed_once():
+    vs = synthesize_validation({f"p{i}": i % 2 for i in range(12)}, n_pivots=3,
+                               n_annotators=3, seed=2)
+    assert vs.annotators == sorted({r.annotator_id for r in vs.annotations})
+    assert vs.annotators is vs.annotators

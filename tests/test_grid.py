@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from patsim import cli, segmenter
+from patsim import cli, grid, segmenter
 from patsim.corpus import load_corpus, write_corpus
-from patsim.exceptions import ConfigError
+from patsim.exceptions import ConfigError, TooShort
 from patsim.grid import (
     GridOptions,
     _GridRunner,
@@ -152,6 +152,19 @@ class TestGridValidation:
         validation.relevants["ghost"] = ["x", "y"]
         with pytest.raises(ConfigError):
             grid_search(corpus, validation, prototypes=default_prototypes())
+
+    def test_one_annotator_fails_before_any_scoring(self, monkeypatch):
+        corpus, assignment = generate_synthetic(
+            SynthSpec(n_patients=10, n_clusters=2, seed=1)
+        )
+        validation = synthesize_validation(assignment, n_pivots=3, n_annotators=1,
+                                           seed=1)
+        scored = []
+        monkeypatch.setattr(grid, "compute_all_pairs",
+                            lambda *args: scored.append(args))
+        with pytest.raises(TooShort):
+            grid_search(corpus, validation, prototypes=default_prototypes())
+        assert scored == []
 
     def test_needs_relevancy_or_prototypes(self):
         corpus, assignment = generate_synthetic(

@@ -15,6 +15,7 @@ from patsim.segmenter import (
     build_title_space,
     expand_prototypes,
     filter_patient,
+    load_prototypes,
     normalize_title,
     relevancy_from_prototypes,
     resolve_category,
@@ -367,3 +368,27 @@ class TestRelevancyMapFile:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             RelevancyMap.load(path)
+
+
+class TestPrototypesFile:
+    def test_reads_the_mapping(self, tmp_path):
+        path = tmp_path / "protos.json"
+        path.write_text('{"Medication": ["medication", "Drugs:"], "5": []}',
+                        encoding="utf-8")
+        assert load_prototypes(path) == {"Medication": ["medication", "Drugs:"],
+                                         "5": []}
+
+    @pytest.mark.parametrize("text", [
+        '{"Medication": ["drugs"',
+        '{"Medication": 5}',
+        '{"Medication": "medication"}',
+        '{"Medication": ["drugs", 5]}',
+        '["medication"]',
+        '{"Nonsense": ["drugs"]}',
+    ], ids=["invalid_json", "entry_not_a_list", "entry_is_a_string",
+            "title_not_a_string", "not_an_object", "unknown_category"])
+    def test_bad_file_names_the_file(self, tmp_path, text):
+        path = tmp_path / "protos.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_prototypes(path)
