@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmethod", choices=engine.MMETHODS, required=True,
                    help="matrix similarity measure")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: PATSIM_WORKERS or 1)")
+                   help="parallel eds workers (default: PATSIM_WORKERS or 1)")
     p.add_argument("--out", default=None, help="similarity file path")
     p.add_argument("--csv", default=None, help="also export id_a,id_b,score,defined")
     p.set_defaults(func=cmd_pairs)
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for the report tables")
     leg_settings(p)
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: PATSIM_WORKERS or 1)")
+                   help="parallel eds workers (default: PATSIM_WORKERS or 1)")
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("report", help="timing table over similarity files",

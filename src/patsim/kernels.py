@@ -17,6 +17,11 @@ column t and walking right to column j accumulates
 m[t] + cum[j] - cum[t-1], so each row reduces to a running maximum.
 One row step serves a whole block of pairs, padded to a common shape,
 and the one-pair functions are the block of one.
+
+rv2 and mms score pairs by patient tile: patients k with the same
+k // TILE form a tile, and all pairs between two tiles come from one
+matrix product. The tiles depend only on the patient indices, so a
+pair's score is the same whatever else is requested with it.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .exceptions import ConfigError
 
 __all__ = [
     "BACKEND",
+    "TILE",
     "eds_score",
     "eds_score_with_iters",
     "eds_trace",
@@ -49,6 +55,10 @@ _MAX_DINKELBACH_ITERS = 100
 
 # Float64 cells in one padded block of eds_batch pairs (4 MiB per array).
 _CELL_BUDGET = 1 << 19
+
+# Patients per tile of rv2_batch and mms_batch. A constant, not a setting:
+# the tiles fix the shape of the product each pair is read from.
+TILE = 64
 
 log = logging.getLogger(__name__)
 
@@ -219,15 +229,26 @@ def rv2_gram(rows: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray((g / norm).ravel())
 
 
+def _groups(key: np.ndarray) -> list[np.ndarray]:
+    """Indices of the equal entries of key, one array per distinct value."""
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if key.size else []
+
+
 def rv2_batch(grams: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Scores for index pairs (ii[p], jj[p]) over prepared gram rows.
 
     Each score is the cosine of two gram vectors, in [-1, 1] by
-    Cauchy-Schwarz.
+    Cauchy-Schwarz. A pair (i, j), i <= j, is read from the product of
+    the gram rows of i's tile and j's tile, one GEMM per pair of tiles
+    requested.
     """
+    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
     out = np.empty(ii.size, dtype=np.float64)
-    for p in range(ii.size):
-        out[p] = np.dot(grams[ii[p]], grams[jj[p]])
+    for p in _groups(lo // TILE * len(grams) + hi // TILE):
+        a, b = lo[p[0]] // TILE * TILE, hi[p[0]] // TILE * TILE
+        block = grams[a:a + TILE] @ grams[b:b + TILE].T
+        out[p] = block[lo[p] - a, hi[p] - b]
     return out
 
 
@@ -237,15 +258,23 @@ def mms_batch(
     """mms for index pairs over patients packed as rows[offsets[k]:offsets[k + 1]].
 
     A pair's score is the mean of the concatenated row-wise and
-    column-wise maxima of its cosine matrix.
+    column-wise maxima of its cosine matrix. A pair (i, j), i <= j, is
+    read from one GEMM of i's rows against all rows of j's tile: row
+    maxima per partner by reduceat over the tile's offsets, column
+    maxima summed per partner.
     """
+    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+    sizes = np.diff(offsets)
     out = np.empty(ii.size, dtype=np.float64)
-    for p in range(ii.size):
-        a = rows[offsets[ii[p]]:offsets[ii[p] + 1]]
-        b = rows[offsets[jj[p]]:offsets[jj[p] + 1]]
-        c = a @ b.T
-        out[p] = ((c.max(axis=1).sum() + c.max(axis=0).sum())
-                  / (c.shape[0] + c.shape[1]))
+    for p in _groups(lo * sizes.size + hi // TILE):
+        i, b = lo[p[0]], hi[p[0]] // TILE * TILE
+        e = min(b + TILE, sizes.size)
+        seg = offsets[b:e] - offsets[b]
+        c = rows[offsets[i]:offsets[i + 1]] @ rows[offsets[b]:offsets[e]].T
+        row_sums = np.maximum.reduceat(c, seg, axis=1).sum(axis=0)
+        col_sums = np.add.reduceat(c.max(axis=0), seg)
+        q = hi[p] - b
+        out[p] = (row_sums[q] + col_sums[q]) / (sizes[i] + sizes[hi[p]])
     return out
 
 
@@ -298,6 +327,8 @@ def pack(mmethod: str, blocks: Sequence[np.ndarray]) -> dict:
         return {"mmethod": mmethod, "grams": grams, "valid": valid}
     if mmethod not in ("mms", "eds"):
         raise ConfigError(f"unknown similarity method {mmethod!r}")
+    if not all(rows.shape[0] for rows in blocks):
+        raise ValueError(f"{mmethod} needs at least one note row per patient")
     return {"mmethod": mmethod, "rows": np.concatenate(blocks, dtype=np.float64),
             "offsets": np.cumsum([0] + [rows.shape[0] for rows in blocks]),
             "valid": np.ones(len(blocks), dtype=bool)}

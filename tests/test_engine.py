@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from patsim import engine
 from patsim.engine import (
     RunConfig,
     SimilarityMatrix,
@@ -108,13 +109,26 @@ class TestComputeAllPairs:
         assert sim.defined[np.ix_(others, others)].all()
 
     def test_worker_count_does_not_change_scores(self, rng):
-        # enough pairs to actually engage the pool
+        # enough pairs to engage the pool for eds; mms runs in one call
         mats = make_matrices(rng, 70, d=3, n_lo=1, n_hi=3)
         base = compute_all_pairs(mats, config("mms", workers=1))
         for workers in (2, 4):
             sim = compute_all_pairs(mats, config("mms", workers=workers))
             assert sim.scores.tobytes() == base.scores.tobytes()
             assert np.array_equal(sim.defined, base.defined)
+
+    def test_only_eds_runs_in_the_pool(self, rng, monkeypatch):
+        mats = make_matrices(rng, 70, d=3, n_lo=1, n_hi=3)
+        pools = []
+        get_context = engine.multiprocessing.get_context
+        monkeypatch.setattr(engine.multiprocessing, "get_context",
+                            lambda *a: pools.append(a) or get_context(*a))
+        for mmethod in ("rv2", "mms", "eds"):
+            base = compute_all_pairs(mats, config(mmethod, workers=1))
+            sim = compute_all_pairs(mats, config(mmethod, workers=3))
+            assert sim.scores.tobytes() == base.scores.tobytes()
+            assert np.array_equal(sim.defined, base.defined)
+        assert pools == [("fork",)]
 
     def test_patients_ordered_by_sorted_id(self, rng):
         mats = make_matrices(rng, 4)
@@ -212,6 +226,18 @@ class TestPersistence:
         assert [row[:2] for row in rows] == [[ids[0], ids[1]], [ids[0], ids[2]],
                                              [ids[1], ids[2]]]
         assert all(len(row) == 4 for row in rows)
+
+    def test_csv_export_bytes(self, tmp_path):
+        scores = np.array([[1.0, 1 / 3, -0.0], [1 / 3, 1.0, np.nan],
+                           [-0.0, np.nan, 1.0]])
+        sim = SimilarityMatrix(["a", 'b"c', "d,e"], scores, ~np.isnan(scores),
+                               config())
+        export_csv(sim, tmp_path / "sim.csv")
+        assert (tmp_path / "sim.csv").read_bytes() == (
+            b'id_a,id_b,score,defined\n'
+            b'a,"b""c",0.33333333333333331,true\n'
+            b'a,"d,e",-0,true\n'
+            b'"b""c","d,e",,false\n')
 
 
 class TestTimingReport:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from patsim import kernels
 
 from conftest import unit_rows
-from oracles import eds_loop_reference, enumerate_best_mean_path, mms_reference
+from oracles import (eds_loop_reference, enumerate_best_mean_path, mms_reference,
+                     rv2_reference)
 
 
 class TestEdsScore:
@@ -239,3 +240,62 @@ class TestRv2Gram:
             assert got[p] == pytest.approx(
                 float(np.dot(grams[ii[p]], grams[jj[p]])), abs=1e-13
             )
+
+
+def _three_tiles(rng, d=16):
+    """150 patients: two full tiles and a partial third. Each has 1 to 6
+    note rows; patient 100 is rv2-degenerate (orthonormal rows)."""
+    blocks = [unit_rows(rng, int(n), d) for n in rng.integers(1, 7, 150)]
+    blocks[100] = np.eye(d)[:3]
+    assert len(blocks) > 2 * kernels.TILE and len(blocks) % kernels.TILE
+    return blocks
+
+
+@pytest.mark.parametrize("mmethod", ["rv2", "mms"])
+class TestTiles:
+    """rv2 and mms read each pair from its tiles' product. The tiles
+    depend only on the patient indices, so what else is requested never
+    changes a score's bits."""
+
+    def test_every_request_gives_the_whole_triangle_bits(self, rng, mmethod):
+        payload = kernels.pack(mmethod, _three_tiles(rng))
+        ii, jj = np.triu_indices(150, k=1)
+        whole, defined = kernels.score_pairs(payload, ii, jj)
+        bits = whole.view(np.uint64)
+
+        def same(p, a, b):
+            got, got_defined = kernels.score_pairs(payload, a, b)
+            assert got.view(np.uint64).tolist() == bits[p].tolist()
+            assert got_defined.tolist() == defined[p].tolist()
+
+        cuts = np.sort(rng.choice(ii.size, 9, replace=False))
+        for p in np.split(np.arange(ii.size), cuts):
+            same(p, ii[p], jj[p])
+        shuffled = rng.permutation(ii.size)
+        same(shuffled, ii[shuffled], jj[shuffled])
+        same(shuffled, jj[shuffled], ii[shuffled])
+        for p in rng.choice(ii.size, 60, replace=False):
+            same([p], ii[[p]], jj[[p]])
+            same([p], jj[[p]], ii[[p]])
+
+    def test_whole_triangle_matches_the_oracle(self, rng, mmethod):
+        blocks = _three_tiles(rng)
+        ii, jj = np.triu_indices(150, k=1)
+        got, defined = kernels.score_pairs(kernels.pack(mmethod, blocks), ii, jj)
+        oracle = rv2_reference if mmethod == "rv2" else mms_reference
+        undefined = 0
+        for p in range(ii.size):
+            want = oracle(blocks[ii[p]], blocks[jj[p]])
+            if want is None:
+                assert not defined[p] and np.isnan(got[p])
+                undefined += 1
+            else:
+                assert defined[p] and abs(got[p] - want) <= 1e-12
+        assert undefined == (149 if mmethod == "rv2" else 0)
+
+
+@pytest.mark.parametrize("mmethod", ["mms", "eds"])
+def test_pack_rejects_a_patient_without_rows(rng, mmethod):
+    # reduceat would read an empty patient's segment as its neighbour's
+    with pytest.raises(ValueError, match="at least one note row"):
+        kernels.pack(mmethod, [unit_rows(rng, 2, 3), np.zeros((0, 3))])

@@ -254,6 +254,34 @@ class TestSinglePairIsAllPairs:
                         == np.float64(want).tobytes())
         assert not rv2(mats["p6"], mats["p0"]).defined
 
+    def test_multi_tile_set(self, rng):
+        # three tiles of patients, the last one partial; 1-note patients
+        # and an rv2-degenerate one (orthonormal rows) among them
+        blocks = [unit_rows(rng, int(n), 16) for n in rng.integers(1, 7, 150)]
+        blocks[100] = np.eye(16)[:3]
+        mats = {f"p{k:03d}": PatientMatrix(f"p{k:03d}", rows, np.arange(rows.shape[0]))
+                for k, rows in enumerate(blocks)}
+        ids = sorted(mats)
+        picks = [(0, 1), (0, 149), (63, 64), (64, 127), (100, 120), (5, 100),
+                 (128, 149), (130, 131)]
+        picks += [tuple(sorted(rng.choice(150, 2, replace=False))) for _ in range(40)]
+        for mmethod, fn in (("rv2", rv2), ("mms", mms), ("eds", eds)):
+            sim = compute_all_pairs(mats, RunConfig(
+                filter=False, vmethod="lsa050", mmethod=mmethod))
+            for i, j in picks:
+                want, want_defined = sim.get(ids[i], ids[j])
+                got = fn(mats[ids[i]], mats[ids[j]])
+                assert got.defined == want_defined
+                if mmethod == "eds":
+                    # one cross matrix a @ b.T per pair, whatever the set
+                    assert (np.float64(got.value).tobytes()
+                            == np.float64(want).tobytes())
+                elif want_defined:
+                    # a 64-patient tile's GEMM sums in another order than
+                    # the two-patient one
+                    assert abs(got.value - want) <= 1e-12
+        assert not rv2(mats["p100"], mats["p005"]).defined
+
 
 class TestPairDiagnostic:
     def test_eds_record_carries_path(self, rng):
