@@ -21,7 +21,6 @@ __all__ = [
     "NoteRecord",
     "PatientRecord",
     "Corpus",
-    "CorpusSummary",
     "CorpusStats",
     "parse_timestamp",
     "load_corpus",
@@ -85,14 +84,9 @@ class PatientRecord:
 
 
 @dataclass(frozen=True)
-class CorpusSummary:
-    n_patients: int
-    n_notes: int
-    mean_notes: float
-
-
-@dataclass(frozen=True)
 class CorpusStats:
+    """Patient count, note count, and mean/median notes per patient."""
+
     n_patients: int
     n_notes: int
     mean_notes: float
@@ -101,18 +95,16 @@ class CorpusStats:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable map of patient_id to PatientRecord plus count summary."""
+    """Immutable map of patient_id to PatientRecord plus its corpus_stats."""
 
     patients: dict[str, PatientRecord]
-    summary: CorpusSummary = field(compare=False, default=None)  # type: ignore[assignment]
+    summary: CorpusStats = field(compare=False, default=None)  # type: ignore[assignment]
 
     @classmethod
     def from_patients(cls, patients: dict[str, PatientRecord]) -> "Corpus":
         if not patients:
             raise EmptyCorpus("corpus has no patients")
-        n_notes = sum(len(p.notes) for p in patients.values())
-        summary = CorpusSummary(len(patients), n_notes, n_notes / len(patients))
-        return cls(dict(patients), summary)
+        return cls(dict(patients), corpus_stats(patients.values()))
 
     def __iter__(self) -> Iterator[PatientRecord]:
         return iter(self.patients.values())
@@ -205,8 +197,9 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
                 fh.write("\n")
 
 
-def corpus_stats(corpus: Corpus) -> CorpusStats:
-    """Patient count, note count, and mean/median notes per patient."""
+def corpus_stats(corpus: Iterable[PatientRecord]) -> CorpusStats:
+    """Patient count, note count, and mean/median notes per patient, of a
+    Corpus or of any collection of patients."""
     counts = [len(p.notes) for p in corpus]
     return CorpusStats(
         n_patients=len(counts),

@@ -31,7 +31,6 @@ __all__ = [
     "RunConfig",
     "SimilarityMatrix",
     "compute_all_pairs",
-    "align_to_ids",
     "combine_similarities",
     "persist_similarity",
     "load_similarity",
@@ -214,44 +213,26 @@ def _from_triangle(ids: Sequence[str], tri: np.ndarray, tri_ok: np.ndarray,
     return SimilarityMatrix(list(ids), scores, defined, config, wall)
 
 
-def align_to_ids(sim: SimilarityMatrix, ids: Sequence[str]) -> SimilarityMatrix:
-    """Re-index a similarity matrix onto a patient id list.
-
-    Patients missing from the source stay undefined; present ones keep
-    their exact scores. Used to put ensemble members on a common index.
-    """
-    index = {pid: i for i, pid in enumerate(sim.patient_ids)}
-    n = len(ids)
-    scores = np.full((n, n), np.nan, dtype=np.float64)
-    defined = np.zeros((n, n), dtype=bool)
-    present = [k for k, pid in enumerate(ids) if pid in index]
-    src = [index[ids[k]] for k in present]
-    if present:
-        scores[np.ix_(present, present)] = sim.scores[np.ix_(src, src)]
-        defined[np.ix_(present, present)] = sim.defined[np.ix_(src, src)]
-    return SimilarityMatrix(list(ids), scores, defined, sim.config,
-                            sim.wall_time_seconds)
-
-
 def combine_similarities(
     members: Sequence[SimilarityMatrix], config: RunConfig
 ) -> SimilarityMatrix:
     """Average member score matrices entrywise over their defined legs.
 
-    Members are first aligned onto the union of their patient sets, so a
-    pair is undefined only when every member leaves it undefined.
+    Each member's defined scores, and their counts, are summed onto the
+    union of the members' patient sets, so a pair is undefined only when
+    every member leaves it undefined.
     """
     if not members:
         raise TooFewPatients("no member similarity matrices to combine")
     ids = sorted(set().union(*(m.patient_ids for m in members)))
-    members = [
-        m if m.patient_ids == ids else align_to_ids(m, ids) for m in members
-    ]
+    index = {pid: k for k, pid in enumerate(ids)}
     t0 = time.perf_counter()
-    vals = np.stack([m.scores for m in members])
-    defs = np.stack([m.defined for m in members])
-    count = defs.sum(axis=0)
-    total = np.where(defs, vals, 0.0).sum(axis=0)
+    total = np.zeros((len(ids), len(ids)), dtype=np.float64)
+    count = np.zeros((len(ids), len(ids)), dtype=np.int64)
+    for m in members:
+        at = [index[pid] for pid in m.patient_ids]
+        total[np.ix_(at, at)] += np.where(m.defined, m.scores, 0.0)
+        count[np.ix_(at, at)] += m.defined
     scores = np.divide(total, count, out=np.full_like(total, np.nan),
                        where=count > 0)
     defined = count > 0

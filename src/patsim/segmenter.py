@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 import numpy as np
 
 from .exceptions import ConfigError, DimTooLarge, InsufficientTitles, UnknownTitle
-from .vectorizer import VectorizerConfig, embed, fit_lsa
+from .vectorizer import VectorizerConfig, embed_texts, fit_lsa
 
 if TYPE_CHECKING:
     from .corpus import PatientRecord
@@ -272,13 +272,8 @@ def build_title_space(
     if dim > len(titles):
         raise DimTooLarge(f"dim {dim} > {len(titles)} distinct titles")
     docs = ["\n".join(bodies[t]) for t in titles]
-    model = fit_lsa(docs, VectorizerConfig(dim=dim))
-    space: dict[str, np.ndarray] = {}
-    for title, doc in zip(titles, docs):
-        vec = embed(model, doc)
-        if vec is not None:
-            space[title] = vec
-    return space
+    rows, found = embed_texts(fit_lsa(docs, VectorizerConfig(dim=dim)), docs)
+    return {t: row for t, row, ok in zip(titles, rows, found) if ok}
 
 
 def expand_prototypes(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,9 @@ class SynthSpec:
             raise ValueError("n_patients and n_clusters must be positive")
         if self.n_clusters > self.n_patients:
             raise ValueError("n_clusters cannot exceed n_patients")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) \
+                or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name, rng in (
             ("notes_per_patient", self.notes_per_patient),
             ("segments_per_note", self.segments_per_note),

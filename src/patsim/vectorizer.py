@@ -3,7 +3,9 @@
 Notes are turned into unit-norm embedding rows and stacked into one
 matrix per patient (row k = the (k+1)-st retained note in chronological
 order). Embeddings are either fitted here (latent semantic analysis over
-TF-IDF) or read from a JSONL file produced by an external model.
+TF-IDF) or read from a JSONL file produced by an external model. One
+builder makes the TF-IDF rows for fitting and embedding alike, and
+embed_texts projects a batch of them in one sparse product.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "randomized_svd",
     "fit_lsa",
     "embed",
+    "embed_texts",
     "import_embeddings",
     "compress_embeddings",
     "embeddings_at_dim",
@@ -156,8 +159,39 @@ def randomized_svd(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     return s, (h @ q.T if n >= v else u.T)
 
 
-def _tf_weight(count: float, sublinear: bool) -> float:
-    return 1.0 + math.log(count) if sublinear else float(count)
+def _tfidf_rows(tokenized: Sequence[list[str]], vocabulary: Mapping[str, int],
+                idf: np.ndarray, sublinear: bool) -> sp.csr_matrix:
+    """fit_lsa's L2-normalized TF-IDF row of each token list; empty without
+    a vocabulary token. Terms are taken in sorted order, which is column
+    order for a vocabulary numbered as fit_lsa numbers it."""
+    tf: list[float] = []
+    indices: list[int] = []
+    indptr = [0]
+    for toks in tokenized:
+        counts = Counter(toks)
+        terms = sorted(t for t in counts if t in vocabulary)
+        indices += [vocabulary[t] for t in terms]
+        tf += [1.0 + math.log(counts[t]) if sublinear else float(counts[t]) for t in terms]
+        indptr.append(len(indices))
+    data = np.array(tf, dtype=np.float64) * idf[indices]
+    # a row's norm as np.linalg.norm takes it: the root of its dot with itself
+    norms = np.array([math.sqrt(data[a:b].dot(data[a:b]))
+                      for a, b in zip(indptr, indptr[1:])], dtype=np.float64)
+    data /= np.repeat(np.where(norms > _ZERO_NORM, norms, 1.0), np.diff(indptr))
+    return sp.csr_matrix(
+        (data, np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(tokenized), len(idf)),
+    )
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale rows to unit L2 norm in place; a row of norm <= _ZERO_NORM holds
+    nothing and is zeroed. Returns the mask of the other rows."""
+    norms = np.linalg.norm(rows, axis=1)
+    kept = norms > _ZERO_NORM
+    rows /= np.where(kept, norms, 1.0)[:, None]
+    rows[~kept] = 0.0
+    return kept
 
 
 def fit_lsa(docs: Sequence[str], config: VectorizerConfig) -> LsaModel:
@@ -186,26 +220,7 @@ def fit_lsa(docs: Sequence[str], config: VectorizerConfig) -> LsaModel:
         [math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in terms], dtype=np.float64
     )
 
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for toks in tokenized:
-        counts = Counter(t for t in toks if t in vocabulary)
-        row = sorted((vocabulary[t], c) for t, c in counts.items())
-        weights = np.array(
-            [_tf_weight(c, config.sublinear_tf) * idf[j] for j, c in row],
-            dtype=np.float64,
-        )
-        norm = np.linalg.norm(weights)
-        if norm > _ZERO_NORM:
-            weights /= norm
-        data.extend(weights)
-        indices.extend(j for j, _ in row)
-        indptr.append(len(indices))
-    x = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(n_docs, len(terms)),
-    )
+    x = _tfidf_rows(tokenized, vocabulary, idf, config.sublinear_tf)
     _, vt = randomized_svd(x, config.dim)
     return LsaModel(
         vocabulary=vocabulary,
@@ -216,31 +231,26 @@ def fit_lsa(docs: Sequence[str], config: VectorizerConfig) -> LsaModel:
     )
 
 
+def embed_texts(model: LsaModel, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Embed texts by one sparse product of their TF-IDF rows and the
+    projection; returns (rows, found), row k at unit norm, or zero with
+    found[k] False when no known token survives in text k. A row does not
+    depend on the other texts in the call.
+    """
+    rows = _tfidf_rows([tokenize(t) for t in texts], model.vocabulary,
+                       model.idf, model.sublinear_tf) @ model.projection
+    return rows, _unit_rows(rows)
+
+
 def embed(model: LsaModel, text: str) -> np.ndarray | None:
-    """Embed one text; returns None when no known token survives.
+    """Embed one text, as embed_texts does; None when no known token survives.
 
     Identical texts always map to identical vectors; repeating a text
     changes tf only, which the final normalization cancels when tf is
     linear.
     """
-    counts = Counter(t for t in tokenize(text) if t in model.vocabulary)
-    if not counts:
-        return None
-    cols = np.array([model.vocabulary[t] for t in sorted(counts)], dtype=np.int64)
-    weights = np.array(
-        [_tf_weight(counts[t], model.sublinear_tf) for t in sorted(counts)],
-        dtype=np.float64,
-    )
-    weights *= model.idf[cols]
-    norm = np.linalg.norm(weights)
-    if norm <= _ZERO_NORM:
-        return None
-    weights /= norm
-    vec = model.projection[cols].T @ weights
-    vnorm = np.linalg.norm(vec)
-    if vnorm <= _ZERO_NORM:
-        return None
-    return vec / vnorm
+    rows, found = embed_texts(model, [text])
+    return rows[0] if found[0] else None
 
 
 def import_embeddings(
@@ -311,10 +321,7 @@ def compress_embeddings(
     proj = stack @ vt.T
     if rank < dim:
         proj = np.pad(proj, ((0, 0), (0, dim - rank)))
-    norms = np.linalg.norm(proj, axis=1)
-    safe = np.where(norms > _ZERO_NORM, norms, 1.0)
-    proj /= safe[:, None]
-    proj[norms <= _ZERO_NORM] = 0.0
+    _unit_rows(proj)
     return {k: proj[i] for i, k in enumerate(keys)}
 
 
@@ -344,31 +351,25 @@ def build_patient_matrix(
     import-side compression) are dropped. Returns None when nothing
     remains; the patient is then absent from that run.
     """
-    rows: list[np.ndarray] = []
-    kept: list[int] = []
-    for note in filtered:
-        if isinstance(embedder, LsaModel):
-            vec = embed(embedder, note.text)
-        else:
+    if isinstance(embedder, LsaModel):
+        rows, found = embed_texts(embedder, [note.text for note in filtered])
+        kept = [note.note_index for note, ok in zip(filtered, found) if ok]
+        rows = rows[found]
+    else:
+        vecs, kept = [], []
+        for note in filtered:
             key = (patient.patient_id, note.note_index)
             if key not in embedder:
                 raise MissingEmbedding(f"no imported embedding for {key}")
             vec = embedder[key]
             norm = np.linalg.norm(vec)
-            if norm <= _ZERO_NORM:
-                vec = None
-            elif abs(norm - 1.0) > 1e-9:
-                vec = vec / norm
-        if vec is not None:
-            rows.append(np.asarray(vec, dtype=np.float64))
-            kept.append(note.note_index)
-    if not rows:
+            if norm > _ZERO_NORM:
+                vecs.append(vec / norm if abs(norm - 1.0) > 1e-9 else vec)
+                kept.append(note.note_index)
+        rows = np.vstack(vecs, dtype=np.float64) if vecs else None
+    if not kept:
         return None
-    return PatientMatrix(
-        patient_id=patient.patient_id,
-        rows=np.ascontiguousarray(np.vstack(rows)),
-        note_indices=np.asarray(kept, dtype=np.int64),
-    )
+    return PatientMatrix(patient.patient_id, rows, np.asarray(kept, dtype=np.int64))
 
 
 def build_patient_matrices(

@@ -8,6 +8,7 @@ quadratic pair counting, and straight-line formula evaluation.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -169,3 +170,28 @@ def tfidf_matrix_reference(docs: list[list[str]], sublinear: bool = True) -> np.
         if norm > 0:
             x[r] /= norm
     return x
+
+
+def embed_reference(model, text: str) -> np.ndarray | None:
+    """One text's LSA embedding by the per-text formula, or None.
+
+    The text's known tokens (lowercased alphanumeric runs) get tf-idf
+    weights, normalized; their projection rows are summed with those
+    weights, and the sum is normalized. None when no known token is left
+    or the sum has norm at most 1e-12.
+    """
+    counts: dict[str, int] = {}
+    for t in re.findall(r"[^\W_]+", text.lower()):
+        if t in model.vocabulary:
+            counts[t] = counts.get(t, 0) + 1
+    if not counts:
+        return None
+    terms = sorted(counts)
+    cols = np.array([model.vocabulary[t] for t in terms])
+    tf = [1.0 + math.log(counts[t]) if model.sublinear_tf else float(counts[t])
+          for t in terms]
+    weights = np.array(tf) * model.idf[cols]
+    weights /= np.linalg.norm(weights)
+    vec = model.projection[cols].T @ weights
+    norm = np.linalg.norm(vec)
+    return None if norm <= 1e-12 else vec / norm

@@ -214,6 +214,17 @@ class TestCounts:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "c.jsonl").exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_synth_seed(self, via, capsys, tmp_path):
+        cfg = tmp_path / "patsim.cfg"
+        cfg.write_text("seed = -1\n")
+        seed = ["--seed", "-1"] if via == "flag" else ["--config", str(cfg)]
+        assert run_cli("synth", "--patients", "5", "--clusters", "2", *seed,
+                       "--out", str(tmp_path / "c.jsonl")) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer, got -1\n")
+        assert not (tmp_path / "c.jsonl").exists()
+
 
 class TestEvaluate:
     def test_end_to_end(self, pipeline_dir, tmp_path):

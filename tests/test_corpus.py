@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from patsim.corpus import (
@@ -38,6 +39,8 @@ class TestLoadCorpus:
         assert corpus.summary.n_patients == 2
         assert corpus.summary.n_notes == 6
         assert corpus.summary.mean_notes == 3.0
+        assert corpus.summary == corpus_stats(corpus)
+        assert corpus.summary.median_notes == 3.0
 
     def test_out_of_order_notes_resorted(self, tmp_path):
         rows = [
@@ -199,3 +202,13 @@ class TestSynthetic:
             SynthSpec(n_patients=2, n_clusters=5)
         with pytest.raises(ValueError):
             SynthSpec(n_patients=5, n_clusters=2, notes_per_patient=(4, 2))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SynthSpec(n_patients=5, n_clusters=2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = generate_synthetic(SynthSpec(n_patients=4, n_clusters=2, seed=np.int64(9)))
+        b = generate_synthetic(SynthSpec(n_patients=4, n_clusters=2, seed=9))
+        assert a == b

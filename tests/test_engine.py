@@ -9,7 +9,6 @@ from patsim import engine
 from patsim.engine import (
     RunConfig,
     SimilarityMatrix,
-    align_to_ids,
     combine_similarities,
     compute_all_pairs,
     export_csv,
@@ -160,14 +159,20 @@ class TestCombine:
         assert out.scores[1, 2] == pytest.approx(0.3)
         assert not out.defined[0, 2]
 
-    def test_align_preserves_exact_scores(self, rng):
+    def test_member_keeps_exact_scores_on_a_wider_union(self, rng):
+        # the second member shares one patient with the first and defines
+        # nothing, so "unscored" is undefined in every member
         mats = make_matrices(rng, 4)
         sim = compute_all_pairs(mats, config())
-        wider = align_to_ids(sim, sim.patient_ids + ["ghost"])
-        k = wider.index("ghost")
-        assert not wider.defined[k].any()
-        back = align_to_ids(wider, sim.patient_ids)
-        assert back.scores.tobytes() == sim.scores.tobytes()
+        empty = self.sim_of([sim.patient_ids[1], "unscored"], np.full((2, 2), np.nan),
+                            np.zeros((2, 2)))
+        out = combine_similarities([sim, empty], config(vmethod="combined"))
+        assert out.patient_ids == sim.patient_ids + ["unscored"]
+        k = out.index("unscored")
+        assert not out.defined[k].any() and not out.defined[:, k].any()
+        assert np.isnan(out.scores[k]).all()
+        assert out.scores[:k, :k].tobytes() == sim.scores.tobytes()
+        assert np.array_equal(out.defined[:k, :k], sim.defined)
 
 
 class TestPersistence:

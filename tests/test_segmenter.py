@@ -23,8 +23,11 @@ from patsim.segmenter import (
     segment_patient,
     unfiltered_notes,
 )
+from patsim.synth import SynthSpec, generate_synthetic
+from patsim.vectorizer import VectorizerConfig, fit_lsa
 
 from conftest import make_corpus
+from oracles import embed_reference
 
 
 class TestSegmentNote:
@@ -273,6 +276,21 @@ class TestTitleSpace:
         space = build_title_space(segments_of(synonym_corpus()), dim=2)
         for vec in space.values():
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
+
+    def test_vectors_match_the_reference(self):
+        # every title's document is its bodies joined in corpus order
+        corpus, _ = generate_synthetic(SynthSpec(n_patients=12, n_clusters=3, seed=4))
+        segments = segments_of(corpus)
+        space = build_title_space(segments, dim=8)
+        bodies = {}
+        for seg in (s for patient in segments for note in patient for s in note):
+            bodies.setdefault(seg.title, []).append(seg.body)
+        docs = {t: "\n".join(b) for t, b in bodies.items()}
+        model = fit_lsa([docs[t] for t in sorted(docs)], VectorizerConfig(dim=8))
+        assert sorted(space) == sorted(docs)
+        for title, doc in docs.items():
+            np.testing.assert_allclose(space[title], embed_reference(model, doc),
+                                       rtol=0, atol=1e-12)
 
 
 class TestExpandPrototypes:

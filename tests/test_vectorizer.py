@@ -26,6 +26,7 @@ from patsim.vectorizer import (
     build_patient_matrix,
     compress_embeddings,
     embed,
+    embed_texts,
     embeddings_at_dim,
     fit_lsa,
     import_embeddings,
@@ -38,7 +39,7 @@ from patsim.vectorizer import (
 )
 
 from conftest import make_corpus
-from oracles import tfidf_matrix_reference
+from oracles import embed_reference, tfidf_matrix_reference
 
 
 class TestTokenize:
@@ -208,6 +209,43 @@ class TestEmbed:
         v2 = embed(model, docs[3] + " " + docs[3])
         assert float(v1 @ v2) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("sublinear, dim", [(True, 4), (False, 4), (True, 50)])
+    def test_matches_the_reference(self, rng, sublinear, dim):
+        docs = random_docs(rng, 120, 80)
+        model = fit_lsa(docs, VectorizerConfig(dim=dim, sublinear_tf=sublinear))
+        texts = docs + [docs[0] + " " + docs[1], "t1 t1 t1 zzz", "T2, t2_t3"]
+        rows, found = embed_texts(model, texts)
+        assert rows.shape == (len(texts), dim) and found.all()
+        for k, text in enumerate(texts):
+            want = embed_reference(model, text)
+            np.testing.assert_allclose(rows[k], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(embed(model, text), want, rtol=0, atol=1e-12)
+
+    def test_nothing_found_where_the_reference_finds_nothing(self, rng):
+        docs, model = self.fit(rng)
+        texts = ["", "  \n\t ", "zzz qqq", "__ -- _", docs[2], ""]
+        rows, found = embed_texts(model, texts)
+        assert found.tolist() == [embed_reference(model, t) is not None for t in texts]
+        assert found.tolist() == [False] * 4 + [True, False]
+        assert [embed(model, t) is None for t in texts] == (~found).tolist()
+        assert not rows[~found].any()
+        assert embed_texts(model, [])[0].shape == (0, 4)
+
+    def test_row_does_not_depend_on_the_batch(self, rng):
+        docs, model = self.fit(rng)
+        texts = docs + ["", "zzz"]
+        rows, _ = embed_texts(model, texts)
+        order = rng.permutation(len(texts))
+        shuffled, _ = embed_texts(model, [texts[i] for i in order])
+        assert shuffled.tobytes() == rows[order].tobytes()
+        half, _ = embed_texts(model, texts[1::2])
+        assert half.tobytes() == rows[1::2].tobytes()
+        for k, text in enumerate(texts):
+            one, _ = embed_texts(model, [text])
+            assert one.tobytes() == rows[k].tobytes()
+            vec = embed(model, text)
+            assert vec is None or vec.tobytes() == rows[k].tobytes()
+
 
 class TestImportEmbeddings:
     def write(self, path, rows):
@@ -355,6 +393,9 @@ class TestBuildPatientMatrix:
         ]
         mat = build_patient_matrix(patient, filtered, model)
         assert list(mat.note_indices) == [0, 2]
+        for row, k in zip(mat.rows, (0, 2)):
+            np.testing.assert_allclose(row, embed_reference(model, docs[k]),
+                                       rtol=0, atol=1e-12)
 
     def test_imported_map_missing_key(self, rng):
         patient = self.patient(2)
@@ -376,6 +417,16 @@ class TestBuildPatientMatrix:
             patient, [FilteredNote(0, "x"), FilteredNote(1, "y")], emb
         )
         np.testing.assert_array_equal(mat.rows, np.eye(2))
+
+    def test_imported_zero_dropped_near_unit_kept_bitwise(self):
+        patient = self.patient(3)
+        near_unit = np.array([0.6, 0.8 + 1e-12])  # within 1e-9 of unit norm
+        emb = {("a", 0): near_unit, ("a", 1): np.zeros(2), ("a", 2): np.array([3.0, 4.0])}
+        filtered = [FilteredNote(k, "x") for k in range(3)]
+        mat = build_patient_matrix(patient, filtered, emb)
+        assert list(mat.note_indices) == [0, 2]
+        assert mat.rows[0].tobytes() == near_unit.tobytes()
+        assert mat.rows[1].tobytes() == (np.array([3.0, 4.0]) / 5.0).tobytes()
 
 
 class TestBuildPatientMatrices:
