@@ -121,12 +121,13 @@ def csv_field(text: str) -> str:
 
 def text_table(rows: list[list], digits: int, left: bool = False) -> str:
     """Aligned text: None as "-", floats at digits, columns two spaces apart,
-    each as wide as its widest cell, right-aligned unless left."""
+    each as wide as its widest cell, right-aligned unless left. No line
+    ends in a blank."""
     cells = [["-" if v is None else v if isinstance(v, str) else f"{v:.{digits}f}"
               for v in row] for row in rows]
     widths = [max(map(len, col)) for col in zip(*cells)]
     pad = str.ljust if left else str.rjust
-    return "\n".join("  ".join(pad(v, w) for v, w in zip(row, widths))
+    return "\n".join("  ".join(pad(v, w) for v, w in zip(row, widths)).rstrip()
                      for row in cells)
 
 

@@ -230,6 +230,40 @@ class TestRv2Gram:
         g = kernels.rv2_gram(unit_rows(rng, 5, 4))
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 16, 200])
+    def test_strict_upper_triangle(self, rng, d):
+        rows = unit_rows(rng, 7, d)
+        g = kernels.rv2_gram(rows)
+        assert g.shape == (d * (d - 1) // 2,)
+        assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
+        full = rows.T @ rows
+        want = full[np.triu_indices(d, 1)]
+        assert np.allclose(g, want / np.linalg.norm(want), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rows", [np.ones((3, 1)), np.eye(3), np.eye(5)[:2]])
+    def test_degenerate_patient_is_invalid(self, rng, rows):
+        payload = kernels.pack("rv2", [unit_rows(rng, 4, rows.shape[1]), rows])
+        # one column leaves no triangle at all, so both patients are invalid
+        assert payload["valid"].tolist() == [rows.shape[1] > 1, False]
+        assert not payload["grams"][1].any()
+        scores, defined = kernels.score_pairs(payload, np.array([0]), np.array([1]))
+        assert not defined[0] and np.isnan(scores[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 50, 200])
+    def test_pack_stores_half_a_gram(self, rng, d):
+        # one row of d(d - 1)/2 entries per patient, not d^2
+        payload = kernels.pack("rv2", [unit_rows(rng, 3, d) for _ in range(5)])
+        assert payload["grams"].shape == (5, d * (d - 1) // 2)
+
+    @pytest.mark.parametrize("d", [3, 8, 40])
+    def test_random_patients_match_the_oracle(self, rng, d):
+        blocks = [unit_rows(rng, int(n), d) for n in rng.integers(1, 9, 12)]
+        ii, jj = np.triu_indices(12, k=1)
+        got, defined = kernels.score_pairs(kernels.pack("rv2", blocks), ii, jj)
+        for p in range(ii.size):
+            want = rv2_reference(blocks[ii[p]], blocks[jj[p]])
+            assert not defined[p] if want is None else abs(got[p] - want) <= 1e-12
+
     def test_batch_matches_scalar(self, rng):
         grams = np.ascontiguousarray(
             np.vstack([kernels.rv2_gram(unit_rows(rng, 4, 3)) for _ in range(6)])

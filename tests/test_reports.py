@@ -23,13 +23,13 @@ from patsim.grid import EvalReport, GridCell, cells_csv, write_report
 from patsim.segmenter import CATEGORIES
 
 REPORT_SHA256 = {
-    "summary.txt": "533cc259460e1c037d29ae82e126b22ce357da635ce27d1bb52523571951705f",
-    "summary.csv": "60990c71a440f61e79f5dd98cc244d5e633b17bb7a633c62008a88d486f87ea0",
+    "summary.txt": "6cf57a39324e7a0f9a0f22cb04baee4cd399c2f9f68a423c8ebeac7450eecefd",
+    "summary.csv": "76397f9b08eef1c7c2b5f4746eac5fe2d334f00f3ed4e097b5121ede150c3a70",
     "top10.txt": "59499dafe3301a4788bd097f2f7c5cc4b3ee5a7c1c9aea999b887e781388edbb",
     "top10.csv": "64114e4c0f0c7204c33e255b047a414ee038d487ce17c55f6dde31461bdd6e78",
-    "agreement.txt": "591a9cc7fd0416532425b7983d0641eed8f6a34bebdbdd393dc3befc8c0fdfcc",
+    "agreement.txt": "c59efebf0d3bcd0297d3501dbd9055118efe85db90f793c9ea192538840fd90c",
     "agreement.csv": "e134c100192a8da7c2bd2dbcd81d4153e0b8ec2367fcb8e4a941cd328bf21663",
-    "cells.csv": "3d7cbef41a0610dce87be53ce1044ed80a95bad036cc2e1c1d3018f24676dd58",
+    "cells.csv": "f08ab5cf20de6384ccf1cc41ef19b05edc3921cce722bbf7a3b94f90c5d4c242",
     "exclusions.json": "2fe005031832a72717be61a4dbc641f7b25798ee9da0aeead357db2fa7c93d81",
 }
 EVALUATE_CSV_SHA256 = "5eb1262fa80977bedb291d5d3efd83e68fff3c965390ef386542580f50701371"
@@ -58,6 +58,8 @@ def hand_built_report() -> EvalReport:
                              + ["ensemble over 1 of 3 member legs"])
         elif vmethod == "combined":
             status, note = "partial", "ensemble over 2 of 3 member legs"
+        elif (mmethod, vmethod, filtered) == ("rv2", "lsa050", False):
+            values["Age"] = -0.004  # rounds from below to 0.00
         elif vmethod == "rbc050" and filtered:
             values["Age"] = values["Allergies"] = None
             note = ("Age: no usable leg; Allergies: no usable leg; "
@@ -126,6 +128,21 @@ def test_summary_csv_leaves_a_missing_mean_empty(report_dir):
     assert "eds,combined,no,partial," in lines
 
 
+def test_no_table_prints_negative_zero(report_dir):
+    # the rv2/lsa050 cell's Age value is -0.004, and two cells' means
+    # round from below to zero
+    for name in REPORT_SHA256:
+        assert "-0.00" not in (report_dir / name).read_text(encoding="utf-8")
+    rows = list(csv.reader((report_dir / "cells.csv").read_text().splitlines()))
+    assert rows[1][:5] == ["rv2", "lsa050", "no", "ok", "0.00"]
+
+
+def test_no_text_line_ends_in_a_blank(report_dir):
+    for name in ("summary.txt", "top10.txt", "agreement.txt"):
+        lines = (report_dir / name).read_text(encoding="utf-8").splitlines()
+        assert lines and all(line == line.rstrip() for line in lines)
+
+
 def test_evaluate_out_golden_bytes(tmp_path, capsys):
     persist_similarity(_similarity("rv2", "lsa050", 0.5), tmp_path / "s.sim")
     (tmp_path / "ann.csv").write_text(_annotations_csv(), encoding="utf-8")
@@ -177,8 +194,8 @@ class TestTableModel:
 
     def test_text_left_aligned(self):
         assert text_table(self.ROWS, 1, left=True).splitlines() == [
-            "name       x     y  ",
-            "a          1.2   -  ",
+            "name       x     y",
+            "a          1.2   -",
             "long name  -0.5  s,t",
         ]
 

@@ -185,6 +185,49 @@ class TestRandomizedSvdOracle:
         subprocess.run([sys.executable, "-c", code], check=True)
 
 
+# Saved matrices scored, persisted and exported: the `patsim pairs` path.
+_PAIRS_PATH = """
+import sys, tempfile
+from pathlib import Path
+import numpy as np
+import patsim
+from patsim import engine, vectorizer
+
+rng = np.random.default_rng(0)
+mats = {}
+for k in range(6):
+    rows = rng.standard_normal((3 + k % 3, 8))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    mats[f"p{k}"] = vectorizer.PatientMatrix(f"p{k}", rows, np.arange(rows.shape[0]))
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "mats.bin"
+    vectorizer.save_matrices(mats, path)
+    loaded, _ = vectorizer.load_matrices(path)
+    for mmethod in ("rv2", "mms", "eds"):
+        sim = engine.compute_all_pairs(loaded, engine.RunConfig(False, "lsa050", mmethod))
+        engine.persist_similarity(sim, Path(tmp) / f"{mmethod}.sim")
+        engine.load_similarity(Path(tmp) / f"{mmethod}.sim")
+        engine.export_csv(sim, Path(tmp) / f"{mmethod}.csv")
+assert sim.defined.all()
+loaded_scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded_scipy, loaded_scipy
+"""
+
+
+class TestScipyLoadsOnlyForLsa:
+    def test_pairs_path_loads_no_scipy(self):
+        subprocess.run([sys.executable, "-c", _PAIRS_PATH], check=True)
+
+    def test_fit_and_embed_in_a_fresh_interpreter(self):
+        code = ("import sys; from patsim.vectorizer import VectorizerConfig, embed, fit_lsa; "
+                "docs = [f'note {k} about term{k % 7} and term{k % 5}' for k in range(40)]; "
+                "model = fit_lsa(docs, VectorizerConfig(dim=4)); "
+                "assert model.projection.shape[1] == 4; "
+                "assert embed(model, docs[3]) is not None; "
+                "assert 'scipy.sparse' in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
 class TestEmbed:
     def fit(self, rng, sublinear=True):
         docs = random_docs(rng, 50, 30)
