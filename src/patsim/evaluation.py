@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -56,37 +56,53 @@ class AnnotationRecord:
 
 @dataclass
 class ValidationSet:
-    """Pivot patients, their candidate lists, and all annotations."""
+    """Pivot patients, their candidate lists, and all annotations.
+
+    Built once into grades shaped (categories, annotators, pivots,
+    candidate slots): annotators sorted, categories in id order, each
+    pivot's candidates in listed order. A slot holds NaN when its
+    candidate was not judged, was judged incomparable (-1), or is padding
+    past the pivot's last candidate. Records about a pivot or candidate
+    that is not listed are ignored; a pivot without a candidate list, or
+    a pivot or candidate listed twice, is rejected.
+    """
 
     pivots: list[str]
     relevants: dict[str, list[str]]
     annotations: list[AnnotationRecord]
-    _scores: dict[tuple[str, str, str, str], int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def __post_init__(self):
-        if not self._scores:
-            for rec in self.annotations:
-                key = (rec.annotator_id, rec.pivot_id, rec.relevant_id, rec.category)
-                if key in self._scores:
-                    raise ParseError(f"duplicate annotation for {key}")
-                self._scores[key] = rec.score
-        self._annotators = sorted({r.annotator_id for r in self.annotations})
+        for pivot in self.pivots:
+            if pivot not in self.relevants:
+                raise ParseError(f"pivot {pivot!r} has no relevant patients listed")
         for pivot, rels in self.relevants.items():
             if len(rels) < 2:
                 raise ParseError(
                     f"pivot {pivot!r} has {len(rels)} relevant patients; need >= 2"
                 )
-
-    @property
-    def annotators(self) -> list[str]:
-        return self._annotators
-
-    def score_of(
-        self, annotator: str, pivot: str, relevant: str, category: str
-    ) -> int | None:
-        return self._scores.get((annotator, pivot, relevant, category))
+        self.annotators = sorted({r.annotator_id for r in self.annotations})
+        who = {a: k for k, a in enumerate(self.annotators)}
+        cat = {c.name: c.id - 1 for c in CATEGORIES}
+        self._slot = {(pivot, rel): (p, s) for p, pivot in enumerate(self.pivots)
+                      for s, rel in enumerate(self.relevants[pivot])}
+        if len(self._slot) != sum(len(self.relevants[p]) for p in self.pivots):
+            raise ParseError("a pivot, or a candidate of one pivot, is listed twice")
+        width = max((len(self.relevants[p]) for p in self.pivots), default=0)
+        grades = np.full((len(cat), len(who), len(self.pivots), width), np.nan)
+        seen = set()
+        for r in self.annotations:
+            key = (r.annotator_id, r.pivot_id, r.relevant_id, r.category)
+            if key in seen:
+                raise ParseError(f"duplicate annotation for {key}")
+            seen.add(key)
+            at = self._slot.get((r.pivot_id, r.relevant_id))
+            if at is not None and r.category in cat and r.score >= 0:
+                grades[cat[r.category], who[r.annotator_id], at[0], at[1]] = r.score
+        self._grades = grades
+        # grades are small integers, so the sum is exact in any order and
+        # the mean is the correctly rounded quotient
+        with np.errstate(invalid="ignore"):
+            self._mean = np.nansum(grades, axis=1) / (~np.isnan(grades)).sum(axis=1)
 
     def patient_ids(self) -> set[str]:
         ids = set(self.pivots)
@@ -145,6 +161,27 @@ def save_annotations(validation: ValidationSet, path: str | Path) -> None:
         for r in validation.annotations))
 
 
+def _tau_b(x: np.ndarray, y: np.ndarray, valid: np.ndarray):
+    """Kendall tau-b of each row of x against the same row of y, counting
+    only the slots that valid marks (pairs run over the last axis).
+
+    Returns (tau, n): tau is NaN where a row has a zero radicand, n is
+    each row's number of valid slots. Masked pairs get sign 0 rather
+    than a product with False, which would keep a NaN grade NaN.
+    """
+    iu, ju = np.triu_indices(x.shape[-1], k=1)
+    pair = valid[..., iu] & valid[..., ju]
+    sx = np.where(pair, np.sign(x[..., iu] - x[..., ju]), 0.0)
+    sy = np.where(pair, np.sign(y[..., iu] - y[..., ju]), 0.0)
+    prod = sx * sy
+    net = np.count_nonzero(prod > 0, axis=-1) - np.count_nonzero(prod < 0, axis=-1)
+    # n0 - ties per side is the count of valid pairs with a nonzero sign
+    radicand = np.count_nonzero(sx, axis=-1) * np.count_nonzero(sy, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.where(radicand > 0, net / np.sqrt(radicand), np.nan)
+    return tau, np.count_nonzero(valid, axis=-1)
+
+
 def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float | None:
     """Tie-adjusted Kendall rank correlation.
 
@@ -158,38 +195,20 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float | None:
     ya = np.asarray(y, dtype=np.float64)
     if xa.ndim != 1 or ya.ndim != 1 or xa.size != ya.size:
         raise LengthMismatch(f"shapes {xa.shape} vs {ya.shape}")
-    n = xa.size
-    if n < 2:
-        raise TooShort(f"need at least 2 observations, got {n}")
-    iu, ju = np.triu_indices(n, k=1)
-    sx = np.sign(xa[iu] - xa[ju])
-    sy = np.sign(ya[iu] - ya[ju])
-    prod = sx * sy
-    concordant = int(np.count_nonzero(prod > 0))
-    discordant = int(np.count_nonzero(prod < 0))
-    ties_x = int(np.count_nonzero(sx == 0))
-    ties_y = int(np.count_nonzero(sy == 0))
-    n0 = n * (n - 1) // 2
-    denom_x = n0 - ties_x
-    denom_y = n0 - ties_y
-    if denom_x == 0 or denom_y == 0:
-        return None
-    return (concordant - discordant) / math.sqrt(denom_x * denom_y)
+    if xa.size < 2:
+        raise TooShort(f"need at least 2 observations, got {xa.size}")
+    tau, _ = _tau_b(xa, ya, np.ones(xa.size, bool))
+    return None if np.isnan(tau) else float(tau)
 
 
 def mean_annotation(
     validation: ValidationSet, pivot: str, relevant: str, category
 ) -> float | None:
-    """Mean over annotators, excluding incomparable (-1) judgments."""
-    cat = resolve_category(category).name
-    scores = []
-    for annotator in validation.annotators:
-        s = validation.score_of(annotator, pivot, relevant, cat)
-        if s is not None and s >= 0:
-            scores.append(s)
-    if not scores:
-        return None
-    return sum(scores) / len(scores)
+    """Mean over annotators, excluding incomparable (-1) judgments; None
+    when no judgment is usable or the pivot does not list the candidate."""
+    row = validation._mean[resolve_category(category).id - 1]
+    at = validation._slot.get((pivot, relevant))
+    return None if at is None or math.isnan(row[at]) else float(row[at])
 
 
 @dataclass
@@ -213,35 +232,26 @@ def evaluate_config(
     candidates are skipped. The category value is the mean of the
     defined per-pivot correlations.
     """
-    cat = resolve_category(category).name
-    known = set(sim.patient_ids)
-    per_pivot: dict[str, float | None] = {}
-    skipped: list[str] = []
-    excluded = 0
-    for pivot in validation.pivots:
-        xs: list[float] = []
-        ys: list[float] = []
-        for rel in validation.relevants[pivot]:
-            ann = mean_annotation(validation, pivot, rel, cat)
-            if ann is None:
-                excluded += 1
-                continue
-            if pivot not in known or rel not in known:
-                excluded += 1
-                continue
-            score, ok = sim.get(pivot, rel)
-            if not ok:
-                excluded += 1
-                continue
-            xs.append(ann)
-            ys.append(score)
-        if len(xs) < 2:
-            skipped.append(pivot)
-            continue
-        per_pivot[pivot] = kendall_tau_b(xs, ys)
+    cat = resolve_category(category)
+    grade = validation._mean[cat.id - 1]
+    index = {pid: i for i, pid in enumerate(sim.patient_ids)}
+    # -1 marks padding, or a pair with a patient the matrix lacks
+    rows, cols = np.full((2, *grade.shape), -1)
+    for (pivot, rel), at in validation._slot.items():
+        if pivot in index and rel in index:
+            rows[at], cols[at] = index[pivot], index[rel]
+    usable = (cols >= 0) & ~np.isnan(grade)
+    usable[usable] = sim.defined[rows[usable], cols[usable]]
+    model = np.zeros(grade.shape)
+    model[usable] = sim.scores[rows[usable], cols[usable]]
+    taus, counts = _tau_b(grade, model, usable)
+    skipped = [pivot for pivot, n in zip(validation.pivots, counts) if n < 2]
+    per_pivot = {pivot: None if math.isnan(tau) else tau for pivot, tau, n
+                 in zip(validation.pivots, taus.tolist(), counts) if n >= 2}
     defined = [t for t in per_pivot.values() if t is not None]
     mean = sum(defined) / len(defined) if defined else None
-    return CategoryEvaluation(cat, per_pivot, skipped, excluded, mean)
+    excluded = len(validation._slot) - int(np.count_nonzero(usable))
+    return CategoryEvaluation(cat.name, per_pivot, skipped, excluded, mean)
 
 
 @dataclass
@@ -274,29 +284,14 @@ def inter_annotator_agreement(
     over candidates both annotators judged comparable; all-tied vectors
     yield no value. Needs at least two annotators.
     """
-    annotators = validation.annotators
-    if len(annotators) < 2:
+    if len(validation.annotators) < 2:
         raise TooShort("agreement needs at least 2 annotators")
+    a, b = np.triu_indices(len(validation.annotators), k=1)
     out: dict[str, AgreementSummary] = {}
     for cat in CATEGORIES:
-        values: list[float] = []
-        for a_idx in range(len(annotators)):
-            for b_idx in range(a_idx + 1, len(annotators)):
-                a, b = annotators[a_idx], annotators[b_idx]
-                for pivot in validation.pivots:
-                    xs, ys = [], []
-                    for rel in validation.relevants[pivot]:
-                        sa = validation.score_of(a, pivot, rel, cat.name)
-                        sb = validation.score_of(b, pivot, rel, cat.name)
-                        if sa is None or sb is None or sa < 0 or sb < 0:
-                            continue
-                        xs.append(sa)
-                        ys.append(sb)
-                    if len(xs) >= 2:
-                        tau = kendall_tau_b(xs, ys)
-                        if tau is not None:
-                            values.append(tau)
-        out[cat.name] = AgreementSummary.from_values(values)
+        x, y = validation._grades[cat.id - 1, a], validation._grades[cat.id - 1, b]
+        taus, _ = _tau_b(x, y, ~np.isnan(x) & ~np.isnan(y))
+        out[cat.name] = AgreementSummary.from_values(taus[~np.isnan(taus)].tolist())
     return out
 
 

@@ -119,11 +119,16 @@ def csv_field(text: str) -> str:
 # or None (missing). The first rows are the header.
 # ---------------------------------------------------------------------------
 
+def _fixed(v, digits: int) -> str:
+    """v at digits decimals, by Python's round; + 0.0 prints a rounded -0.0 as 0."""
+    return f"{round(float(v), digits) + 0.0:.{digits}f}"
+
+
 def text_table(rows: list[list], digits: int, left: bool = False) -> str:
     """Aligned text: None as "-", floats at digits, columns two spaces apart,
     each as wide as its widest cell, right-aligned unless left. No line
     ends in a blank."""
-    cells = [["-" if v is None else v if isinstance(v, str) else f"{v:.{digits}f}"
+    cells = [["-" if v is None else v if isinstance(v, str) else _fixed(v, digits)
               for v in row] for row in rows]
     widths = [max(map(len, col)) for col in zip(*cells)]
     pad = str.ljust if left else str.rjust
@@ -136,4 +141,4 @@ def csv_table(rows: list[list], digits: int) -> str:
     floats at digits, other strings csv_field-quoted."""
     return "".join(",".join(
         "" if v is None or v == "" else csv_field(v) if isinstance(v, str)
-        else f"{v:.{digits}f}" for v in row) + "\n" for row in rows)
+        else _fixed(v, digits) for v in row) + "\n" for row in rows)

@@ -95,10 +95,9 @@ class GridCell:
     note: str = ""
 
     def display_values(self) -> dict[str, float | None]:
-        """Each value at 2 decimals; one that rounds to -0.0 becomes 0.0,
-        so no table prints "-0.00"."""
+        """Each value at 2 decimals."""
         return {
-            name: (None if v is None else round(v, 2) + 0.0)
+            name: (None if v is None else round(v, 2))
             for name, v in self.per_category.items()
         }
 
@@ -111,7 +110,7 @@ class GridCell:
         shown = [v for v in self.display_values().values() if v is not None]
         if not shown:
             return None
-        return round(sum(shown) / len(shown), 2) + 0.0
+        return round(sum(shown) / len(shown), 2)
 
 
 @dataclass

@@ -126,6 +126,65 @@ def kendall_tau_b_reference(x, y) -> float | None:
     return (c - d) / math.sqrt((n0 - tx) * (n0 - ty))
 
 
+def _category_grades(annotations, category: str):
+    """Sorted annotator ids, and (annotator, pivot, relevant) -> score for
+    one canonical category name, from plain records."""
+    annotators = sorted({r.annotator_id for r in annotations})
+    grades = {(r.annotator_id, r.pivot_id, r.relevant_id): r.score
+              for r in annotations if r.category == category}
+    return annotators, grades
+
+
+def evaluate_reference(sim, validation, category: str):
+    """Per-pivot tau-b of model scores against mean grades, by plain loops.
+
+    A candidate's grade is the mean of its 0..10 judgments over sorted
+    annotators; it is excluded when no such judgment exists, either
+    patient is missing from sim, or their score is undefined. Pivots with
+    fewer than two usable candidates are skipped. Returns (per_pivot,
+    skipped, excluded, mean of the defined taus in pivot order).
+    """
+    annotators, grades = _category_grades(validation.annotations, category)
+    index = {pid: i for i, pid in enumerate(sim.patient_ids)}
+    per_pivot, skipped, excluded = {}, [], 0
+    for pivot in validation.pivots:
+        xs, ys = [], []
+        for rel in validation.relevants[pivot]:
+            judged = [grades[(a, pivot, rel)] for a in annotators
+                      if grades.get((a, pivot, rel), -1) >= 0]
+            if (not judged or pivot not in index or rel not in index
+                    or not sim.defined[index[pivot], index[rel]]):
+                excluded += 1
+                continue
+            xs.append(sum(judged) / len(judged))
+            ys.append(float(sim.scores[index[pivot], index[rel]]))
+        if len(xs) < 2:
+            skipped.append(pivot)
+        else:
+            per_pivot[pivot] = kendall_tau_b_reference(xs, ys)
+    defined = [t for t in per_pivot.values() if t is not None]
+    return per_pivot, skipped, excluded, sum(defined) / len(defined) if defined else None
+
+
+def agreement_reference(validation, category: str) -> list[float]:
+    """Defined tau-b values of each annotator pair (sorted ids, a before b)
+    on each pivot, over the candidates both judged 0..10, by plain loops."""
+    annotators, grades = _category_grades(validation.annotations, category)
+    values = []
+    for i, a in enumerate(annotators):
+        for b in annotators[i + 1:]:
+            for pivot in validation.pivots:
+                both = [(grades[(a, pivot, rel)], grades[(b, pivot, rel)])
+                        for rel in validation.relevants[pivot]
+                        if grades.get((a, pivot, rel), -1) >= 0
+                        and grades.get((b, pivot, rel), -1) >= 0]
+                if len(both) >= 2:
+                    tau = kendall_tau_b_reference(*zip(*both))
+                    if tau is not None:
+                        values.append(tau)
+    return values
+
+
 def rv2_reference(a: np.ndarray, b: np.ndarray) -> float | None:
     """Straight-line evaluation of the diagonal-removed correlation."""
     sa = a.T @ a

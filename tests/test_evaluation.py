@@ -12,6 +12,7 @@ from patsim.engine import RunConfig, SimilarityMatrix
 from patsim.evaluation import (
     AnnotationRecord,
     ValidationSet,
+    _tau_b,
     cluster_precision_at_k,
     evaluate_config,
     inter_annotator_agreement,
@@ -24,7 +25,7 @@ from patsim.exceptions import LengthMismatch, ParseError, TooShort
 from patsim.segmenter import CATEGORY_NAMES
 from patsim.synth import load_assignment_csv, synthesize_validation, write_assignment_csv
 
-from oracles import kendall_tau_b_reference
+from oracles import agreement_reference, evaluate_reference, kendall_tau_b_reference
 
 
 class TestKendallTauB:
@@ -84,6 +85,32 @@ class TestKendallTauB:
         # strictly increasing map: ranks unchanged, counts identical
         stretched = kendall_tau_b(3.0 * x + 11.0, np.exp(y / 50.0))
         assert base == stretched
+
+
+# one slot of a masked row: grade, model score, and whether it counts
+SLOT = st.tuples(st.sampled_from([0.0, 1.0, 4 / 3, 2.5, 3.0]),
+                 st.sampled_from([-0.5, 0.0, 0.1, 0.2, 1 / 3]), st.booleans())
+
+
+class TestBatchedTauB:
+    @given(st.lists(st.lists(SLOT, min_size=2, max_size=9), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_scalar_and_the_oracle_bitwise(self, rows):
+        width = max(map(len, rows))
+        padded = [row + [(0.0, 0.0, False)] * (width - len(row)) for row in rows]
+        x, y, valid = (np.array([[slot[k] for slot in row] for row in padded])
+                       for k in range(3))
+        x = np.where(valid, x, np.nan)  # masked grades are NaN, as in the layout
+        taus, counts = _tau_b(x, y, valid)
+        for r, row in enumerate(rows):
+            kept = [(a, b) for a, b, ok in row if ok]
+            assert counts[r] == len(kept)
+            if len(kept) < 2:
+                assert math.isnan(taus[r])
+                continue
+            want = kendall_tau_b_reference(*zip(*kept))
+            assert kendall_tau_b(*zip(*kept)) == want
+            assert (None if math.isnan(taus[r]) else float(taus[r])) == want
 
 
 def tiny_validation(scores_by_annotator):
@@ -186,6 +213,49 @@ class TestEvaluateConfig:
             vs, "Medication",
         )
         assert base.mean == rescaled.mean
+
+
+def oracle_cases():
+    """Validation sets with incomparable judgments and unequal candidate
+    counts, each with a matrix that lacks a candidate and a pivot and
+    leaves some pairs undefined."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        ids = [f"p{k:02d}" for k in range(30)]
+        vs = synthesize_validation({pid: k % 3 for k, pid in enumerate(ids)},
+                                   n_pivots=6, per_pivot=6, n_annotators=3, noise=2.0,
+                                   incomparable_rate=0.3, seed=seed)
+        relevants = {p: rels[:2 + (k + seed) % 5] for k, (p, rels)
+                     in enumerate(vs.relevants.items())}
+        vs = ValidationSet(vs.pivots, relevants, vs.annotations)
+        missing = {vs.pivots[seed % 6], relevants[vs.pivots[(seed + 1) % 6]][0]}
+        known = [pid for pid in ids if pid not in missing]
+        scores = np.round(rng.random((len(known), len(known))), 1)
+        pairs = {(a, b): None if rng.random() < 0.15 else float(scores[i, j])
+                 for i, a in enumerate(known) for j, b in enumerate(known) if i < j}
+        yield vs, sim_for(known, pairs)
+
+
+class TestAgainstOracle:
+    def test_evaluate_config(self):
+        excluded = skipped = 0
+        for vs, sim in oracle_cases():
+            for name in CATEGORY_NAMES:
+                result = evaluate_config(sim, vs, name)
+                per_pivot, skip, excl, mean = evaluate_reference(sim, vs, name)
+                assert result.per_pivot == per_pivot
+                assert result.skipped_pivots == skip
+                assert result.excluded_pairs == excl
+                assert result.mean == mean
+                excluded += excl
+                skipped += len(skip)
+        assert excluded and skipped
+
+    def test_inter_annotator_agreement(self):
+        for vs, _ in oracle_cases():
+            agreement = inter_annotator_agreement(vs)
+            for name in CATEGORY_NAMES:
+                assert agreement[name].values == agreement_reference(vs, name)
 
 
 class TestAgreement:
@@ -306,6 +376,29 @@ class TestAnnotationFile:
         )
         with pytest.raises(ParseError):
             load_annotations(path)
+
+    def test_pivot_without_a_candidate_list_rejected(self):
+        records = [AnnotationRecord("a1", "q", r, "Medication", 5) for r in "ab"]
+        with pytest.raises(ParseError, match="'p'"):
+            ValidationSet(["p", "q"], {"q": ["a", "b"]}, records)
+
+    @pytest.mark.parametrize("pivots, rels", [(["q", "q"], ["a", "b"]),
+                                              (["q"], ["a", "b", "a"])])
+    def test_pivot_or_candidate_listed_twice_rejected(self, pivots, rels):
+        records = [AnnotationRecord("a1", "q", r, "Medication", 5) for r in "ab"]
+        with pytest.raises(ParseError, match="listed twice"):
+            ValidationSet(pivots, {"q": rels}, records)
+
+    def test_records_about_unlisted_candidates_ignored(self):
+        records = [AnnotationRecord(a, "q", r, "Medication", s)
+                   for a, scores in (("a1", (9, 5, 1)), ("a2", (8, 4, 0)))
+                   for r, s in zip("abz", scores)]
+        vs = ValidationSet(["q"], {"q": ["a", "b"]}, records)
+        assert mean_annotation(vs, "q", "z", "Medication") is None
+        assert inter_annotator_agreement(vs)["Medication"].values == [1.0]
+        result = evaluate_config(sim_for(["q", "a", "b", "z"], {("q", "a"): 0.9,
+                                 ("q", "b"): 0.1, ("q", "z"): 0.5}), vs, "Medication")
+        assert (result.per_pivot, result.excluded_pairs) == ({"q": 1.0}, 0)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "ann.csv"

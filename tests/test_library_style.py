@@ -22,3 +22,15 @@ def test_no_print_outside_the_cli():
     ]
     assert sorted(p.name for p in SRC.glob("*.py")) != ["cli.py"]
     assert calls == []
+
+
+def test_oracles_share_no_code_with_the_package():
+    # an oracle built from the code under test checks nothing
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert modules and not [m for m in modules if m.split(".")[0] == "patsim"]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]

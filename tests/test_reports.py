@@ -205,3 +205,7 @@ class TestTableModel:
 
     def test_csv_empty_string_is_an_empty_field(self):
         assert csv_table([["a", "", None]], 2) == "a,,\n"
+
+    def test_value_that_rounds_to_zero_prints_unsigned(self):
+        assert text_table([[-0.004]], 2) == "0.00"
+        assert csv_table([[-0.00004]], 4) == "0.0000\n"
