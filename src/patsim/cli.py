@@ -21,18 +21,13 @@ from .exceptions import ConfigError, FormatError, PatsimError
 from .segmenter import (
     CATEGORIES,
     RelevancyMap,
-    filter_segments,
     load_prototypes,
-    relevancy_from_prototypes,
     resolve_category,
     segment_patient,
-    unfiltered_notes,
 )
 from .vectorizer import (
-    VectorizerConfig,
     build_patient_matrices,
     embeddings_at_dim,
-    fit_lsa,
     import_embeddings,
     load_matrices,
     save_lsa_model,
@@ -121,6 +116,28 @@ def _require_counts(args: argparse.Namespace, *names: str) -> None:
                               f"got {getattr(args, name)}")
 
 
+def _relevancy_inputs(args) -> tuple[RelevancyMap | None, dict | None]:
+    """(relevancy map, prototype titles) from --relevancy or --prototypes;
+    the relevancy map wins, and then the prototypes file is not read."""
+    if args.relevancy:
+        return RelevancyMap.load(args.relevancy), None
+    if args.prototypes:
+        return None, load_prototypes(args.prototypes)
+    return None, None
+
+
+def _grid_options(args, workers: int = 1) -> grid.GridOptions:
+    """The leg_settings flags as GridOptions."""
+    return grid.GridOptions(
+        workers=workers,
+        threshold=args.threshold,
+        title_dim=args.title_dim,
+        min_doc_freq=args.min_doc_freq,
+        sublinear_tf=not args.raw_tf,
+        inherit_untitled=args.inherit_untitled,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -146,7 +163,7 @@ def cmd_synth(args) -> int:
         synth.write_assignment_csv(assignment, args.assignment_out)
         print(f"wrote cluster assignment to {args.assignment_out}")
     if args.prototypes_out:
-        protos = synth.default_prototypes(spec.category_titles)
+        protos = synth.default_prototypes()
         Path(args.prototypes_out).write_text(
             json.dumps(protos, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -190,36 +207,14 @@ def cmd_vectorize(args) -> int:
             f"--label must be <family><dim> with dim {args.dim}, got {label!r}"
         )
     corpus = load_corpus(args.corpus)
-    filtered = args.category is not None and args.category.lower() != "all"
-    if filtered:
-        category = resolve_category(args.category)
-        segments = {
-            p.patient_id: segment_patient(p, args.inherit_untitled) for p in corpus
-        }
-        if args.relevancy:
-            relevancy = RelevancyMap.load(args.relevancy)
-        elif args.prototypes:
-            relevancy = relevancy_from_prototypes(
-                load_prototypes(args.prototypes),
-                segments.values(), title_dim=args.title_dim,
-                threshold=args.threshold,
-            )
-        else:
-            raise ConfigError("need --relevancy or --prototypes for a filtered run")
-        titles = relevancy.for_category(category)
-        notes = {
-            pid: filter_segments(segs, titles) for pid, segs in segments.items()
-        }
-    else:
-        notes = {p.patient_id: unfiltered_notes(p) for p in corpus}
-
+    filtered = args.category.lower() != "all"
+    category = resolve_category(args.category).name if filtered else None
+    # an unfiltered leg reads neither the relevancy nor the prototypes file
+    relevancy, prototypes = _relevancy_inputs(args) if filtered else (None, None)
+    legs = grid.Legs(corpus, relevancy, prototypes, _grid_options(args))
+    notes = legs.notes(category)
     if args.method == "lsa":
-        docs = [fn.text for fns in notes.values() for fn in fns]
-        embedder = fit_lsa(docs, VectorizerConfig(
-            dim=args.dim,
-            min_doc_freq=args.min_doc_freq,
-            sublinear_tf=not args.raw_tf,
-        ))
+        embedder = legs.lsa(category, args.dim)
         if args.model_out:
             save_lsa_model(embedder, args.model_out)
             print(f"wrote model dump to {args.model_out}")
@@ -233,7 +228,7 @@ def cmd_vectorize(args) -> int:
     save_matrices(matrices, args.out, meta={
         "vmethod": label,
         "filter": filtered,
-        "category": category.name if filtered else None,
+        "category": category,
     })
     print(f"wrote {len(matrices)} patient matrices (dim {args.dim}) to {args.out}")
     if absent:
@@ -301,20 +296,10 @@ def cmd_gridsearch(args) -> int:
     if args.out_dir is None:
         raise ConfigError("--out is required (flag or config file)")
     _require_counts(args, "min_doc_freq", "title_dim")
-    options = grid.GridOptions(
-        workers=_resolve_workers(args.workers),
-        threshold=args.threshold,
-        title_dim=args.title_dim,
-        min_doc_freq=args.min_doc_freq,
-        sublinear_tf=not args.raw_tf,
-        inherit_untitled=args.inherit_untitled,
-    )
+    options = _grid_options(args, workers=_resolve_workers(args.workers))
     corpus = load_corpus(args.corpus)
     validation = evaluation.load_annotations(args.annotations)
-    relevancy = RelevancyMap.load(args.relevancy) if args.relevancy else None
-    prototypes = None
-    if relevancy is None and args.prototypes:
-        prototypes = load_prototypes(args.prototypes)
+    relevancy, prototypes = _relevancy_inputs(args)
     report = grid.grid_search(
         corpus,
         validation,
@@ -360,15 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="key = value config file; flags override it")
 
+    defaults = grid.GridOptions()
+
     def leg_settings(p: argparse.ArgumentParser) -> None:
-        """The flags that decide how a leg's notes are filtered and fitted."""
+        """The flags that decide how a leg's notes are filtered and fitted;
+        their defaults are GridOptions'."""
         p.add_argument("--relevancy", default=None, help="relevancy map JSON")
         p.add_argument("--prototypes", default=None, help="prototype titles JSON")
-        p.add_argument("--threshold", type=float, default=0.7,
+        p.add_argument("--threshold", type=float, default=defaults.threshold,
                        help="cosine threshold for prototype expansion")
-        p.add_argument("--title-dim", type=int, default=16,
+        p.add_argument("--title-dim", type=int, default=defaults.title_dim,
                        help="dimension of the title latent space")
-        p.add_argument("--min-doc-freq", type=int, default=1,
+        p.add_argument("--min-doc-freq", type=int, default=defaults.min_doc_freq,
                        help="drop tokens seen in fewer documents")
         p.add_argument("--raw-tf", action="store_true",
                        help="use raw counts instead of 1+log(count)")

@@ -46,12 +46,16 @@ class AnnotationRecord:
     annotator_id: str
     pivot_id: str
     relevant_id: str
-    category: str  # canonical category name
+    category: str  # canonical name; any name or id resolve_category takes
     score: int     # -1 (incomparable) or 0..10
 
     def __post_init__(self):
         if not (self.score == -1 or 0 <= self.score <= 10):
             raise ValueError(f"score must be -1 or 0..10, got {self.score}")
+        try:
+            object.__setattr__(self, "category", resolve_category(self.category).name)
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from None
 
 
 @dataclass
@@ -63,7 +67,8 @@ class ValidationSet:
     pivot's candidates in listed order. A slot holds NaN when its
     candidate was not judged, was judged incomparable (-1), or is padding
     past the pivot's last candidate. Records about a pivot or candidate
-    that is not listed are ignored; a pivot without a candidate list, or
+    that is not listed, and the candidate list of a pivot that is not
+    listed, are ignored; a pivot without a candidate list, or
     a pivot or candidate listed twice, is rejected.
     """
 
@@ -96,7 +101,7 @@ class ValidationSet:
                 raise ParseError(f"duplicate annotation for {key}")
             seen.add(key)
             at = self._slot.get((r.pivot_id, r.relevant_id))
-            if at is not None and r.category in cat and r.score >= 0:
+            if at is not None and r.score >= 0:
                 grades[cat[r.category], who[r.annotator_id], at[0], at[1]] = r.score
         self._grades = grades
         # grades are small integers, so the sum is exact in any order and
@@ -105,10 +110,8 @@ class ValidationSet:
             self._mean = np.nansum(grades, axis=1) / (~np.isnan(grades)).sum(axis=1)
 
     def patient_ids(self) -> set[str]:
-        ids = set(self.pivots)
-        for rels in self.relevants.values():
-            ids.update(rels)
-        return ids
+        """The listed pivots and their candidates."""
+        return set(self.pivots).union(*(self.relevants[p] for p in self.pivots))
 
 
 def load_annotations(path: str | Path) -> ValidationSet:
@@ -130,16 +133,14 @@ def load_annotations(path: str | Path) -> ValidationSet:
             )
         for row in reader:
             try:
-                category = resolve_category(row["category"]).name
-                score = int(row["score"])
                 rec = AnnotationRecord(
                     annotator_id=row["annotator_id"],
                     pivot_id=row["pivot_id"],
                     relevant_id=row["relevant_id"],
-                    category=category,
-                    score=score,
+                    category=row["category"],
+                    score=int(row["score"]),
                 )
-            except (ConfigError, ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ParseError(f"bad annotation row: {exc}", path=path,
                                  line=reader.line_num)
             records.append(rec)
@@ -302,8 +303,10 @@ def cluster_precision_at_k(
 
     Used to validate pipelines on generated corpora where the true group
     structure is known. Undefined pairs never enter a ranking; ties are
-    broken by patient order for reproducibility.
+    broken by patient order for reproducibility. k must be at least 1.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     ids = sim.patient_ids
     precisions = []
     for i, pid in enumerate(ids):

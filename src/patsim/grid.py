@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import formats
@@ -41,6 +42,7 @@ from .segmenter import (
     CATEGORIES,
     FilteredNote,
     RelevancyMap,
+    Segment,
     filter_segments,
     relevancy_from_prototypes,
     segment_patient,
@@ -59,6 +61,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "GridOptions",
+    "Legs",
     "GridCell",
     "EvalReport",
     "grid_search",
@@ -120,21 +123,72 @@ class EvalReport:
     exclusions: dict[str, list[str]] = field(default_factory=dict)
 
 
-class _GridRunner:
-    def __init__(
-        self,
-        corpus: Corpus,
-        validation: ValidationSet,
-        relevancy: RelevancyMap | None,
-        prototypes: dict | None,
-        imports_dir: Path | None,
-        options: GridOptions,
-    ):
-        self.validation = validation
+class Legs:
+    """Each patient's notes, and the LSA models, of one corpus's leg
+    contexts; `vectorize` and the grid both build their legs here.
+
+    A context is None, every note kept whole, or a category name, the
+    segments whose titles the relevancy map files under it. The corpus
+    is segmented, and a relevancy map grown from the prototype titles
+    unless one is given, only when a filtered context first needs them.
+    """
+
+    def __init__(self, corpus: Corpus, relevancy: RelevancyMap | None = None,
+                 prototypes: dict | None = None, options: GridOptions = GridOptions()):
+        self.corpus = corpus
         self.options = options
+        self._relevancy = relevancy
+        self._prototypes = prototypes
+        self._notes: dict[str | None, dict[str, list[FilteredNote]]] = {}
+
+    @cached_property
+    def _segments(self) -> dict[str, list[list[Segment]]]:
+        log.info("segmenting %d patients", len(self.corpus))
+        return {pid: segment_patient(p, self.options.inherit_untitled)
+                for pid, p in self.corpus.patients.items()}
+
+    def relevancy(self) -> RelevancyMap:
+        """The given map, else one grown from the prototype titles."""
+        if self._relevancy is None:
+            if self._prototypes is None:
+                raise ConfigError("a filtered leg needs a relevancy map or prototype "
+                                  "titles (--relevancy or --prototypes)")
+            self._relevancy = relevancy_from_prototypes(
+                self._prototypes, self._segments.values(),
+                title_dim=self.options.title_dim, threshold=self.options.threshold)
+        return self._relevancy
+
+    def notes(self, category: str | None) -> dict[str, list[FilteredNote]]:
+        """Each patient's notes in one context, built once."""
+        if category not in self._notes:
+            if category is None:
+                notes = {pid: unfiltered_notes(p) for pid, p in self.corpus.patients.items()}
+            else:
+                titles = self.relevancy().for_category(category)
+                notes = {pid: filter_segments(segs, titles)
+                         for pid, segs in self._segments.items()}
+            self._notes[category] = notes
+        return self._notes[category]
+
+    def lsa(self, category: str | None, dim: int) -> LsaModel:
+        """Fit one context's LSA model; raises DimTooLarge when the context
+        is too small for dim. Not cached: each model feeds one leg."""
+        docs = [fn.text for fns in self.notes(category).values() for fn in fns]
+        return fit_lsa(docs, VectorizerConfig(
+            dim=dim,
+            min_doc_freq=self.options.min_doc_freq,
+            sublinear_tf=self.options.sublinear_tf,
+        ))
+
+
+class _GridRunner:
+    def __init__(self, legs: Legs, validation: ValidationSet, imports_dir: Path | None):
+        self.legs = legs
+        self.validation = validation
         self.imports_dir = imports_dir
         self.exclusions: dict[str, list[str]] = {}
 
+        corpus = legs.corpus
         missing = validation.patient_ids() - set(corpus.patients)
         if missing:
             raise ConfigError(
@@ -142,57 +196,14 @@ class _GridRunner:
                 f"{sorted(missing)[:5]}{'...' if len(missing) > 5 else ''}"
             )
         self.subset = [corpus.patients[pid] for pid in sorted(validation.patient_ids())]
-
-        log.info("segmenting %d patients", len(corpus.patients))
-        segments = {
-            pid: segment_patient(p, options.inherit_untitled)
-            for pid, p in corpus.patients.items()
-        }
-
-        if relevancy is None:
-            if prototypes is None:
-                raise ConfigError(
-                    "grid search needs a relevancy map or prototype titles "
-                    "for the filtered legs"
-                )
-            relevancy = relevancy_from_prototypes(
-                prototypes, segments.values(),
-                title_dim=options.title_dim, threshold=options.threshold,
-            )
-        self.relevancy = relevancy
-
-        # filtered note text per category, full corpus (models fit on all of it)
-        self.filtered: dict[str, dict[str, list[FilteredNote]]] = {}
-        for cat in CATEGORIES:
-            titles = relevancy.for_category(cat)
-            self.filtered[cat.name] = {
-                pid: filter_segments(segs, titles)
-                for pid, segs in segments.items()
-            }
-        self.unfiltered = {
-            pid: unfiltered_notes(p) for pid, p in corpus.patients.items()
-        }
+        for cat in CATEGORIES:  # a missing map or category fails before any scoring
+            legs.notes(cat.name)
 
         self._imports: dict[str, dict | None] = {}
         self._matrices: dict[tuple[bool, str | None, str], dict | None] = {}
         self._sims: dict[tuple[bool, str | None, str, str], SimilarityMatrix | None] = {}
 
     # -- embedding legs ----------------------------------------------------
-
-    def _lsa_model(self, category: str | None, dim: int) -> LsaModel | None:
-        # not cached: each model feeds one leg, which _matrices_for caches
-        notes = self.unfiltered if category is None else self.filtered[category]
-        docs = [fn.text for fns in notes.values() for fn in fns]
-        cfg = VectorizerConfig(
-            dim=dim,
-            min_doc_freq=self.options.min_doc_freq,
-            sublinear_tf=self.options.sublinear_tf,
-        )
-        try:
-            return fit_lsa(docs, cfg)
-        except DimTooLarge as exc:
-            log.warning("lsa dim %d for %s: %s", dim, category or "all", exc)
-            return None
 
     def _import_map(self, family: str, dim: int) -> dict | None:
         leg = vmethod_label(family, dim)
@@ -217,14 +228,17 @@ class _GridRunner:
         if key in self._matrices:
             return self._matrices[key]
         if family == "lsa":
-            embedder = self._lsa_model(category if filtered else None, dim)
+            try:
+                embedder = self.legs.lsa(category, dim)
+            except DimTooLarge as exc:
+                log.warning("lsa dim %d for %s: %s", dim, category or "all", exc)
+                embedder = None
         else:
             embedder = self._import_map(family, dim)
         if embedder is None:
             self._matrices[key] = None
             return None
-        notes = self.unfiltered if not filtered else self.filtered[category]
-        mats, absent = build_patient_matrices(self.subset, notes, embedder)
+        mats, absent = build_patient_matrices(self.subset, self.legs.notes(category), embedder)
         if absent:
             tag = f"{'filtered' if filtered else 'unfiltered'}/{category or 'all'}/{leg}"
             self.exclusions[tag] = absent
@@ -245,8 +259,8 @@ class _GridRunner:
             vmethod=vmethod,
             mmethod=mmethod,
             category=category,
-            workers=self.options.workers,
-            seed=self.options.seed,
+            workers=self.legs.options.workers,
+            seed=self.legs.options.seed,
         )
         sim: SimilarityMatrix | None
         if family == "combined":
@@ -334,12 +348,9 @@ def grid_search(
     """Run all 42 grid cells and collect the evaluation report."""
     agreement = inter_annotator_agreement(validation)  # fails before any scoring
     runner = _GridRunner(
-        corpus,
+        Legs(corpus, relevancy, prototypes, options),
         validation,
-        relevancy,
-        prototypes,
         Path(imports_dir) if imports_dir is not None else None,
-        options,
     )
     cells = []
     for mmethod in MMETHODS:

@@ -285,7 +285,8 @@ def expand_prototypes(
 
     A title joins a category when its cosine similarity to any of the
     category's prototypes reaches the threshold; prototypes themselves
-    are always kept. Lowering the threshold can only add titles.
+    are always kept. Lowering the threshold can only add titles. A
+    category with no prototype title is rejected.
     """
     if not (0.0 < threshold <= 1.0):
         raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
@@ -295,6 +296,8 @@ def expand_prototypes(
     for key, protos in prototypes.items():
         cat = resolve_category(key)
         normed = {normalize_title(p) for p in protos}
+        if not normed:
+            raise ConfigError(f"category {cat.name!r} has no prototype title")
         for p in sorted(normed):
             if p not in space:
                 raise UnknownTitle(f"prototype title {p!r} not in title space")

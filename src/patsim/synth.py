@@ -11,7 +11,7 @@ the spec (bitwise reproducible for a fixed seed).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from numbers import Integral
 from pathlib import Path
@@ -53,11 +53,16 @@ def default_category_titles() -> dict[str, list[str]]:
     }
 
 
-def default_prototypes(
-    category_titles: dict[str, list[str]] | None = None,
-) -> dict[str, list[str]]:
-    titles = category_titles or default_category_titles()
-    return {name: [titles[name][0]] for name in titles}
+def default_prototypes() -> dict[str, list[str]]:
+    return {name: [titles[0]] for name, titles in default_category_titles().items()}
+
+
+# Generator settings no spec varies.
+TOKENS_PER_SEGMENT = (6, 14)
+UNTITLED_FRACTION = 0.05
+# token source mix: the cluster pool carries the planted signal
+P_CLUSTER = 0.45
+P_CATEGORY = 0.35
 
 
 @dataclass(frozen=True)
@@ -69,15 +74,7 @@ class SynthSpec:
     notes_per_patient: tuple[int, int] = (6, 12)
     seed: int = 0
     vocab_size: int = 600
-    category_titles: dict[str, list[str]] = field(
-        default_factory=default_category_titles
-    )
     segments_per_note: tuple[int, int] = (2, 4)
-    tokens_per_segment: tuple[int, int] = (6, 14)
-    untitled_fraction: float = 0.05
-    # token source mix: cluster pool carries the planted signal
-    p_cluster: float = 0.45
-    p_category: float = 0.35
 
     def __post_init__(self):
         if self.n_patients < 1 or self.n_clusters < 1:
@@ -90,31 +87,22 @@ class SynthSpec:
         for name, rng in (
             ("notes_per_patient", self.notes_per_patient),
             ("segments_per_note", self.segments_per_note),
-            ("tokens_per_segment", self.tokens_per_segment),
         ):
             lo, hi = rng
             if lo < 1 or hi < lo:
                 raise ValueError(f"{name} range {rng} is empty or non-positive")
-        if self.vocab_size < 10 * len(self.category_titles):
+        if self.vocab_size < 10 * len(CATEGORY_NAMES):
             raise ValueError("vocab_size too small for the pool split")
-        if not (0.0 <= self.untitled_fraction < 1.0):
-            raise ValueError("untitled_fraction must be in [0, 1)")
-        if self.p_cluster < 0 or self.p_category < 0 or \
-                self.p_cluster + self.p_category > 1.0:
-            raise ValueError("pool probabilities must be a sub-distribution")
-        unknown = set(self.category_titles) - set(CATEGORY_NAMES)
-        if unknown:
-            raise ValueError(f"unknown categories in titles: {sorted(unknown)}")
 
 
 def _pools(spec: SynthSpec) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Split the vocabulary into common, per-category and per-cluster pools."""
     vocab = np.arange(spec.vocab_size)
     n_common = max(1, spec.vocab_size // 5)
-    n_cat_total = max(len(spec.category_titles), spec.vocab_size // 4)
+    n_cat_total = max(len(CATEGORY_NAMES), spec.vocab_size // 4)
     common = vocab[:n_common]
     cat_pools = np.array_split(
-        vocab[n_common:n_common + n_cat_total], len(spec.category_titles)
+        vocab[n_common:n_common + n_cat_total], len(CATEGORY_NAMES)
     )
     cluster_pools = np.array_split(vocab[n_common + n_cat_total:], spec.n_clusters)
     return common, cat_pools, cluster_pools
@@ -124,7 +112,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, dict[str, int]]:
     """Build a corpus plus its planted patient-to-cluster assignment."""
     rng = np.random.default_rng(spec.seed)
     common, cat_pools, cluster_pools = _pools(spec)
-    names = [n for n in CATEGORY_NAMES if n in spec.category_titles]
+    category_titles = default_category_titles()
     width = max(4, len(str(spec.n_patients - 1)))
     base_date = datetime(2017, 1, 1, 8, 0, 0)
 
@@ -146,23 +134,23 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, dict[str, int]]:
             n_seg = int(rng.integers(slo, shi + 1))
             paragraphs = []
             for _ in range(n_seg):
-                cat_idx = int(rng.integers(0, len(names)))
-                titles = spec.category_titles[names[cat_idx]]
+                cat_idx = int(rng.integers(0, len(CATEGORY_NAMES)))
+                titles = category_titles[CATEGORY_NAMES[cat_idx]]
                 title = titles[int(rng.integers(0, len(titles)))]
-                tlo, thi = spec.tokens_per_segment
+                tlo, thi = TOKENS_PER_SEGMENT
                 n_tok = int(rng.integers(tlo, thi + 1))
                 tokens = []
                 for _ in range(n_tok):
                     u = rng.random()
-                    if u < spec.p_cluster:
+                    if u < P_CLUSTER:
                         pool = cluster_pools[cluster]
-                    elif u < spec.p_cluster + spec.p_category:
+                    elif u < P_CLUSTER + P_CATEGORY:
                         pool = cat_pools[cat_idx]
                     else:
                         pool = common
                     tokens.append(f"w{pool[int(rng.integers(0, pool.size))]:04d}")
                 body = " ".join(tokens)
-                if rng.random() < spec.untitled_fraction:
+                if rng.random() < UNTITLED_FRACTION:
                     paragraphs.append(body)
                 else:
                     paragraphs.append(f"{title[:1].upper()}{title[1:]}:\n{body}")

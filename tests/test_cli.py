@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from patsim import cli, grid
 from patsim.cli import build_parser, load_config_file, main
 from patsim.engine import load_similarity
 from patsim.exceptions import ConfigError
@@ -113,6 +114,43 @@ class TestVectorize:
             "--category", "all", "--method", "import", "--dim", "12",
             "--imports", str(emb), "--label", "d2v012", "--out", str(out),
         ) == 0
+
+    def test_unfiltered_reads_no_relevancy_or_prototypes(self, pipeline_dir, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(grid, "segment_patient", None)  # any call fails
+        out = tmp_path / "all.bin"
+        assert run_cli(
+            "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
+            "--category", "all", "--dim", "12", "--out", str(out),
+            "--relevancy", str(tmp_path / "missing.json"),
+            "--prototypes", str(tmp_path / "missing.json"),
+        ) == 0
+        assert out.read_bytes() == (pipeline_dir / "mats.bin").read_bytes()
+
+    def test_relevancy_wins_over_prototypes(self, pipeline_dir, tmp_path):
+        rel = tmp_path / "rel.json"
+        rel.write_text('{"Medication": ["medication", "drugs", "m"]}', encoding="utf-8")
+        assert run_cli(
+            "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
+            "--category", "Medication", "--dim", "8", "--out", str(tmp_path / "m.bin"),
+            "--relevancy", str(rel), "--prototypes", str(tmp_path / "missing.json"),
+        ) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--category", "Medication"],
+        ["--category", "all", "--dim", "5000"],
+    ], ids=["filtered-without-relevancy", "dim-too-large"])
+    def test_one_error_line(self, argv, pipeline_dir, tmp_path, capsys):
+        assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
+                       "--out", str(tmp_path / "x.bin"), *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.bin").exists()
+
+    @pytest.mark.parametrize("command", ["vectorize", "gridsearch"])
+    def test_leg_flag_defaults_are_grid_options(self, command):
+        args = build_parser().parse_args([command])
+        assert cli._grid_options(args) == grid.GridOptions()
 
     @pytest.mark.parametrize("label", ["lsa200", "lsa8", "combined"])
     def test_label_must_carry_dim(self, label, pipeline_dir, tmp_path):
@@ -439,4 +477,20 @@ class TestBadPrototypesFile:
                        *extra) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {protos}: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["vectorize", "gridsearch"])
+    def test_category_without_prototypes(self, command, pipeline_dir, tmp_path, capsys):
+        protos = tmp_path / "protos.json"
+        protos.write_text('{"Medication": []}', encoding="utf-8")
+        assignment = load_assignment_csv(pipeline_dir / "assign.csv")
+        save_annotations(synthesize_validation(assignment, n_pivots=3, seed=1),
+                         tmp_path / "ann.csv")
+        extra = (["--category", "Medication"] if command == "vectorize"
+                 else ["--annotations", str(tmp_path / "ann.csv")])
+        assert run_cli(command, "--corpus", str(pipeline_dir / "corpus.jsonl"),
+                       "--prototypes", str(protos), "--out", str(tmp_path / "out"),
+                       *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'Medication'" in err
         assert len(err.strip().splitlines()) == 1

@@ -389,6 +389,25 @@ class TestAnnotationFile:
         with pytest.raises(ParseError, match="listed twice"):
             ValidationSet(pivots, {"q": rels}, records)
 
+    def test_candidates_of_unlisted_pivots_are_not_patients(self):
+        records = [AnnotationRecord("a1", "q", r, "Medication", 5) for r in "ab"]
+        vs = ValidationSet(["q"], {"q": ["a", "b"], "x": ["c", "d"]}, records)
+        assert vs.patient_ids() == {"q", "a", "b"}
+
+    def test_record_category_is_canonicalised(self):
+        records = [AnnotationRecord(a, "q", r, "medication", s)
+                   for a, scores in (("a1", (9, 1)), ("a2", (8, 0)))
+                   for r, s in zip("ab", scores)]
+        assert {r.category for r in records} == {"Medication"}
+        assert AnnotationRecord("a1", "q", "a", 5, 3).category == "Medication"
+        vs = ValidationSet(["q"], {"q": ["a", "b"]}, records)
+        assert mean_annotation(vs, "q", "a", "Medication") == 8.5
+        assert inter_annotator_agreement(vs)["Medication"].values == [1.0]
+
+    def test_record_with_unknown_category_rejected(self):
+        with pytest.raises(ValueError, match="nonsense"):
+            AnnotationRecord("a1", "q", "a", "nonsense", 5)
+
     def test_records_about_unlisted_candidates_ignored(self):
         records = [AnnotationRecord(a, "q", r, "Medication", s)
                    for a, scores in (("a1", (9, 5, 1)), ("a2", (8, 4, 0)))
@@ -452,6 +471,14 @@ class TestClusterPrecision:
         # for "a" the only defined candidate is "c" (wrong cluster)
         prec = cluster_precision_at_k(sim, assignment, k=1)
         assert prec == pytest.approx((0 + 0 + 0) / 3 + 0, abs=1e-12)
+
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        ids = ["a", "b", "c"]
+        sim = sim_for(ids, {("a", "b"): 0.5, ("a", "c"): 0.2, ("b", "c"): 0.2})
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            cluster_precision_at_k(sim, {"a": 0, "b": 0, "c": 1}, k=k)
 
 
 def test_annotators_are_computed_once():

@@ -7,9 +7,10 @@ import pytest
 
 from patsim import cli, grid, segmenter
 from patsim.corpus import load_corpus, write_corpus
-from patsim.exceptions import ConfigError, TooShort
+from patsim.exceptions import ConfigError, DimTooLarge, TooShort
 from patsim.grid import (
     GridOptions,
+    Legs,
     _GridRunner,
     cells_csv,
     grid_search,
@@ -174,6 +175,19 @@ class TestGridValidation:
         with pytest.raises(ConfigError):
             grid_search(corpus, validation)
 
+    def test_relevancy_map_lacking_a_category_fails_before_any_scoring(self, monkeypatch):
+        corpus, assignment = generate_synthetic(
+            SynthSpec(n_patients=10, n_clusters=2, seed=1)
+        )
+        validation = synthesize_validation(assignment, n_pivots=3, seed=1)
+        scored = []
+        monkeypatch.setattr(grid, "compute_all_pairs",
+                            lambda *args: scored.append(args))
+        relevancy = segmenter.RelevancyMap({"Medication": frozenset({"medication"})})
+        with pytest.raises(ConfigError, match="no entry for 'Age'"):
+            grid_search(corpus, validation, relevancy=relevancy)
+        assert scored == []
+
 
 def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
     """vectorize --category --prototypes gives the grid's filtered lsa050 leg."""
@@ -187,8 +201,10 @@ def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
     write_corpus(corpus, tmp_path / "corpus.jsonl")
     (tmp_path / "protos.json").write_text(json.dumps(default_prototypes()))
     corpus = load_corpus(tmp_path / "corpus.jsonl")
-    runner = _GridRunner(corpus, validation, None, default_prototypes(), None,
-                         GridOptions(seed=3, threshold=0.6))
+    runner = _GridRunner(
+        Legs(corpus, None, default_prototypes(), GridOptions(seed=3, threshold=0.6)),
+        validation, None,
+    )
     grid_mats = runner._matrices_for(True, "Medication", "lsa", 50)
 
     built = []
@@ -197,14 +213,14 @@ def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
         built.append(segmenter.relevancy_from_prototypes(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(cli, "relevancy_from_prototypes", relevancy_from_prototypes)
+    monkeypatch.setattr(grid, "relevancy_from_prototypes", relevancy_from_prototypes)
     assert cli.main([
         "vectorize", "--corpus", str(tmp_path / "corpus.jsonl"),
         "--category", "Medication", "--prototypes", str(tmp_path / "protos.json"),
         "--threshold", "0.6", "--dim", "50",
         "--out", str(tmp_path / "med.bin"),
     ]) == 0
-    assert built == [runner.relevancy]
+    assert built == [runner.legs.relevancy()]
     cli_mats, meta = load_matrices(tmp_path / "med.bin")
     assert meta["vmethod"] == "lsa050" and meta["category"] == "Medication"
 
@@ -213,3 +229,47 @@ def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
         assert np.array_equal(mat.rows.view(np.uint64),
                               cli_mats[pid].rows.view(np.uint64))
         assert np.array_equal(mat.note_indices, cli_mats[pid].note_indices)
+
+
+class TestLegs:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_synthetic(SynthSpec(n_patients=12, n_clusters=2, seed=4))[0]
+
+    def test_unfiltered_notes_never_segment(self, corpus, monkeypatch):
+        monkeypatch.setattr(grid, "segment_patient", None)  # any call fails
+        legs = Legs(corpus)
+        notes = legs.notes(None)
+        assert notes is legs.notes(None)
+        assert [fn.text for fn in notes["p0000"]] == \
+            [n.text for n in corpus.patients["p0000"].notes]
+
+    def test_filtered_notes_are_built_once(self, corpus):
+        legs = Legs(corpus, prototypes=default_prototypes())
+        assert legs.notes("Medication") is legs.notes("Medication")
+        assert legs.notes("Medication") is not legs.notes("Treatment")
+
+    def test_relevancy_wins_over_prototypes(self, corpus, monkeypatch):
+        given = segmenter.RelevancyMap({"Medication": frozenset({"drugs"})})
+        monkeypatch.setattr(grid, "relevancy_from_prototypes", None)
+        legs = Legs(corpus, given, default_prototypes())
+        assert legs.relevancy() is given
+        assert legs.notes("Medication") == {
+            pid: segmenter.filter_patient(p, "Medication", given)
+            for pid, p in corpus.patients.items()}
+
+    def test_filtered_leg_needs_relevancy_or_prototypes(self, corpus):
+        with pytest.raises(ConfigError, match="relevancy map or prototype titles"):
+            Legs(corpus).notes("Medication")
+
+    def test_lsa_dim_too_large(self, corpus):
+        with pytest.raises(DimTooLarge):
+            Legs(corpus).lsa(None, 10_000)
+
+    def test_grid_ignores_candidates_of_unlisted_pivots(self, corpus):
+        validation = synthesize_validation(
+            {pid: i % 2 for i, pid in enumerate(corpus.patients)}, n_pivots=3, seed=1)
+        validation.relevants["ghost"] = ["x", "y"]
+        runner = _GridRunner(Legs(corpus, prototypes=default_prototypes()),
+                             validation, None)
+        assert {p.patient_id for p in runner.subset} == validation.patient_ids()

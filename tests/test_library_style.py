@@ -34,3 +34,15 @@ def test_oracles_share_no_code_with_the_package():
     assert modules and not [m for m in modules if m.split(".")[0] == "patsim"]
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level > 0]
+
+
+def test_cli_builds_legs_only_through_grid_legs():
+    # vectorize and gridsearch share grid.Legs; a second copy of the
+    # segment, filter and fit steps in the CLI would let them drift apart
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "Legs" in names
+    assert names.isdisjoint({"filter_segments", "unfiltered_notes", "fit_lsa",
+                             "VectorizerConfig", "relevancy_from_prototypes"})

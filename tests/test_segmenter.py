@@ -335,6 +335,10 @@ class TestExpandPrototypes:
         with pytest.raises(ConfigError):
             expand_prototypes({"Medication": ["medication"]}, self.space(), 0.0)
 
+    def test_category_without_prototypes_rejected(self):
+        with pytest.raises(ConfigError, match="'Medication' has no prototype"):
+            expand_prototypes({"5": []}, self.space(), 0.5)
+
 
 class TestRelevancyFromPrototypes:
     def test_two_titles_clamp_the_title_dim(self):
@@ -367,6 +371,11 @@ class TestRelevancyMapFile:
         rmap.save(path)
         again = RelevancyMap.load(path)
         assert again.entries == rmap.entries
+
+    def test_empty_entry_is_legal(self, tmp_path):
+        path = tmp_path / "relevancy.json"
+        path.write_text('{"Medication": []}', encoding="utf-8")
+        assert RelevancyMap.load(path).for_category("Medication") == frozenset()
 
     def test_load_normalizes_titles(self, tmp_path):
         path = tmp_path / "relevancy.json"
