@@ -201,6 +201,8 @@ def cmd_vectorize(args) -> int:
     _require_counts(args, "dim", "min_doc_freq", "title_dim")
     if args.method == "import":
         _require(args, "imports", "label")
+        if args.model_out:
+            raise ConfigError("--model-out saves a fitted LSA model; --method import fits none")
     label = args.label or engine.vmethod_label("lsa", args.dim)
     if engine.parse_vmethod(label)[1] != args.dim:
         raise ConfigError(

@@ -11,6 +11,7 @@ output is bitwise identical for any worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import re
 import time
 from dataclasses import asdict, dataclass, field
@@ -157,7 +158,8 @@ def compute_all_pairs(
     """Score every unordered patient pair under one configuration.
 
     Patients are ordered by sorted id. The result does not depend on
-    config.workers; only the wall time does.
+    config.workers; only the wall time does. The eds pool never has more
+    processes than this process may run on CPUs at once.
     """
     ids = sorted(matrices)
     n = len(ids)
@@ -174,14 +176,17 @@ def compute_all_pairs(
 
     if (config.mmethod == "eds" and config.workers > 1
             and npairs >= _MIN_PAIRS_FOR_POOL):
-        chunk = max(1, -(-npairs // (config.workers * 8)))
+        # more processes than usable CPUs only add fork and IPC cost
+        processes = min(config.workers, len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        chunk = max(1, -(-npairs // (processes * 8)))
         ranges = [(s, min(s + chunk, npairs)) for s in range(0, npairs, chunk)]
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             ctx = multiprocessing.get_context()
         with ctx.Pool(
-            processes=config.workers,
+            processes=processes,
             initializer=_init_worker,
             initargs=(payload, ii, jj),
         ) as pool:

@@ -2,6 +2,9 @@
 
 Runs every cell of the 2 x 7 x 3 grid end to end: filter notes,
 vectorize, score all pairs, correlate with annotations per category.
+Each leg context (every note whole, or one category's segments) gets one
+table of its 21 (vectorizer, measure) similarity matrices, and the 42
+cells are read from those tables.
 Embedding models are fitted on the whole corpus; pair scoring covers the
 patients the validation set actually ranks (pivots and their
 candidates), which is what the evaluation consumes.
@@ -72,6 +75,9 @@ __all__ = [
 ]
 
 IMPORT_FAMILIES = ("d2v", "rbc")
+MEMBER_FAMILIES = ("lsa",) + IMPORT_FAMILIES  # the ensemble averages their dim-50 legs
+LEG_METHODS = tuple(v for v in VMETHODS if v != "combined")  # each scored from its own matrices
+IMPORT_LEGS = tuple(v for v in LEG_METHODS if parse_vmethod(v)[0] in IMPORT_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -182,10 +188,15 @@ class Legs:
 
 
 class _GridRunner:
+    """The grid's similarity tables over the validation subset.
+
+    The import maps are read once, here, so a bad import file fails
+    before any scoring; a leg whose file is missing maps to None.
+    """
+
     def __init__(self, legs: Legs, validation: ValidationSet, imports_dir: Path | None):
         self.legs = legs
         self.validation = validation
-        self.imports_dir = imports_dir
         self.exclusions: dict[str, list[str]] = {}
 
         corpus = legs.corpus
@@ -199,142 +210,88 @@ class _GridRunner:
         for cat in CATEGORIES:  # a missing map or category fails before any scoring
             legs.notes(cat.name)
 
-        self._imports: dict[str, dict | None] = {}
-        self._matrices: dict[tuple[bool, str | None, str], dict | None] = {}
-        self._sims: dict[tuple[bool, str | None, str, str], SimilarityMatrix | None] = {}
+        self.imports: dict[str, dict | None] = {}
+        for vmethod in IMPORT_LEGS:
+            path = None if imports_dir is None else imports_dir / f"{vmethod}.jsonl"
+            self.imports[vmethod] = None if path is None or not path.exists() else \
+                embeddings_at_dim(import_embeddings(path), parse_vmethod(vmethod)[1], path)
 
-    # -- embedding legs ----------------------------------------------------
-
-    def _import_map(self, family: str, dim: int) -> dict | None:
-        leg = vmethod_label(family, dim)
-        if leg not in self._imports:
-            if self.imports_dir is None:
-                self._imports[leg] = None
-            else:
-                path = self.imports_dir / f"{leg}.jsonl"
-                if not path.exists():
-                    self._imports[leg] = None
-                else:
-                    self._imports[leg] = embeddings_at_dim(
-                        import_embeddings(path), dim, path)
-        return self._imports[leg]
-
-    def _matrices_for(
-        self, filtered: bool, category: str | None, family: str, dim: int
-    ) -> dict | None:
+    def _matrices(self, context: str | None, vmethod: str) -> dict | None:
         """Patient matrices for one leg, or None when the leg is unavailable."""
-        leg = vmethod_label(family, dim)
-        key = (filtered, category, leg)
-        if key in self._matrices:
-            return self._matrices[key]
+        family, dim = parse_vmethod(vmethod)
         if family == "lsa":
             try:
-                embedder = self.legs.lsa(category, dim)
+                embedder = self.legs.lsa(context, dim)
             except DimTooLarge as exc:
-                log.warning("lsa dim %d for %s: %s", dim, category or "all", exc)
-                embedder = None
+                log.warning("lsa dim %d for %s: %s", dim, context or "all", exc)
+                return None
         else:
-            embedder = self._import_map(family, dim)
-        if embedder is None:
-            self._matrices[key] = None
-            return None
-        mats, absent = build_patient_matrices(self.subset, self.legs.notes(category), embedder)
+            embedder = self.imports[vmethod]
+            if embedder is None:
+                return None
+        mats, absent = build_patient_matrices(self.subset, self.legs.notes(context), embedder)
         if absent:
-            tag = f"{'filtered' if filtered else 'unfiltered'}/{category or 'all'}/{leg}"
+            tag = f"{'unfiltered' if context is None else 'filtered'}/{context or 'all'}/{vmethod}"
             self.exclusions[tag] = absent
-        self._matrices[key] = mats
         return mats
 
-    # -- similarity matrices -----------------------------------------------
+    def table(self, context: str | None) -> dict[tuple[str, str], SimilarityMatrix | None]:
+        """Every (vmethod, mmethod) similarity of one context, None where
+        the leg is unavailable; each leg's matrices are built once."""
+        def config(vmethod: str, mmethod: str) -> RunConfig:
+            return RunConfig(filter=context is not None, vmethod=vmethod, mmethod=mmethod,
+                             category=context, workers=self.legs.options.workers,
+                             seed=self.legs.options.seed)
 
-    def _similarity(
-        self, filtered: bool, category: str | None, vmethod: str, mmethod: str
-    ) -> SimilarityMatrix | None:
-        key = (filtered, category, vmethod, mmethod)
-        if key in self._sims:
-            return self._sims[key]
-        family, dim = parse_vmethod(vmethod)
-        config = RunConfig(
-            filter=filtered,
-            vmethod=vmethod,
-            mmethod=mmethod,
-            category=category,
-            workers=self.legs.options.workers,
-            seed=self.legs.options.seed,
-        )
-        sim: SimilarityMatrix | None
-        if family == "combined":
-            members = []
-            for fam in ("lsa",) + IMPORT_FAMILIES:
-                member = self._similarity(filtered, category, vmethod_label(fam, 50), mmethod)
-                if member is not None:
-                    members.append(member)
-            sim = combine_similarities(members, config) if members else None
-        else:
-            mats = self._matrices_for(filtered, category, family, dim)
-            if mats is None or len(mats) < 2:
-                sim = None
-            else:
-                sim = compute_all_pairs(mats, config)
-        self._sims[key] = sim
-        return sim
+        table: dict[tuple[str, str], SimilarityMatrix | None] = {}
+        for vmethod in LEG_METHODS:
+            mats = self._matrices(context, vmethod)
+            for mmethod in MMETHODS:
+                table[vmethod, mmethod] = None if mats is None or len(mats) < 2 \
+                    else compute_all_pairs(mats, config(vmethod, mmethod))
+        for mmethod in MMETHODS:
+            members = [table[vmethod_label(fam, 50), mmethod] for fam in MEMBER_FAMILIES]
+            members = [m for m in members if m is not None]
+            table["combined", mmethod] = \
+                combine_similarities(members, config("combined", mmethod)) if members else None
+        return table
 
-    def _family_present(self, filtered: bool, family: str, mmethod: str) -> bool:
-        """Did this family's dim-50 leg score anything the cell needed?"""
-        contexts = [None] if not filtered else [c.name for c in CATEGORIES]
-        leg = vmethod_label(family, 50)
-        return any(
-            self._sims.get((filtered, ctx, leg, mmethod)) is not None
-            for ctx in contexts
-        )
-
-    # -- cells ---------------------------------------------------------------
-
-    def cell(self, filtered: bool, vmethod: str, mmethod: str) -> GridCell:
-        family, dim = parse_vmethod(vmethod)
-        if family in IMPORT_FAMILIES and self._import_map(family, dim) is None:
+    def cell(self, tables: dict, filtered: bool, vmethod: str, mmethod: str) -> GridCell:
+        """One cell read from the tables of its contexts."""
+        if vmethod in IMPORT_LEGS and self.imports[vmethod] is None:
             return GridCell(
                 filtered, vmethod, mmethod, "skipped",
                 {c.name: None for c in CATEGORIES}, None,
                 note=f"import file {vmethod}.jsonl not found",
             )
+        by_category = {c.name: tables[c.name if filtered else None] for c in CATEGORIES}
         per_category: dict[str, float | None] = {}
         notes: list[str] = []
-        for cat in CATEGORIES:
-            sim = self._similarity(
-                filtered, cat.name if filtered else None, vmethod, mmethod
-            )
-            if sim is None:
-                per_category[cat.name] = None
-                notes.append(f"{cat.name}: no usable leg")
-                continue
-            result = evaluate_config(sim, self.validation, cat.name)
-            per_category[cat.name] = result.mean
-            if result.skipped_pivots:
-                notes.append(
-                    f"{cat.name}: {len(result.skipped_pivots)} pivot(s) skipped"
-                )
+        for name, table in by_category.items():
+            sim = table[vmethod, mmethod]
+            result = None if sim is None else evaluate_config(sim, self.validation, name)
+            per_category[name] = None if result is None else result.mean
+            if result is None:
+                notes.append(f"{name}: no usable leg")
+            elif result.skipped_pivots:
+                notes.append(f"{name}: {len(result.skipped_pivots)} pivot(s) skipped")
         defined = [v for v in per_category.values() if v is not None]
         mean = sum(defined) / len(defined) if defined else None
-        if family == "combined":
-            members = sum(
-                self._family_present(filtered, fam, mmethod)
-                for fam in ("lsa",) + IMPORT_FAMILIES
-            )
+        if vmethod == "combined":
+            members = sum(any(t[vmethod_label(fam, 50), mmethod] is not None
+                              for t in by_category.values()) for fam in MEMBER_FAMILIES)
             if members == 0:
                 status = "skipped"
                 notes.append("no dim-50 member legs available")
-            elif members < 1 + len(IMPORT_FAMILIES):
+            elif members < len(MEMBER_FAMILIES):
                 status = "partial"
                 notes.append(f"ensemble over {members} of 3 member legs")
             else:
                 status = "ok"
         else:
             status = "ok" if defined else "skipped"
-        return GridCell(
-            filtered, vmethod, mmethod, status, per_category, mean,
-            note="; ".join(notes),
-        )
+        return GridCell(filtered, vmethod, mmethod, status, per_category, mean,
+                        note="; ".join(notes))
 
 
 def grid_search(
@@ -345,19 +302,20 @@ def grid_search(
     imports_dir: str | Path | None = None,
     options: GridOptions = GridOptions(),
 ) -> EvalReport:
-    """Run all 42 grid cells and collect the evaluation report."""
+    """Build each context's similarity table, then read the 42 cells from them."""
     agreement = inter_annotator_agreement(validation)  # fails before any scoring
     runner = _GridRunner(
         Legs(corpus, relevancy, prototypes, options),
         validation,
         Path(imports_dir) if imports_dir is not None else None,
     )
+    tables = {ctx: runner.table(ctx) for ctx in [None] + [c.name for c in CATEGORIES]}
     cells = []
     for mmethod in MMETHODS:
         for vmethod in VMETHODS:
             for filtered in (False, True):
                 log.info("grid cell: %s %s filter=%s", mmethod, vmethod, filtered)
-                cells.append(runner.cell(filtered, vmethod, mmethod))
+                cells.append(runner.cell(tables, filtered, vmethod, mmethod))
     return EvalReport(cells, agreement, runner.exclusions)
 
 
@@ -368,7 +326,7 @@ def grid_search(
 def _summary_table(report: EvalReport) -> list[list]:
     """Measures as rows, vectorizer x filter as columns, "skip" for skipped."""
     by_key = {(c.mmethod, c.vmethod, c.filter): c for c in report.cells}
-    vorder = ("combined",) + tuple(v for v in VMETHODS if v != "combined")
+    vorder = ("combined",) + LEG_METHODS
     table = [["mmethod"] + [v for v in vorder for _ in (0, 1)],
              ["filter"] + ["no", "yes"] * len(vorder)]
     for mmethod in MMETHODS:

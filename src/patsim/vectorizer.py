@@ -282,10 +282,15 @@ def import_embeddings(
             except ValueError as exc:
                 raise ParseError(f"bad JSON: {exc}", path=path, line=lineno)
             try:
-                key = (str(obj["patient_id"]), int(obj["note_index"]))
+                key = (obj["patient_id"], obj["note_index"])
                 vec = np.asarray(obj["vector"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad record: {exc}", path=path, line=lineno)
+            if not isinstance(key[0], str) or not key[0]:
+                raise ParseError("patient_id must be a non-empty string",
+                                 path=path, line=lineno)
+            if type(key[1]) is not int:
+                raise ParseError("note_index must be an integer", path=path, line=lineno)
             if vec.ndim != 1:
                 raise BadVector(f"vector for {key} is not one-dimensional")
             if dim is None:

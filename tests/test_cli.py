@@ -147,6 +147,17 @@ class TestVectorize:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x.bin").exists()
 
+    def test_import_method_rejects_model_out(self, capsys, tmp_path, monkeypatch):
+        # no model is fitted on the import path, so there is none to save;
+        # the input paths do not exist, so the flags are checked first
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("vectorize", "--corpus", "missing.jsonl", "--method", "import",
+                       "--imports", "missing.jsonl", "--label", "d2v050",
+                       "--out", "x.bin", "--model-out", "model.bin") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --model-out ") and len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["vectorize", "gridsearch"])
     def test_leg_flag_defaults_are_grid_options(self, command):
         args = build_parser().parse_args([command])

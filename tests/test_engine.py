@@ -110,11 +110,47 @@ class TestComputeAllPairs:
     def test_worker_count_does_not_change_scores(self, rng):
         # enough pairs to engage the pool for eds; mms runs in one call
         mats = make_matrices(rng, 70, d=3, n_lo=1, n_hi=3)
-        base = compute_all_pairs(mats, config("mms", workers=1))
-        for workers in (2, 4):
-            sim = compute_all_pairs(mats, config("mms", workers=workers))
-            assert sim.scores.tobytes() == base.scores.tobytes()
-            assert np.array_equal(sim.defined, base.defined)
+        for mmethod in ("mms", "eds"):
+            base = compute_all_pairs(mats, config(mmethod, workers=1))
+            for workers in (2, 4):
+                sim = compute_all_pairs(mats, config(mmethod, workers=workers))
+                assert sim.scores.tobytes() == base.scores.tobytes()
+                assert np.array_equal(sim.defined, base.defined)
+
+    @pytest.mark.parametrize("cpus, workers, processes", [
+        (2, 1000, 2), (8, 3, 3), (1, 4, 1),
+    ])
+    def test_pool_never_outnumbers_usable_cpus(self, rng, monkeypatch, cpus, workers,
+                                               processes):
+        mats = make_matrices(rng, 70, d=3, n_lo=1, n_hi=3)
+        started = []
+
+        class FakePool:  # runs every chunk in this process and starts none
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                engine._WORKER_STATE.clear()
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(engine.multiprocessing, "get_context", lambda *a: FakeContext)
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        base = compute_all_pairs(mats, config("eds"))
+        sim = compute_all_pairs(mats, config("eds", workers=workers))
+        assert started == [processes]
+        assert sim.config.workers == workers  # the requested count is still recorded
+        assert sim.scores.tobytes() == base.scores.tobytes()
+        assert np.array_equal(sim.defined, base.defined)
 
     def test_only_eds_runs_in_the_pool(self, rng, monkeypatch):
         mats = make_matrices(rng, 70, d=3, n_lo=1, n_hi=3)

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from patsim import cli, grid, segmenter
+from patsim import cli, engine, grid, segmenter
 from patsim.corpus import load_corpus, write_corpus
-from patsim.exceptions import ConfigError, DimTooLarge, TooShort
+from patsim.exceptions import ConfigError, DimTooLarge, ParseError, TooShort
 from patsim.grid import (
     GridOptions,
     Legs,
@@ -189,6 +189,97 @@ class TestGridValidation:
         assert scored == []
 
 
+def _write_imports(directory, corpus, legs, seed=77):
+    """Random unit note vectors, one JSONL file per import leg."""
+    directory.mkdir()
+    rng = np.random.default_rng(seed)
+    for leg in legs:
+        dim = engine.parse_vmethod(leg)[1]
+        with open(directory / f"{leg}.jsonl", "w", encoding="utf-8") as fh:
+            for patient in corpus:
+                for idx in range(len(patient.notes)):
+                    fh.write(json.dumps({"patient_id": patient.patient_id,
+                                         "note_index": idx,
+                                         "vector": rng.standard_normal(dim).tolist()}) + "\n")
+
+
+class TestGridWork:
+    """Which scoring calls the grid makes, with two of the four import legs."""
+
+    LEGS = ("lsa050", "lsa200", "d2v050", "rbc200")
+    CONTEXTS = [None] + [c.name for c in segmenter.CATEGORIES]
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        corpus, assignment = generate_synthetic(SynthSpec(
+            n_patients=50, n_clusters=4, notes_per_patient=(14, 18),
+            segments_per_note=(3, 5), seed=21,
+        ))
+        validation = synthesize_validation(
+            assignment, n_pivots=8, per_pivot=5, n_annotators=3, noise=1.0, seed=5
+        )
+        imports = tmp_path_factory.mktemp("grid") / "imports"
+        _write_imports(imports, corpus, ("d2v050", "rbc200"))
+        scored, combined = [], []
+
+        def compute_all_pairs(mats, config):
+            scored.append(config)
+            return engine.compute_all_pairs(mats, config)
+
+        def combine_similarities(members, config):
+            combined.append((config, [m.config.vmethod for m in members]))
+            return engine.combine_similarities(members, config)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "compute_all_pairs", compute_all_pairs)
+            mp.setattr(grid, "combine_similarities", combine_similarities)
+            report = grid_search(corpus, validation, prototypes=default_prototypes(),
+                                 imports_dir=imports,
+                                 options=GridOptions(seed=3, threshold=0.6))
+        return report, scored, combined
+
+    def config(self, context, vmethod, mmethod):
+        return engine.RunConfig(filter=context is not None, vmethod=vmethod,
+                                mmethod=mmethod, category=context, seed=3)
+
+    def test_each_leg_scored_once_per_context_and_measure(self, recorded):
+        _, scored, _ = recorded
+        assert len(scored) == len(set(scored))
+        assert set(scored) == {self.config(ctx, v, m) for ctx in self.CONTEXTS
+                               for v in self.LEGS for m in engine.MMETHODS}
+
+    def test_one_combine_per_context_and_measure(self, recorded):
+        _, _, combined = recorded
+        assert sorted(combined, key=repr) == sorted(
+            [(self.config(ctx, "combined", m), ["lsa050", "d2v050"])
+             for ctx in self.CONTEXTS for m in engine.MMETHODS], key=repr)
+
+    def test_cells_follow_the_available_legs(self, recorded):
+        report, _, _ = recorded
+        status = {(c.vmethod, c.filter, c.mmethod): c.status for c in report.cells}
+        for (vmethod, _, _), value in status.items():
+            expected = {"combined": "partial", "d2v200": "skipped",
+                        "rbc050": "skipped"}.get(vmethod, "ok")
+            assert value == expected, vmethod
+        assert all("2 of 3" in c.note for c in report.cells if c.vmethod == "combined")
+
+    def test_bad_import_file_fails_before_any_scoring(self, tmp_path, monkeypatch):
+        corpus, assignment = generate_synthetic(
+            SynthSpec(n_patients=10, n_clusters=2, seed=1)
+        )
+        validation = synthesize_validation(assignment, n_pivots=3, seed=1)
+        _write_imports(tmp_path / "imports", corpus, ("d2v050", "rbc200"))
+        with open(tmp_path / "imports" / "rbc200.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"patient_id": 7, "note_index": 0, "vector": [1.0]}\n')
+        scored = []
+        monkeypatch.setattr(grid, "compute_all_pairs",
+                            lambda *args: scored.append(args))
+        with pytest.raises(ParseError, match="rbc200.jsonl"):
+            grid_search(corpus, validation, prototypes=default_prototypes(),
+                        imports_dir=tmp_path / "imports")
+        assert scored == []
+
+
 def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
     """vectorize --category --prototypes gives the grid's filtered lsa050 leg."""
     corpus, assignment = generate_synthetic(SynthSpec(
@@ -205,7 +296,16 @@ def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
         Legs(corpus, None, default_prototypes(), GridOptions(seed=3, threshold=0.6)),
         validation, None,
     )
-    grid_mats = runner._matrices_for(True, "Medication", "lsa", 50)
+    scored = {}
+
+    def compute_all_pairs(mats, config):
+        scored[config.vmethod, config.mmethod] = mats
+        return engine.compute_all_pairs(mats, config)
+
+    monkeypatch.setattr(grid, "compute_all_pairs", compute_all_pairs)
+    table = runner.table("Medication")
+    assert table["lsa050", "rv2"].config.category == "Medication"
+    grid_mats = scored["lsa050", "rv2"]
 
     built = []
 

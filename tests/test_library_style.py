@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import patsim
@@ -46,3 +47,17 @@ def test_cli_builds_legs_only_through_grid_legs():
     assert "Legs" in names
     assert names.isdisjoint({"filter_segments", "unfiltered_notes", "fit_lsa",
                              "VectorizerConfig", "relevancy_from_prototypes"})
+
+
+def test_benchmark_span_targets_stay_callable():
+    # perfbench wraps each (module, attribute) in TARGETS to time a layer;
+    # a target that moves or is renamed silently drops its layer to 0
+    spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    assert targets
+    missing = [f"{module}.{attr}" for module, attr, _ in targets
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []

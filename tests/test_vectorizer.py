@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from patsim.exceptions import (
     DuplicateKey,
     FormatError,
     MissingEmbedding,
+    ParseError,
 )
 from patsim.segmenter import FilteredNote
 from patsim.vectorizer import (
@@ -339,6 +341,23 @@ class TestImportEmbeddings:
         row = {"patient_id": "a", "note_index": 0, "vector": [1, 0]}
         self.write(path, [row, row])
         with pytest.raises(DuplicateKey):
+            import_embeddings(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("patient_id", 7, "patient_id must be a non-empty string"),
+        ("patient_id", "", "patient_id must be a non-empty string"),
+        ("patient_id", None, "patient_id must be a non-empty string"),
+        ("note_index", 2.7, "note_index must be an integer"),
+        ("note_index", 2.0, "note_index must be an integer"),
+        ("note_index", True, "note_index must be an integer"),
+        ("note_index", "2", "note_index must be an integer"),
+    ])
+    def test_key_of_the_wrong_type_rejected(self, tmp_path, field, value, message):
+        # no coercion: 7 is not the id "7", and 2.7 or true is not a note index
+        path = tmp_path / "emb.jsonl"
+        good = {"patient_id": "a", "note_index": 0, "vector": [1, 0]}
+        self.write(path, [good, {**good, "note_index": 1, field: value}])
+        with pytest.raises(ParseError, match=re.escape(f"{message} ({path}:2)")):
             import_embeddings(path)
 
 
