@@ -27,8 +27,6 @@ from .segmenter import (
 )
 from .vectorizer import (
     build_patient_matrices,
-    embeddings_at_dim,
-    import_embeddings,
     load_matrices,
     save_lsa_model,
     save_matrices,
@@ -204,10 +202,15 @@ def cmd_vectorize(args) -> int:
         if args.model_out:
             raise ConfigError("--model-out saves a fitted LSA model; --method import fits none")
     label = args.label or engine.vmethod_label("lsa", args.dim)
-    if engine.parse_vmethod(label)[1] != args.dim:
+    family, dim = engine.parse_vmethod(label)
+    if dim != args.dim:
         raise ConfigError(
             f"--label must be <family><dim> with dim {args.dim}, got {label!r}"
         )
+    families = ("lsa",) if args.method == "lsa" else grid.IMPORT_FAMILIES
+    if family not in families:
+        raise ConfigError(f"--label {label!r} is not a {args.method} leg; its family "
+                          f"must be {' or '.join(families)}")
     corpus = load_corpus(args.corpus)
     filtered = args.category.lower() != "all"
     category = resolve_category(args.category).name if filtered else None
@@ -221,8 +224,7 @@ def cmd_vectorize(args) -> int:
             save_lsa_model(embedder, args.model_out)
             print(f"wrote model dump to {args.model_out}")
     else:
-        embedder = embeddings_at_dim(import_embeddings(args.imports), args.dim,
-                                     args.imports)
+        embedder = legs.imported(Path(args.imports), args.dim)
 
     matrices, absent = build_patient_matrices(corpus, notes, embedder)
     if not matrices:
@@ -411,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="embedding JSONL file (method=import)")
     p.add_argument("--label", default=None,
                    help="leg label recorded in the container, <family><dim> "
-                        "with the --dim value (e.g. d2v050); defaults to "
-                        "lsa<dim> for lsa")
+                        "with the --dim value and a family of the --method "
+                        "(lsa; d2v or rbc for import, e.g. d2v050); defaults "
+                        "to lsa<dim> for lsa")
     leg_settings(p)
     p.add_argument("--model-out", default=None, help="save the LSA model dump")
     p.set_defaults(func=cmd_vectorize)

@@ -1,10 +1,12 @@
 """All-pairs patient similarity: parallel computation and persistence.
 
-The upper triangle of the score matrix is enumerated once, row by row
-(np.triu_indices). For eds, contiguous slices of it are farmed out to
-worker processes; rv2 and mms are scored in one call, since BLAS already
-spreads their tile products over the cores. Every pair is scored by
-kernels.score_pairs on the same operands regardless of chunking, so the
+The pairs to score, every pair of the upper triangle (np.triu_indices)
+or only those a consumer requests, are listed once, row by row, and the
+scores are scattered into one symmetric matrix. For eds, contiguous
+slices of the list are farmed out to worker processes; rv2 and mms are
+scored in one call, since BLAS already spreads their tile products over
+the cores. Every pair is scored by kernels.score_pairs on the same
+operands regardless of chunking or of the other pairs listed, so the
 output is bitwise identical for any worker count.
 """
 
@@ -16,7 +18,7 @@ import re
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "RunConfig",
     "SimilarityMatrix",
     "compute_all_pairs",
+    "compute_pairs",
     "combine_similarities",
     "persist_similarity",
     "load_similarity",
@@ -109,10 +112,12 @@ class RunConfig:
 
 @dataclass
 class SimilarityMatrix:
-    """Symmetric all-pairs scores for one run configuration.
+    """Symmetric pair scores for one run configuration.
 
     scores[i, j] == scores[j, i] exactly (the triangle is stored once and
-    mirrored); undefined entries hold NaN with defined[i, j] False.
+    mirrored); undefined entries hold NaN with defined[i, j] False. A
+    matrix that compute_pairs built for a request leaves every pair it
+    was not asked for undefined.
     """
 
     patient_ids: list[str]
@@ -155,9 +160,24 @@ def _worker_chunk(args: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 def compute_all_pairs(
     matrices: Mapping[str, PatientMatrix], config: RunConfig
 ) -> SimilarityMatrix:
-    """Score every unordered patient pair under one configuration.
+    """Score every unordered patient pair under one configuration:
+    compute_pairs with no request."""
+    return compute_pairs(matrices, config)
 
-    Patients are ordered by sorted id. The result does not depend on
+
+def compute_pairs(
+    matrices: Mapping[str, PatientMatrix], config: RunConfig,
+    pairs: Iterable[tuple[str, str]] | None = None,
+) -> SimilarityMatrix:
+    """Score the requested unordered patient pairs, or every pair when
+    pairs is None.
+
+    Patients are ordered by sorted id. A requested pair is skipped when
+    matrices lacks one of its patients or names one patient twice. Every
+    pair not requested is undefined in the result, so it serves a
+    consumer that reads only the pairs it asked for. Each pair is scored
+    bitwise as in the full triangle: the kernels score a pair on the same
+    operands whatever else is requested. The result does not depend on
     config.workers; only the wall time does. The eds pool never has more
     processes than this process may run on CPUs at once.
     """
@@ -171,7 +191,14 @@ def compute_all_pairs(
 
     t0 = time.perf_counter()
     payload = kernels.pack(config.mmethod, [matrices[pid].rows for pid in ids])
-    ii, jj = np.triu_indices(n, k=1)
+    if pairs is None:
+        ii, jj = np.triu_indices(n, k=1)
+    else:
+        index = {pid: k for k, pid in enumerate(ids)}
+        at = [(index[a], index[b]) for a, b in pairs if a in index and b in index and a != b]
+        # as in the triangle: i < j, in row order
+        ii, jj = np.array(sorted({(min(p), max(p)) for p in at}), dtype=np.intp
+                          ).reshape(-1, 2).T
     npairs = ii.size
 
     if (config.mmethod == "eds" and config.workers > 1
@@ -191,31 +218,32 @@ def compute_all_pairs(
             initargs=(payload, ii, jj),
         ) as pool:
             parts = pool.map(_worker_chunk, ranges)
-        tri = np.concatenate([scores for scores, _ in parts])
-        tri_ok = np.concatenate([ok for _, ok in parts])
+        scores = np.concatenate([scores for scores, _ in parts])
+        ok = np.concatenate([ok for _, ok in parts])
     else:
-        tri, tri_ok = kernels.score_pairs(payload, ii, jj)
+        scores, ok = kernels.score_pairs(payload, ii, jj)
 
-    sim = _from_triangle(ids, tri, tri_ok, payload["valid"], config)
+    sim = _scatter(ids, ii, jj, scores, ok, payload["valid"], config)
     sim.wall_time_seconds = time.perf_counter() - t0
     return sim
 
 
-def _from_triangle(ids: Sequence[str], tri: np.ndarray, tri_ok: np.ndarray,
-                   diag_ok: np.ndarray, config: RunConfig, wall: float = 0.0
-                   ) -> SimilarityMatrix:
-    """Mirror a linearized upper triangle into a full symmetric matrix."""
+def _scatter(ids: Sequence[str], ii: np.ndarray, jj: np.ndarray, scores: np.ndarray,
+             ok: np.ndarray, diag_ok: np.ndarray, config: RunConfig, wall: float = 0.0
+             ) -> SimilarityMatrix:
+    """The symmetric matrix holding scores[p] at (ii[p], jj[p]) and at
+    (jj[p], ii[p]), 1 on the diagonal where diag_ok, and NaN, undefined,
+    at every pair not given."""
     n = len(ids)
-    scores = np.full((n, n), np.nan, dtype=np.float64)
+    full = np.full((n, n), np.nan, dtype=np.float64)
     defined = np.zeros((n, n), dtype=bool)
-    iu, ju = np.triu_indices(n, k=1)
-    scores[iu, ju] = tri
-    scores[ju, iu] = tri
-    defined[iu, ju] = tri_ok
-    defined[ju, iu] = tri_ok
-    scores[np.arange(n), np.arange(n)] = np.where(diag_ok, 1.0, np.nan)
+    full[ii, jj] = scores
+    full[jj, ii] = scores
+    defined[ii, jj] = ok
+    defined[jj, ii] = ok
+    full[np.arange(n), np.arange(n)] = np.where(diag_ok, 1.0, np.nan)
     defined[np.arange(n), np.arange(n)] = diag_ok
-    return SimilarityMatrix(list(ids), scores, defined, config, wall)
+    return SimilarityMatrix(list(ids), full, defined, config, wall)
 
 
 def combine_similarities(
@@ -284,7 +312,7 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
         wall = float(trailer["wall_time_seconds"])
     except (KeyError, TypeError, ValueError) as exc:
         raise r.error(f"bad trailer: {exc}")
-    return _from_triangle(ids, tri, tri_ok, diag_ok, config, wall)
+    return _scatter(ids, *np.triu_indices(n, k=1), tri, tri_ok, diag_ok, config, wall)
 
 
 def export_csv(sim: SimilarityMatrix, path: str | Path) -> None:

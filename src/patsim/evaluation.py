@@ -109,6 +109,10 @@ class ValidationSet:
         with np.errstate(invalid="ignore"):
             self._mean = np.nansum(grades, axis=1) / (~np.isnan(grades)).sum(axis=1)
 
+    def pairs(self) -> list[tuple[str, str]]:
+        """The (pivot, candidate) pairs the evaluation reads, in slot order."""
+        return list(self._slot)
+
     def patient_ids(self) -> set[str]:
         """The listed pivots and their candidates."""
         return set(self.pivots).union(*(self.relevants[p] for p in self.pivots))

@@ -1,13 +1,13 @@
 """Grid search over (filter, vectorizer, measure) and report tables.
 
 Runs every cell of the 2 x 7 x 3 grid end to end: filter notes,
-vectorize, score all pairs, correlate with annotations per category.
+vectorize, score pairs, correlate with annotations per category.
 Each leg context (every note whole, or one category's segments) gets one
 table of its 21 (vectorizer, measure) similarity matrices, and the 42
 cells are read from those tables.
-Embedding models are fitted on the whole corpus; pair scoring covers the
-patients the validation set actually ranks (pivots and their
-candidates), which is what the evaluation consumes.
+Embedding models are fitted on the whole corpus, once per context for
+both LSA dims; pair scoring covers only the (pivot, candidate) pairs the
+validation set ranks, which is all the evaluation reads.
 
 Legs whose imported embedding files are missing are reported as skipped,
 never silently zeroed. The ensemble leg averages whatever dim-50 member
@@ -21,6 +21,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING, Mapping
 
 from . import formats
 from .corpus import Corpus
@@ -30,7 +31,7 @@ from .engine import (
     RunConfig,
     SimilarityMatrix,
     combine_similarities,
-    compute_all_pairs,
+    compute_pairs,
     parse_vmethod,
     vmethod_label,
 )
@@ -40,7 +41,7 @@ from .evaluation import (
     evaluate_config,
     inter_annotator_agreement,
 )
-from .exceptions import ConfigError, DimTooLarge
+from .exceptions import ConfigError
 from .segmenter import (
     CATEGORIES,
     FilteredNote,
@@ -60,6 +61,9 @@ from .vectorizer import (
     import_embeddings,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 log = logging.getLogger(__name__)
 
 __all__ = [
@@ -78,6 +82,7 @@ IMPORT_FAMILIES = ("d2v", "rbc")
 MEMBER_FAMILIES = ("lsa",) + IMPORT_FAMILIES  # the ensemble averages their dim-50 legs
 LEG_METHODS = tuple(v for v in VMETHODS if v != "combined")  # each scored from its own matrices
 IMPORT_LEGS = tuple(v for v in LEG_METHODS if parse_vmethod(v)[0] in IMPORT_FAMILIES)
+LSA_DIMS = tuple(parse_vmethod(v)[1] for v in LEG_METHODS if parse_vmethod(v)[0] == "lsa")
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,9 @@ class EvalReport:
 
 
 class Legs:
-    """Each patient's notes, and the LSA models, of one corpus's leg
-    contexts; `vectorize` and the grid both build their legs here.
+    """Each patient's notes, the LSA models and the imported vectors of
+    one corpus's leg contexts; `vectorize` and the grid both build their
+    legs here.
 
     A context is None, every note kept whole, or a category name, the
     segments whose titles the relevancy map files under it. The corpus
@@ -176,15 +182,39 @@ class Legs:
             self._notes[category] = notes
         return self._notes[category]
 
+    def _docs(self, category: str | None) -> list[str]:
+        return [fn.text for fns in self.notes(category).values() for fn in fns]
+
+    def _config(self, dim: int) -> VectorizerConfig:
+        return VectorizerConfig(dim=dim, min_doc_freq=self.options.min_doc_freq,
+                                sublinear_tf=self.options.sublinear_tf)
+
     def lsa(self, category: str | None, dim: int) -> LsaModel:
         """Fit one context's LSA model; raises DimTooLarge when the context
         is too small for dim. Not cached: each model feeds one leg."""
-        docs = [fn.text for fns in self.notes(category).values() for fn in fns]
-        return fit_lsa(docs, VectorizerConfig(
-            dim=dim,
-            min_doc_freq=self.options.min_doc_freq,
-            sublinear_tf=self.options.sublinear_tf,
-        ))
+        return fit_lsa(self._docs(category), self._config(dim))
+
+    def lsa_embeddings(self, category: str | None, dims: tuple[int, ...]
+                       ) -> dict[int, dict[tuple[str, int], np.ndarray]]:
+        """Every note of one context embedded at each of dims that the
+        context can carry, keyed (patient_id, note_index), from one fit;
+        each row is bitwise the one lsa(category, dim) embeds."""
+        notes = self.notes(category)
+        keys = [(pid, fn.note_index) for pid, fns in notes.items() for fn in fns]
+        fits = fit_lsa(self._docs(category), self._config(dims[0]), dims)
+        return {dim: dict(zip(keys, rows)) for dim, (_, rows) in fits.items()}
+
+    def imported(self, path: Path, dim: int) -> Mapping[tuple[str, int], np.ndarray]:
+        """One import file's vectors at dim. A record for a note the corpus
+        does not hold is a ConfigError, raised before any compression."""
+        embeddings = import_embeddings(path)
+        patients = self.corpus.patients
+        stray = [key for key in embeddings if key[0] not in patients
+                 or not 0 <= key[1] < len(patients[key[0]].notes)]
+        if stray:
+            raise ConfigError(f"{path}: {len(stray)} record(s) for notes the corpus "
+                              f"lacks, the first {stray[0]}")
+        return embeddings_at_dim(embeddings, dim, path)
 
 
 class _GridRunner:
@@ -214,21 +244,11 @@ class _GridRunner:
         for vmethod in IMPORT_LEGS:
             path = None if imports_dir is None else imports_dir / f"{vmethod}.jsonl"
             self.imports[vmethod] = None if path is None or not path.exists() else \
-                embeddings_at_dim(import_embeddings(path), parse_vmethod(vmethod)[1], path)
+                legs.imported(path, parse_vmethod(vmethod)[1])
 
-    def _matrices(self, context: str | None, vmethod: str) -> dict | None:
-        """Patient matrices for one leg, or None when the leg is unavailable."""
-        family, dim = parse_vmethod(vmethod)
-        if family == "lsa":
-            try:
-                embedder = self.legs.lsa(context, dim)
-            except DimTooLarge as exc:
-                log.warning("lsa dim %d for %s: %s", dim, context or "all", exc)
-                return None
-        else:
-            embedder = self.imports[vmethod]
-            if embedder is None:
-                return None
+    def _matrices(self, context: str | None, vmethod: str, embedder: Mapping) -> dict:
+        """Patient matrices for one leg; the patients it leaves out are
+        recorded as exclusions."""
         mats, absent = build_patient_matrices(self.subset, self.legs.notes(context), embedder)
         if absent:
             tag = f"{'unfiltered' if context is None else 'filtered'}/{context or 'all'}/{vmethod}"
@@ -237,18 +257,27 @@ class _GridRunner:
 
     def table(self, context: str | None) -> dict[tuple[str, str], SimilarityMatrix | None]:
         """Every (vmethod, mmethod) similarity of one context, None where
-        the leg is unavailable; each leg's matrices are built once."""
+        the leg is unavailable. Each leg's matrices are built once, and
+        only the validation's (pivot, candidate) pairs are scored: every
+        other pair of these matrices is undefined."""
         def config(vmethod: str, mmethod: str) -> RunConfig:
             return RunConfig(filter=context is not None, vmethod=vmethod, mmethod=mmethod,
                              category=context, workers=self.legs.options.workers,
                              seed=self.legs.options.seed)
 
+        lsa = self.legs.lsa_embeddings(context, LSA_DIMS)
+        pairs = self.validation.pairs()
         table: dict[tuple[str, str], SimilarityMatrix | None] = {}
         for vmethod in LEG_METHODS:
-            mats = self._matrices(context, vmethod)
+            family, dim = parse_vmethod(vmethod)
+            embedder = lsa.get(dim) if family == "lsa" else self.imports[vmethod]
+            if family == "lsa" and embedder is None:
+                log.warning("lsa dim %d for %s: too few documents or terms",
+                            dim, context or "all")
+            mats = None if embedder is None else self._matrices(context, vmethod, embedder)
             for mmethod in MMETHODS:
                 table[vmethod, mmethod] = None if mats is None or len(mats) < 2 \
-                    else compute_all_pairs(mats, config(vmethod, mmethod))
+                    else compute_pairs(mats, config(vmethod, mmethod), pairs)
         for mmethod in MMETHODS:
             members = [table[vmethod_label(fam, 50), mmethod] for fam in MEMBER_FAMILIES]
             members = [m for m in members if m is not None]
@@ -403,17 +432,16 @@ def write_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     summary = [["mmethod", "vmethod", "filter", "status", "mean"]] + [
         _key(c) + [c.status, None if c.status == "skipped" else c.display_mean()]
         for c in report.cells]
-    agreement = _agreement_table(report)
     texts = {
         "summary.txt": render_summary(report),
         "top10.txt": render_top10(report),
-        "agreement.txt": formats.text_table(agreement, 2, left=True),
+        "agreement.txt": render_agreement(report),
         "exclusions.json": json.dumps(report.exclusions, indent=2, sort_keys=True),
     }
     csvs = {
         "summary.csv": formats.csv_table(summary, 2),
         "top10.csv": top10_csv(report),
-        "agreement.csv": formats.csv_table(agreement, 4),
+        "agreement.csv": formats.csv_table(_agreement_table(report), 4),
         "cells.csv": cells_csv(report),
     }
     for name, text in texts.items():

@@ -5,7 +5,8 @@ matrix per patient (row k = the (k+1)-st retained note in chronological
 order). Embeddings are either fitted here (latent semantic analysis over
 TF-IDF) or read from a JSONL file produced by an external model. One
 builder makes the TF-IDF rows for fitting and embedding alike, and
-embed_texts projects a batch of them in one sparse product. scipy is
+embed_texts projects a batch of them in one sparse product, as fit_lsa
+does for its own documents when it fits several dims at once. scipy is
 loaded only when that builder first runs, so importing patsim, loading
 saved matrices and scoring them load no scipy module.
 """
@@ -129,7 +130,7 @@ class PatientMatrix:
         return self.rows.shape[1]
 
 
-def randomized_svd(x, k: int) -> tuple[np.ndarray, np.ndarray]:
+def randomized_svd(x, k: int | tuple[int, ...]):
     """Exact truncated SVD: the k largest singular values and right vectors.
 
     Returns (singular_values[:k], vt[:k]), values in descending order, for
@@ -140,28 +141,40 @@ def randomized_svd(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     cannot return; ARPACK (eigsh on the Gram operator, never formed) finds
     them otherwise. Deterministic: ARPACK's start vector, and the restart
     vectors it draws on rank-deficient input, come from a fixed seed.
-    The name predates the exact solvers; perfbench's tracer wraps it.
+
+    k may be a tuple of ranks; the result is then a list of one such pair
+    per rank, every rank sharing one eigh, and each pair bitwise the one k
+    alone gives. The name predates the exact solvers; perfbench's tracer
+    wraps it.
     """
     n, v = x.shape
     m = min(n, v)
-    if k < 1 or k > m:
-        raise DimTooLarge(f"rank {k} not in [1, {m}]")
+    ranks = k if isinstance(k, tuple) else (k,)
+    for r in ranks:
+        if r < 1 or r > m:
+            raise DimTooLarge(f"rank {r} not in [1, {m}]")
     a = x if n >= v else x.T  # m columns, so a.T @ a is the smaller Gram matrix
-    if k == m or m <= _GRAM_EIGH_MAX:
-        g = a.T @ a
-        # a sparse Gram matrix is told by its toarray, so that this module
-        # never needs scipy for dense input
-        q = np.linalg.eigh(g.toarray() if hasattr(g, "toarray") else g)[1][:, -k:]
-    else:
-        # imported here: loading it costs ~0.14 s and ~9 MB resident memory
-        from scipy.sparse.linalg import aslinearoperator, eigsh
+    vectors = None
+    out = []
+    for r in ranks:
+        if r == m or m <= _GRAM_EIGH_MAX:
+            if vectors is None:
+                g = a.T @ a
+                # a sparse Gram matrix is told by its toarray, so that this
+                # module never needs scipy for dense input
+                vectors = np.linalg.eigh(g.toarray() if hasattr(g, "toarray") else g)[1]
+            q = vectors[:, -r:]
+        else:
+            # imported here: loading it costs ~0.14 s and ~9 MB resident memory
+            from scipy.sparse.linalg import aslinearoperator, eigsh
 
-        op = aslinearoperator(a)
-        # eigsh, not svds: svds does not pass its rng on to eigsh's restarts
-        _, w = eigsh(op.H @ op, k=k, rng=0)
-        q, _ = np.linalg.qr(w)  # ARPACK's vectors are not exactly orthonormal
-    u, s, h = np.linalg.svd(a @ q, full_matrices=False)
-    return s, (h @ q.T if n >= v else u.T)
+            op = aslinearoperator(a)
+            # eigsh, not svds: svds does not pass its rng on to eigsh's restarts
+            _, w = eigsh(op.H @ op, k=r, rng=0)
+            q, _ = np.linalg.qr(w)  # ARPACK's vectors are not exactly orthonormal
+        u, s, h = np.linalg.svd(a @ q, full_matrices=False)
+        out.append((s, h @ q.T if n >= v else u.T))
+    return out if isinstance(k, tuple) else out[0]
 
 
 def _tfidf_rows(tokenized: Sequence[list[str]], vocabulary: Mapping[str, int],
@@ -203,18 +216,25 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return kept
 
 
-def fit_lsa(docs: Sequence[str], config: VectorizerConfig) -> LsaModel:
+def fit_lsa(docs: Sequence[str], config: VectorizerConfig,
+            dims: tuple[int, ...] | None = None):
     """Fit TF-IDF weights and a rank-dim projection on a document set.
 
     tf is the raw count, or 1 + ln(count) when sublinear_tf is set;
     idf = ln((1 + N) / (1 + df)) + 1. Rows are L2-normalized before the
     SVD. Raises DimTooLarge when there are fewer non-empty documents, or
     fewer vocabulary terms, than dim.
+
+    With dims, config.dim is not read: one tokenization, TF-IDF matrix
+    and eigensolve serve every dim in dims that the documents can carry,
+    and the result maps each such dim to (model, rows), rows[k] being
+    docs[k]'s embedding bitwise as embed_texts gives it. A dim too large
+    is left out, not raised.
     """
     tokenized = [tokenize(d) for d in docs]
     n_docs = len(tokenized)
     nonempty = sum(1 for t in tokenized if t)
-    if nonempty < config.dim:
+    if dims is None and nonempty < config.dim:
         raise DimTooLarge(
             f"{nonempty} non-empty documents < dim {config.dim}"
         )
@@ -222,22 +242,33 @@ def fit_lsa(docs: Sequence[str], config: VectorizerConfig) -> LsaModel:
     for toks in tokenized:
         df.update(set(toks))
     terms = sorted(t for t, c in df.items() if c >= config.min_doc_freq)
-    if len(terms) < config.dim:
+    if dims is None and len(terms) < config.dim:
         raise DimTooLarge(f"vocabulary {len(terms)} < dim {config.dim}")
+    fits = (config.dim,) if dims is None else \
+        tuple(d for d in dims if d <= min(nonempty, len(terms)))
+    if not fits:
+        return {}
     vocabulary = {t: i for i, t in enumerate(terms)}
     idf = np.array(
         [math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in terms], dtype=np.float64
     )
 
     x = _tfidf_rows(tokenized, vocabulary, idf, config.sublinear_tf)
-    _, vt = randomized_svd(x, config.dim)
-    return LsaModel(
-        vocabulary=vocabulary,
-        idf=idf,
-        projection=np.ascontiguousarray(vt.T),
-        dim=config.dim,
-        sublinear_tf=config.sublinear_tf,
-    )
+    models = [LsaModel(vocabulary=vocabulary, idf=idf,
+                       projection=np.ascontiguousarray(vt.T), dim=dim,
+                       sublinear_tf=config.sublinear_tf)
+              for dim, (_, vt) in zip(fits, randomized_svd(x, fits))]
+    if dims is None:
+        return models[0]
+    return {m.dim: (m, _project(x, m)[0]) for m in models}
+
+
+def _project(x: sp.csr_matrix, model: LsaModel) -> tuple[np.ndarray, np.ndarray]:
+    """TF-IDF rows times the projection, each row at unit norm or zero;
+    returns (rows, found). csr @ dense forms each row on its own, so a
+    row does not depend on the other rows in x."""
+    rows = x @ model.projection
+    return rows, _unit_rows(rows)
 
 
 def embed_texts(model: LsaModel, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +277,8 @@ def embed_texts(model: LsaModel, texts: Sequence[str]) -> tuple[np.ndarray, np.n
     found[k] False when no known token survives in text k. A row does not
     depend on the other texts in the call.
     """
-    rows = _tfidf_rows([tokenize(t) for t in texts], model.vocabulary,
-                       model.idf, model.sublinear_tf) @ model.projection
-    return rows, _unit_rows(rows)
+    return _project(_tfidf_rows([tokenize(t) for t in texts], model.vocabulary,
+                                model.idf, model.sublinear_tf), model)
 
 
 def embed(model: LsaModel, text: str) -> np.ndarray | None:

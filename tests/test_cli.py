@@ -176,6 +176,46 @@ class TestVectorize:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--method", "lsa", "--label", "d2v008"],
+        ["--method", "lsa", "--label", "rbc008"],
+        ["--method", "import", "--imports", "missing.jsonl", "--label", "lsa008"],
+    ], ids=["lsa-as-d2v", "lsa-as-rbc", "import-as-lsa"])
+    def test_label_family_must_match_method(self, argv, pipeline_dir, tmp_path, capsys):
+        # an lsa container labelled d2v008 would make pairs record a d2v leg
+        assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
+                       "--dim", "8", "--out", str(tmp_path / "x.bin"), *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --label ") and "family" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.bin").exists()
+
+    @pytest.mark.parametrize("stray", [("ghost", 0), ("p0000", -1)])
+    def test_import_record_for_a_note_the_corpus_lacks(self, stray, pipeline_dir, tmp_path,
+                                                       capsys, monkeypatch):
+        from patsim.corpus import load_corpus
+
+        corpus = load_corpus(pipeline_dir / "corpus.jsonl")
+        emb = tmp_path / "d2v.jsonl"
+        rng = np.random.default_rng(0)
+        with open(emb, "w") as fh:
+            for patient in corpus:
+                for idx in range(len(patient.notes)):
+                    fh.write(json.dumps({"patient_id": patient.patient_id, "note_index": idx,
+                                         "vector": rng.standard_normal(16).tolist()}) + "\n")
+            fh.write(json.dumps({"patient_id": stray[0], "note_index": stray[1],
+                                 "vector": rng.standard_normal(16).tolist()}) + "\n")
+        compressed = []
+        monkeypatch.setattr(grid, "embeddings_at_dim", lambda *args: compressed.append(args))
+        assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
+                       "--method", "import", "--imports", str(emb), "--label", "d2v008",
+                       "--dim", "8", "--out", str(tmp_path / "x.bin")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert f"1 record(s) for notes the corpus lacks, the first {stray}" in err
+        assert compressed == [] and not (tmp_path / "x.bin").exists()
+
+
 class TestPairs:
     def test_writes_similarity_and_csv(self, pipeline_dir, tmp_path):
         sim_path = tmp_path / "sim.bin"

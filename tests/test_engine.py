@@ -5,12 +5,13 @@ import csv
 import numpy as np
 import pytest
 
-from patsim import engine
+from patsim import engine, kernels
 from patsim.engine import (
     RunConfig,
     SimilarityMatrix,
     combine_similarities,
     compute_all_pairs,
+    compute_pairs,
     export_csv,
     load_similarity,
     parse_vmethod,
@@ -169,6 +170,52 @@ class TestComputeAllPairs:
         mats = make_matrices(rng, 4)
         sim = compute_all_pairs(mats, config())
         assert sim.patient_ids == sorted(mats)
+
+
+class TestComputePairs:
+    """A request scores only its pairs, each bitwise as in the full triangle."""
+
+    @pytest.mark.parametrize("mmethod", engine.MMETHODS)
+    def test_requested_pairs_bitwise_equal_to_all_pairs(self, rng, mmethod):
+        mats = make_matrices(rng, 70, d=6)  # two kernel tiles
+        ids = sorted(mats)
+        request = [(ids[3], ids[65]), (ids[65], ids[3]), (ids[11], ids[10]),
+                   (ids[69], ids[0]), (ids[5], "ghost"), (ids[7], ids[7])]
+        wanted = {(3, 65), (10, 11), (0, 69)}
+        sizes = []
+        score = getattr(kernels, f"{mmethod}_batch")
+
+        def batch(*args):
+            sizes.append(args[-2].size)
+            return score(*args)
+
+        full = compute_all_pairs(mats, config(mmethod))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, f"{mmethod}_batch", batch)
+            part = compute_pairs(mats, config(mmethod), request)
+        assert sizes == [len(wanted)]
+        assert part.patient_ids == full.patient_ids
+        assert np.array_equal(part.defined.diagonal(), full.defined.diagonal())
+        iu, ju = np.triu_indices(70, k=1)
+        asked = np.array([(i, j) in wanted for i, j in zip(iu, ju)])
+        for a, b in ((iu, ju), (ju, iu)):
+            assert part.scores[a[asked], b[asked]].tobytes() == \
+                full.scores[a[asked], b[asked]].tobytes()
+            assert np.array_equal(part.defined[a[asked], b[asked]],
+                                  full.defined[a[asked], b[asked]])
+            assert not part.defined[a[~asked], b[~asked]].any()
+            assert np.isnan(part.scores[a[~asked], b[~asked]]).all()
+
+    def test_no_pair_of_the_matrices_requested(self, rng):
+        mats = make_matrices(rng, 4)
+        sim = compute_pairs(mats, config("eds"), [("p000", "ghost")])
+        assert np.array_equal(sim.defined, np.eye(4, dtype=bool))
+
+    def test_all_pairs_is_no_request(self, rng):
+        mats = make_matrices(rng, 9)
+        full, again = compute_all_pairs(mats, config("eds")), compute_pairs(mats, config("eds"))
+        assert full.scores.tobytes() == again.scores.tobytes()
+        assert np.array_equal(full.defined, again.defined)
 
 
 class TestCombine:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from patsim import cli, engine, grid, segmenter
+from patsim import cli, engine, grid, kernels, segmenter
 from patsim.corpus import load_corpus, write_corpus
 from patsim.exceptions import ConfigError, DimTooLarge, ParseError, TooShort
 from patsim.grid import (
@@ -26,7 +26,7 @@ from patsim.synth import (
     generate_synthetic,
     synthesize_validation,
 )
-from patsim.vectorizer import load_matrices
+from patsim.vectorizer import build_patient_matrices, load_matrices
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ class TestGridValidation:
         validation = synthesize_validation(assignment, n_pivots=3, n_annotators=1,
                                            seed=1)
         scored = []
-        monkeypatch.setattr(grid, "compute_all_pairs",
+        monkeypatch.setattr(grid, "compute_pairs",
                             lambda *args: scored.append(args))
         with pytest.raises(TooShort):
             grid_search(corpus, validation, prototypes=default_prototypes())
@@ -181,7 +181,7 @@ class TestGridValidation:
         )
         validation = synthesize_validation(assignment, n_pivots=3, seed=1)
         scored = []
-        monkeypatch.setattr(grid, "compute_all_pairs",
+        monkeypatch.setattr(grid, "compute_pairs",
                             lambda *args: scored.append(args))
         relevancy = segmenter.RelevancyMap({"Medication": frozenset({"medication"})})
         with pytest.raises(ConfigError, match="no entry for 'Age'"):
@@ -220,48 +220,85 @@ class TestGridWork:
         )
         imports = tmp_path_factory.mktemp("grid") / "imports"
         _write_imports(imports, corpus, ("d2v050", "rbc200"))
-        scored, combined = [], []
+        scored, combined, eds = [], [], []
 
-        def compute_all_pairs(mats, config):
+        def compute_pairs(mats, config, pairs):
             scored.append(config)
-            return engine.compute_all_pairs(mats, config)
+            if config.mmethod == "eds":  # the distinct pairs of the leg's patients
+                eds.append([len({frozenset(p) for p in validation.pairs()
+                                 if set(p) <= set(mats) and p[0] != p[1]}), len(mats)])
+            return engine.compute_pairs(mats, config, pairs)
 
         def combine_similarities(members, config):
             combined.append((config, [m.config.vmethod for m in members]))
             return engine.combine_similarities(members, config)
 
+        score = kernels.eds_batch
+
+        def eds_batch(rows, offsets, ii, jj):
+            eds[-1].append(ii.size)
+            return score(rows, offsets, ii, jj)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(grid, "compute_all_pairs", compute_all_pairs)
+            mp.setattr(grid, "compute_pairs", compute_pairs)
             mp.setattr(grid, "combine_similarities", combine_similarities)
+            mp.setattr(kernels, "eds_batch", eds_batch)
             report = grid_search(corpus, validation, prototypes=default_prototypes(),
                                  imports_dir=imports,
                                  options=GridOptions(seed=3, threshold=0.6))
-        return report, scored, combined
+        return report, scored, combined, eds
 
     def config(self, context, vmethod, mmethod):
         return engine.RunConfig(filter=context is not None, vmethod=vmethod,
                                 mmethod=mmethod, category=context, seed=3)
 
     def test_each_leg_scored_once_per_context_and_measure(self, recorded):
-        _, scored, _ = recorded
+        _, scored, _, _ = recorded
         assert len(scored) == len(set(scored))
         assert set(scored) == {self.config(ctx, v, m) for ctx in self.CONTEXTS
                                for v in self.LEGS for m in engine.MMETHODS}
 
     def test_one_combine_per_context_and_measure(self, recorded):
-        _, _, combined = recorded
+        _, _, combined, _ = recorded
         assert sorted(combined, key=repr) == sorted(
             [(self.config(ctx, "combined", m), ["lsa050", "d2v050"])
              for ctx in self.CONTEXTS for m in engine.MMETHODS], key=repr)
 
+    def test_eds_scores_only_the_validations_distinct_pairs(self, recorded):
+        *_, eds = recorded
+        assert len(eds) == len(self.CONTEXTS) * len(self.LEGS)
+        for distinct, n, *batches in eds:
+            assert batches == [distinct] and 0 < distinct < n * (n - 1) // 2
+
     def test_cells_follow_the_available_legs(self, recorded):
-        report, _, _ = recorded
+        report, _, _, _ = recorded
         status = {(c.vmethod, c.filter, c.mmethod): c.status for c in report.cells}
         for (vmethod, _, _), value in status.items():
             expected = {"combined": "partial", "d2v200": "skipped",
                         "rbc050": "skipped"}.get(vmethod, "ok")
             assert value == expected, vmethod
         assert all("2 of 3" in c.note for c in report.cells if c.vmethod == "combined")
+
+    @pytest.mark.parametrize("stray", [[("ghost", 0), ("ghost", 1)],
+                                       [("p0001", -1), ("p0002", -2)],
+                                       [("p0001", 999), ("p0001", 1000)]])
+    def test_import_record_for_a_note_the_corpus_lacks(self, stray, tmp_path, monkeypatch):
+        corpus, assignment = generate_synthetic(
+            SynthSpec(n_patients=10, n_clusters=2, seed=1)
+        )
+        validation = synthesize_validation(assignment, n_pivots=3, seed=1)
+        _write_imports(tmp_path / "imports", corpus, ("d2v050", "rbc200"))
+        with open(tmp_path / "imports" / "rbc200.jsonl", "a", encoding="utf-8") as fh:
+            for pid, idx in stray:
+                fh.write(json.dumps({"patient_id": pid, "note_index": idx,
+                                     "vector": [1.0] * 200}) + "\n")
+        compressed = []
+        monkeypatch.setattr(grid, "embeddings_at_dim", lambda *args: compressed.append(args))
+        with pytest.raises(ConfigError, match=rf"rbc200.jsonl: 2 record\(s\) .*"
+                                              rf"first \('{stray[0][0]}', {stray[0][1]}\)"):
+            grid_search(corpus, validation, prototypes=default_prototypes(),
+                        imports_dir=tmp_path / "imports")
+        assert len(compressed) == 1  # d2v050 only, read first
 
     def test_bad_import_file_fails_before_any_scoring(self, tmp_path, monkeypatch):
         corpus, assignment = generate_synthetic(
@@ -272,7 +309,7 @@ class TestGridWork:
         with open(tmp_path / "imports" / "rbc200.jsonl", "a", encoding="utf-8") as fh:
             fh.write('{"patient_id": 7, "note_index": 0, "vector": [1.0]}\n')
         scored = []
-        monkeypatch.setattr(grid, "compute_all_pairs",
+        monkeypatch.setattr(grid, "compute_pairs",
                             lambda *args: scored.append(args))
         with pytest.raises(ParseError, match="rbc200.jsonl"):
             grid_search(corpus, validation, prototypes=default_prototypes(),
@@ -298,11 +335,11 @@ def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
     )
     scored = {}
 
-    def compute_all_pairs(mats, config):
+    def compute_pairs(mats, config, pairs):
         scored[config.vmethod, config.mmethod] = mats
-        return engine.compute_all_pairs(mats, config)
+        return engine.compute_pairs(mats, config, pairs)
 
-    monkeypatch.setattr(grid, "compute_all_pairs", compute_all_pairs)
+    monkeypatch.setattr(grid, "compute_pairs", compute_pairs)
     table = runner.table("Medication")
     assert table["lsa050", "rv2"].config.category == "Medication"
     grid_mats = scored["lsa050", "rv2"]
@@ -365,6 +402,19 @@ class TestLegs:
     def test_lsa_dim_too_large(self, corpus):
         with pytest.raises(DimTooLarge):
             Legs(corpus).lsa(None, 10_000)
+
+    def test_lsa_embeddings_match_one_dim_fits(self, corpus):
+        legs = Legs(corpus, prototypes=default_prototypes())
+        for context in (None, "Medication"):
+            shared = legs.lsa_embeddings(context, (4, 10_000))
+            assert list(shared) == [4]  # the context is too small for 10,000
+            want, _ = build_patient_matrices(corpus, legs.notes(context),
+                                             legs.lsa(context, 4))
+            got, _ = build_patient_matrices(corpus, legs.notes(context), shared[4])
+            assert list(got) == list(want)
+            for pid, mat in want.items():
+                assert got[pid].rows.tobytes() == mat.rows.tobytes()
+                assert np.array_equal(got[pid].note_indices, mat.note_indices)
 
     def test_grid_ignores_candidates_of_unlisted_pivots(self, corpus):
         validation = synthesize_validation(

@@ -124,16 +124,17 @@ class TestFitLsa:
         assert "common" in model.vocabulary
 
 
+@pytest.fixture(params=["eigh", "arpack"])
+def solver(request, monkeypatch):
+    # the Gram-size limit picks the branch whenever k < min(shape)
+    limit = 10**9 if request.param == "eigh" else 0
+    monkeypatch.setattr(vectorizer, "_GRAM_EIGH_MAX", limit)
+
+
 class TestRandomizedSvdOracle:
     """Both solver branches against LAPACK on the dense matrix: singular
     values within 1e-12 of the largest, vt orthonormal within 1e-12, and
     the same bytes from a repeated call."""
-
-    @pytest.fixture(params=["eigh", "arpack"])
-    def solver(self, request, monkeypatch):
-        # the Gram-size limit picks the branch whenever k < min(shape)
-        limit = 10**9 if request.param == "eigh" else 0
-        monkeypatch.setattr(vectorizer, "_GRAM_EIGH_MAX", limit)
 
     @staticmethod
     def check(x, k):
@@ -176,15 +177,68 @@ class TestRandomizedSvdOracle:
 
     def test_rank_out_of_range(self):
         x = np.ones((3, 5))
-        for k in (0, 4):
+        for k in (0, 4, (2, 4)):
             with pytest.raises(DimTooLarge):
                 randomized_svd(x, k)
+
+    def test_ranks_in_one_call_match_each_rank_alone(self, rng, solver):
+        docs = [tokenize(d) for d in random_docs(rng, 200, 120)]
+        x = sp.csr_matrix(tfidf_matrix_reference(docs))
+        ranks = (3, 40, min(x.shape))  # the last takes eigh under either limit
+        for k, (s, vt) in zip(ranks, randomized_svd(x, ranks), strict=True):
+            s1, vt1 = randomized_svd(x, k)
+            assert s.tobytes() == s1.tobytes() and vt.tobytes() == vt1.tobytes()
 
     def test_small_input_does_not_load_arpack(self):
         code = ("import sys, numpy as np; from patsim.vectorizer import randomized_svd; "
                 "randomized_svd(np.random.default_rng(0).standard_normal((60, 40)), 5); "
                 "assert 'scipy.sparse.linalg' not in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True)
+
+
+class TestSharedFit:
+    """fit_lsa over several dims: one tokenization, TF-IDF matrix and
+    eigensolve, with every model and embedding row bitwise the one a fit
+    at that dim alone gives."""
+
+    @staticmethod
+    def docs(rng):
+        # min_doc_freq 2 drops the one-off words, so the last doc embeds to
+        # zero, and one doc is empty
+        return random_docs(rng, 150, 300) + ["", "oneoff words only"]
+
+    def test_models_and_rows_bitwise(self, rng, solver):
+        docs = self.docs(rng)
+        config = VectorizerConfig(dim=1, min_doc_freq=2)
+        fits = fit_lsa(docs, config, (5, 60))
+        assert sorted(fits) == [5, 60]
+        for dim, (model, rows) in fits.items():
+            alone = fit_lsa(docs, VectorizerConfig(dim=dim, min_doc_freq=2))
+            assert model.dim == dim and model.vocabulary == alone.vocabulary
+            assert model.idf.tobytes() == alone.idf.tobytes()
+            assert model.projection.tobytes() == alone.projection.tobytes()
+            want, found = embed_texts(alone, docs)
+            assert rows.tobytes() == want.tobytes()
+            assert not found[-1] and not rows[-2:].any()
+            for k in (0, 7, len(docs) - 3):  # a row does not depend on the others
+                assert rows[k].tobytes() == embed_texts(alone, [docs[k]])[0][0].tobytes()
+
+    def test_a_dim_too_large_is_left_out(self, rng):
+        docs = random_docs(rng, 30, 100)
+        with pytest.raises(DimTooLarge):
+            fit_lsa(docs, VectorizerConfig(dim=200))
+        fits = fit_lsa(docs, VectorizerConfig(), (5, 200))
+        assert list(fits) == [5]
+        alone = fit_lsa(docs, VectorizerConfig(dim=5))
+        assert fits[5][0].projection.tobytes() == alone.projection.tobytes()
+        assert fit_lsa(docs, VectorizerConfig(), (200,)) == {}
+
+    def test_one_eigensolve_for_every_dim(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda g: calls.append(g.shape) or eigh(g))
+        fit_lsa(self.docs(rng), VectorizerConfig(min_doc_freq=2), (5, 60))
+        assert len(calls) == 1
 
 
 # Saved matrices scored, persisted and exported: the `patsim pairs` path.
