@@ -54,6 +54,7 @@ from .segmenter import (
 from .synth import SynthSpec, generate_synthetic, synthesize_validation
 from .vectorizer import (
     LsaModel,
+    NoteVectors,
     PatientMatrix,
     VectorizerConfig,
     build_patient_matrix,

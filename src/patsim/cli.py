@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import engine, evaluation, formats, grid, synth
 from .corpus import load_corpus, write_corpus
-from .exceptions import ConfigError, FormatError, PatsimError
+from .exceptions import ConfigError, DimTooLarge, FormatError, PatsimError
 from .segmenter import (
     CATEGORIES,
     RelevancyMap,
@@ -219,9 +219,13 @@ def cmd_vectorize(args) -> int:
     legs = grid.Legs(corpus, relevancy, prototypes, _grid_options(args))
     notes = legs.notes(category)
     if args.method == "lsa":
-        embedder = legs.lsa(category, args.dim)
+        fits = legs.lsa(category, (args.dim,))
+        if args.dim not in fits:
+            raise DimTooLarge(f"lsa dim {args.dim} for {category or 'all'}: "
+                              "too few documents or terms")
+        model, embedder = fits[args.dim]
         if args.model_out:
-            save_lsa_model(embedder, args.model_out)
+            save_lsa_model(model, args.model_out)
             print(f"wrote model dump to {args.model_out}")
     else:
         embedder = legs.imported(Path(args.imports), args.dim)

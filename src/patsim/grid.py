@@ -21,7 +21,6 @@ import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
 
 from . import formats
 from .corpus import Corpus
@@ -41,7 +40,7 @@ from .evaluation import (
     evaluate_config,
     inter_annotator_agreement,
 )
-from .exceptions import ConfigError
+from .exceptions import ConfigError, MissingEmbedding
 from .segmenter import (
     CATEGORIES,
     FilteredNote,
@@ -54,15 +53,13 @@ from .segmenter import (
 )
 from .vectorizer import (
     LsaModel,
+    NoteVectors,
     VectorizerConfig,
     build_patient_matrices,
     embeddings_at_dim,
     fit_lsa,
     import_embeddings,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -182,46 +179,36 @@ class Legs:
             self._notes[category] = notes
         return self._notes[category]
 
-    def _docs(self, category: str | None) -> list[str]:
-        return [fn.text for fns in self.notes(category).values() for fn in fns]
+    def lsa(self, category: str | None, dims: tuple[int, ...]
+            ) -> dict[int, tuple[LsaModel, NoteVectors]]:
+        """One context's LSA model and note vectors at each of dims it can
+        carry, from one fit (a dim too large is left out). Not cached."""
+        notes = [(pid, fn) for pid, fns in self.notes(category).items() for fn in fns]
+        index = {(pid, fn.note_index): k for k, (pid, fn) in enumerate(notes)}
+        fits = fit_lsa([fn.text for _, fn in notes],
+                       VectorizerConfig(dim=dims[0], min_doc_freq=self.options.min_doc_freq,
+                                        sublinear_tf=self.options.sublinear_tf), dims)
+        return {dim: (model, NoteVectors(index, rows)) for dim, (model, rows) in fits.items()}
 
-    def _config(self, dim: int) -> VectorizerConfig:
-        return VectorizerConfig(dim=dim, min_doc_freq=self.options.min_doc_freq,
-                                sublinear_tf=self.options.sublinear_tf)
-
-    def lsa(self, category: str | None, dim: int) -> LsaModel:
-        """Fit one context's LSA model; raises DimTooLarge when the context
-        is too small for dim. Not cached: each model feeds one leg."""
-        return fit_lsa(self._docs(category), self._config(dim))
-
-    def lsa_embeddings(self, category: str | None, dims: tuple[int, ...]
-                       ) -> dict[int, dict[tuple[str, int], np.ndarray]]:
-        """Every note of one context embedded at each of dims that the
-        context can carry, keyed (patient_id, note_index), from one fit;
-        each row is bitwise the one lsa(category, dim) embeds."""
-        notes = self.notes(category)
-        keys = [(pid, fn.note_index) for pid, fns in notes.items() for fn in fns]
-        fits = fit_lsa(self._docs(category), self._config(dims[0]), dims)
-        return {dim: dict(zip(keys, rows)) for dim, (_, rows) in fits.items()}
-
-    def imported(self, path: Path, dim: int) -> Mapping[tuple[str, int], np.ndarray]:
+    def imported(self, path: Path, dim: int) -> NoteVectors:
         """One import file's vectors at dim. A record for a note the corpus
         does not hold is a ConfigError, raised before any compression."""
-        embeddings = import_embeddings(path)
+        vectors = import_embeddings(path)
         patients = self.corpus.patients
-        stray = [key for key in embeddings if key[0] not in patients
+        stray = [key for key in vectors.index if key[0] not in patients
                  or not 0 <= key[1] < len(patients[key[0]].notes)]
         if stray:
             raise ConfigError(f"{path}: {len(stray)} record(s) for notes the corpus "
                               f"lacks, the first {stray[0]}")
-        return embeddings_at_dim(embeddings, dim, path)
+        return embeddings_at_dim(vectors, dim, path)
 
 
 class _GridRunner:
     """The grid's similarity tables over the validation subset.
 
-    The import maps are read once, here, so a bad import file fails
-    before any scoring; a leg whose file is missing maps to None.
+    The import tables are read once, here, so a bad import file, or one
+    without a record for some note of a subset patient, fails before any
+    scoring; a leg whose file is missing maps to None.
     """
 
     def __init__(self, legs: Legs, validation: ValidationSet, imports_dir: Path | None):
@@ -240,13 +227,19 @@ class _GridRunner:
         for cat in CATEGORIES:  # a missing map or category fails before any scoring
             legs.notes(cat.name)
 
-        self.imports: dict[str, dict | None] = {}
+        self.imports: dict[str, NoteVectors | None] = {}
         for vmethod in IMPORT_LEGS:
             path = None if imports_dir is None else imports_dir / f"{vmethod}.jsonl"
-            self.imports[vmethod] = None if path is None or not path.exists() else \
-                legs.imported(path, parse_vmethod(vmethod)[1])
+            self.imports[vmethod] = vectors = None if path is None or not path.exists() \
+                else legs.imported(path, parse_vmethod(vmethod)[1])
+            # the unfiltered context keeps every note, so each one needs a row
+            absent = [(p.patient_id, k) for p in self.subset if vectors is not None
+                      for k in range(len(p.notes)) if (p.patient_id, k) not in vectors.index]
+            if absent:
+                raise MissingEmbedding(f"{path}: no record for {len(absent)} note(s), "
+                                       f"the first {absent[0]}")
 
-    def _matrices(self, context: str | None, vmethod: str, embedder: Mapping) -> dict:
+    def _matrices(self, context: str | None, vmethod: str, embedder: NoteVectors) -> dict:
         """Patient matrices for one leg; the patients it leaves out are
         recorded as exclusions."""
         mats, absent = build_patient_matrices(self.subset, self.legs.notes(context), embedder)
@@ -265,7 +258,7 @@ class _GridRunner:
                              category=context, workers=self.legs.options.workers,
                              seed=self.legs.options.seed)
 
-        lsa = self.legs.lsa_embeddings(context, LSA_DIMS)
+        lsa = {dim: vectors for dim, (_, vectors) in self.legs.lsa(context, LSA_DIMS).items()}
         pairs = self.validation.pairs()
         table: dict[tuple[str, str], SimilarityMatrix | None] = {}
         for vmethod in LEG_METHODS:

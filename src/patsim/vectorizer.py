@@ -46,6 +46,7 @@ __all__ = [
     "VectorizerConfig",
     "LsaModel",
     "PatientMatrix",
+    "NoteVectors",
     "randomized_svd",
     "fit_lsa",
     "embed",
@@ -128,6 +129,16 @@ class PatientMatrix:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
+
+
+@dataclass(frozen=True)
+class NoteVectors:
+    """One leg's note vectors: index maps (patient_id, note_index) to a row
+    of rows, and every row is at unit L2 norm or exactly zero (a note with
+    nothing to embed)."""
+
+    index: Mapping[tuple[str, int], int]
+    rows: np.ndarray  # (n, d) float64
 
 
 def randomized_svd(x, k: int | tuple[int, ...]):
@@ -292,17 +303,16 @@ def embed(model: LsaModel, text: str) -> np.ndarray | None:
     return rows[0] if found[0] else None
 
 
-def import_embeddings(
-    path: str | Path, expected_dim: int | None = None
-) -> dict[tuple[str, int], np.ndarray]:
+def import_embeddings(path: str | Path) -> NoteVectors:
     """Read a JSONL embedding file keyed by (patient_id, note_index).
 
     Each line holds patient_id, note_index and vector. Vectors are
-    validated (dimension, finiteness, nonzero norm) and L2-normalized.
+    validated (one dimension for all, finiteness, nonzero norm) and
+    L2-normalized; rows follow the file's order.
     """
     path = Path(path)
-    out: dict[tuple[str, int], np.ndarray] = {}
-    dim = expected_dim
+    index: dict[tuple[str, int], int] = {}
+    vecs: list[np.ndarray] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -323,41 +333,37 @@ def import_embeddings(
                 raise ParseError("note_index must be an integer", path=path, line=lineno)
             if vec.ndim != 1:
                 raise BadVector(f"vector for {key} is not one-dimensional")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
+            if vecs and vec.size != vecs[0].size:
                 raise DimMismatch(
-                    f"vector for {key} has dim {vec.size}, expected {dim}"
+                    f"vector for {key} has dim {vec.size}, expected {vecs[0].size}"
                 )
             if not np.all(np.isfinite(vec)):
                 raise BadVector(f"non-finite value in vector for {key}")
             norm = np.linalg.norm(vec)
             if norm <= _ZERO_NORM:
                 raise BadVector(f"zero vector for {key}")
-            if key in out:
+            if key in index:
                 raise DuplicateKey(f"duplicate embedding key {key}")
-            out[key] = vec / norm
-    return out
+            index[key] = len(vecs)
+            vecs.append(vec / norm)
+    return NoteVectors(index, np.stack(vecs) if vecs else np.zeros((0, 0)))
 
 
-def compress_embeddings(
-    embeddings: Mapping[tuple[str, int], np.ndarray], dim: int
-) -> dict[tuple[str, int], np.ndarray]:
+def compress_embeddings(vectors: NoteVectors, dim: int) -> NoteVectors:
     """Project imported vectors down to dim via the same truncated SVD.
 
     Used when an external model's native dimension exceeds the configured
-    one. Vectors that fall entirely outside the retained subspace come
-    back as zero rows and are dropped later like other zero embeddings.
+    one. The SVD operand stacks the vectors in sorted key order. Vectors
+    that fall entirely outside the retained subspace come back as zero
+    rows and are dropped later like other zero embeddings.
     """
-    if not embeddings:
-        return {}
-    keys = sorted(embeddings)
-    stack = np.stack([embeddings[k] for k in keys])
-    native = stack.shape[1]
-    if native == dim:
-        return {k: embeddings[k] for k in keys}
+    native = vectors.rows.shape[1]
+    if not vectors.index or native == dim:
+        return vectors
     if native < dim:
         raise DimMismatch(f"cannot expand dim {native} vectors to {dim}")
+    keys = sorted(vectors.index)
+    stack = vectors.rows[[vectors.index[k] for k in keys]]
     # rank cannot exceed the number of vectors; missing directions are
     # zero-padded so the output dimension still matches the request
     rank = min(dim, stack.shape[0])
@@ -366,59 +372,50 @@ def compress_embeddings(
     if rank < dim:
         proj = np.pad(proj, ((0, 0), (0, dim - rank)))
     _unit_rows(proj)
-    return {k: proj[i] for i, k in enumerate(keys)}
+    return NoteVectors({k: i for i, k in enumerate(keys)}, proj)
 
 
-def embeddings_at_dim(
-    embeddings: Mapping[tuple[str, int], np.ndarray], dim: int, source: str | Path
-) -> Mapping[tuple[str, int], np.ndarray]:
+def embeddings_at_dim(vectors: NoteVectors, dim: int, source: str | Path) -> NoteVectors:
     """Imported vectors at the leg's dim: compressed when natively larger.
 
     Raises ConfigError when the vectors from source are natively smaller.
     """
-    native = next(iter(embeddings.values())).size if embeddings else dim
+    native = vectors.rows.shape[1] if vectors.index else dim
     if native < dim:
         raise ConfigError(f"{source} holds dim-{native} vectors; need {dim}")
-    if native > dim:
-        return compress_embeddings(embeddings, dim)
-    return embeddings
+    return compress_embeddings(vectors, dim)
 
 
 def build_patient_matrix(
     patient: "PatientRecord",
     filtered: Sequence["FilteredNote"],
-    embedder: LsaModel | Mapping[tuple[str, int], np.ndarray],
+    embedder: LsaModel | NoteVectors,
 ) -> PatientMatrix | None:
     """Stack embeddings of the retained notes into one patient matrix.
 
+    A table's rows are gathered bitwise; a note it lacks is MissingEmbedding.
     Notes that embed to zero (out-of-vocabulary, or annihilated by an
     import-side compression) are dropped. Returns None when nothing
     remains; the patient is then absent from that run.
     """
     if isinstance(embedder, LsaModel):
         rows, found = embed_texts(embedder, [note.text for note in filtered])
-        kept = [note.note_index for note, ok in zip(filtered, found) if ok]
-        rows = rows[found]
     else:
-        vecs, kept = [], []
-        for note in filtered:
-            key = (patient.patient_id, note.note_index)
-            if key not in embedder:
-                raise MissingEmbedding(f"no imported embedding for {key}")
-            vec = embedder[key]
-            norm = np.linalg.norm(vec)
-            if norm > _ZERO_NORM:
-                vecs.append(vec / norm if abs(norm - 1.0) > 1e-9 else vec)
-                kept.append(note.note_index)
-        rows = np.vstack(vecs, dtype=np.float64) if vecs else None
-    if not kept:
+        keys = [(patient.patient_id, note.note_index) for note in filtered]
+        missing = [key for key in keys if key not in embedder.index]
+        if missing:
+            raise MissingEmbedding(f"no imported embedding for {missing[0]}")
+        rows = embedder.rows[[embedder.index[key] for key in keys]]
+        found = rows.any(axis=1)
+    if not found.any():
         return None
-    return PatientMatrix(patient.patient_id, rows, np.asarray(kept, dtype=np.int64))
+    kept = np.array([note.note_index for note in filtered], dtype=np.int64)[found]
+    return PatientMatrix(patient.patient_id, rows[found], kept)
 
 
 def build_patient_matrices(
     patients: Iterable["PatientRecord"], notes: Mapping[str, Sequence["FilteredNote"]],
-    embedder: LsaModel | Mapping[tuple[str, int], np.ndarray],
+    embedder: LsaModel | NoteVectors,
 ) -> tuple[dict[str, PatientMatrix], list[str]]:
     """One leg's patient matrices, and the ids of the patients absent from it.
 

@@ -136,15 +136,17 @@ class TestVectorize:
             "--relevancy", str(rel), "--prototypes", str(tmp_path / "missing.json"),
         ) == 0
 
-    @pytest.mark.parametrize("argv", [
-        ["--category", "Medication"],
-        ["--category", "all", "--dim", "5000"],
+    @pytest.mark.parametrize("argv, message", [
+        (["--category", "Medication"], "relevancy map or prototype titles"),
+        # lsa999 is a valid label, and the 25-patient corpus cannot carry dim 999
+        (["--category", "all", "--dim", "999"], "lsa dim 999 for all"),
     ], ids=["filtered-without-relevancy", "dim-too-large"])
-    def test_one_error_line(self, argv, pipeline_dir, tmp_path, capsys):
+    def test_one_error_line(self, argv, message, pipeline_dir, tmp_path, capsys):
         assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
                        "--out", str(tmp_path / "x.bin"), *argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert message in err
         assert not (tmp_path / "x.bin").exists()
 
     def test_import_method_rejects_model_out(self, capsys, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from patsim import cli, engine, grid, kernels, segmenter
 from patsim.corpus import load_corpus, write_corpus
-from patsim.exceptions import ConfigError, DimTooLarge, ParseError, TooShort
+from patsim.exceptions import ConfigError, MissingEmbedding, ParseError, TooShort
 from patsim.grid import (
     GridOptions,
     Legs,
@@ -26,7 +26,12 @@ from patsim.synth import (
     generate_synthetic,
     synthesize_validation,
 )
-from patsim.vectorizer import build_patient_matrices, load_matrices
+from patsim.vectorizer import (
+    VectorizerConfig,
+    build_patient_matrices,
+    fit_lsa,
+    load_matrices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +298,8 @@ class TestGridWork:
                 fh.write(json.dumps({"patient_id": pid, "note_index": idx,
                                      "vector": [1.0] * 200}) + "\n")
         compressed = []
-        monkeypatch.setattr(grid, "embeddings_at_dim", lambda *args: compressed.append(args))
+        monkeypatch.setattr(grid, "embeddings_at_dim",
+                            lambda *args: compressed.append(args) or args[0])
         with pytest.raises(ConfigError, match=rf"rbc200.jsonl: 2 record\(s\) .*"
                                               rf"first \('{stray[0][0]}', {stray[0][1]}\)"):
             grid_search(corpus, validation, prototypes=default_prototypes(),
@@ -312,6 +318,26 @@ class TestGridWork:
         monkeypatch.setattr(grid, "compute_pairs",
                             lambda *args: scored.append(args))
         with pytest.raises(ParseError, match="rbc200.jsonl"):
+            grid_search(corpus, validation, prototypes=default_prototypes(),
+                        imports_dir=tmp_path / "imports")
+        assert scored == []
+
+    def test_missing_import_record_fails_before_any_scoring(self, tmp_path, monkeypatch):
+        corpus, assignment = generate_synthetic(
+            SynthSpec(n_patients=10, n_clusters=2, seed=1)
+        )
+        validation = synthesize_validation(assignment, n_pivots=3, seed=1)
+        _write_imports(tmp_path / "imports", corpus, ("d2v050",))
+        path = tmp_path / "imports" / "d2v050.jsonl"
+        pid = sorted(validation.patient_ids())[0]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records
+                                if (r["patient_id"], r["note_index"]) != (pid, 0)))
+        scored = []
+        monkeypatch.setattr(grid, "compute_pairs",
+                            lambda *args: scored.append(args))
+        with pytest.raises(MissingEmbedding, match=rf"d2v050.jsonl: no record for 1 "
+                                                   rf"note\(s\), the first \('{pid}', 0\)"):
             grid_search(corpus, validation, prototypes=default_prototypes(),
                         imports_dir=tmp_path / "imports")
         assert scored == []
@@ -400,17 +426,20 @@ class TestLegs:
             Legs(corpus).notes("Medication")
 
     def test_lsa_dim_too_large(self, corpus):
-        with pytest.raises(DimTooLarge):
-            Legs(corpus).lsa(None, 10_000)
+        # a dim the context cannot carry is left out; vectorize raises on it
+        assert Legs(corpus).lsa(None, (10_000,)) == {}
 
     def test_lsa_embeddings_match_one_dim_fits(self, corpus):
         legs = Legs(corpus, prototypes=default_prototypes())
         for context in (None, "Medication"):
-            shared = legs.lsa_embeddings(context, (4, 10_000))
+            shared = legs.lsa(context, (4, 10_000))
             assert list(shared) == [4]  # the context is too small for 10,000
-            want, _ = build_patient_matrices(corpus, legs.notes(context),
-                                             legs.lsa(context, 4))
-            got, _ = build_patient_matrices(corpus, legs.notes(context), shared[4])
+            model, vectors = shared[4]
+            docs = [fn.text for fns in legs.notes(context).values() for fn in fns]
+            alone = fit_lsa(docs, VectorizerConfig(dim=4))
+            assert model.projection.tobytes() == alone.projection.tobytes()
+            want, _ = build_patient_matrices(corpus, legs.notes(context), alone)
+            got, _ = build_patient_matrices(corpus, legs.notes(context), vectors)
             assert list(got) == list(want)
             for pid, mat in want.items():
                 assert got[pid].rows.tobytes() == mat.rows.tobytes()

@@ -20,8 +20,10 @@ from patsim.exceptions import (
     MissingEmbedding,
     ParseError,
 )
+from patsim.grid import GridOptions, Legs
 from patsim.segmenter import FilteredNote
 from patsim.vectorizer import (
+    NoteVectors,
     PatientMatrix,
     VectorizerConfig,
     build_patient_matrices,
@@ -346,54 +348,66 @@ class TestEmbed:
             assert vec is None or vec.tobytes() == rows[k].tobytes()
 
 
-class TestImportEmbeddings:
-    def write(self, path, rows):
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
+def row(vectors: NoteVectors, key) -> np.ndarray:
+    return vectors.rows[vectors.index[key]]
 
+
+def unit_table(rng, dim, n=30) -> NoteVectors:
+    rows = rng.standard_normal((n, dim))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return NoteVectors({(f"p{k}", 0): k for k in range(n)}, rows)
+
+
+def write_jsonl(path, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+
+
+class TestImportEmbeddings:
     def test_reads_and_normalizes(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         rows = [
             {"patient_id": f"p{k}", "note_index": 0, "vector": [1.0] * 50}
             for k in range(6)
         ]
-        self.write(path, rows)
-        out = import_embeddings(path, expected_dim=50)
-        assert len(out) == 6
-        assert np.linalg.norm(out[("p0", 0)]) == pytest.approx(1.0, abs=1e-12)
+        write_jsonl(path, rows)
+        out = import_embeddings(path)
+        assert len(out.index) == 6 and out.rows.shape == (6, 50)
+        assert np.linalg.norm(row(out, ("p0", 0))) == pytest.approx(1.0, abs=1e-12)
 
     def test_dim_mismatch_names_key(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        self.write(path, [
-            {"patient_id": "a", "note_index": 0, "vector": [0.0] * 199 + [1.0]},
+        write_jsonl(path, [
+            {"patient_id": "a", "note_index": 0, "vector": [1.0, 0.0]},
+            {"patient_id": "a", "note_index": 1, "vector": [1.0, 0.0, 0.0]},
         ])
-        with pytest.raises(DimMismatch, match="'a', 0"):
-            import_embeddings(path, expected_dim=50)
+        with pytest.raises(DimMismatch, match="'a', 1"):
+            import_embeddings(path)
 
     def test_three_four_normalizes(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        self.write(path, [{"patient_id": "a", "note_index": 2, "vector": [3, 4]}])
+        write_jsonl(path, [{"patient_id": "a", "note_index": 2, "vector": [3, 4]}])
         out = import_embeddings(path)
-        np.testing.assert_allclose(out[("a", 2)], [0.6, 0.8], atol=1e-15)
+        assert row(out, ("a", 2)).tobytes() == (np.array([3.0, 4.0]) / 5.0).tobytes()
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        self.write(path, [{"patient_id": "a", "note_index": 0,
+        write_jsonl(path, [{"patient_id": "a", "note_index": 0,
                            "vector": [1.0, float("nan")]}])
         with pytest.raises(BadVector):
             import_embeddings(path)
 
     def test_zero_vector_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        self.write(path, [{"patient_id": "a", "note_index": 0, "vector": [0, 0]}])
+        write_jsonl(path, [{"patient_id": "a", "note_index": 0, "vector": [0, 0]}])
         with pytest.raises(BadVector):
             import_embeddings(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         row = {"patient_id": "a", "note_index": 0, "vector": [1, 0]}
-        self.write(path, [row, row])
+        write_jsonl(path, [row, row])
         with pytest.raises(DuplicateKey):
             import_embeddings(path)
 
@@ -410,55 +424,106 @@ class TestImportEmbeddings:
         # no coercion: 7 is not the id "7", and 2.7 or true is not a note index
         path = tmp_path / "emb.jsonl"
         good = {"patient_id": "a", "note_index": 0, "vector": [1, 0]}
-        self.write(path, [good, {**good, "note_index": 1, field: value}])
+        write_jsonl(path, [good, {**good, "note_index": 1, field: value}])
         with pytest.raises(ParseError, match=re.escape(f"{message} ({path}:2)")):
             import_embeddings(path)
 
 
 class TestCompressEmbeddings:
     def test_projects_down_and_renormalizes(self, rng):
-        emb = {
-            (f"p{k}", 0): (lambda v: v / np.linalg.norm(v))(rng.standard_normal(200))
-            for k in range(40)
-        }
+        emb = unit_table(rng, 200, n=40)
         out = compress_embeddings(emb, 50)
-        assert set(out) == set(emb)
-        norms = [np.linalg.norm(v) for v in out.values()]
+        assert set(out.index) == set(emb.index)
+        norms = np.linalg.norm(out.rows, axis=1)
         assert all(abs(n - 1.0) < 1e-9 or n == 0.0 for n in norms)
-        assert next(iter(out.values())).size == 50
+        assert out.rows.shape == (40, 50)
 
     def test_same_dim_passthrough(self, rng):
-        v = rng.standard_normal(8)
-        v /= np.linalg.norm(v)
-        out = compress_embeddings({("a", 0): v}, 8)
-        np.testing.assert_array_equal(out[("a", 0)], v)
+        emb = unit_table(rng, 8, n=1)
+        out = compress_embeddings(emb, 8)
+        np.testing.assert_array_equal(row(out, ("p0", 0)), emb.rows[0])
 
     def test_cannot_expand(self, rng):
-        v = rng.standard_normal(8)
         with pytest.raises(DimMismatch):
-            compress_embeddings({("a", 0): v}, 16)
+            compress_embeddings(NoteVectors({("a", 0): 0}, rng.standard_normal((1, 8))), 16)
+
+    def test_operand_stacked_in_sorted_key_order(self, rng):
+        # the SVD operand's row order fixes the compressed bits, whatever
+        # order the file listed the records in
+        emb = unit_table(rng, 20)
+        keys = sorted(emb.index, reverse=True)
+        shuffled = NoteVectors({k: i for i, k in enumerate(keys)},
+                               emb.rows[[emb.index[k] for k in keys]])
+        want, got = compress_embeddings(emb, 6), compress_embeddings(shuffled, 6)
+        for key in emb.index:
+            assert row(got, key).tobytes() == row(want, key).tobytes()
 
 
 class TestEmbeddingsAtDim:
-    def unit(self, rng, dim, n=30):
-        return {(f"p{k}", 0): (lambda v: v / np.linalg.norm(v))(rng.standard_normal(dim))
-                for k in range(n)}
-
     def test_native_dim_passes_through(self, rng):
-        emb = self.unit(rng, 8)
+        emb = unit_table(rng, 8)
         assert embeddings_at_dim(emb, 8, "legs.jsonl") is emb
 
     def test_larger_native_dim_is_compressed(self, rng):
-        emb = self.unit(rng, 20)
+        emb = unit_table(rng, 20)
         out = embeddings_at_dim(emb, 6, "legs.jsonl")
         want = compress_embeddings(emb, 6)
-        assert set(out) == set(want)
-        for key in want:
-            np.testing.assert_array_equal(out[key], want[key])
+        assert set(out.index) == set(want.index)
+        for key in want.index:
+            np.testing.assert_array_equal(row(out, key), row(want, key))
 
     def test_smaller_native_dim_names_source(self, rng):
         with pytest.raises(ConfigError, match="legs.jsonl holds dim-8 vectors; need 16"):
-            embeddings_at_dim(self.unit(rng, 8), 16, "legs.jsonl")
+            embeddings_at_dim(unit_table(rng, 8), 16, "legs.jsonl")
+
+
+def assert_unit_or_zero(vectors: NoteVectors):
+    """Each row at unit norm within 1e-9, or exactly zero: the invariant
+    that lets build_patient_matrix gather rows with no norm check."""
+    norms = np.linalg.norm(vectors.rows, axis=1)
+    zero = ~vectors.rows.any(axis=1)
+    assert vectors.rows.dtype == np.float64
+    assert np.all(zero | (np.abs(norms - 1.0) <= 1e-9)), norms
+
+
+class TestRowsUnitOrZero:
+    """Every NoteVectors the library builds keeps the invariant."""
+
+    def test_import_embeddings(self, rng, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        vecs = [[3, 4], [1e-6, 0.0], [1e6, -1e6]] + rng.standard_normal((20, 2)).tolist()
+        write_jsonl(path, [{"patient_id": "a", "note_index": k, "vector": v}
+                           for k, v in enumerate(vecs)])
+        out = import_embeddings(path)
+        assert_unit_or_zero(out)
+        assert out.rows.any(axis=1).all()  # a zero record is rejected, never kept
+
+    def test_compress_embeddings(self, rng):
+        # rank < dim: 3 vectors at dim 5 leave 2 zero-padded columns
+        padded = compress_embeddings(unit_table(rng, 8, n=3), 5)
+        assert padded.rows.shape == (3, 5) and not padded.rows[:, 3:].any()
+        assert_unit_or_zero(padded)
+        # e2 lies outside the top singular direction e1 of the stack
+        rows = np.array([[1.0, 0.0, 0.0]] * 3 + [[0.0, 1.0, 0.0]])
+        out = compress_embeddings(
+            NoteVectors({("a", k): k for k in range(4)}, rows), 1)
+        assert_unit_or_zero(out)
+        assert not row(out, ("a", 3)).any() and row(out, ("a", 0)).any()
+        assert_unit_or_zero(compress_embeddings(unit_table(rng, 200, n=40), 50))
+
+    def test_legs_lsa(self):
+        # at min_doc_freq 2, "zzz qqq" holds no vocabulary token
+        corpus = make_corpus({
+            "a": [("2020-01-01", "alpha beta gamma"), ("2020-01-02", "zzz qqq")],
+            "b": [("2020-01-01", "alpha beta delta"), ("2020-01-02", "gamma delta")],
+            "c": [("2020-01-01", "beta gamma"), ("2020-01-02", "alpha delta beta")],
+        })
+        fits = Legs(corpus, options=GridOptions(min_doc_freq=2)).lsa(None, (2, 3))
+        assert sorted(fits) == [2, 3]
+        for _, vectors in fits.values():
+            assert_unit_or_zero(vectors)
+            assert not row(vectors, ("a", 1)).any()
+            assert vectors.rows.any(axis=1).sum() == 5
 
 
 def lsa_for_matrix_tests(rng):
@@ -515,8 +580,8 @@ class TestBuildPatientMatrix:
 
     def test_imported_map_missing_key(self, rng):
         patient = self.patient(2)
-        emb = {("a", 0): np.array([1.0, 0.0])}
-        with pytest.raises(MissingEmbedding):
+        emb = NoteVectors({("a", 0): 0}, np.array([[1.0, 0.0]]))
+        with pytest.raises(MissingEmbedding, match=r"\('a', 1\)"):
             build_patient_matrix(
                 patient,
                 [FilteredNote(0, "x"), FilteredNote(1, "y")],
@@ -524,25 +589,24 @@ class TestBuildPatientMatrix:
             )
 
     def test_imported_vectors_used_in_order(self):
+        # the notes' order, not the table's, sets the matrix rows
         patient = self.patient(2)
-        emb = {
-            ("a", 0): np.array([1.0, 0.0]),
-            ("a", 1): np.array([0.0, 1.0]),
-        }
+        emb = NoteVectors({("a", 0): 1, ("a", 1): 0}, np.array([[0.0, 1.0], [1.0, 0.0]]))
         mat = build_patient_matrix(
             patient, [FilteredNote(0, "x"), FilteredNote(1, "y")], emb
         )
         np.testing.assert_array_equal(mat.rows, np.eye(2))
 
     def test_imported_zero_dropped_near_unit_kept_bitwise(self):
+        # gathered rows are bitwise the table's rows, with no rescaling
         patient = self.patient(3)
         near_unit = np.array([0.6, 0.8 + 1e-12])  # within 1e-9 of unit norm
-        emb = {("a", 0): near_unit, ("a", 1): np.zeros(2), ("a", 2): np.array([3.0, 4.0])}
+        rows = np.array([near_unit, np.zeros(2), np.array([3.0, 4.0]) / 5.0])
+        emb = NoteVectors({("a", k): k for k in range(3)}, rows)
         filtered = [FilteredNote(k, "x") for k in range(3)]
         mat = build_patient_matrix(patient, filtered, emb)
         assert list(mat.note_indices) == [0, 2]
-        assert mat.rows[0].tobytes() == near_unit.tobytes()
-        assert mat.rows[1].tobytes() == (np.array([3.0, 4.0]) / 5.0).tobytes()
+        assert mat.rows.tobytes() == rows[[0, 2]].tobytes()
 
 
 class TestBuildPatientMatrices:
