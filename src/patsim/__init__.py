@@ -56,7 +56,6 @@ from .vectorizer import (
     LsaModel,
     NoteVectors,
     PatientMatrix,
-    VectorizerConfig,
     build_patient_matrix,
     embed,
     fit_lsa,

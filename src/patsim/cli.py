@@ -76,12 +76,13 @@ def load_config_file(path: str | Path) -> dict:
     return values
 
 
-def _fill_defaults(args: argparse.Namespace, mapping: dict[str, str]) -> None:
-    """Copy config values into unset argparse destinations."""
+def _fill_defaults(args: argparse.Namespace) -> None:
+    """Copy config values into the unset destinations of the same name
+    that the subcommand's parser has; a key it has none for is ignored."""
     config = load_config_file(args.config) if args.config else {}
-    for key, dest in mapping.items():
-        if getattr(args, dest, None) is None and key in config:
-            setattr(args, dest, config[key])
+    for key, value in config.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _resolve_workers(value: int | None) -> int:
@@ -228,7 +229,8 @@ def cmd_vectorize(args) -> int:
             save_lsa_model(model, args.model_out)
             print(f"wrote model dump to {args.model_out}")
     else:
-        embedder = legs.imported(Path(args.imports), args.dim)
+        keys = [(pid, fn.note_index) for pid, fns in notes.items() for fn in fns]
+        embedder = legs.imported(Path(args.imports), args.dim, keys)
 
     matrices, absent = build_patient_matrices(corpus, notes, embedder)
     if not matrices:
@@ -475,26 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FILL = {
-    "synth": {"out": "out", "seed": "seed"},
-    "segment": {"corpus": "corpus", "out": "out"},
-    "vectorize": {
-        "corpus": "corpus", "out": "out",
-        "relevancy": "relevancy", "prototypes": "prototypes",
-        "imports": "imports",
-    },
-    "pairs": {"out": "out", "workers": "workers"},
-    "evaluate": {"annotations": "annotations"},
-    "gridsearch": {
-        "corpus": "corpus", "annotations": "annotations",
-        "imports": "imports", "out_dir": "out_dir",
-        "relevancy": "relevancy", "prototypes": "prototypes",
-        "workers": "workers",
-    },
-    "report": {},
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -504,7 +486,7 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        _fill_defaults(args, _CONFIG_FILL.get(args.command, {}))
+        _fill_defaults(args)
         return args.func(args)
     except (PatsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,9 +54,8 @@ from .segmenter import (
 from .vectorizer import (
     LsaModel,
     NoteVectors,
-    VectorizerConfig,
     build_patient_matrices,
-    embeddings_at_dim,
+    compress_embeddings,
     fit_lsa,
     import_embeddings,
 )
@@ -185,14 +184,18 @@ class Legs:
         carry, from one fit (a dim too large is left out). Not cached."""
         notes = [(pid, fn) for pid, fns in self.notes(category).items() for fn in fns]
         index = {(pid, fn.note_index): k for k, (pid, fn) in enumerate(notes)}
-        fits = fit_lsa([fn.text for _, fn in notes],
-                       VectorizerConfig(dim=dims[0], min_doc_freq=self.options.min_doc_freq,
-                                        sublinear_tf=self.options.sublinear_tf), dims)
+        fits = fit_lsa([fn.text for _, fn in notes], dims,
+                       self.options.min_doc_freq, self.options.sublinear_tf)
         return {dim: (model, NoteVectors(index, rows)) for dim, (model, rows) in fits.items()}
 
-    def imported(self, path: Path, dim: int) -> NoteVectors:
-        """One import file's vectors at dim. A record for a note the corpus
-        does not hold is a ConfigError, raised before any compression."""
+    def imported(self, path: Path, dim: int, keys: list[tuple[str, int]]) -> NoteVectors:
+        """One import file's vectors at dim, holding a record for each of
+        keys, the (patient_id, note_index) pairs the caller will read.
+
+        A record for a note the corpus does not hold is a ConfigError, a
+        key without a record MissingEmbedding, and vectors natively below
+        dim a ConfigError; each is raised before any compression.
+        """
         vectors = import_embeddings(path)
         patients = self.corpus.patients
         stray = [key for key in vectors.index if key[0] not in patients
@@ -200,7 +203,14 @@ class Legs:
         if stray:
             raise ConfigError(f"{path}: {len(stray)} record(s) for notes the corpus "
                               f"lacks, the first {stray[0]}")
-        return embeddings_at_dim(vectors, dim, path)
+        absent = [key for key in keys if key not in vectors.index]
+        if absent:
+            raise MissingEmbedding(f"{path}: no record for {len(absent)} note(s), "
+                                   f"the first {absent[0]}")
+        native = vectors.rows.shape[1] if vectors.index else dim
+        if native < dim:
+            raise ConfigError(f"{path} holds dim-{native} vectors; need {dim}")
+        return compress_embeddings(vectors, dim)
 
 
 class _GridRunner:
@@ -227,17 +237,13 @@ class _GridRunner:
         for cat in CATEGORIES:  # a missing map or category fails before any scoring
             legs.notes(cat.name)
 
+        # the unfiltered context keeps every note, so each one needs a record
+        keys = [(p.patient_id, k) for p in self.subset for k in range(len(p.notes))]
         self.imports: dict[str, NoteVectors | None] = {}
         for vmethod in IMPORT_LEGS:
             path = None if imports_dir is None else imports_dir / f"{vmethod}.jsonl"
-            self.imports[vmethod] = vectors = None if path is None or not path.exists() \
-                else legs.imported(path, parse_vmethod(vmethod)[1])
-            # the unfiltered context keeps every note, so each one needs a row
-            absent = [(p.patient_id, k) for p in self.subset if vectors is not None
-                      for k in range(len(p.notes)) if (p.patient_id, k) not in vectors.index]
-            if absent:
-                raise MissingEmbedding(f"{path}: no record for {len(absent)} note(s), "
-                                       f"the first {absent[0]}")
+            self.imports[vmethod] = None if path is None or not path.exists() \
+                else legs.imported(path, parse_vmethod(vmethod)[1], keys)
 
     def _matrices(self, context: str | None, vmethod: str, embedder: NoteVectors) -> dict:
         """Patient matrices for one leg; the patients it leaves out are

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 import numpy as np
 
 from .exceptions import ConfigError, DimTooLarge, InsufficientTitles, UnknownTitle
-from .vectorizer import VectorizerConfig, embed_texts, fit_lsa
+from .vectorizer import fit_lsa
 
 if TYPE_CHECKING:
     from .corpus import PatientRecord
@@ -259,7 +259,9 @@ def build_title_space(
     segments holds every patient's segment_patient output, in corpus
     order. All bodies filed under a title form one document; the
     documents are run through the same TF-IDF + SVD used for notes, so
-    titles heading similar content land close together.
+    titles heading similar content land close together. A title's vector
+    is its document's row of the fit; a title whose document embeds to
+    zero is left out. Raises DimTooLarge when the fit cannot carry dim.
     """
     bodies: dict[str, list[str]] = {}
     for patient in segments:
@@ -269,11 +271,11 @@ def build_title_space(
     titles = sorted(bodies)
     if len(titles) < 2:
         raise InsufficientTitles(f"only {len(titles)} distinct title(s)")
-    if dim > len(titles):
-        raise DimTooLarge(f"dim {dim} > {len(titles)} distinct titles")
-    docs = ["\n".join(bodies[t]) for t in titles]
-    rows, found = embed_texts(fit_lsa(docs, VectorizerConfig(dim=dim)), docs)
-    return {t: row for t, row, ok in zip(titles, rows, found) if ok}
+    fit = fit_lsa(["\n".join(bodies[t]) for t in titles], (dim,)).get(dim)
+    if fit is None:
+        raise DimTooLarge(f"dim {dim}: {len(titles)} distinct titles carry too few "
+                          "documents or terms")
+    return {t: row for t, row in zip(titles, fit[1]) if row.any()}
 
 
 def expand_prototypes(

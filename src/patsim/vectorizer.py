@@ -26,7 +26,6 @@ import numpy as np
 from . import formats
 from .exceptions import (
     BadVector,
-    ConfigError,
     DimMismatch,
     DimTooLarge,
     DuplicateKey,
@@ -43,7 +42,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "tokenize",
-    "VectorizerConfig",
     "LsaModel",
     "PatientMatrix",
     "NoteVectors",
@@ -53,7 +51,6 @@ __all__ = [
     "embed_texts",
     "import_embeddings",
     "compress_embeddings",
-    "embeddings_at_dim",
     "build_patient_matrix",
     "build_patient_matrices",
     "save_lsa_model",
@@ -78,21 +75,6 @@ _GRAM_EIGH_MAX = 1024
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs; 1-char tokens kept."""
     return _TOKEN_RE.findall(text.lower())
-
-
-@dataclass(frozen=True)
-class VectorizerConfig:
-    """Settings for fitting one LSA leg; the grid uses dim 50 and 200."""
-
-    dim: int = 50
-    min_doc_freq: int = 1
-    sublinear_tf: bool = True
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.min_doc_freq < 1:
-            raise ValueError("min_doc_freq must be >= 1")
 
 
 @dataclass
@@ -141,26 +123,28 @@ class NoteVectors:
     rows: np.ndarray  # (n, d) float64
 
 
-def randomized_svd(x, k: int | tuple[int, ...]):
-    """Exact truncated SVD: the k largest singular values and right vectors.
+def randomized_svd(x, ranks: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact truncated SVD: for each k in ranks, the k largest singular
+    values and right vectors.
 
-    Returns (singular_values[:k], vt[:k]), values in descending order, for
-    dense or scipy.sparse x. The top-k eigenvectors of the smaller Gram
-    matrix (m x m, m = min(x.shape)) span the wanted subspace, and a thin
-    SVD of x on them gives the values and vectors. LAPACK's eigh finds the
-    eigenvectors when m <= _GRAM_EIGH_MAX, or when k == m, which ARPACK
-    cannot return; ARPACK (eigsh on the Gram operator, never formed) finds
-    them otherwise. Deterministic: ARPACK's start vector, and the restart
-    vectors it draws on rank-deficient input, come from a fixed seed.
+    Returns one (singular_values[:k], vt[:k]) per rank, values in
+    descending order, for dense or scipy.sparse x. The top-k eigenvectors
+    of the smaller Gram matrix (m x m, m = min(x.shape)) span the wanted
+    subspace, and a thin SVD of x on them gives the values and vectors.
+    LAPACK's eigh finds the eigenvectors when m <= _GRAM_EIGH_MAX, or when
+    k == m, which ARPACK cannot return; ARPACK (eigsh on the Gram
+    operator, never formed) finds them otherwise. Every rank shares one
+    eigh, and each pair is bitwise the one that rank alone gives.
 
-    k may be a tuple of ranks; the result is then a list of one such pair
-    per rank, every rank sharing one eigh, and each pair bitwise the one k
-    alone gives. The name predates the exact solvers; perfbench's tracer
-    wraps it.
+    Deterministic: ARPACK's start vector, and the restart vectors it draws
+    on rank-deficient input, come from a fixed seed. Each vt row is signed
+    so that its largest-magnitude entry is positive, so the BLAS thread
+    count moves the vectors by rounding, not by a sign, unless two entries
+    tie for largest within rounding. The name predates the exact solvers;
+    perfbench's tracer wraps it.
     """
     n, v = x.shape
     m = min(n, v)
-    ranks = k if isinstance(k, tuple) else (k,)
     for r in ranks:
         if r < 1 or r > m:
             raise DimTooLarge(f"rank {r} not in [1, {m}]")
@@ -184,8 +168,10 @@ def randomized_svd(x, k: int | tuple[int, ...]):
             _, w = eigsh(op.H @ op, k=r, rng=0)
             q, _ = np.linalg.qr(w)  # ARPACK's vectors are not exactly orthonormal
         u, s, h = np.linalg.svd(a @ q, full_matrices=False)
-        out.append((s, h @ q.T if n >= v else u.T))
-    return out if isinstance(k, tuple) else out[0]
+        vt = h @ q.T if n >= v else u.T
+        peak = vt[np.arange(r), np.abs(vt).argmax(axis=1)]
+        out.append((s, vt * np.where(peak < 0, -1.0, 1.0)[:, None]))
+    return out
 
 
 def _tfidf_rows(tokenized: Sequence[list[str]], vocabulary: Mapping[str, int],
@@ -227,36 +213,30 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return kept
 
 
-def fit_lsa(docs: Sequence[str], config: VectorizerConfig,
-            dims: tuple[int, ...] | None = None):
-    """Fit TF-IDF weights and a rank-dim projection on a document set.
+def fit_lsa(docs: Sequence[str], dims: tuple[int, ...], min_doc_freq: int = 1,
+            sublinear_tf: bool = True) -> dict[int, tuple[LsaModel, np.ndarray]]:
+    """Fit TF-IDF weights and a rank-dim projection per dim on a document set.
 
     tf is the raw count, or 1 + ln(count) when sublinear_tf is set;
-    idf = ln((1 + N) / (1 + df)) + 1. Rows are L2-normalized before the
-    SVD. Raises DimTooLarge when there are fewer non-empty documents, or
-    fewer vocabulary terms, than dim.
-
-    With dims, config.dim is not read: one tokenization, TF-IDF matrix
-    and eigensolve serve every dim in dims that the documents can carry,
-    and the result maps each such dim to (model, rows), rows[k] being
-    docs[k]'s embedding bitwise as embed_texts gives it. A dim too large
-    is left out, not raised.
+    idf = ln((1 + N) / (1 + df)) + 1, over the terms in at least
+    min_doc_freq documents. Rows are L2-normalized before the SVD. One
+    tokenization, TF-IDF matrix and eigensolve serve every dim in dims,
+    and the result maps each dim to (model, rows), rows[k] being docs[k]'s
+    embedding bitwise as embed_texts gives it. A dim above the number of
+    non-empty documents or of vocabulary terms is left out, not raised.
     """
+    if min(dims, default=1) < 1:
+        raise ValueError("dim must be positive")
+    if min_doc_freq < 1:
+        raise ValueError("min_doc_freq must be >= 1")
     tokenized = [tokenize(d) for d in docs]
     n_docs = len(tokenized)
     nonempty = sum(1 for t in tokenized if t)
-    if dims is None and nonempty < config.dim:
-        raise DimTooLarge(
-            f"{nonempty} non-empty documents < dim {config.dim}"
-        )
     df: Counter[str] = Counter()
     for toks in tokenized:
         df.update(set(toks))
-    terms = sorted(t for t, c in df.items() if c >= config.min_doc_freq)
-    if dims is None and len(terms) < config.dim:
-        raise DimTooLarge(f"vocabulary {len(terms)} < dim {config.dim}")
-    fits = (config.dim,) if dims is None else \
-        tuple(d for d in dims if d <= min(nonempty, len(terms)))
+    terms = sorted(t for t, c in df.items() if c >= min_doc_freq)
+    fits = tuple(d for d in dims if d <= min(nonempty, len(terms)))
     if not fits:
         return {}
     vocabulary = {t: i for i, t in enumerate(terms)}
@@ -264,13 +244,11 @@ def fit_lsa(docs: Sequence[str], config: VectorizerConfig,
         [math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in terms], dtype=np.float64
     )
 
-    x = _tfidf_rows(tokenized, vocabulary, idf, config.sublinear_tf)
+    x = _tfidf_rows(tokenized, vocabulary, idf, sublinear_tf)
     models = [LsaModel(vocabulary=vocabulary, idf=idf,
                        projection=np.ascontiguousarray(vt.T), dim=dim,
-                       sublinear_tf=config.sublinear_tf)
+                       sublinear_tf=sublinear_tf)
               for dim, (_, vt) in zip(fits, randomized_svd(x, fits))]
-    if dims is None:
-        return models[0]
     return {m.dim: (m, _project(x, m)[0]) for m in models}
 
 
@@ -367,23 +345,12 @@ def compress_embeddings(vectors: NoteVectors, dim: int) -> NoteVectors:
     # rank cannot exceed the number of vectors; missing directions are
     # zero-padded so the output dimension still matches the request
     rank = min(dim, stack.shape[0])
-    _, vt = randomized_svd(stack, rank)
+    [(_, vt)] = randomized_svd(stack, (rank,))
     proj = stack @ vt.T
     if rank < dim:
         proj = np.pad(proj, ((0, 0), (0, dim - rank)))
     _unit_rows(proj)
     return NoteVectors({k: i for i, k in enumerate(keys)}, proj)
-
-
-def embeddings_at_dim(vectors: NoteVectors, dim: int, source: str | Path) -> NoteVectors:
-    """Imported vectors at the leg's dim: compressed when natively larger.
-
-    Raises ConfigError when the vectors from source are natively smaller.
-    """
-    native = vectors.rows.shape[1] if vectors.index else dim
-    if native < dim:
-        raise ConfigError(f"{source} holds dim-{native} vectors; need {dim}")
-    return compress_embeddings(vectors, dim)
 
 
 def build_patient_matrix(

@@ -40,7 +40,6 @@ from patsim.synth import (
 )
 from patsim.vectorizer import (
     PatientMatrix,
-    VectorizerConfig,
     build_patient_matrix,
     fit_lsa,
     randomized_svd,
@@ -76,7 +75,7 @@ def recovery_setup():
     corpus, assignment = generate_synthetic(spec)
     notes = {p.patient_id: unfiltered_notes(p) for p in corpus}
     docs = [fn.text for fns in notes.values() for fn in fns]
-    model = fit_lsa(docs, VectorizerConfig(dim=50))
+    model, _ = fit_lsa(docs, (50,))[50]
     matrices = {}
     for patient in corpus:
         mat = build_patient_matrix(patient, notes[patient.patient_id], model)
@@ -182,7 +181,7 @@ class TestAcceptance:
                 if k < 2:
                     continue
                 s_dense = np.linalg.svd(x, compute_uv=False)[:k]
-                s_rand, vt = randomized_svd(x, k)
+                [(s_rand, vt)] = randomized_svd(x, (k,))
                 worst_sv = max(
                     worst_sv, float(np.max(np.abs(s_rand - s_dense) / s_dense))
                 )
@@ -262,7 +261,7 @@ class TestAcceptance:
                     for p in corpus
                 }
                 docs = [fn.text for fns in filtered_map.values() for fn in fns]
-                model = fit_lsa(docs, VectorizerConfig(dim=50))
+                model, _ = fit_lsa(docs, (50,))[50]
                 fmats = {}
                 for p in corpus:
                     fl = filtered_map[p.patient_id]

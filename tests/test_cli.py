@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from patsim.engine import load_similarity
 from patsim.exceptions import ConfigError
 from patsim.synth import load_assignment_csv, synthesize_validation
 from patsim.evaluation import save_annotations
-from patsim.vectorizer import load_matrices, save_matrices
+from patsim.vectorizer import load_lsa_model, load_matrices, save_matrices
 
 
 def run_cli(*argv):
@@ -208,13 +209,34 @@ class TestVectorize:
             fh.write(json.dumps({"patient_id": stray[0], "note_index": stray[1],
                                  "vector": rng.standard_normal(16).tolist()}) + "\n")
         compressed = []
-        monkeypatch.setattr(grid, "embeddings_at_dim", lambda *args: compressed.append(args))
+        monkeypatch.setattr(grid, "compress_embeddings", lambda *args: compressed.append(args))
         assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
                        "--method", "import", "--imports", str(emb), "--label", "d2v008",
                        "--dim", "8", "--out", str(tmp_path / "x.bin")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert f"1 record(s) for notes the corpus lacks, the first {stray}" in err
+        assert compressed == [] and not (tmp_path / "x.bin").exists()
+
+    def test_missing_import_record_fails_before_compression(self, pipeline_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        from patsim.corpus import load_corpus
+
+        corpus = load_corpus(pipeline_dir / "corpus.jsonl")
+        emb = tmp_path / "d2v.jsonl"
+        rng = np.random.default_rng(0)
+        keys = [(p.patient_id, idx) for p in corpus for idx in range(len(p.notes))]
+        with open(emb, "w") as fh:
+            for pid, idx in keys[:-1]:  # the last note has no record
+                fh.write(json.dumps({"patient_id": pid, "note_index": idx,
+                                     "vector": rng.standard_normal(16).tolist()}) + "\n")
+        compressed = []
+        monkeypatch.setattr(grid, "compress_embeddings", lambda *args: compressed.append(args))
+        assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
+                       "--method", "import", "--imports", str(emb), "--label", "d2v008",
+                       "--dim", "8", "--out", str(tmp_path / "x.bin")) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {emb}: no record for 1 note(s), the first {keys[-1]}"
         assert compressed == [] and not (tmp_path / "x.bin").exists()
 
 
@@ -337,6 +359,21 @@ class TestEvaluate:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "category,tau,pivots,skipped,excluded"
         assert len(lines) == 11
+
+    def test_config_out_writes_the_csv(self, pipeline_dir, tmp_path):
+        # out is a known key and evaluate has --out, so the file fills it
+        sim_path = tmp_path / "sim.bin"
+        assert run_cli("pairs", "--matrices", str(pipeline_dir / "mats.bin"),
+                       "--mmethod", "rv2", "--out", str(sim_path)) == 0
+        vs = synthesize_validation(load_assignment_csv(pipeline_dir / "assign.csv"),
+                                   n_pivots=5, per_pivot=5, seed=3)
+        save_annotations(vs, tmp_path / "ann.csv")
+        cfg = tmp_path / "patsim.cfg"
+        cfg.write_text(f"annotations = {tmp_path / 'ann.csv'}\n"
+                       f"out = {tmp_path / 'eval.csv'}\n")
+        assert run_cli("evaluate", "--config", str(cfg), "--sim", str(sim_path)) == 0
+        lines = (tmp_path / "eval.csv").read_text().strip().splitlines()
+        assert lines[0] == "category,tau,pivots,skipped,excluded" and len(lines) == 11
 
 
 class TestGridsearch:
@@ -547,3 +584,63 @@ class TestBadPrototypesFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'Medication'" in err
         assert len(err.strip().splitlines()) == 1
+
+
+# vectorize --model-out, pairs for each measure and gridsearch, in one process
+_ONE_THREAD_COUNT = """
+import sys
+from patsim.cli import main
+
+root, out = sys.argv[1:]
+steps = [
+    ["vectorize", "--corpus", f"{root}/corpus.jsonl", "--dim", "20",
+     "--out", f"{out}/mats.bin", "--model-out", f"{out}/model.lsa"],
+    *(["pairs", "--matrices", f"{out}/mats.bin", "--mmethod", m, "--out", f"{out}/{m}.sim"]
+      for m in ("rv2", "mms", "eds")),
+    ["gridsearch", "--corpus", f"{root}/corpus.jsonl", "--annotations", f"{root}/ann.csv",
+     "--prototypes", f"{root}/protos.json", "--out", f"{out}/report"],
+]
+for argv in steps:
+    assert main(argv) == 0, argv
+"""
+
+
+def test_outputs_agree_across_blas_thread_counts(tmp_path):
+    """The sign rule leaves BLAS rounding as the only thing a thread count
+    moves: reports bitwise, models, matrices and scores within 1e-12."""
+    assert run_cli("synth", "--patients", "40", "--clusters", "3", "--seed", "7",
+                   "--out", str(tmp_path / "corpus.jsonl"),
+                   "--assignment-out", str(tmp_path / "assign.csv"),
+                   "--prototypes-out", str(tmp_path / "protos.json")) == 0
+    vs = synthesize_validation(load_assignment_csv(tmp_path / "assign.csv"),
+                               n_pivots=6, per_pivot=5, seed=3)
+    save_annotations(vs, tmp_path / "ann.csv")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", _ONE_THREAD_COUNT, str(tmp_path), str(out)],
+                       check=True, env=env, capture_output=True)
+        outs.append(out)
+    one, two = outs
+
+    names = sorted(p.name for p in (one / "report").iterdir())
+    assert names == sorted(p.name for p in (two / "report").iterdir())
+    for name in names:
+        assert (one / "report" / name).read_bytes() == (two / "report" / name).read_bytes()
+
+    m1, m2 = (load_lsa_model(out / "model.lsa") for out in outs)
+    assert m1.vocabulary == m2.vocabulary and m1.idf.tobytes() == m2.idf.tobytes()
+    assert np.abs(m1.projection - m2.projection).max() <= 1e-12
+
+    (mats1, meta1), (mats2, meta2) = (load_matrices(out / "mats.bin") for out in outs)
+    assert meta1 == meta2 and list(mats1) == list(mats2)
+    for pid, mat in mats1.items():
+        assert np.array_equal(mat.note_indices, mats2[pid].note_indices)
+        assert np.abs(mat.rows - mats2[pid].rows).max() <= 1e-12
+
+    for mmethod in ("rv2", "mms", "eds"):
+        s1, s2 = (load_similarity(out / f"{mmethod}.sim") for out in outs)
+        assert s1.patient_ids == s2.patient_ids and np.array_equal(s1.defined, s2.defined)
+        assert np.abs(s1.scores[s1.defined] - s2.scores[s2.defined]).max() <= 1e-12

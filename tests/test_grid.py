@@ -27,7 +27,6 @@ from patsim.synth import (
     synthesize_validation,
 )
 from patsim.vectorizer import (
-    VectorizerConfig,
     build_patient_matrices,
     fit_lsa,
     load_matrices,
@@ -298,7 +297,7 @@ class TestGridWork:
                 fh.write(json.dumps({"patient_id": pid, "note_index": idx,
                                      "vector": [1.0] * 200}) + "\n")
         compressed = []
-        monkeypatch.setattr(grid, "embeddings_at_dim",
+        monkeypatch.setattr(grid, "compress_embeddings",
                             lambda *args: compressed.append(args) or args[0])
         with pytest.raises(ConfigError, match=rf"rbc200.jsonl: 2 record\(s\) .*"
                                               rf"first \('{stray[0][0]}', {stray[0][1]}\)"):
@@ -436,7 +435,7 @@ class TestLegs:
             assert list(shared) == [4]  # the context is too small for 10,000
             model, vectors = shared[4]
             docs = [fn.text for fns in legs.notes(context).values() for fn in fns]
-            alone = fit_lsa(docs, VectorizerConfig(dim=4))
+            alone, _ = fit_lsa(docs, (4,))[4]
             assert model.projection.tobytes() == alone.projection.tobytes()
             want, _ = build_patient_matrices(corpus, legs.notes(context), alone)
             got, _ = build_patient_matrices(corpus, legs.notes(context), vectors)

@@ -24,7 +24,7 @@ from patsim.segmenter import (
     unfiltered_notes,
 )
 from patsim.synth import SynthSpec, generate_synthetic
-from patsim.vectorizer import VectorizerConfig, fit_lsa
+from patsim.vectorizer import embed_texts, fit_lsa
 
 from conftest import make_corpus
 from oracles import embed_reference
@@ -286,11 +286,17 @@ class TestTitleSpace:
         for seg in (s for patient in segments for note in patient for s in note):
             bodies.setdefault(seg.title, []).append(seg.body)
         docs = {t: "\n".join(b) for t, b in bodies.items()}
-        model = fit_lsa([docs[t] for t in sorted(docs)], VectorizerConfig(dim=8))
+        texts = [docs[t] for t in sorted(docs)]
+        model, _ = fit_lsa(texts, (8,))[8]
         assert sorted(space) == sorted(docs)
         for title, doc in docs.items():
             np.testing.assert_allclose(space[title], embed_reference(model, doc),
                                        rtol=0, atol=1e-12)
+        # one TF-IDF pass: the fit's own rows, bitwise as embed_texts gives them
+        rows, found = embed_texts(model, texts)
+        assert found.all()
+        for title, want in zip(sorted(docs), rows):
+            assert space[title].tobytes() == want.tobytes()
 
 
 class TestExpandPrototypes:

@@ -25,13 +25,11 @@ from patsim.segmenter import FilteredNote
 from patsim.vectorizer import (
     NoteVectors,
     PatientMatrix,
-    VectorizerConfig,
     build_patient_matrices,
     build_patient_matrix,
     compress_embeddings,
     embed,
     embed_texts,
-    embeddings_at_dim,
     fit_lsa,
     import_embeddings,
     load_lsa_model,
@@ -69,30 +67,45 @@ def random_docs(rng, n_docs, vocab_size, lo=5, hi=30):
     return docs
 
 
+def lsa_model(docs, dim, **kwargs):
+    """The model of a fit at one dim."""
+    return fit_lsa(docs, (dim,), **kwargs)[dim][0]
+
+
 class TestFitLsa:
     def test_identical_documents_rank_one(self):
         docs = ["alpha beta gamma"] * 3
-        model = fit_lsa(docs, VectorizerConfig(dim=1))
+        model = lsa_model(docs, 1)
         vecs = [embed(model, d) for d in docs]
         assert np.array_equal(vecs[0], vecs[1])
         assert np.array_equal(vecs[1], vecs[2])
         assert abs(abs(vecs[0][0]) - 1.0) < 1e-12
 
+    # a dim the documents cannot carry is left out of the fit
     def test_too_few_docs(self):
-        with pytest.raises(DimTooLarge):
-            fit_lsa(["a b", "c d"], VectorizerConfig(dim=3))
+        assert fit_lsa(["a b", "c d"], (3,)) == {}
+        assert list(fit_lsa(["a b", "c d"], (2, 3))) == [2]
 
     def test_vocab_smaller_than_dim(self):
-        with pytest.raises(DimTooLarge):
-            fit_lsa(["a", "a", "a"], VectorizerConfig(dim=2))
+        assert fit_lsa(["a", "a", "a"], (2,)) == {}
+        assert list(fit_lsa(["a", "a", "a"], (1, 2))) == [1]
+
+    @pytest.mark.parametrize("dims, min_doc_freq, message", [
+        ((0,), 1, "dim must be positive"),
+        ((4, -1), 1, "dim must be positive"),
+        ((4,), 0, "min_doc_freq must be >= 1"),
+    ])
+    def test_settings_below_one_rejected(self, dims, min_doc_freq, message):
+        with pytest.raises(ValueError, match=message):
+            fit_lsa(["a b c d"] * 5, dims, min_doc_freq)
 
     def test_singular_values_match_dense_oracle(self, rng):
         docs = random_docs(rng, 200, 120)
         dim = 10
-        model = fit_lsa(docs, VectorizerConfig(dim=dim))
+        model = lsa_model(docs, dim)
         x = tfidf_matrix_reference([tokenize(d) for d in docs])
         s_true = np.linalg.svd(x, compute_uv=False)[:dim]
-        s_hat, _ = randomized_svd(x, dim)
+        [(s_hat, _)] = randomized_svd(x, (dim,))
         rel = np.max(np.abs(s_hat - s_true) / s_true)
         assert rel < 1e-6
         gram = model.projection.T @ model.projection
@@ -101,27 +114,27 @@ class TestFitLsa:
     def test_disjoint_groups_embed_orthogonally(self, rng):
         group_a = random_docs(rng, 12, 15)
         group_b = [d.replace("t", "u") for d in random_docs(rng, 12, 15)]
-        model = fit_lsa(group_a + group_b, VectorizerConfig(dim=2))
+        model = lsa_model(group_a + group_b, 2)
         va = embed(model, group_a[0])
         vb = embed(model, group_b[0])
         assert abs(float(va @ vb)) < 0.05
 
     def test_fit_is_deterministic(self, rng):
         docs = random_docs(rng, 60, 40)
-        m1 = fit_lsa(docs, VectorizerConfig(dim=5))
-        m2 = fit_lsa(docs, VectorizerConfig(dim=5))
+        m1 = lsa_model(docs, 5)
+        m2 = lsa_model(docs, 5)
         assert m1.projection.tobytes() == m2.projection.tobytes()
         assert m1.idf.tobytes() == m2.idf.tobytes()
 
     def test_idf_positive_finite(self, rng):
         docs = random_docs(rng, 30, 20)
-        model = fit_lsa(docs, VectorizerConfig(dim=4))
+        model = lsa_model(docs, 4)
         assert np.all(np.isfinite(model.idf))
         assert np.all(model.idf > 0)
 
     def test_min_doc_freq_prunes_vocab(self):
         docs = ["common word here"] * 5 + ["common rareword here"]
-        model = fit_lsa(docs, VectorizerConfig(dim=2, min_doc_freq=2))
+        model = lsa_model(docs, 2, min_doc_freq=2)
         assert "rareword" not in model.vocabulary
         assert "common" in model.vocabulary
 
@@ -135,21 +148,24 @@ def solver(request, monkeypatch):
 
 class TestRandomizedSvdOracle:
     """Both solver branches against LAPACK on the dense matrix: singular
-    values within 1e-12 of the largest, vt orthonormal within 1e-12, and
-    the same bytes from a repeated call."""
+    values within 1e-12 of the largest, vt orthonormal within 1e-12 and
+    signed by its largest entries, and the same bytes from a repeated
+    call."""
 
     @staticmethod
     def check(x, k):
         dense = x.toarray() if sp.issparse(x) else x
         s_true = np.linalg.svd(dense, compute_uv=False)[:k]
-        s, vt = randomized_svd(x, k)
+        [(s, vt)] = randomized_svd(x, (k,))
         assert s.shape == (k,) and vt.shape == (k, x.shape[1])
         assert np.max(np.abs(s - s_true)) <= 1e-12 * s_true[0]
         assert np.max(np.abs(vt @ vt.T - np.eye(k))) <= 1e-12
+        # the sign rule: each vector's largest-magnitude entry is positive
+        assert (vt[np.arange(k), np.abs(vt).argmax(axis=1)] > 0).all()
         # each vt row is a right singular vector: |x v_i| = s_i
         np.testing.assert_allclose(np.linalg.norm(dense @ vt.T, axis=0), s,
                                    rtol=0, atol=1e-12 * s_true[0])
-        s2, vt2 = randomized_svd(x, k)
+        [(s2, vt2)] = randomized_svd(x, (k,))
         assert s.tobytes() == s2.tobytes() and vt.tobytes() == vt2.tobytes()
 
     def test_sparse_tfidf_below_full_rank(self, rng, solver):
@@ -179,21 +195,21 @@ class TestRandomizedSvdOracle:
 
     def test_rank_out_of_range(self):
         x = np.ones((3, 5))
-        for k in (0, 4, (2, 4)):
+        for ranks in ((0,), (4,), (2, 4)):
             with pytest.raises(DimTooLarge):
-                randomized_svd(x, k)
+                randomized_svd(x, ranks)
 
     def test_ranks_in_one_call_match_each_rank_alone(self, rng, solver):
         docs = [tokenize(d) for d in random_docs(rng, 200, 120)]
         x = sp.csr_matrix(tfidf_matrix_reference(docs))
         ranks = (3, 40, min(x.shape))  # the last takes eigh under either limit
         for k, (s, vt) in zip(ranks, randomized_svd(x, ranks), strict=True):
-            s1, vt1 = randomized_svd(x, k)
+            [(s1, vt1)] = randomized_svd(x, (k,))
             assert s.tobytes() == s1.tobytes() and vt.tobytes() == vt1.tobytes()
 
     def test_small_input_does_not_load_arpack(self):
         code = ("import sys, numpy as np; from patsim.vectorizer import randomized_svd; "
-                "randomized_svd(np.random.default_rng(0).standard_normal((60, 40)), 5); "
+                "randomized_svd(np.random.default_rng(0).standard_normal((60, 40)), (5,)); "
                 "assert 'scipy.sparse.linalg' not in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True)
 
@@ -211,11 +227,10 @@ class TestSharedFit:
 
     def test_models_and_rows_bitwise(self, rng, solver):
         docs = self.docs(rng)
-        config = VectorizerConfig(dim=1, min_doc_freq=2)
-        fits = fit_lsa(docs, config, (5, 60))
+        fits = fit_lsa(docs, (5, 60), min_doc_freq=2)
         assert sorted(fits) == [5, 60]
         for dim, (model, rows) in fits.items():
-            alone = fit_lsa(docs, VectorizerConfig(dim=dim, min_doc_freq=2))
+            alone = lsa_model(docs, dim, min_doc_freq=2)
             assert model.dim == dim and model.vocabulary == alone.vocabulary
             assert model.idf.tobytes() == alone.idf.tobytes()
             assert model.projection.tobytes() == alone.projection.tobytes()
@@ -227,19 +242,17 @@ class TestSharedFit:
 
     def test_a_dim_too_large_is_left_out(self, rng):
         docs = random_docs(rng, 30, 100)
-        with pytest.raises(DimTooLarge):
-            fit_lsa(docs, VectorizerConfig(dim=200))
-        fits = fit_lsa(docs, VectorizerConfig(), (5, 200))
+        fits = fit_lsa(docs, (5, 200))
         assert list(fits) == [5]
-        alone = fit_lsa(docs, VectorizerConfig(dim=5))
+        alone = lsa_model(docs, 5)
         assert fits[5][0].projection.tobytes() == alone.projection.tobytes()
-        assert fit_lsa(docs, VectorizerConfig(), (200,)) == {}
+        assert fit_lsa(docs, (200,)) == {}
 
     def test_one_eigensolve_for_every_dim(self, rng, monkeypatch):
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda g: calls.append(g.shape) or eigh(g))
-        fit_lsa(self.docs(rng), VectorizerConfig(min_doc_freq=2), (5, 60))
+        fit_lsa(self.docs(rng), (5, 60), min_doc_freq=2)
         assert len(calls) == 1
 
 
@@ -277,9 +290,9 @@ class TestScipyLoadsOnlyForLsa:
         subprocess.run([sys.executable, "-c", _PAIRS_PATH], check=True)
 
     def test_fit_and_embed_in_a_fresh_interpreter(self):
-        code = ("import sys; from patsim.vectorizer import VectorizerConfig, embed, fit_lsa; "
+        code = ("import sys; from patsim.vectorizer import embed, fit_lsa; "
                 "docs = [f'note {k} about term{k % 7} and term{k % 5}' for k in range(40)]; "
-                "model = fit_lsa(docs, VectorizerConfig(dim=4)); "
+                "model, _ = fit_lsa(docs, (4,))[4]; "
                 "assert model.projection.shape[1] == 4; "
                 "assert embed(model, docs[3]) is not None; "
                 "assert 'scipy.sparse' in sys.modules")
@@ -289,9 +302,7 @@ class TestScipyLoadsOnlyForLsa:
 class TestEmbed:
     def fit(self, rng, sublinear=True):
         docs = random_docs(rng, 50, 30)
-        return docs, fit_lsa(
-            docs, VectorizerConfig(dim=4, sublinear_tf=sublinear)
-        )
+        return docs, lsa_model(docs, 4, sublinear_tf=sublinear)
 
     def test_training_doc_cosine_one(self, rng):
         docs, model = self.fit(rng)
@@ -313,7 +324,7 @@ class TestEmbed:
     @pytest.mark.parametrize("sublinear, dim", [(True, 4), (False, 4), (True, 50)])
     def test_matches_the_reference(self, rng, sublinear, dim):
         docs = random_docs(rng, 120, 80)
-        model = fit_lsa(docs, VectorizerConfig(dim=dim, sublinear_tf=sublinear))
+        model = lsa_model(docs, dim, sublinear_tf=sublinear)
         texts = docs + [docs[0] + " " + docs[1], "t1 t1 t1 zzz", "T2, t2_t3"]
         rows, found = embed_texts(model, texts)
         assert rows.shape == (len(texts), dim) and found.all()
@@ -460,21 +471,31 @@ class TestCompressEmbeddings:
 
 
 class TestEmbeddingsAtDim:
-    def test_native_dim_passes_through(self, rng):
-        emb = unit_table(rng, 8)
-        assert embeddings_at_dim(emb, 8, "legs.jsonl") is emb
+    """Legs.imported gives an import file's vectors at the leg's dim."""
 
-    def test_larger_native_dim_is_compressed(self, rng):
-        emb = unit_table(rng, 20)
-        out = embeddings_at_dim(emb, 6, "legs.jsonl")
-        want = compress_embeddings(emb, 6)
+    @staticmethod
+    def imported(rng, tmp_path, native, dim):
+        emb = unit_table(rng, native)
+        path = tmp_path / "legs.jsonl"
+        write_jsonl(path, [{"patient_id": pid, "note_index": k, "vector": emb.rows[i].tolist()}
+                           for (pid, k), i in emb.index.items()])
+        legs = Legs(make_corpus({pid: [("2020-01-01", "x")] for pid, _ in emb.index}))
+        return import_embeddings(path), legs.imported(path, dim, sorted(emb.index))
+
+    def test_native_dim_passes_through(self, rng, tmp_path):
+        read, out = self.imported(rng, tmp_path, 8, 8)
+        assert out.index == read.index and out.rows.tobytes() == read.rows.tobytes()
+
+    def test_larger_native_dim_is_compressed(self, rng, tmp_path):
+        read, out = self.imported(rng, tmp_path, 20, 6)
+        want = compress_embeddings(read, 6)
         assert set(out.index) == set(want.index)
         for key in want.index:
             np.testing.assert_array_equal(row(out, key), row(want, key))
 
-    def test_smaller_native_dim_names_source(self, rng):
+    def test_smaller_native_dim_names_source(self, rng, tmp_path):
         with pytest.raises(ConfigError, match="legs.jsonl holds dim-8 vectors; need 16"):
-            embeddings_at_dim(unit_table(rng, 8), 16, "legs.jsonl")
+            self.imported(rng, tmp_path, 8, 16)
 
 
 def assert_unit_or_zero(vectors: NoteVectors):
@@ -528,7 +549,7 @@ class TestRowsUnitOrZero:
 
 def lsa_for_matrix_tests(rng):
     docs = random_docs(rng, 80, 40)
-    return docs, fit_lsa(docs, VectorizerConfig(dim=6))
+    return docs, lsa_model(docs, 6)
 
 
 class TestBuildPatientMatrix:
@@ -542,7 +563,7 @@ class TestBuildPatientMatrix:
     def test_shape_matches_note_count_and_dim(self, rng):
         # 62 retained notes at dim 50 give a 62 x 50 matrix.
         docs = random_docs(rng, 120, 80)
-        model = fit_lsa(docs, VectorizerConfig(dim=50))
+        model = lsa_model(docs, 50)
         patient = self.patient(62)
         filtered = [FilteredNote(k, docs[k]) for k in range(62)]
         mat = build_patient_matrix(patient, filtered, model)
@@ -625,7 +646,7 @@ class TestBuildPatientMatrices:
 class TestModelPersistence:
     def test_round_trip(self, rng, tmp_path):
         docs = random_docs(rng, 40, 25)
-        model = fit_lsa(docs, VectorizerConfig(dim=3))
+        model = lsa_model(docs, 3)
         path = tmp_path / "model.bin"
         save_lsa_model(model, path)
         again = load_lsa_model(path)
@@ -643,7 +664,7 @@ class TestModelPersistence:
 
     def test_truncated(self, rng, tmp_path):
         docs = random_docs(rng, 40, 25)
-        model = fit_lsa(docs, VectorizerConfig(dim=3))
+        model = lsa_model(docs, 3)
         path = tmp_path / "model.bin"
         save_lsa_model(model, path)
         path.write_bytes(path.read_bytes()[:-16])
