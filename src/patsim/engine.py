@@ -1,13 +1,15 @@
 """All-pairs patient similarity: parallel computation and persistence.
 
 The pairs to score, every pair of the upper triangle (np.triu_indices)
-or only those a consumer requests, are listed once, row by row, and the
-scores are scattered into one symmetric matrix. For eds, contiguous
-slices of the list are farmed out to worker processes; rv2 and mms are
-scored in one call, since BLAS already spreads their tile products over
-the cores. Every pair is scored by kernels.score_pairs on the same
-operands regardless of chunking or of the other pairs listed, so the
-output is bitwise identical for any worker count.
+or only those a consumer requests, are listed once per leg, row by row,
+and each leg's scores are scattered into one symmetric matrix. The eds
+legs of one dim are scored as one list over one pack; for eds,
+contiguous slices of the list are farmed out to worker processes. rv2
+and mms are scored in one call per leg, since BLAS already spreads their
+tile products over the cores. Every pair is scored by
+kernels.score_pairs on the same operands regardless of chunking or of
+the other pairs listed, so the output is bitwise identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "SimilarityMatrix",
     "compute_all_pairs",
     "compute_pairs",
+    "compute_legs",
     "combine_similarities",
     "persist_similarity",
     "load_similarity",
@@ -170,17 +173,69 @@ def compute_pairs(
     pairs: Iterable[tuple[str, str]] | None = None,
 ) -> SimilarityMatrix:
     """Score the requested unordered patient pairs, or every pair when
-    pairs is None.
+    pairs is None: compute_legs for one leg."""
+    return compute_legs([(matrices, config)], pairs)[0]
 
-    Patients are ordered by sorted id. A requested pair is skipped when
-    matrices lacks one of its patients or names one patient twice. Every
-    pair not requested is undefined in the result, so it serves a
-    consumer that reads only the pairs it asked for. Each pair is scored
-    bitwise as in the full triangle: the kernels score a pair on the same
-    operands whatever else is requested. The result does not depend on
-    config.workers; only the wall time does. The eds pool never has more
+
+def compute_legs(
+    legs: Sequence[tuple[Mapping[str, PatientMatrix], RunConfig]],
+    pairs: Iterable[tuple[str, str]] | None = None,
+) -> list[SimilarityMatrix]:
+    """Each leg's similarity matrix over the requested unordered patient
+    pairs, or over every pair when pairs is None.
+
+    A leg is one set of patient matrices scored under one configuration.
+    Its patients are ordered by sorted id. A requested pair is skipped in
+    a leg that lacks one of its patients, and a pair naming one patient
+    twice is skipped everywhere. Every pair not requested is undefined in
+    the result, so it serves a consumer that reads only the pairs it asked
+    for. The eds legs of one dim and worker count share one pack and one
+    eds_batch call (or one pool), since eds solves one cross matrix per
+    pair; each rv2 and mms leg keeps a pack of its own, since their tile
+    products fix each score's bits. So each pair is scored bitwise as in
+    its leg's full triangle, whatever else is requested with it. The
+    result does not depend on config.workers; only the wall time does,
+    and legs scored together share theirs. The eds pool never has more
     processes than this process may run on CPUs at once.
     """
+    request = None if pairs is None else list(pairs)
+    plans = [_plan(matrices, request) for matrices, _ in legs]
+    groups: dict[object, list[int]] = {}
+    for k, ((matrices, config), (ids, _, _)) in enumerate(zip(legs, plans)):
+        key = (matrices[ids[0]].rows.shape[1], config.workers) \
+            if config.mmethod == "eds" else k
+        groups.setdefault(key, []).append(k)
+
+    out: dict[int, SimilarityMatrix] = {}
+    for members in groups.values():
+        t0 = time.perf_counter()
+        config = legs[members[0]][1]
+        firsts = np.cumsum([0] + [len(plans[k][0]) for k in members])
+        if len(members) == 1:  # one leg's pairs are scored as listed, with no copy
+            _, ii, jj = plans[members[0]]
+        else:  # leg k's patients follow the earlier legs' in the pack
+            ii = np.concatenate([plans[k][1] + first for k, first in zip(members, firsts)])
+            jj = np.concatenate([plans[k][2] + first for k, first in zip(members, firsts)])
+        payload = kernels.pack(config.mmethod, [legs[k][0][pid].rows for k in members
+                                                for pid in plans[k][0]])
+        scores, ok = _score(payload, ii, jj, config)
+        at = 0
+        for k, first in zip(members, firsts):
+            ids, lii, ljj = plans[k]
+            stop = at + lii.size
+            out[k] = _scatter(ids, lii, ljj, scores[at:stop], ok[at:stop],
+                              payload["valid"][first:first + len(ids)], legs[k][1])
+            at = stop
+        wall = time.perf_counter() - t0
+        for k in members:
+            out[k].wall_time_seconds = wall
+    return [out[k] for k in range(len(legs))]
+
+
+def _plan(matrices: Mapping[str, PatientMatrix], request: list[tuple[str, str]] | None
+          ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """One leg's sorted ids and the index pairs (i, j), i < j, to score:
+    the triangle, or the request's pairs in the triangle's order."""
     ids = sorted(matrices)
     n = len(ids)
     if n < 2:
@@ -188,44 +243,37 @@ def compute_pairs(
     dims = {matrices[pid].rows.shape[1] for pid in ids}
     if len(dims) != 1:
         raise DimMismatch(f"patient matrices disagree on dim: {sorted(dims)}")
-
-    t0 = time.perf_counter()
-    payload = kernels.pack(config.mmethod, [matrices[pid].rows for pid in ids])
-    if pairs is None:
+    if request is None:
         ii, jj = np.triu_indices(n, k=1)
-    else:
-        index = {pid: k for k, pid in enumerate(ids)}
-        at = [(index[a], index[b]) for a, b in pairs if a in index and b in index and a != b]
-        # as in the triangle: i < j, in row order
-        ii, jj = np.array(sorted({(min(p), max(p)) for p in at}), dtype=np.intp
-                          ).reshape(-1, 2).T
+        return ids, ii, jj
+    index = {pid: k for k, pid in enumerate(ids)}
+    at = [(index[a], index[b]) for a, b in request if a in index and b in index and a != b]
+    ii, jj = np.array(sorted({(min(p), max(p)) for p in at}), dtype=np.intp).reshape(-1, 2).T
+    return ids, ii, jj
+
+
+def _score(payload: dict, ii: np.ndarray, jj: np.ndarray, config: RunConfig
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """kernels.score_pairs over a pack, with eds pairs split over a pool of
+    config.workers processes when there are enough of them."""
     npairs = ii.size
-
-    if (config.mmethod == "eds" and config.workers > 1
+    if not (config.mmethod == "eds" and config.workers > 1
             and npairs >= _MIN_PAIRS_FOR_POOL):
-        # more processes than usable CPUs only add fork and IPC cost
-        processes = min(config.workers, len(os.sched_getaffinity(0))
-                        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-        chunk = max(1, -(-npairs // (processes * 8)))
-        ranges = [(s, min(s + chunk, npairs)) for s in range(0, npairs, chunk)]
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes=processes,
-            initializer=_init_worker,
-            initargs=(payload, ii, jj),
-        ) as pool:
-            parts = pool.map(_worker_chunk, ranges)
-        scores = np.concatenate([scores for scores, _ in parts])
-        ok = np.concatenate([ok for _, ok in parts])
-    else:
-        scores, ok = kernels.score_pairs(payload, ii, jj)
-
-    sim = _scatter(ids, ii, jj, scores, ok, payload["valid"], config)
-    sim.wall_time_seconds = time.perf_counter() - t0
-    return sim
+        return kernels.score_pairs(payload, ii, jj)
+    # more processes than usable CPUs only add fork and IPC cost
+    processes = min(config.workers, len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    chunk = max(1, -(-npairs // (processes * 8)))
+    ranges = [(s, min(s + chunk, npairs)) for s in range(0, npairs, chunk)]
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        ctx = multiprocessing.get_context()
+    with ctx.Pool(processes=processes, initializer=_init_worker,
+                  initargs=(payload, ii, jj)) as pool:
+        parts = pool.map(_worker_chunk, ranges)
+    return (np.concatenate([scores for scores, _ in parts]),
+            np.concatenate([ok for _, ok in parts]))
 
 
 def _scatter(ids: Sequence[str], ii: np.ndarray, jj: np.ndarray, scores: np.ndarray,

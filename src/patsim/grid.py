@@ -30,7 +30,7 @@ from .engine import (
     RunConfig,
     SimilarityMatrix,
     combine_similarities,
-    compute_pairs,
+    compute_legs,
     parse_vmethod,
     vmethod_label,
 )
@@ -257,26 +257,31 @@ class _GridRunner:
     def table(self, context: str | None) -> dict[tuple[str, str], SimilarityMatrix | None]:
         """Every (vmethod, mmethod) similarity of one context, None where
         the leg is unavailable. Each leg's matrices are built once, and
-        only the validation's (pivot, candidate) pairs are scored: every
-        other pair of these matrices is undefined."""
+        only the validation's (pivot, candidate) pairs are scored, by one
+        compute_legs call: every other pair of these matrices is
+        undefined."""
         def config(vmethod: str, mmethod: str) -> RunConfig:
             return RunConfig(filter=context is not None, vmethod=vmethod, mmethod=mmethod,
                              category=context, workers=self.legs.options.workers,
                              seed=self.legs.options.seed)
 
         lsa = {dim: vectors for dim, (_, vectors) in self.legs.lsa(context, LSA_DIMS).items()}
-        pairs = self.validation.pairs()
-        table: dict[tuple[str, str], SimilarityMatrix | None] = {}
+        mats: dict[str, dict] = {}
         for vmethod in LEG_METHODS:
             family, dim = parse_vmethod(vmethod)
             embedder = lsa.get(dim) if family == "lsa" else self.imports[vmethod]
             if family == "lsa" and embedder is None:
                 log.warning("lsa dim %d for %s: too few documents or terms",
                             dim, context or "all")
-            mats = None if embedder is None else self._matrices(context, vmethod, embedder)
-            for mmethod in MMETHODS:
-                table[vmethod, mmethod] = None if mats is None or len(mats) < 2 \
-                    else compute_pairs(mats, config(vmethod, mmethod), pairs)
+            if embedder is not None:
+                mats[vmethod] = self._matrices(context, vmethod, embedder)
+        scored = [(vmethod, mmethod) for vmethod, leg in mats.items() if len(leg) >= 2
+                  for mmethod in MMETHODS]
+        table: dict[tuple[str, str], SimilarityMatrix | None] = dict.fromkeys(
+            ((vmethod, mmethod) for vmethod in LEG_METHODS for mmethod in MMETHODS), None)
+        table.update(zip(scored, compute_legs(
+            [(mats[vmethod], config(vmethod, mmethod)) for vmethod, mmethod in scored],
+            self.validation.pairs())))
         for mmethod in MMETHODS:
             members = [table[vmethod_label(fam, 50), mmethod] for fam in MEMBER_FAMILIES]
             members = [m for m in members if m is not None]

@@ -95,30 +95,28 @@ def _eds_dp(cp: np.ndarray) -> np.ndarray:
 
 
 def _eds_walk(d: np.ndarray, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """Each pair's backtrack through its DP table d[p], from its corner
+    """Each pair's backtrack through its DP table, from its corner
     (n1[p] - 1, n2[p] - 1) to (0, 0).
 
-    A step goes diagonally, unless up is greater, unless left is greater
-    still. walk[:, t, p] is pair p's (i, j) cell after t steps; a walk
-    that has reached (0, 0) stays there.
+    d is the tables' -inf-padded buffer: pair p's cell (i, j) is
+    d[p, i + 1, j + 1], and row 0 and column 0 hold -inf, so a step off
+    the table is never the greatest. A step goes diagonally, unless up
+    is greater, unless left is greater still. walk[:, t, p] is pair p's
+    (i, j) cell after t steps; a walk that has reached (0, 0) stays there.
     """
-    k, _, w = d.shape
+    k, h, w = d.shape
     flat = d.reshape(-1)
-    base = np.arange(k) * d[0].size
-    i, j = n1 - 1, n2 - 1
-    walk = np.empty((2, int((i + j).max()) + 1, k), dtype=np.intp)
-    walk[:, 0] = i, j
-    for t in range(1, walk.shape[1]):
-        at = base + i * w + j
-        has_i, has_j = i > 0, j > 0
-        best = np.where(has_i & has_j, flat[at - w - 1], -np.inf)
-        up = flat[at - w]
-        go_up = has_i & (up > best)
-        go_left = has_j & (flat[at - 1] > np.where(go_up, up, best))
-        i = i - (has_i & ~go_left)
-        j = j - (has_j & (go_left | ~go_up))
-        walk[:, t] = i, j
-    return walk
+    corner = np.arange(k) * (h * w) + w + 1  # each pair's (0, 0)
+    at = corner + (n1 - 1) * w + (n2 - 1)
+    walk = np.empty((int((n1 + n2).max()) - 1, k), dtype=np.intp)
+    walk[0] = at
+    for t in range(1, walk.shape[0]):
+        diag, up, left = flat[at - w - 1], flat[at - w], flat[at - 1]
+        at = np.maximum(at - np.where(left > np.maximum(diag, up), 1, w + (up <= diag)),
+                        corner)
+        walk[t] = at
+    i, j = np.divmod(walk - (corner - w - 1), w)
+    return np.stack([i - 1, j - 1])
 
 
 def _eds_path_means(c: np.ndarray, pairs: np.ndarray, walk: np.ndarray
@@ -151,16 +149,19 @@ def _eds_block(c: np.ndarray, n1: np.ndarray, n2: np.ndarray, lam: np.ndarray
     trace = [lam]
     iters = np.zeros(lam.size, dtype=np.intp)
     walks = np.zeros((2, int(n1.max() + n2.max()) - 1, lam.size), dtype=np.intp)
-    buf = np.empty(c.shape)
+    k, h, w = c.shape
+    buf = np.full((k, h + 1, w + 1), -np.inf)  # the DP writes inside the -inf border
     active = np.arange(lam.size)
     for _ in range(_MAX_DINKELBACH_ITERS):
-        cp = buf[:active.size]
+        padded = buf[:active.size]
+        cp = padded[:, 1:, 1:]
         if active.size == len(c):
             np.subtract(c, lam[:, None, None], out=cp)
         else:
             np.take(c, active, axis=0, out=cp, mode="clip")
             cp -= lam[:, None, None]
-        walk = _eds_walk(_eds_dp(cp), n1, n2)
+        _eds_dp(cp)
+        walk = _eds_walk(padded, n1, n2)
         walks[:, :walk.shape[1], active] = walk
         ratio = _eds_path_means(c, active, walk)
         rising = ratio > lam

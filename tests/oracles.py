@@ -254,3 +254,52 @@ def embed_reference(model, text: str) -> np.ndarray | None:
     vec = model.projection[cols].T @ weights
     norm = np.linalg.norm(vec)
     return None if norm <= 1e-12 else vec / norm
+
+
+def backtrack_reference(d) -> list[tuple[int, int]]:
+    """The (0, 0) -> corner path that a backtrack through a max-sum table
+    d takes from its corner, by plain loops.
+
+    Each step goes to the greatest of the diagonal, upper and left
+    neighbours that lie in the table, ties broken diagonal > up > left.
+    """
+    i, j = len(d) - 1, len(d[0]) - 1
+    path = [(i, j)]
+    while i or j:
+        moves = [(i - 1, j - 1)] if i and j else []
+        moves += [(i - 1, j)] if i else []
+        moves += [(i, j - 1)] if j else []
+        best = moves[0]
+        for move in moves[1:]:
+            if d[move[0]][move[1]] > d[best[0]][best[1]]:
+                best = move
+        i, j = best
+        path.append(best)
+    return path[::-1]
+
+
+def eds_path_reference(c: np.ndarray, max_iters: int = 100
+                       ) -> tuple[float, list[tuple[int, int]]]:
+    """Max mean path score and the path the last level's table gives, by
+    plain loops: Dinkelbach over a full max-sum table d, where d[i][j] is
+    c[i, j] - lam plus the greatest of its in-table diagonal, upper and
+    left neighbours, each table backtracked by backtrack_reference. The
+    path mean is summed from (0, 0) forward."""
+    n1, n2 = c.shape
+    lam = min(float(v) for v in c.flat)
+    for _ in range(max_iters):
+        d = [[0.0] * n2 for _ in range(n1)]
+        for i in range(n1):
+            for j in range(n2):
+                prior = [d[a][b] for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1))
+                         if a >= 0 and b >= 0]
+                d[i][j] = (max(prior) if prior else 0.0) + (float(c[i, j]) - lam)
+        path = backtrack_reference(d)
+        total = 0.0
+        for a, b in path:
+            total += float(c[a, b])
+        ratio = total / len(path)
+        if not ratio > lam:
+            break
+        lam = ratio
+    return lam, path

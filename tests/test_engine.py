@@ -11,6 +11,7 @@ from patsim.engine import (
     SimilarityMatrix,
     combine_similarities,
     compute_all_pairs,
+    compute_legs,
     compute_pairs,
     export_csv,
     load_similarity,
@@ -216,6 +217,72 @@ class TestComputePairs:
         full, again = compute_all_pairs(mats, config("eds")), compute_pairs(mats, config("eds"))
         assert full.scores.tobytes() == again.scores.tobytes()
         assert np.array_equal(full.defined, again.defined)
+
+
+class TestComputeLegs:
+    """Several legs in one call: each eds dim (and worker count) is one
+    eds_batch call over one pack, each rv2 and mms leg a pack of its own,
+    and every result is bitwise the one its leg alone gets."""
+
+    @staticmethod
+    def legs(rng, workers=1):
+        # legs over overlapping patient sets; one patient is in no leg
+        mats = [make_matrices(rng, 70, d=d) for d in (6, 6, 4)]
+        del mats[0]["p001"], mats[1]["p002"]
+        return [(m, config(mmethod, workers=workers, vmethod=f"lsa{d:03d}"))
+                for m, d in zip(mats, (6, 6, 4)) for mmethod in engine.MMETHODS]
+
+    @staticmethod
+    def spy(mp, name):
+        sizes = []
+        score = getattr(kernels, name)
+        mp.setattr(kernels, name, lambda *args: sizes.append(args[-1].size) or score(*args))
+        return sizes
+
+    @pytest.mark.parametrize("request_pairs", [False, True])
+    def test_bitwise_per_leg_with_one_eds_batch_per_dim(self, rng, request_pairs):
+        legs = self.legs(rng)
+        ids = sorted(legs[0][0])
+        pairs = [(ids[3], ids[65]), (ids[1], ids[2]), (ids[11], ids[10]),
+                 (ids[2], ids[40]), (ids[5], "ghost"), (ids[7], ids[7])] \
+            if request_pairs else None
+        with pytest.MonkeyPatch.context() as mp:
+            calls = {name: self.spy(mp, name)
+                     for name in ("eds_batch", "mms_batch", "rv2_batch")}
+            sims = compute_legs(legs, pairs)
+        alone = [compute_pairs(m, c, pairs) for m, c in legs]
+        # dims 6 and 4 for eds; one call per leg for rv2 and mms
+        assert len(calls["eds_batch"]) == 2
+        assert len(calls["mms_batch"]) == len(calls["rv2_batch"]) == 3
+        assert sum(calls["eds_batch"]) == sum(
+            int(np.triu(a.defined, 1).sum()) for a, (_, c) in zip(alone, legs)
+            if c.mmethod == "eds")
+        for sim, one, (_, c) in zip(sims, alone, legs, strict=True):
+            assert sim.config == c and sim.patient_ids == one.patient_ids
+            assert np.array_equal(sim.defined, one.defined)
+            assert sim.scores.tobytes() == one.scores.tobytes()
+
+    def test_pool_over_legs_matches_one_process(self, rng, monkeypatch):
+        # one pool for the two dim-6 eds legs (2,346 pairs each), one for the
+        # dim-4 leg (2,415)
+        pools = []
+        get_context = engine.multiprocessing.get_context
+        monkeypatch.setattr(engine.multiprocessing, "get_context",
+                            lambda *a: pools.append(a) or get_context(*a))
+        pooled = compute_legs(self.legs(np.random.default_rng(0), workers=2), None)
+        assert pools == [("fork",)] * 2
+        for sim, one in zip(pooled, compute_legs(self.legs(np.random.default_rng(0)), None),
+                            strict=True):
+            assert sim.scores.tobytes() == one.scores.tobytes()
+            assert np.array_equal(sim.defined, one.defined)
+
+    def test_no_legs(self):
+        assert compute_legs([], None) == []
+
+    def test_a_leg_of_one_patient_is_rejected(self, rng):
+        legs = self.legs(rng)
+        with pytest.raises(TooFewPatients):
+            compute_legs(legs + [(make_matrices(rng, 1), config("eds"))], None)
 
 
 class TestCombine:

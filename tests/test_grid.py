@@ -165,7 +165,7 @@ class TestGridValidation:
         validation = synthesize_validation(assignment, n_pivots=3, n_annotators=1,
                                            seed=1)
         scored = []
-        monkeypatch.setattr(grid, "compute_pairs",
+        monkeypatch.setattr(grid, "compute_legs",
                             lambda *args: scored.append(args))
         with pytest.raises(TooShort):
             grid_search(corpus, validation, prototypes=default_prototypes())
@@ -185,7 +185,7 @@ class TestGridValidation:
         )
         validation = synthesize_validation(assignment, n_pivots=3, seed=1)
         scored = []
-        monkeypatch.setattr(grid, "compute_pairs",
+        monkeypatch.setattr(grid, "compute_legs",
                             lambda *args: scored.append(args))
         relevancy = segmenter.RelevancyMap({"Medication": frozenset({"medication"})})
         with pytest.raises(ConfigError, match="no entry for 'Age'"):
@@ -224,14 +224,21 @@ class TestGridWork:
         )
         imports = tmp_path_factory.mktemp("grid") / "imports"
         _write_imports(imports, corpus, ("d2v050", "rbc200"))
-        scored, combined, eds = [], [], []
+        scored, combined, eds, calls = [], [], [], []
 
-        def compute_pairs(mats, config, pairs):
-            scored.append(config)
-            if config.mmethod == "eds":  # the distinct pairs of the leg's patients
-                eds.append([len({frozenset(p) for p in validation.pairs()
-                                 if set(p) <= set(mats) and p[0] != p[1]}), len(mats)])
-            return engine.compute_pairs(mats, config, pairs)
+        def compute_legs(legs, pairs):
+            pairs = list(pairs)
+            # per dim, the distinct requested pairs of each eds leg's patients
+            want: dict[int, list[int]] = {}
+            for mats, config in legs:
+                scored.append(config)
+                if config.mmethod == "eds":
+                    want.setdefault(config.dim, []).append(
+                        len({frozenset(p) for p in pairs
+                             if set(p) <= set(mats) and p[0] != p[1]}))
+            eds.append((want, []))
+            calls.append((legs, pairs, engine.compute_legs(legs, pairs)))
+            return calls[-1][2]
 
         def combine_similarities(members, config):
             combined.append((config, [m.config.vmethod for m in members]))
@@ -240,42 +247,59 @@ class TestGridWork:
         score = kernels.eds_batch
 
         def eds_batch(rows, offsets, ii, jj):
-            eds[-1].append(ii.size)
+            eds[-1][1].append((rows.shape[1], ii.size))  # (dim, pairs)
             return score(rows, offsets, ii, jj)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(grid, "compute_pairs", compute_pairs)
+            mp.setattr(grid, "compute_legs", compute_legs)
             mp.setattr(grid, "combine_similarities", combine_similarities)
             mp.setattr(kernels, "eds_batch", eds_batch)
             report = grid_search(corpus, validation, prototypes=default_prototypes(),
                                  imports_dir=imports,
                                  options=GridOptions(seed=3, threshold=0.6))
-        return report, scored, combined, eds
+        return report, scored, combined, eds, calls
 
     def config(self, context, vmethod, mmethod):
         return engine.RunConfig(filter=context is not None, vmethod=vmethod,
                                 mmethod=mmethod, category=context, seed=3)
 
     def test_each_leg_scored_once_per_context_and_measure(self, recorded):
-        _, scored, _, _ = recorded
+        _, scored, *_ = recorded
         assert len(scored) == len(set(scored))
         assert set(scored) == {self.config(ctx, v, m) for ctx in self.CONTEXTS
                                for v in self.LEGS for m in engine.MMETHODS}
 
     def test_one_combine_per_context_and_measure(self, recorded):
-        _, _, combined, _ = recorded
+        _, _, combined, *_ = recorded
         assert sorted(combined, key=repr) == sorted(
             [(self.config(ctx, "combined", m), ["lsa050", "d2v050"])
              for ctx in self.CONTEXTS for m in engine.MMETHODS], key=repr)
 
     def test_eds_scores_only_the_validations_distinct_pairs(self, recorded):
-        *_, eds = recorded
-        assert len(eds) == len(self.CONTEXTS) * len(self.LEGS)
-        for distinct, n, *batches in eds:
-            assert batches == [distinct] and 0 < distinct < n * (n - 1) // 2
+        _, _, _, eds, _ = recorded
+        assert len(eds) == len(self.CONTEXTS)
+        for want, batches in eds:
+            assert dict(batches) == {dim: sum(legs) for dim, legs in want.items()}
+            assert all(distinct > 0 for legs in want.values() for distinct in legs)
+
+    def test_one_eds_batch_per_context_and_dim(self, recorded):
+        _, _, _, eds, _ = recorded
+        dims = sorted({engine.parse_vmethod(v)[1] for v in self.LEGS})
+        assert [sorted(dim for dim, _ in batches) for _, batches in eds] \
+            == [dims] * len(self.CONTEXTS)
+
+    def test_every_score_is_the_one_leg_alone_gets(self, recorded):
+        *_, calls = recorded
+        for legs, pairs, sims in calls:
+            for (mats, config), sim in zip(legs, sims, strict=True):
+                alone = engine.compute_pairs(mats, config, pairs)
+                assert sim.patient_ids == alone.patient_ids
+                assert np.array_equal(sim.defined, alone.defined)
+                assert np.array_equal(sim.scores.view(np.uint64),
+                                      alone.scores.view(np.uint64))
 
     def test_cells_follow_the_available_legs(self, recorded):
-        report, _, _, _ = recorded
+        report, *_ = recorded
         status = {(c.vmethod, c.filter, c.mmethod): c.status for c in report.cells}
         for (vmethod, _, _), value in status.items():
             expected = {"combined": "partial", "d2v200": "skipped",
@@ -314,7 +338,7 @@ class TestGridWork:
         with open(tmp_path / "imports" / "rbc200.jsonl", "a", encoding="utf-8") as fh:
             fh.write('{"patient_id": 7, "note_index": 0, "vector": [1.0]}\n')
         scored = []
-        monkeypatch.setattr(grid, "compute_pairs",
+        monkeypatch.setattr(grid, "compute_legs",
                             lambda *args: scored.append(args))
         with pytest.raises(ParseError, match="rbc200.jsonl"):
             grid_search(corpus, validation, prototypes=default_prototypes(),
@@ -333,7 +357,7 @@ class TestGridWork:
         path.write_text("".join(json.dumps(r) + "\n" for r in records
                                 if (r["patient_id"], r["note_index"]) != (pid, 0)))
         scored = []
-        monkeypatch.setattr(grid, "compute_pairs",
+        monkeypatch.setattr(grid, "compute_legs",
                             lambda *args: scored.append(args))
         with pytest.raises(MissingEmbedding, match=rf"d2v050.jsonl: no record for 1 "
                                                    rf"note\(s\), the first \('{pid}', 0\)"):
@@ -360,11 +384,12 @@ def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
     )
     scored = {}
 
-    def compute_pairs(mats, config, pairs):
-        scored[config.vmethod, config.mmethod] = mats
-        return engine.compute_pairs(mats, config, pairs)
+    def compute_legs(legs, pairs):
+        for mats, config in legs:
+            scored[config.vmethod, config.mmethod] = mats
+        return engine.compute_legs(legs, pairs)
 
-    monkeypatch.setattr(grid, "compute_pairs", compute_pairs)
+    monkeypatch.setattr(grid, "compute_legs", compute_legs)
     table = runner.table("Medication")
     assert table["lsa050", "rv2"].config.category == "Medication"
     grid_mats = scored["lsa050", "rv2"]

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from patsim import kernels
 
 from conftest import unit_rows
-from oracles import (eds_loop_reference, enumerate_best_mean_path, mms_reference,
-                     rv2_reference)
+from oracles import (eds_loop_reference, eds_path_reference, enumerate_best_mean_path,
+                     mms_reference, rv2_reference)
 
 
 class TestEdsScore:
@@ -71,6 +71,23 @@ class TestEdsPath:
     def test_ties_prefer_diagonal_then_up_then_left(self, shape, want):
         # a constant matrix ties every step of the backtrack
         assert kernels.eds_best_path(np.ones(shape)) == (1.0, want)
+
+    def test_tied_paths_match_the_plain_loop_backtrack(self, rng):
+        # integer cells at most 2 with a planted monotone path of 2s: the
+        # final level is exactly 2, so both tables are exact and tie on every
+        # path of 2s, and only the tie order picks the path
+        for _ in range(300):
+            n1, n2 = (int(v) for v in rng.integers(1, 10, size=2))
+            c = rng.integers(-1, 3, size=(n1, n2)).astype(np.float64)
+            i = j = 0
+            c[0, 0] = 2.0
+            while (i, j) != (n1 - 1, n2 - 1):
+                di, dj = ((1, 1), (1, 0), (0, 1))[int(rng.integers(3))]
+                i, j = min(i + di, n1 - 1), min(j + dj, n2 - 1)
+                c[i, j] = 2.0
+            score, path = eds_path_reference(c)
+            assert score == 2.0
+            assert kernels.eds_best_path(c) == (score, path)
 
     def test_path_at_the_iteration_cap_scores_the_returned_level(self, rng, monkeypatch):
         # one level update, then the cap: no step has run at the final level

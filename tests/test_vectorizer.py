@@ -193,6 +193,28 @@ class TestRandomizedSvdOracle:
         x = np.tile(rng.standard_normal((10, 256)), (6, 1))
         self.check(x, 50)
 
+    # equal-norm orthogonal columns: singular values 3 (x4), 2 (x3), 1 (x5),
+    # so a rank can end inside a block of equal values
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_repeated_singular_values(self, rng, solver, transpose):
+        q = np.linalg.qr(rng.standard_normal((60, 12)))[0]
+        x = q * np.repeat([3.0, 2.0, 1.0], [4, 3, 5])
+        for k in (1, 4, 5, 7, 11, 12):
+            self.check(x.T if transpose else x, k)
+            self.check(sp.csr_matrix(x.T if transpose else x), k)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_no_thin_svd(self, rng, solver, monkeypatch, transpose):
+        def svd(*args, **kwargs):
+            raise AssertionError("randomized_svd called np.linalg.svd")
+
+        x = sp.random(30, 80, density=0.2, random_state=rng, format="csr")
+        x = x.T.tocsr() if transpose else x
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for ranks in ((1, 10), (29,), (30,)):
+            assert len(randomized_svd(x, ranks)) == len(ranks)
+            assert len(randomized_svd(x.toarray(), ranks)) == len(ranks)
+
     def test_rank_out_of_range(self):
         x = np.ones((3, 5))
         for ranks in ((0,), (4,), (2, 4)):
