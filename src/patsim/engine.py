@@ -36,7 +36,6 @@ __all__ = [
     "RunConfig",
     "SimilarityMatrix",
     "compute_all_pairs",
-    "compute_pairs",
     "compute_legs",
     "combine_similarities",
     "persist_similarity",
@@ -119,8 +118,9 @@ class SimilarityMatrix:
 
     scores[i, j] == scores[j, i] exactly (the triangle is stored once and
     mirrored); undefined entries hold NaN with defined[i, j] False. A
-    matrix that compute_pairs built for a request leaves every pair it
-    was not asked for undefined.
+    matrix that compute_legs built for a request leaves every pair it
+    was not asked for undefined. wall_time_seconds is the scoring time:
+    legs scored together split their shared time by pair count.
     """
 
     patient_ids: list[str]
@@ -164,17 +164,8 @@ def compute_all_pairs(
     matrices: Mapping[str, PatientMatrix], config: RunConfig
 ) -> SimilarityMatrix:
     """Score every unordered patient pair under one configuration:
-    compute_pairs with no request."""
-    return compute_pairs(matrices, config)
-
-
-def compute_pairs(
-    matrices: Mapping[str, PatientMatrix], config: RunConfig,
-    pairs: Iterable[tuple[str, str]] | None = None,
-) -> SimilarityMatrix:
-    """Score the requested unordered patient pairs, or every pair when
-    pairs is None: compute_legs for one leg."""
-    return compute_legs([(matrices, config)], pairs)[0]
+    compute_legs for one leg with no request."""
+    return compute_legs([(matrices, config)])[0]
 
 
 def compute_legs(
@@ -195,8 +186,8 @@ def compute_legs(
     products fix each score's bits. So each pair is scored bitwise as in
     its leg's full triangle, whatever else is requested with it. The
     result does not depend on config.workers; only the wall time does,
-    and legs scored together share theirs. The eds pool never has more
-    processes than this process may run on CPUs at once.
+    and legs scored together split theirs by pair count. The eds pool
+    never has more processes than this process may run on CPUs at once.
     """
     request = None if pairs is None else list(pairs)
     plans = [_plan(matrices, request) for matrices, _ in legs]
@@ -228,7 +219,8 @@ def compute_legs(
             at = stop
         wall = time.perf_counter() - t0
         for k in members:
-            out[k].wall_time_seconds = wall
+            share = plans[k][1].size / ii.size if ii.size else 1 / len(members)
+            out[k].wall_time_seconds = wall * share
     return [out[k] for k in range(len(legs))]
 
 

@@ -127,17 +127,19 @@ def randomized_svd(x, ranks: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarr
     """Exact truncated SVD: for each k in ranks, the k largest singular
     values and right vectors.
 
-    Returns one (singular_values[:k], vt[:k]) per rank, values in
-    descending order, for dense or scipy.sparse x. The top-k eigenvectors
-    q of the smaller Gram matrix (m x m, m = min(x.shape)), largest
-    first, give the rest with no SVD: the singular values are the column
-    norms of x q (or of x.T q); when the Gram matrix is x.T x the right
-    vectors are q itself, and when it is x x.T they are the Q of the
-    reduced QR of x.T q. LAPACK's eigh finds the eigenvectors when
-    m <= _GRAM_EIGH_MAX, or when k == m, which ARPACK cannot return;
-    ARPACK (eigsh on the Gram operator, never formed) finds them
-    otherwise, orthonormalized by one QR. Every rank shares one eigh, and
-    each pair is bitwise the one that rank alone gives.
+    Returns one (singular_values[:k], vt[:k]) per rank, for dense or
+    scipy.sparse x. The values come in eigenvalue order, so descending
+    only up to rounding: equal or nearly equal values may be out of order
+    by an ulp. The top-k eigenvectors q of the smaller Gram matrix
+    (m x m, m = min(x.shape)), largest first, give the rest with no
+    SVD: the singular values are the column norms of x q (or of x.T q);
+    when the Gram matrix is x.T x the right vectors are q itself, and
+    when it is x x.T they are the Q of the reduced QR of x.T q. LAPACK's
+    eigh finds the eigenvectors when m <= _GRAM_EIGH_MAX, or when k == m,
+    which ARPACK cannot return; ARPACK (eigsh on the Gram operator, never
+    formed) finds them otherwise, orthonormalized by one QR. Every rank
+    shares one eigh, and each pair is bitwise the one that rank alone
+    gives.
 
     Deterministic: ARPACK's start vector, and the restart vectors it draws
     on rank-deficient input, come from a fixed seed. Each vt row is signed

@@ -12,7 +12,6 @@ from patsim.engine import (
     combine_similarities,
     compute_all_pairs,
     compute_legs,
-    compute_pairs,
     export_csv,
     load_similarity,
     parse_vmethod,
@@ -174,7 +173,7 @@ class TestComputeAllPairs:
 
 
 class TestComputePairs:
-    """A request scores only its pairs, each bitwise as in the full triangle."""
+    """A one-leg request scores only its pairs, each bitwise as in the full triangle."""
 
     @pytest.mark.parametrize("mmethod", engine.MMETHODS)
     def test_requested_pairs_bitwise_equal_to_all_pairs(self, rng, mmethod):
@@ -193,7 +192,7 @@ class TestComputePairs:
         full = compute_all_pairs(mats, config(mmethod))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, f"{mmethod}_batch", batch)
-            part = compute_pairs(mats, config(mmethod), request)
+            part = compute_legs([(mats, config(mmethod))], request)[0]
         assert sizes == [len(wanted)]
         assert part.patient_ids == full.patient_ids
         assert np.array_equal(part.defined.diagonal(), full.defined.diagonal())
@@ -209,12 +208,13 @@ class TestComputePairs:
 
     def test_no_pair_of_the_matrices_requested(self, rng):
         mats = make_matrices(rng, 4)
-        sim = compute_pairs(mats, config("eds"), [("p000", "ghost")])
+        sim = compute_legs([(mats, config("eds"))], [("p000", "ghost")])[0]
         assert np.array_equal(sim.defined, np.eye(4, dtype=bool))
 
     def test_all_pairs_is_no_request(self, rng):
         mats = make_matrices(rng, 9)
-        full, again = compute_all_pairs(mats, config("eds")), compute_pairs(mats, config("eds"))
+        full = compute_all_pairs(mats, config("eds"))
+        again = compute_legs([(mats, config("eds"))])[0]
         assert full.scores.tobytes() == again.scores.tobytes()
         assert np.array_equal(full.defined, again.defined)
 
@@ -250,7 +250,7 @@ class TestComputeLegs:
             calls = {name: self.spy(mp, name)
                      for name in ("eds_batch", "mms_batch", "rv2_batch")}
             sims = compute_legs(legs, pairs)
-        alone = [compute_pairs(m, c, pairs) for m, c in legs]
+        alone = [compute_legs([(m, c)], pairs)[0] for m, c in legs]
         # dims 6 and 4 for eds; one call per leg for rv2 and mms
         assert len(calls["eds_batch"]) == 2
         assert len(calls["mms_batch"]) == len(calls["rv2_batch"]) == 3
@@ -275,6 +275,16 @@ class TestComputeLegs:
                             strict=True):
             assert sim.scores.tobytes() == one.scores.tobytes()
             assert np.array_equal(sim.defined, one.defined)
+
+    def test_grouped_legs_split_their_wall_time_by_pairs(self, rng):
+        # two dim-6 eds legs share one call: 69 and 70 patients
+        mats = [make_matrices(rng, 70, d=6) for _ in range(2)]
+        del mats[0]["p001"]
+        sims = compute_legs([(m, config("eds")) for m in mats], None)
+        pairs = [69 * 68 // 2, 70 * 69 // 2]
+        assert sims[0].wall_time_seconds > 0
+        assert sims[0].wall_time_seconds * pairs[1] == pytest.approx(
+            sims[1].wall_time_seconds * pairs[0], rel=1e-12)
 
     def test_no_legs(self):
         assert compute_legs([], None) == []

@@ -228,14 +228,15 @@ class TestGridWork:
 
         def compute_legs(legs, pairs):
             pairs = list(pairs)
-            # per dim, the distinct requested pairs of each eds leg's patients
-            want: dict[int, list[int]] = {}
+            # per dim, each eds leg's distinct validation pairs of its
+            # patients, and its patient count
+            want: dict[int, list[tuple[int, int]]] = {}
             for mats, config in legs:
                 scored.append(config)
                 if config.mmethod == "eds":
                     want.setdefault(config.dim, []).append(
-                        len({frozenset(p) for p in pairs
-                             if set(p) <= set(mats) and p[0] != p[1]}))
+                        (len({frozenset(p) for p in validation.pairs()
+                              if set(p) <= set(mats) and p[0] != p[1]}), len(mats)))
             eds.append((want, []))
             calls.append((legs, pairs, engine.compute_legs(legs, pairs)))
             return calls[-1][2]
@@ -279,8 +280,10 @@ class TestGridWork:
         _, _, _, eds, _ = recorded
         assert len(eds) == len(self.CONTEXTS)
         for want, batches in eds:
-            assert dict(batches) == {dim: sum(legs) for dim, legs in want.items()}
-            assert all(distinct > 0 for legs in want.values() for distinct in legs)
+            assert dict(batches) == {dim: sum(distinct for distinct, _ in legs)
+                                     for dim, legs in want.items()}
+            assert all(0 < distinct < n * (n - 1) // 2
+                       for legs in want.values() for distinct, n in legs)
 
     def test_one_eds_batch_per_context_and_dim(self, recorded):
         _, _, _, eds, _ = recorded
@@ -292,7 +295,7 @@ class TestGridWork:
         *_, calls = recorded
         for legs, pairs, sims in calls:
             for (mats, config), sim in zip(legs, sims, strict=True):
-                alone = engine.compute_pairs(mats, config, pairs)
+                alone = engine.compute_legs([(mats, config)], pairs)[0]
                 assert sim.patient_ids == alone.patient_ids
                 assert np.array_equal(sim.defined, alone.defined)
                 assert np.array_equal(sim.scores.view(np.uint64),
