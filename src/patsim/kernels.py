@@ -23,12 +23,16 @@ k // TILE form a tile, and all pairs between two tiles come from one
 matrix product. The tiles depend only on the patient indices, so a
 pair's score is the same whatever else is requested with it.
 
-An rv2 gram row is the strict upper triangle of the patient's d x d
-column cross-product: d(d-1)/2 float64 entries, d(d-1)/2 x 8 bytes per
-patient, so 4,267 patients at dim 200 hold 0.68 GB of grams, not the
-1.37 GB of the full matrices. Its scores are within 1e-12 of the full
-d x d form in tests/oracles.py (1.1e-15 at most measured against the
-full-matrix rows, on 124,750 pairs of 500 patients at dim 200).
+An rv2 triangle is the strict upper triangle of a patient's d x d
+column cross-product: d(d-1)/2 entries. No pack holds the triangles.
+rv2_batch streams them: rv2_gram forms every patient's slice of one
+chunk of entries, _GRAM_BUDGET (8 MiB) over all the pack's patients,
+and each requested tile pair adds the product of its slices to a
+TILE x TILE accumulator. So rv2 holds that budget plus one accumulator
+per requested tile pair, not n x d(d-1)/2 entries (0.68 GB for 4,267
+patients at dim 200). The chunks depend only on the pack's patient
+count and d, never on the request. Scores are within 1e-12 of the full
+d x d form in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -63,6 +67,11 @@ _MAX_DINKELBACH_ITERS = 100
 
 # Float64 cells in one padded block of eds_batch pairs (4 MiB per array).
 _CELL_BUDGET = 1 << 19
+
+# Float64 gram entries in one rv2 chunk, summed over the pack's patients
+# (8 MiB). A constant, so that a grid leg of 48 patients at dim 200 is
+# one chunk, and so that no request changes the chunks.
+_GRAM_BUDGET = 1 << 20
 
 # Patients per tile of rv2_batch and mms_batch. A constant, not a setting:
 # the tiles fix the shape of the product each pair is read from.
@@ -232,21 +241,26 @@ def _upper(d: int) -> np.ndarray:
     return flat
 
 
-def rv2_gram(rows: np.ndarray) -> np.ndarray | None:
-    """Strict upper triangle of the column cross-product, at unit norm.
+def rv2_gram(rows: np.ndarray, offsets: np.ndarray, start: int, stop: int
+             ) -> np.ndarray:
+    """Entries start:stop of each packed patient's gram triangle, one row
+    per patient (patients packed as in mms_batch).
 
-    The d x d cross-product is symmetric, so its d(d-1)/2 entries above
-    the diagonal hold all of its diagonal-removed form: the dot of two
-    triangles is half that of the full off-diagonal matrices, and each
-    norm is 1/sqrt(2) of theirs, so the cosine is the same. Returns None
-    when the triangle vanishes (single column, or exactly orthogonal
-    columns); such a patient has no defined correlation score.
+    The triangle is the strict upper triangle of the column cross-product
+    x.T @ x, row by row. The cross-product is symmetric, so the
+    triangle's dot product is half that of the diagonal-removed matrices
+    and each norm is 1/sqrt(2) of theirs: the cosine is the same. Only the
+    cross-product rows that hold the entries are formed.
     """
-    g = (rows.T @ rows).ravel()[_upper(rows.shape[1])]
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
-        return None
-    return g / norm
+    d = rows.shape[1]
+    i, j = np.divmod(_upper(d)[start:stop], d)
+    r0, r1 = int(i[0]), int(i[-1]) + 1
+    at = (i - r0) * (d - r0) + (j - r0)
+    out = np.empty((offsets.size - 1, stop - start))
+    for k in range(out.shape[0]):
+        x = rows[offsets[k]:offsets[k + 1], r0:]
+        np.take(x[:, :r1 - r0].T @ x, at, out=out[k])
+    return out
 
 
 def _groups(key: np.ndarray) -> list[np.ndarray]:
@@ -255,21 +269,41 @@ def _groups(key: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if key.size else []
 
 
-def rv2_batch(grams: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Scores for index pairs (ii[p], jj[p]) over prepared gram rows.
+def rv2_batch(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, offsets: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Scores for index pairs (ii[p], jj[p]) over patients packed as in
+    mms_batch, and every patient's squared triangle norm.
 
-    Each score is the cosine of two gram vectors, in [-1, 1] by
-    Cauchy-Schwarz. A pair (i, j), i <= j, is read from the product of
-    the gram rows of i's tile and j's tile, one GEMM per pair of tiles
-    requested.
+    A score is the cosine of two gram triangles. The triangles stream in
+    chunks of _GRAM_BUDGET entries over all patients, made by rv2_gram. A
+    pair (i, j), i <= j, sums the products of i's tile's and j's tile's
+    slices, one GEMM per chunk and pair of tiles requested, and is divided
+    by both norms at the end. Rounding can take a cosine just past 1, so
+    scores are clipped to [-1, 1]. A patient whose triangle vanishes
+    (single column, or exactly orthogonal columns) has norm 0 and NaN
+    scores.
     """
+    n, d = offsets.size - 1, rows.shape[1]
+    size = d * (d - 1) // 2
     lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+    tiles = [(p, lo[p[0]] // TILE * TILE, hi[p[0]] // TILE * TILE)
+             for p in _groups(lo // TILE * n + hi // TILE)]
+    acc = [np.zeros((min(TILE, n - a), min(TILE, n - b))) for _, a, b in tiles]
+    sq = np.zeros(n)
+    width = max(1, _GRAM_BUDGET // n)
+    for start in range(0, size, width):
+        g = rv2_gram(rows, offsets, start, min(start + width, size))
+        sq += np.einsum("ij,ij->i", g, g)
+        for (_, a, b), block in zip(tiles, acc):
+            block += g[a:a + TILE] @ g[b:b + TILE].T
+        del g  # so that one chunk, not two, is alive while the next is formed
     out = np.empty(ii.size, dtype=np.float64)
-    for p in _groups(lo // TILE * len(grams) + hi // TILE):
-        a, b = lo[p[0]] // TILE * TILE, hi[p[0]] // TILE * TILE
-        block = grams[a:a + TILE] @ grams[b:b + TILE].T
+    for (p, a, b), block in zip(tiles, acc):
         out[p] = block[lo[p] - a, hi[p] - b]
-    return out
+    norm = np.sqrt(sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= norm[lo] * norm[hi]
+    return np.clip(out, -1.0, 1.0, out=out), sq
 
 
 def mms_batch(
@@ -329,40 +363,33 @@ def eds_batch(
 
 
 def pack(mmethod: str, blocks: Sequence[np.ndarray]) -> dict:
-    """Prepare the patients' row blocks (equal dims) for score_pairs.
+    """Prepare the patients' row blocks (equal dims) for score_pairs: the
+    rows stacked in one aligned float64 copy, patient k at
+    rows[offsets[k]:offsets[k + 1]].
 
-    rv2 keeps one gram row per patient, the d(d-1)/2 entries rv2_gram
-    returns (8 d(d-1)/2 bytes); a vanishing gram leaves a zero row and
-    the patient invalid, so its pairs are undefined. mms and eds
-    stack the rows, patient k at rows[offsets[k]:offsets[k + 1]].
+    Every mms and eds patient is valid. An rv2 patient is valid when its
+    gram triangle does not vanish, which the scoring pass finds: "valid"
+    is None until score_pairs sets it.
     """
-    if mmethod == "rv2":
-        dim = blocks[0].shape[1]
-        grams = np.zeros((len(blocks), dim * (dim - 1) // 2), dtype=np.float64)
-        valid = np.zeros(len(blocks), dtype=bool)
-        for k, rows in enumerate(blocks):
-            g = rv2_gram(rows)
-            if g is not None:
-                grams[k] = g
-                valid[k] = True
-        return {"mmethod": mmethod, "grams": grams, "valid": valid}
-    if mmethod not in ("mms", "eds"):
+    if mmethod not in ("rv2", "mms", "eds"):
         raise ConfigError(f"unknown similarity method {mmethod!r}")
-    if not all(rows.shape[0] for rows in blocks):
+    if mmethod != "rv2" and not all(rows.shape[0] for rows in blocks):
         raise ValueError(f"{mmethod} needs at least one note row per patient")
     return {"mmethod": mmethod, "rows": np.concatenate(blocks, dtype=np.float64),
             "offsets": np.cumsum([0] + [rows.shape[0] for rows in blocks]),
-            "valid": np.ones(len(blocks), dtype=bool)}
+            "valid": None if mmethod == "rv2" else np.ones(len(blocks), dtype=bool)}
 
 
 def score_pairs(payload: dict, ii: np.ndarray, jj: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Scores of the pairs (ii[p], jj[p]) of a pack, NaN where undefined.
 
-    A pair is defined when both of its patients are valid.
+    A pair is defined when both of its patients are valid. For rv2 this
+    sets payload["valid"], from the squared norms of the same pass.
     """
     if payload["mmethod"] == "rv2":
-        scores = rv2_batch(payload["grams"], ii, jj)
+        scores, sq = rv2_batch(payload["rows"], ii, jj, payload["offsets"])
+        payload["valid"] = sq > 0.0
     else:
         batch = mms_batch if payload["mmethod"] == "mms" else eds_batch
         scores = batch(payload["rows"], payload["offsets"], ii, jj)

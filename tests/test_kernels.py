@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,43 +235,73 @@ class TestEdsBatch:
         assert caplog.records == []
 
 
+def _triangles(blocks, width):
+    """Every patient's whole gram triangle, from rv2_gram chunks of width
+    entries, one row per patient."""
+    payload = kernels.pack("rv2", blocks)
+    d = blocks[0].shape[1]
+    size = d * (d - 1) // 2
+    return np.hstack([np.empty((len(blocks), 0))] + [
+        kernels.rv2_gram(payload["rows"], payload["offsets"], s, min(s + width, size))
+        for s in range(0, size, width)])
+
+
 class TestRv2Gram:
-    def test_single_column_is_degenerate(self):
-        rows = np.ones((3, 1))
-        assert kernels.rv2_gram(rows) is None
+    def test_single_column_is_degenerate(self, rng):
+        # one column leaves no triangle at all
+        blocks = [np.ones((3, 1)), unit_rows(rng, 2, 1)]
+        assert _triangles(blocks, 5).shape == (2, 0)
+        payload = kernels.pack("rv2", blocks)
+        scores, defined = kernels.score_pairs(payload, np.array([0, 0]), np.array([1, 0]))
+        assert not defined.any() and np.isnan(scores).all()
+        assert payload["valid"].tolist() == [False, False]
 
     def test_orthonormal_rows_spanning_axes_degenerate(self):
         # identity rows: cross-products vanish off the diagonal
-        assert kernels.rv2_gram(np.eye(3)) is None
+        assert not _triangles([np.eye(3)], 2).any()
 
     def test_unit_frobenius_norm(self, rng):
-        g = kernels.rv2_gram(unit_rows(rng, 5, 4))
-        assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
+        # rv2_batch's squared norms are the triangles', which they scale to 1
+        blocks = [unit_rows(rng, int(n), 6) for n in rng.integers(1, 6, 5)]
+        g = _triangles(blocks, 4)
+        payload = kernels.pack("rv2", blocks)
+        _, sq = kernels.rv2_batch(payload["rows"], np.array([0]), np.array([1]),
+                                  payload["offsets"])
+        assert np.allclose(sq, (g * g).sum(axis=1), rtol=1e-14, atol=0)
+        assert np.allclose(np.linalg.norm(g / np.sqrt(sq)[:, None], axis=1), 1.0,
+                           rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 16, 200])
     def test_strict_upper_triangle(self, rng, d):
-        rows = unit_rows(rng, 7, d)
-        g = kernels.rv2_gram(rows)
-        assert g.shape == (d * (d - 1) // 2,)
-        assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
-        full = rows.T @ rows
-        want = full[np.triu_indices(d, 1)]
-        assert np.allclose(g, want / np.linalg.norm(want), rtol=0, atol=1e-15)
+        # the entries above the diagonal of x.T @ x, row by row, whatever
+        # the chunk width (a chunk may start and end mid-row)
+        blocks = [unit_rows(rng, int(n), d) for n in rng.integers(0, 8, 4)]
+        size = d * (d - 1) // 2
+        for width in sorted({1, 7, max(1, size // 3), size}):
+            g = _triangles(blocks, width)
+            assert g.shape == (4, size)
+            for k, rows in enumerate(blocks):
+                want = (rows.T @ rows)[np.triu_indices(d, 1)]
+                assert np.allclose(g[k], want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("rows", [np.ones((3, 1)), np.eye(3), np.eye(5)[:2]])
     def test_degenerate_patient_is_invalid(self, rng, rows):
         payload = kernels.pack("rv2", [unit_rows(rng, 4, rows.shape[1]), rows])
-        # one column leaves no triangle at all, so both patients are invalid
-        assert payload["valid"].tolist() == [rows.shape[1] > 1, False]
-        assert not payload["grams"][1].any()
+        assert payload["valid"] is None  # found by the scoring pass
         scores, defined = kernels.score_pairs(payload, np.array([0]), np.array([1]))
         assert not defined[0] and np.isnan(scores[0])
+        # one column leaves no triangle at all, so both patients are invalid
+        assert payload["valid"].tolist() == [rows.shape[1] > 1, False]
 
     @pytest.mark.parametrize("d", [1, 2, 50, 200])
-    def test_pack_stores_half_a_gram(self, rng, d):
-        # one row of d(d - 1)/2 entries per patient, not d^2
-        payload = kernels.pack("rv2", [unit_rows(rng, 3, d) for _ in range(5)])
-        assert payload["grams"].shape == (5, d * (d - 1) // 2)
+    def test_pack_keeps_rows_not_grams(self, rng, d):
+        # rv2 packs the note rows as mms and eds do: one aligned copy
+        blocks = [unit_rows(rng, int(n), d) for n in (3, 0, 2, 5)]
+        payload = kernels.pack("rv2", blocks)
+        assert set(payload) == {"mmethod", "rows", "offsets", "valid"}
+        assert payload["rows"].flags.c_contiguous and payload["rows"].flags.aligned
+        assert np.array_equal(payload["rows"], np.vstack(blocks))
+        assert payload["offsets"].tolist() == [0, 3, 3, 5, 10]
 
     @pytest.mark.parametrize("d", [3, 8, 40])
     def test_random_patients_match_the_oracle(self, rng, d):
@@ -281,16 +312,45 @@ class TestRv2Gram:
             want = rv2_reference(blocks[ii[p]], blocks[jj[p]])
             assert not defined[p] if want is None else abs(got[p] - want) <= 1e-12
 
-    def test_batch_matches_scalar(self, rng):
-        grams = np.ascontiguousarray(
-            np.vstack([kernels.rv2_gram(unit_rows(rng, 4, 3)) for _ in range(6)])
-        )
+    def test_batch_matches_scalar(self, rng, monkeypatch):
+        # the cosine of two whole triangles, here summed over three chunks
+        monkeypatch.setattr(kernels, "_GRAM_BUDGET", 6)
+        blocks = [unit_rows(rng, 4, 3) for _ in range(6)]
+        g = _triangles(blocks, 3)
+        payload = kernels.pack("rv2", blocks)
         ii, jj = np.triu_indices(6, k=1)
-        got = kernels.rv2_batch(grams, ii.astype(np.int64), jj.astype(np.int64))
+        got, _ = kernels.rv2_batch(payload["rows"], ii, jj, payload["offsets"])
+        unit = g / np.linalg.norm(g, axis=1)[:, None]
         for p in range(ii.size):
-            assert got[p] == pytest.approx(
-                float(np.dot(grams[ii[p]], grams[jj[p]])), abs=1e-13
-            )
+            assert got[p] == pytest.approx(float(np.dot(unit[ii[p]], unit[jj[p]])),
+                                           abs=1e-13)
+
+    @pytest.mark.parametrize("d", [3, 8, 50, 200])
+    def test_duplicate_patients_never_exceed_one(self, rng, d):
+        # equal triangles have cosine 1, which rounding must not pass
+        blocks = [unit_rows(rng, int(n), d) for n in rng.integers(2, 9, 60)]
+        blocks = [rows for rows in blocks for _ in range(2)]
+        ii = np.arange(0, 120, 2)
+        payload = kernels.pack("rv2", blocks)
+        for a, b in ((ii, ii + 1), (ii, ii)):
+            scores, defined = kernels.score_pairs(payload, a, b)
+            assert defined.all()
+            assert np.all(np.abs(scores) <= 1.0)
+            assert np.allclose(scores, 1.0, rtol=0, atol=1e-12)
+
+    def test_all_pairs_hold_no_gram_store(self, rng):
+        # a store of every triangle would be 300 x 19,900 float64: 47.8 MB
+        blocks = [unit_rows(rng, int(n), 200) for n in rng.integers(1, 7, 300)]
+        ii, jj = np.triu_indices(300, k=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, defined = kernels.score_pairs(kernels.pack("rv2", blocks), ii, jj)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert defined.all()
+        assert peak < 24e6, f"rv2 all-pairs peaked {peak / 1e6:.1f} MB above its inputs"
 
 
 def _three_tiles(rng, d=16):
@@ -302,11 +362,24 @@ def _three_tiles(rng, d=16):
     return blocks
 
 
-@pytest.mark.parametrize("mmethod", ["rv2", "mms"])
+# 37 entries of each of _three_tiles' 120-entry triangles per chunk: four
+# chunks, each starting mid-row
+_CHUNKED = 150 * 37
+
+
+@pytest.fixture(params=["rv2", "mms", "rv2-chunked"])
+def mmethod(request, monkeypatch):
+    """A measure for TestTiles; rv2-chunked is rv2 over four gram chunks."""
+    if request.param == "rv2-chunked":
+        monkeypatch.setattr(kernels, "_GRAM_BUDGET", _CHUNKED)
+        return "rv2"
+    return request.param
+
+
 class TestTiles:
     """rv2 and mms read each pair from its tiles' product. The tiles
-    depend only on the patient indices, so what else is requested never
-    changes a score's bits."""
+    depend only on the patient indices, and rv2's chunks only on the
+    pack, so what else is requested never changes a score's bits."""
 
     def test_every_request_gives_the_whole_triangle_bits(self, rng, mmethod):
         payload = kernels.pack(mmethod, _three_tiles(rng))
@@ -343,6 +416,23 @@ class TestTiles:
             else:
                 assert defined[p] and abs(got[p] - want) <= 1e-12
         assert undefined == (149 if mmethod == "rv2" else 0)
+
+
+def test_chunked_rv2_streams_three_chunks_and_keeps_the_degenerate_patient(
+        rng, monkeypatch):
+    monkeypatch.setattr(kernels, "_GRAM_BUDGET", _CHUNKED)
+    widths = []
+    gram = kernels.rv2_gram
+    monkeypatch.setattr(kernels, "rv2_gram",
+                        lambda *args: widths.append(args[3] - args[2]) or gram(*args))
+    payload = kernels.pack("rv2", _three_tiles(rng))
+    ii, jj = np.array([100, 100, 5, 5, 149]), np.array([100, 5, 5, 149, 100])
+    scores, defined = kernels.score_pairs(payload, ii, jj)
+    assert widths == [37, 37, 37, 9]
+    # patient 100's pairs and its own diagonal are undefined
+    assert defined.tolist() == [False, False, True, True, False]
+    assert np.isnan(scores[[0, 1, 4]]).all() and scores[2] == pytest.approx(1.0)
+    assert not payload["valid"][100] and payload["valid"].sum() == 149
 
 
 @pytest.mark.parametrize("mmethod", ["mms", "eds"])
