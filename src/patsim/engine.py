@@ -332,19 +332,20 @@ def persist_similarity(sim: SimilarityMatrix, path: str | Path) -> None:
 
 
 def load_similarity(path: str | Path) -> SimilarityMatrix:
-    r = formats.Reader(path, SIM_MAGIC, "similarity file")
-    ids = r.json("id table")
-    if not formats.unique_strings(ids):
-        raise r.error("id table is not a list of distinct ids")
-    n = len(ids)
-    npairs = r.count("pair count")
-    if npairs != n * (n - 1) // 2:
-        raise r.error(f"pair count {npairs} does not match {n} ids")
-    tri = r.array("<f8", npairs, "triangle")
-    tri_ok = r.mask(npairs, "pair mask")
-    diag_ok = r.mask(n, "diagonal mask")
-    trailer = r.json("trailer", dict)
-    r.end()
+    with open(path, "rb") as fh:
+        r = formats.Reader(fh, SIM_MAGIC, "similarity file")
+        ids = r.json("id table")
+        if not formats.unique_strings(ids):
+            raise r.error("id table is not a list of distinct ids")
+        n = len(ids)
+        npairs = r.count("pair count")
+        if npairs != n * (n - 1) // 2:
+            raise r.error(f"pair count {npairs} does not match {n} ids")
+        tri = r.array("<f8", npairs, "triangle")
+        tri_ok = r.mask(npairs, "pair mask")
+        diag_ok = r.mask(n, "diagonal mask")
+        trailer = r.json("trailer", dict)
+        r.end()
     try:
         if trailer["version"] != 1:
             raise r.error(f"unsupported similarity version {trailer['version']}")

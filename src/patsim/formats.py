@@ -3,8 +3,10 @@
 A file is a magic line, then parts: JSON blocks (u32 byte length, UTF-8
 JSON, sorted keys), u64 counts, raw little-endian arrays sized by earlier
 parts, and masks (booleans bit-packed little-endian). Each format lists
-its parts and checks its values; Reader bounds-checks every part, so a
-truncated or corrupt file raises FormatError and nothing else.
+its parts and checks its values; Reader bounds-checks every part against
+the bytes left in the file before it allocates, then reads the part
+straight into an array of its own, so a truncated or corrupt file raises
+FormatError and nothing else.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import struct
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -44,25 +48,28 @@ def write(path: str | Path, magic: bytes, parts: list) -> None:
 
 
 class Reader:
-    """A bounds-checked cursor over one file's parts; errors name what and part."""
+    """A bounds-checked cursor over the parts of one file opened for binary
+    reading, which the caller closes; errors name what and part."""
 
-    def __init__(self, path: str | Path, magic: bytes, what: str):
-        self.path, self.what = Path(path), what
-        self._blob = self.path.read_bytes()
-        if not self._blob.startswith(magic):
+    def __init__(self, fh: BinaryIO, magic: bytes, what: str):
+        self.path, self.what, self._fh = Path(fh.name), what, fh
+        self._left = os.fstat(fh.fileno()).st_size - len(magic)
+        if fh.read(len(magic)) != magic:
             raise FormatError(f"{self.path} is not a {what} (bad magic)")
-        self._off = len(magic)
 
     def error(self, problem: str) -> FormatError:
         return FormatError(f"corrupt {self.what} {self.path}: {problem}")
 
     def array(self, dtype: str, n: int, part: str) -> np.ndarray:
-        """The next n values, a read-only view of the file's bytes."""
+        """The next n values, read into a new aligned array, set read-only."""
         dt = np.dtype(dtype)
-        if n * dt.itemsize > len(self._blob) - self._off:
+        if n * dt.itemsize > self._left:
             raise self.error(f"truncated in {part}")
-        out = np.frombuffer(self._blob, dtype=dt, count=n, offset=self._off)
-        self._off += out.nbytes
+        out = np.empty(n, dtype=dt)
+        if self._fh.readinto(out) != out.nbytes:  # the file shrank while open
+            raise self.error(f"truncated in {part}")
+        self._left -= out.nbytes
+        out.flags.writeable = False
         return out
 
     def count(self, part: str) -> int:
@@ -83,7 +90,7 @@ class Reader:
         return value
 
     def end(self) -> None:
-        if self._off != len(self._blob):
+        if self._left:
             raise self.error("trailing bytes after the last part")
 
 

@@ -362,10 +362,35 @@ def eds_batch(
     return out
 
 
+def _span(blocks: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The blocks as one (rows, d) view when the non-empty ones are
+    consecutive row slices, in order, of one C-contiguous array whose
+    memory they share, each aligned C-contiguous float64; else None."""
+    full = [rows for rows in blocks if rows.size]
+    owner = full[0].base if full else None
+    if not (isinstance(owner, np.ndarray) and owner.flags.c_contiguous
+            and all(rows.ndim == 2 and rows.shape[1] == full[0].shape[1]
+                    for rows in blocks)):
+        return None
+    start = at = full[0].ctypes.data
+    for rows in full:
+        if not (rows.base is owner and rows.dtype == np.float64
+                and rows.flags.c_contiguous and rows.flags.aligned
+                and rows.ctypes.data == at):
+            return None
+        at += rows.nbytes
+    return np.ndarray((sum(rows.shape[0] for rows in blocks), full[0].shape[1]),
+                      dtype=np.float64, buffer=owner, offset=start - owner.ctypes.data)
+
+
 def pack(mmethod: str, blocks: Sequence[np.ndarray]) -> dict:
     """Prepare the patients' row blocks (equal dims) for score_pairs: the
-    rows stacked in one aligned float64 copy, patient k at
-    rows[offsets[k]:offsets[k + 1]].
+    rows as one aligned float64 array, patient k at
+    rows[offsets[k]:offsets[k + 1]]. When the blocks are consecutive row
+    slices, in order, of one aligned C-contiguous float64 array, as
+    vectorizer.load_matrices returns them in sorted-id order, rows is a
+    view of their span; otherwise it is one copy. The kernels read the
+    same values either way, so the scores are too.
 
     Every mms and eds patient is valid. An rv2 patient is valid when its
     gram triangle does not vanish, which the scoring pass finds: "valid"
@@ -375,7 +400,9 @@ def pack(mmethod: str, blocks: Sequence[np.ndarray]) -> dict:
         raise ConfigError(f"unknown similarity method {mmethod!r}")
     if mmethod != "rv2" and not all(rows.shape[0] for rows in blocks):
         raise ValueError(f"{mmethod} needs at least one note row per patient")
-    return {"mmethod": mmethod, "rows": np.concatenate(blocks, dtype=np.float64),
+    span = _span(blocks)
+    return {"mmethod": mmethod,
+            "rows": np.concatenate(blocks, dtype=np.float64) if span is None else span,
             "offsets": np.cumsum([0] + [rows.shape[0] for rows in blocks]),
             "valid": None if mmethod == "rv2" else np.ones(len(blocks), dtype=bool)}
 

@@ -447,18 +447,19 @@ def load_matrices(
     path: str | Path,
 ) -> tuple[dict[str, PatientMatrix], dict[str, object]]:
     """Read a matrix container; returns (matrices, caller metadata)."""
-    r = formats.Reader(path, MAT_MAGIC, "matrix container")
-    header = r.json("header", dict)
-    dim, ids, counts = header.get("dim"), header.get("ids"), header.get("counts")
-    meta = header.get("meta", {})
-    if not (formats.is_count(dim) and formats.unique_strings(ids)
-            and isinstance(counts, list) and len(counts) == len(ids)
-            and all(map(formats.is_count, counts)) and isinstance(meta, dict)):
-        raise r.error("bad header fields")
-    total = sum(counts)
-    note_idx = r.array("<i8", total, "note indices")
-    rows = r.array("<f8", total * dim, "rows").reshape(total, dim)
-    r.end()
+    with open(path, "rb") as fh:
+        r = formats.Reader(fh, MAT_MAGIC, "matrix container")
+        header = r.json("header", dict)
+        dim, ids, counts = header.get("dim"), header.get("ids"), header.get("counts")
+        meta = header.get("meta", {})
+        if not (formats.is_count(dim) and formats.unique_strings(ids)
+                and isinstance(counts, list) and len(counts) == len(ids)
+                and all(map(formats.is_count, counts)) and isinstance(meta, dict)):
+            raise r.error("bad header fields")
+        total = sum(counts)
+        note_idx = r.array("<i8", total, "note indices")
+        rows = r.array("<f8", total * dim, "rows").reshape(total, dim)
+        r.end()
     if not np.isfinite(rows).all():
         raise r.error("non-finite value in rows")
     bounds = np.cumsum(counts)[:-1]
@@ -467,17 +468,18 @@ def load_matrices(
 
 
 def load_lsa_model(path: str | Path) -> LsaModel:
-    r = formats.Reader(path, LSA_MAGIC, "model dump")
-    header = r.json("header", dict)
-    vocab_size, dim = header.get("vocab_size"), header.get("dim")
-    terms, sublinear_tf = header.get("vocabulary"), header.get("sublinear_tf")
-    if not (formats.is_count(vocab_size) and formats.is_count(dim)
-            and formats.unique_strings(terms) and len(terms) == vocab_size
-            and isinstance(sublinear_tf, bool)):
-        raise r.error("bad header fields")
-    idf = r.array("<f8", vocab_size, "idf").copy()
-    proj = r.array("<f8", vocab_size * dim, "projection").reshape(vocab_size, dim).copy()
-    r.end()
+    with open(path, "rb") as fh:
+        r = formats.Reader(fh, LSA_MAGIC, "model dump")
+        header = r.json("header", dict)
+        vocab_size, dim = header.get("vocab_size"), header.get("dim")
+        terms, sublinear_tf = header.get("vocabulary"), header.get("sublinear_tf")
+        if not (formats.is_count(vocab_size) and formats.is_count(dim)
+                and formats.unique_strings(terms) and len(terms) == vocab_size
+                and isinstance(sublinear_tf, bool)):
+            raise r.error("bad header fields")
+        idf = r.array("<f8", vocab_size, "idf")
+        proj = r.array("<f8", vocab_size * dim, "projection").reshape(vocab_size, dim)
+        r.end()
     if not (np.isfinite(idf).all() and np.isfinite(proj).all()):
         raise r.error("non-finite value in idf or projection")
     return LsaModel({t: i for i, t in enumerate(terms)}, idf, proj, dim, sublinear_tf)

@@ -148,13 +148,16 @@ def _drop(key):
     ("mat", lambda h: {**h, "ids": h["ids"] + ["e"]}),
     ("mat", lambda h: {**h, "ids": ["a", "a"] + h["ids"][2:]}),
     ("mat", lambda h: {**h, "meta": 3}),
+    ("mat", lambda h: {**h, "counts": [2**60] + h["counts"][1:]}),
     ("sim", lambda ids: len(ids)),
     ("sim", lambda ids: {pid: k for k, pid in enumerate(ids)}),
     ("sim", lambda ids: ids[:1] * len(ids)),
 ], ids=["lsa-no-sublinear", "lsa-array-header", "lsa-repeated-term",
         "mat-array-header", "mat-more-ids-than-counts", "mat-repeated-id", "mat-meta-not-object",
+        "mat-count-beyond-the-file",
         "sim-ids-number", "sim-ids-object", "sim-repeated-id"])
 def test_malformed_header_raises_format_error(fmt, edit, valid):
+    # a count beyond the file raises before anything is allocated for it
     blobs, path = valid
     _, load, magic = FORMATS[fmt]
     path.write_bytes(_edit_header(blobs[fmt], magic, edit))
@@ -262,3 +265,13 @@ def test_non_finite_payload_raises_format_error(write, load, tmp_path):
     write(tmp_path / "f")
     with pytest.raises(FormatError, match="non-finite"):
         load(tmp_path / "f")
+
+
+def test_loaders_return_owned_aligned_read_only_arrays(tmp_path):
+    _write_mat(tmp_path / "mat")
+    _write_lsa(tmp_path / "lsa")
+    mats, _ = load_matrices(tmp_path / "mat")
+    model = load_lsa_model(tmp_path / "lsa")
+    for array in [m.rows for m in mats.values()] + [model.idf, model.projection]:
+        owner = array if array.base is None else array.base
+        assert owner.flags.owndata and array.flags.aligned and not array.flags.writeable

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patsim import kernels
+from patsim import engine, kernels
+from patsim.vectorizer import PatientMatrix, load_matrices, save_matrices
 
 from conftest import unit_rows
 from oracles import (eds_loop_reference, eds_path_reference, enumerate_best_mean_path,
@@ -295,11 +296,13 @@ class TestRv2Gram:
 
     @pytest.mark.parametrize("d", [1, 2, 50, 200])
     def test_pack_keeps_rows_not_grams(self, rng, d):
-        # rv2 packs the note rows as mms and eds do: one aligned copy
+        # rv2 packs the note rows as mms and eds do; blocks of separate
+        # arrays are stacked in one aligned copy
         blocks = [unit_rows(rng, int(n), d) for n in (3, 0, 2, 5)]
         payload = kernels.pack("rv2", blocks)
         assert set(payload) == {"mmethod", "rows", "offsets", "valid"}
         assert payload["rows"].flags.c_contiguous and payload["rows"].flags.aligned
+        assert not any(np.shares_memory(payload["rows"], rows) for rows in blocks)
         assert np.array_equal(payload["rows"], np.vstack(blocks))
         assert payload["offsets"].tolist() == [0, 3, 3, 5, 10]
 
@@ -440,3 +443,76 @@ def test_pack_rejects_a_patient_without_rows(rng, mmethod):
     # reduceat would read an empty patient's segment as its neighbour's
     with pytest.raises(ValueError, match="at least one note row"):
         kernels.pack(mmethod, [unit_rows(rng, 2, 3), np.zeros((0, 3))])
+
+
+def _container(tmp_path, blocks, name="mats.bin"):
+    """blocks written as one matrix container and read back, in id order."""
+    mats = {f"p{k:03d}": PatientMatrix(f"p{k:03d}", rows, np.arange(len(rows)))
+            for k, rows in enumerate(blocks)}
+    save_matrices(mats, tmp_path / name)
+    loaded, _ = load_matrices(tmp_path / name)
+    return [loaded[pid].rows for pid in sorted(loaded)]
+
+
+def _bits(result):
+    scores, defined = result
+    return scores.view(np.uint64).tolist(), defined.tolist()
+
+
+class TestPackView:
+    """Blocks that are consecutive row slices, in order, of one array, as
+    a container's patients are, pack as a view of their span; any other
+    selection packs as one copy. Both score the same bits."""
+
+    def test_container_rows_pack_as_a_view(self, rng, tmp_path):
+        rows = _container(tmp_path, [unit_rows(rng, n, 8) for n in (3, 1, 4, 2)])
+        span = kernels.pack("rv2", rows)["rows"]
+        assert all(np.shares_memory(span, block) for block in rows)
+        assert span.flags.aligned and span.flags.c_contiguous
+        assert not span.flags.writeable
+        assert np.array_equal(span, np.vstack(rows))
+
+    def test_other_selections_copy(self, rng, tmp_path):
+        rows = _container(tmp_path, [unit_rows(rng, n, 8) for n in (3, 1, 4, 2)])
+        other = _container(tmp_path, [unit_rows(rng, n, 8) for n in (2, 5)], "other.bin")
+        for blocks in (rows[::-1], rows[:1] + rows[2:], rows[2:] + rows[:2],
+                       rows[:2] + other, rows[:2] + [rows[2].copy(), rows[3]]):
+            packed = kernels.pack("mms", blocks)["rows"]
+            assert not any(np.shares_memory(packed, block) for block in blocks)
+            assert packed.flags.aligned and np.array_equal(packed, np.vstack(blocks))
+        # a run of consecutive patients is still one span
+        assert np.shares_memory(kernels.pack("mms", rows[1:3])["rows"], rows[2])
+
+    @pytest.mark.parametrize("mmethod", ["rv2", "mms", "eds"])
+    def test_view_and_copy_score_the_same_bits(self, rng, tmp_path, mmethod):
+        rows = _container(tmp_path, [unit_rows(rng, int(n), 16)
+                                     for n in rng.integers(1, 7, 70)])
+        view, copy = kernels.pack(mmethod, rows), kernels.pack(mmethod, [r.copy() for r in rows])
+        assert np.shares_memory(view["rows"], rows[0])
+        assert not np.shares_memory(copy["rows"], rows[0])
+        ii, jj = np.triu_indices(70, k=1)
+        assert _bits(kernels.score_pairs(view, ii, jj)) == _bits(kernels.score_pairs(copy, ii, jj))
+        assert view["valid"].tolist() == copy["valid"].tolist()
+
+    def test_rv2_patient_without_rows(self, rng, tmp_path):
+        blocks = [unit_rows(rng, 3, 5), np.zeros((0, 5)), unit_rows(rng, 4, 5)]
+        rows = _container(tmp_path, blocks)
+        view = kernels.pack("rv2", rows)
+        assert np.shares_memory(view["rows"], rows[0]) and view["rows"].shape == (7, 5)
+        assert view["offsets"].tolist() == [0, 3, 3, 7]
+        ii, jj = np.triu_indices(3, k=1)
+        got = _bits(kernels.score_pairs(view, ii, jj))
+        assert got == _bits(kernels.score_pairs(kernels.pack("rv2", blocks), ii, jj))
+        assert got[1] == [False, True, False]
+        assert view["valid"].tolist() == [True, False, True]
+
+    def test_all_pairs_of_a_container_pack_no_copy(self, rng, tmp_path, monkeypatch):
+        _container(tmp_path, [unit_rows(rng, n, 8) for n in (3, 1, 4, 2)])
+        mats, _ = load_matrices(tmp_path / "mats.bin")
+        packed = []
+        pack = kernels.pack
+        monkeypatch.setattr(kernels, "pack", lambda *args: packed.append(pack(*args))
+                            or packed[-1])
+        for mmethod in ("rv2", "mms"):
+            engine.compute_all_pairs(mats, engine.RunConfig(False, "lsa050", mmethod))
+        assert [np.shares_memory(p["rows"], mats["p000"].rows) for p in packed] == [True, True]
