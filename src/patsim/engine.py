@@ -1,15 +1,16 @@
 """All-pairs patient similarity: parallel computation and persistence.
 
-The pairs to score, every pair of the upper triangle (np.triu_indices)
-or only those a consumer requests, are listed once per leg, row by row,
-and each leg's scores are scattered into one symmetric matrix. The eds
-legs of one dim are scored as one list over one pack; for eds,
-contiguous slices of the list are farmed out to worker processes. rv2
-and mms are scored in one call per leg, since BLAS already spreads their
-tile products over the cores. Every pair is scored by
-kernels.score_pairs on the same operands regardless of chunking or of
-the other pairs listed, so the output is bitwise identical for any
-worker count.
+The pairs to score, every pair of the upper triangle or only those a
+consumer requests, are listed once per leg as index pairs (i, j), i < j,
+in the triangle's order (row by row), and each leg's result keeps the
+kernels' scores and defined bits in that order: a triangle-sized pair
+store, with no n x n matrix and no mirror. The eds legs of one dim are
+scored as one list over one pack; for eds, contiguous slices of the list
+are farmed out to worker processes. rv2 and mms are scored in one call
+per leg, since BLAS already spreads their tile products over the cores.
+Every pair is scored by kernels.score_pairs on the same operands
+regardless of chunking or of the other pairs listed, so the output is
+bitwise identical for any worker count.
 """
 
 from __future__ import annotations
@@ -114,36 +115,120 @@ class RunConfig:
 
 @dataclass
 class SimilarityMatrix:
-    """Symmetric pair scores for one run configuration.
+    """Pair scores for one run configuration, held in the triangle's order.
 
-    scores[i, j] == scores[j, i] exactly (the triangle is stored once and
-    mirrored); undefined entries hold NaN with defined[i, j] False. A
-    matrix that compute_legs built for a request leaves every pair it
-    was not asked for undefined. wall_time_seconds is the scoring time:
-    legs scored together split their shared time by pair count.
+    pair_scores[q] and pair_defined[q] are the score (NaN where
+    undefined) and defined bit of the q-th held pair (i, j), i < j. With
+    pairs None the store holds every pair of the upper triangle, row by
+    row, as all-pairs scoring and .sim files give them; otherwise it holds
+    the pairs (pairs[0][q], pairs[1][q]), in the same order, that a
+    request scored, and every other pair is undefined. diag_defined[i]
+    tells whether patient i's own pair is defined (its score is 1).
+    Nothing is mirrored: scores and defined build the symmetric n x n
+    view on each access, for consumers that want one, and do not keep it.
+    wall_time_seconds is the scoring time: legs scored together split
+    their shared time by pair count.
     """
 
     patient_ids: list[str]
-    scores: np.ndarray
-    defined: np.ndarray
+    pair_scores: np.ndarray
+    pair_defined: np.ndarray
+    diag_defined: np.ndarray
     config: RunConfig
     wall_time_seconds: float = 0.0
+    pairs: tuple[np.ndarray, np.ndarray] | None = None
     _index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._index:
             self._index = {pid: i for i, pid in enumerate(self.patient_ids)}
+        if self.pairs is not None and self.pairs[0].size == self.n * (self.n - 1) // 2:
+            self.pairs = None  # distinct pairs i < j in order: the whole triangle
 
     def index(self, patient_id: str) -> int:
         return self._index[patient_id]
 
     def get(self, id_a: str, id_b: str) -> tuple[float, bool]:
-        i, j = self._index[id_a], self._index[id_b]
-        return float(self.scores[i, j]), bool(self.defined[i, j])
+        scores, defined = self.lookup([self._index[id_a]], [self._index[id_b]])
+        return float(scores[0]), bool(defined[0])
+
+    def lookup(self, i: Sequence[int], j: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and defined bits of the index pairs (i[k], j[k]), either
+        way round: a pair not held is undefined with score NaN, and a
+        patient's own pair scores 1 where it is defined."""
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        held = lo < hi
+        at = _position(lo, hi, self.n)
+        if self.pairs is not None:
+            keys = _position(*self.pairs, self.n)  # rising: the pairs are in order
+            found = np.minimum(np.searchsorted(keys, at), max(keys.size - 1, 0))
+            held &= keys[found] == at if keys.size else False
+            at = found
+        scores = np.full(lo.shape, np.nan)
+        defined = np.zeros(lo.shape, dtype=bool)
+        scores[held] = self.pair_scores[at[held]]
+        defined[held] = self.pair_defined[at[held]]
+        own = lo == hi
+        defined[own] = self.diag_defined[lo[own]]
+        scores[own & defined] = 1.0
+        return scores, defined
+
+    def triangle(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and defined bits of every pair i < j, row by row: the
+        store itself when it holds the whole triangle."""
+        if self.pairs is None:
+            return self.pair_scores, self.pair_defined
+        at = _position(*self.pairs, self.n)
+        scores = np.full(self.n * (self.n - 1) // 2, np.nan)
+        defined = np.zeros(scores.size, dtype=bool)
+        scores[at] = self.pair_scores
+        defined[at] = self.pair_defined
+        return scores, defined
+
+    @property
+    def scores(self) -> np.ndarray:
+        """The symmetric n x n scores, NaN where undefined and 1 on a
+        defined diagonal; built on each access."""
+        return self._dense(self.pair_scores, np.where(self.diag_defined, 1.0, np.nan),
+                           np.nan)
+
+    @property
+    def defined(self) -> np.ndarray:
+        """The symmetric n x n defined bits; built on each access."""
+        return self._dense(self.pair_defined, self.diag_defined, False)
+
+    def _dense(self, values: np.ndarray, diagonal: np.ndarray, fill) -> np.ndarray:
+        out = np.full((self.n, self.n), fill, dtype=values.dtype)
+        ii, jj = _triangle(self.n) if self.pairs is None else self.pairs
+        out[ii, jj] = values
+        out[jj, ii] = values
+        np.fill_diagonal(out, diagonal)
+        return out
 
     @property
     def n(self) -> int:
         return len(self.patient_ids)
+
+
+def _position(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Where each pair (i, j), i < j, of n patients sits in the triangle,
+    row by row."""
+    i = np.asarray(i, dtype=np.int64)
+    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair i < j of n patients as (ii, jj), row by row, in int16
+    when that holds n (else int32): at the paper's 4,267 patients 36 MB,
+    where np.triu_indices takes 146 MB and an n x n mask."""
+    dtype = np.int16 if n < np.iinfo(np.int16).max else np.int32
+    counts = np.arange(n - 1, 0, -1)
+    ii = np.repeat(np.arange(n - 1, dtype=dtype), counts)
+    # jj rises by 1 along a row and falls back to i + 1 at row i's start
+    jj = np.ones(ii.size, dtype=dtype)
+    jj[np.cumsum(counts[:-1])] = np.arange(1, n - 1) + 2 - n
+    np.add.accumulate(jj, out=jj)
+    return ii, jj
 
 
 _WORKER_STATE: dict = {}
@@ -180,7 +265,8 @@ def compute_legs(
     a leg that lacks one of its patients, and a pair naming one patient
     twice is skipped everywhere. Every pair not requested is undefined in
     the result, so it serves a consumer that reads only the pairs it asked
-    for. The eds legs of one dim and worker count share one pack and one
+    for. Each result holds the kernels' scores of its pairs as they come,
+    in the triangle's order, with no n x n array. The eds legs of one dim and worker count share one pack and one
     eds_batch call (or one pool), since eds solves one cross matrix per
     pair; each rv2 and mms leg keeps a pack of its own, since their tile
     products fix each score's bits. So each pair is scored bitwise as in
@@ -214,8 +300,9 @@ def compute_legs(
         for k, first in zip(members, firsts):
             ids, lii, ljj = plans[k]
             stop = at + lii.size
-            out[k] = _scatter(ids, lii, ljj, scores[at:stop], ok[at:stop],
-                              payload["valid"][first:first + len(ids)], legs[k][1])
+            out[k] = SimilarityMatrix(
+                ids, scores[at:stop], ok[at:stop], payload["valid"][first:first + len(ids)],
+                legs[k][1], pairs=None if request is None else (lii, ljj))
             at = stop
         wall = time.perf_counter() - t0
         for k in members:
@@ -236,8 +323,7 @@ def _plan(matrices: Mapping[str, PatientMatrix], request: list[tuple[str, str]] 
     if len(dims) != 1:
         raise DimMismatch(f"patient matrices disagree on dim: {sorted(dims)}")
     if request is None:
-        ii, jj = np.triu_indices(n, k=1)
-        return ids, ii, jj
+        return ids, *_triangle(n)
     index = {pid: k for k, pid in enumerate(ids)}
     at = [(index[a], index[b]) for a, b in request if a in index and b in index and a != b]
     ii, jj = np.array(sorted({(min(p), max(p)) for p in at}), dtype=np.intp).reshape(-1, 2).T
@@ -268,49 +354,37 @@ def _score(payload: dict, ii: np.ndarray, jj: np.ndarray, config: RunConfig
             np.concatenate([ok for _, ok in parts]))
 
 
-def _scatter(ids: Sequence[str], ii: np.ndarray, jj: np.ndarray, scores: np.ndarray,
-             ok: np.ndarray, diag_ok: np.ndarray, config: RunConfig, wall: float = 0.0
-             ) -> SimilarityMatrix:
-    """The symmetric matrix holding scores[p] at (ii[p], jj[p]) and at
-    (jj[p], ii[p]), 1 on the diagonal where diag_ok, and NaN, undefined,
-    at every pair not given."""
-    n = len(ids)
-    full = np.full((n, n), np.nan, dtype=np.float64)
-    defined = np.zeros((n, n), dtype=bool)
-    full[ii, jj] = scores
-    full[jj, ii] = scores
-    defined[ii, jj] = ok
-    defined[jj, ii] = ok
-    full[np.arange(n), np.arange(n)] = np.where(diag_ok, 1.0, np.nan)
-    defined[np.arange(n), np.arange(n)] = diag_ok
-    return SimilarityMatrix(list(ids), full, defined, config, wall)
-
-
 def combine_similarities(
     members: Sequence[SimilarityMatrix], config: RunConfig
 ) -> SimilarityMatrix:
-    """Average member score matrices entrywise over their defined legs.
+    """Average member scores pairwise over their defined legs.
 
-    Each member's defined scores, and their counts, are summed onto the
-    union of the members' patient sets, so a pair is undefined only when
-    every member leaves it undefined.
+    Each member's defined pairs are keyed i * n + j on the union of the
+    members' patient sets, and their scores summed per key in member
+    order, so a pair is undefined only when every member leaves it
+    undefined.
     """
     if not members:
         raise TooFewPatients("no member similarity matrices to combine")
     ids = sorted(set().union(*(m.patient_ids for m in members)))
     index = {pid: k for k, pid in enumerate(ids)}
+    n = len(ids)
     t0 = time.perf_counter()
-    total = np.zeros((len(ids), len(ids)), dtype=np.float64)
-    count = np.zeros((len(ids), len(ids)), dtype=np.int64)
+    keys, values = [], []
+    diag = np.zeros(n, dtype=bool)
     for m in members:
-        at = [index[pid] for pid in m.patient_ids]
-        total[np.ix_(at, at)] += np.where(m.defined, m.scores, 0.0)
-        count[np.ix_(at, at)] += m.defined
-    scores = np.divide(total, count, out=np.full_like(total, np.nan),
-                       where=count > 0)
-    defined = count > 0
+        at = np.array([index[pid] for pid in m.patient_ids], dtype=np.int64)
+        ii, jj = _triangle(m.n) if m.pairs is None else m.pairs
+        ok = m.pair_defined
+        keys.append(at[ii[ok]] * n + at[jj[ok]])
+        values.append(m.pair_scores[ok])
+        diag[at[m.diag_defined]] = True
+    held, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    total = np.bincount(slot, weights=np.concatenate(values), minlength=held.size)
+    scores = total / np.bincount(slot, minlength=held.size)
     wall = time.perf_counter() - t0
-    return SimilarityMatrix(list(ids), scores, defined, config, wall)
+    return SimilarityMatrix(ids, scores, np.ones(held.size, dtype=bool), diag, config,
+                            wall, pairs=(held // n, held % n))
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +392,15 @@ def combine_similarities(
 # ---------------------------------------------------------------------------
 
 def persist_similarity(sim: SimilarityMatrix, path: str | Path) -> None:
-    iu, ju = np.triu_indices(sim.n, k=1)
+    scores, defined = sim.triangle()
     trailer = {"version": 1, "config": asdict(sim.config),
                "wall_time_seconds": sim.wall_time_seconds}
     formats.write(path, SIM_MAGIC, [
         formats.json_block(sim.patient_ids),
-        formats.count(iu.size),
-        np.ascontiguousarray(sim.scores[iu, ju], dtype="<f8"),
-        formats.mask(sim.defined[iu, ju]),
-        formats.mask(sim.defined.diagonal()),
+        formats.count(scores.size),
+        np.ascontiguousarray(scores, dtype="<f8"),
+        formats.mask(defined),
+        formats.mask(sim.diag_defined),
         formats.json_block(trailer, ascii=True),
     ])
 
@@ -353,17 +427,34 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
         wall = float(trailer["wall_time_seconds"])
     except (KeyError, TypeError, ValueError) as exc:
         raise r.error(f"bad trailer: {exc}")
-    return _scatter(ids, *np.triu_indices(n, k=1), tri, tri_ok, diag_ok, config, wall)
+    return SimilarityMatrix(ids, tri, tri_ok, diag_ok, config, wall)
 
 
 def export_csv(sim: SimilarityMatrix, path: str | Path) -> None:
-    """Dump the upper triangle as id_a,id_b,score,defined rows."""
+    """Dump the upper triangle as id_a,id_b,score,defined rows.
+
+    A patient's row of the triangle whose pairs are all defined is one
+    %-format of a template of its lines; a row with undefined pairs is
+    written line by line. "%.17g" formats a float as f"{x:.17g}" does.
+    """
     ids = [formats.csv_field(pid) for pid in sim.patient_ids]
-    formats.write_csv(path, ["id_a,id_b,score,defined\n"], (
-        f"{a},{b},{score:.17g},true\n" if ok else f"{a},{b},,false\n"
-        for i, a in enumerate(ids)
-        for b, score, ok in zip(ids[i + 1:], sim.scores[i, i + 1:].tolist(),
-                                sim.defined[i, i + 1:].tolist())))
+    heads = [pid.replace("%", "%%") for pid in ids]
+    tails = [f",{pid},%.17g,true\n" for pid in heads]
+    scores, defined = sim.triangle()
+
+    def rows():
+        stop = 0
+        for i, a in enumerate(ids[:-1]):
+            at, stop = stop, stop + len(ids) - 1 - i
+            row = scores[at:stop].tolist()
+            if defined[at:stop].all():
+                yield (heads[i] + heads[i].join(tails[i + 1:])) % tuple(row)
+            else:
+                yield "".join(f"{a},{b},{score:.17g},true\n" if ok else f"{a},{b},,false\n"
+                              for b, score, ok in zip(ids[i + 1:], row,
+                                                      defined[at:stop].tolist()))
+
+    formats.write_csv(path, ["id_a,id_b,score,defined\n"], rows())
 
 
 # ---------------------------------------------------------------------------

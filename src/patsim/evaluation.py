@@ -246,9 +246,10 @@ def evaluate_config(
         if pivot in index and rel in index:
             rows[at], cols[at] = index[pivot], index[rel]
     usable = (cols >= 0) & ~np.isnan(grade)
-    usable[usable] = sim.defined[rows[usable], cols[usable]]
+    scores, ok = sim.lookup(rows[usable], cols[usable])
+    usable[usable] = ok
     model = np.zeros(grade.shape)
-    model[usable] = sim.scores[rows[usable], cols[usable]]
+    model[usable] = scores[ok]
     taus, counts = _tau_b(grade, model, usable)
     skipped = [pivot for pivot, n in zip(validation.pivots, counts) if n < 2]
     per_pivot = {pivot: None if math.isnan(tau) else tau for pivot, tau, n
@@ -312,14 +313,15 @@ def cluster_precision_at_k(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     ids = sim.patient_ids
+    everyone = np.arange(len(ids))
     precisions = []
     for i, pid in enumerate(ids):
-        mask = sim.defined[i].copy()
+        scores, mask = sim.lookup(np.full(len(ids), i), everyone)
         mask[i] = False
         cand = np.flatnonzero(mask)
         if cand.size == 0:
             continue
-        order = cand[np.argsort(-sim.scores[i, cand], kind="stable")]
+        order = cand[np.argsort(-scores[cand], kind="stable")]
         top = order[:k]
         same = sum(1 for j in top if assignment[ids[j]] == assignment[pid])
         precisions.append(same / min(k, top.size))

@@ -21,15 +21,20 @@ and the one-pair functions are the block of one.
 rv2 and mms score pairs by patient tile: patients k with the same
 k // TILE form a tile, and all pairs between two tiles come from one
 matrix product. The tiles depend only on the patient indices, so a
-pair's score is the same whatever else is requested with it.
+pair's score is the same whatever else is requested with it. Both read
+their pairs in the triangle's order (i <= j, by row, then column), as
+the engine lists them: such pairs are split into runs of one row and
+one column tile with no copy of the pairs. Pairs in any other order, or
+repeated, are sorted into distinct pairs first, and their scores put
+back in the given order.
 
 An rv2 triangle is the strict upper triangle of a patient's d x d
 column cross-product: d(d-1)/2 entries. No pack holds the triangles.
 rv2_batch streams them: rv2_gram forms every patient's slice of one
 chunk of entries, _GRAM_BUDGET (8 MiB) over all the pack's patients,
-and each requested tile pair adds the product of its slices to a
-TILE x TILE accumulator. So rv2 holds that budget plus one accumulator
-per requested tile pair, not n x d(d-1)/2 entries (0.68 GB for 4,267
+and each requested tile pair adds the product of its slices straight
+into the scores of its pairs. So rv2 holds that budget plus one tile
+product besides its output, not n x d(d-1)/2 entries (0.68 GB for 4,267
 patients at dim 200). The chunks depend only on the pack's patient
 count and d, never on the request. Scores are within 1e-12 of the full
 d x d form in tests/oracles.py.
@@ -186,12 +191,11 @@ def _eds_block(c: np.ndarray, n1: np.ndarray, n2: np.ndarray, lam: np.ndarray
     return trace, iters, walks
 
 
-def _warn_at_cap(iters: np.ndarray) -> None:
-    capped = int(np.count_nonzero(iters == _MAX_DINKELBACH_ITERS))
+def _warn_at_cap(capped: int, pairs: int) -> None:
     if capped:
         log.warning("eds: %d of %d pairs stopped at the cap of %d Dinkelbach "
                     "iterations; their scores may be below the optimum",
-                    capped, iters.size, _MAX_DINKELBACH_ITERS)
+                    capped, pairs, _MAX_DINKELBACH_ITERS)
 
 
 def _eds_score(c: np.ndarray) -> tuple[list[float], list[tuple[int, int]]]:
@@ -200,7 +204,7 @@ def _eds_score(c: np.ndarray) -> tuple[list[float], list[tuple[int, int]]]:
     c = np.ascontiguousarray(c, dtype=np.float64)
     trace, iters, (wi, wj) = _eds_block(c[None], np.array([c.shape[0]]),
                                         np.array([c.shape[1]]), np.array([c.min()]))
-    _warn_at_cap(iters)
+    _warn_at_cap(int(iters[0] == _MAX_DINKELBACH_ITERS), 1)
     walk = list(zip(wi[:, 0].tolist(), wj[:, 0].tolist()))
     return [float(t[0]) for t in trace], walk[:walk.index((0, 0)) + 1][::-1]
 
@@ -269,6 +273,39 @@ def _groups(key: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if key.size else []
 
 
+def _triangle_order(ii: np.ndarray, jj: np.ndarray, n: int
+                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The distinct pairs (ii[p], jj[p]) of n patients in the triangle's
+    order, as (given, lo, hi): lo[q] <= hi[q], strictly increasing by lo,
+    then hi, and the given pair p is pair given[p]. Pairs that come so
+    already, as the engine lists them, are kept as they are, with no
+    copy, and given None."""
+    if (np.all(ii <= jj) and np.all(ii[:-1] <= ii[1:])
+            and np.all((ii[:-1] < ii[1:]) | (jj[:-1] < jj[1:]))):
+        return None, ii, jj
+    keys, given = np.unique(np.minimum(ii, jj).astype(np.int64) * n + np.maximum(ii, jj),
+                            return_inverse=True)
+    lo, hi = np.divmod(keys, n)
+    return given, lo, hi
+
+
+def _given_order(out: np.ndarray, given: np.ndarray | None) -> np.ndarray:
+    """Scores computed in the triangle's order, put in the given order."""
+    return out if given is None else out[given]
+
+
+def _runs(lo: np.ndarray, hi: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs in the triangle's order as runs of one row and one column
+    tile: each run's row, column tile, and first and stop positions."""
+    tile = hi // TILE
+    first = np.flatnonzero((lo[1:] != lo[:-1]) | (tile[1:] != tile[:-1])) + 1
+    if lo.size:
+        first = np.insert(first, 0, 0)
+    stop = np.append(first[1:], lo.size)
+    return lo[first].astype(np.intp), tile[first].astype(np.intp), first, stop
+
+
 def rv2_batch(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, offsets: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """Scores for index pairs (ii[p], jj[p]) over patients packed as in
@@ -277,33 +314,43 @@ def rv2_batch(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, offsets: np.ndar
     A score is the cosine of two gram triangles. The triangles stream in
     chunks of _GRAM_BUDGET entries over all patients, made by rv2_gram. A
     pair (i, j), i <= j, sums the products of i's tile's and j's tile's
-    slices, one GEMM per chunk and pair of tiles requested, and is divided
-    by both norms at the end. Rounding can take a cosine just past 1, so
-    scores are clipped to [-1, 1]. A patient whose triangle vanishes
-    (single column, or exactly orthogonal columns) has norm 0 and NaN
-    scores.
+    slices, one GEMM per chunk and pair of tiles requested, added straight
+    into its score, and is divided by both norms at the end. Rounding can
+    take a cosine just past 1, so scores are clipped to [-1, 1]. A patient
+    whose triangle vanishes (single column, or exactly orthogonal
+    columns) has norm 0 and NaN scores.
     """
     n, d = offsets.size - 1, rows.shape[1]
     size = d * (d - 1) // 2
-    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
-    tiles = [(p, lo[p[0]] // TILE * TILE, hi[p[0]] // TILE * TILE)
-             for p in _groups(lo // TILE * n + hi // TILE)]
-    acc = [np.zeros((min(TILE, n - a), min(TILE, n - b))) for _, a, b in tiles]
+    given, lo, hi = _triangle_order(ii, jj, n)
+    row, col, first, stop = _runs(lo, hi)
+    # each requested tile pair (a, b), with its runs: their rows in tile a,
+    # and where each starts and stops
+    blocks = [(row[k[0]] // TILE * TILE, col[k[0]] * TILE, row[k] % TILE, first[k], stop[k])
+              for k in _groups(row // TILE * n + col)]
+    del row, col, first, stop  # the blocks hold what the chunks need of the runs
+    out = np.zeros(lo.size, dtype=np.float64)
     sq = np.zeros(n)
     width = max(1, _GRAM_BUDGET // n)
     for start in range(0, size, width):
         g = rv2_gram(rows, offsets, start, min(start + width, size))
         sq += np.einsum("ij,ij->i", g, g)
-        for (_, a, b), block in zip(tiles, acc):
-            block += g[a:a + TILE] @ g[b:b + TILE].T
+        for a, b, x, begin, end in blocks:
+            product = g[a:a + TILE] @ g[b:b + TILE].T
+            runs = end - begin
+            if runs.sum() == product.size:  # every pair of the two tiles, row by row
+                np.add.at(out, (begin[:, None] + np.arange(product.shape[1])).ravel(),
+                          product.ravel())
+            else:
+                at = np.repeat(begin - np.cumsum(runs) + runs, runs)
+                at += np.arange(at.size)
+                np.add.at(out, at, product[np.repeat(x, runs), hi[at] - b])
         del g  # so that one chunk, not two, is alive while the next is formed
-    out = np.empty(ii.size, dtype=np.float64)
-    for (p, a, b), block in zip(tiles, acc):
-        out[p] = block[lo[p] - a, hi[p] - b]
     norm = np.sqrt(sq)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out /= norm[lo] * norm[hi]
-    return np.clip(out, -1.0, 1.0, out=out), sq
+        for s in range(0, out.size, TILE * TILE):
+            out[s:s + TILE * TILE] /= norm[lo[s:s + TILE * TILE]] * norm[hi[s:s + TILE * TILE]]
+    return _given_order(np.clip(out, -1.0, 1.0, out=out), given), sq
 
 
 def mms_batch(
@@ -317,19 +364,20 @@ def mms_batch(
     maxima per partner by reduceat over the tile's offsets, column
     maxima summed per partner.
     """
-    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
     sizes = np.diff(offsets)
-    out = np.empty(ii.size, dtype=np.float64)
-    for p in _groups(lo * sizes.size + hi // TILE):
-        i, b = lo[p[0]], hi[p[0]] // TILE * TILE
+    given, lo, hi = _triangle_order(ii, jj, sizes.size)
+    runs = _runs(lo, hi)
+    out = np.empty(lo.size, dtype=np.float64)
+    for i, t, first, stop in zip(*runs):
+        b = t * TILE
         e = min(b + TILE, sizes.size)
         seg = offsets[b:e] - offsets[b]
         c = rows[offsets[i]:offsets[i + 1]] @ rows[offsets[b]:offsets[e]].T
         row_sums = np.maximum.reduceat(c, seg, axis=1).sum(axis=0)
         col_sums = np.add.reduceat(c.max(axis=0), seg)
-        q = hi[p] - b
-        out[p] = (row_sums[q] + col_sums[q]) / (sizes[i] + sizes[hi[p]])
-    return out
+        h = hi[first:stop]
+        out[first:stop] = (row_sums[h - b] + col_sums[h - b]) / (sizes[i] + sizes[h])
+    return _given_order(out, given)
 
 
 def eds_batch(
@@ -342,12 +390,11 @@ def eds_batch(
     bitwise the one a pair gets on its own.
     """
     sizes = np.diff(offsets)
-    n1, n2 = sizes[ii], sizes[jj]
-    step = max(1, _CELL_BUDGET // int(n1.max(initial=1) * n2.max(initial=1)))
+    step = max(1, _CELL_BUDGET // (_largest(sizes, ii) * _largest(sizes, jj)))
     out = np.empty(ii.size, dtype=np.float64)
-    iters = np.empty(ii.size, dtype=np.intp)
+    capped = 0
     for s in range(0, ii.size, step):
-        b1, b2 = n1[s:s + step], n2[s:s + step]
+        b1, b2 = sizes[ii[s:s + step]], sizes[jj[s:s + step]]
         c = np.zeros((b1.size, b1.max(), b2.max()))
         lam = np.empty(b1.size)
         for p in range(b1.size):
@@ -356,10 +403,18 @@ def eds_batch(
                              rows[offsets[y]:offsets[y + 1]].T,
                              out=c[p, :b1[p], :b2[p]])
             lam[p] = cell.min()
-        trace, iters[s:s + b1.size], _ = _eds_block(c, b1, b2, lam)
+        trace, iters, _ = _eds_block(c, b1, b2, lam)
         out[s:s + b1.size] = trace[-1]
-    _warn_at_cap(iters)
+        capped += int(np.count_nonzero(iters == _MAX_DINKELBACH_ITERS))
+    _warn_at_cap(capped, ii.size)
     return out
+
+
+def _largest(sizes: np.ndarray, index: np.ndarray) -> int:
+    """The largest sizes[index[p]] (1 with no index), with no per-pair copy."""
+    named = np.zeros(sizes.size, dtype=bool)
+    named[index] = True
+    return int(sizes[named].max(initial=1))
 
 
 def _span(blocks: Sequence[np.ndarray]) -> np.ndarray | None:
@@ -420,5 +475,9 @@ def score_pairs(payload: dict, ii: np.ndarray, jj: np.ndarray
     else:
         batch = mms_batch if payload["mmethod"] == "mms" else eds_batch
         scores = batch(payload["rows"], payload["offsets"], ii, jj)
-    defined = payload["valid"][ii] & payload["valid"][jj]
-    return np.where(defined, scores, np.nan), defined
+    valid = payload["valid"]
+    if valid.all():
+        return scores, np.ones(ii.size, dtype=bool)
+    defined = valid[ii] & valid[jj]
+    scores[~defined] = np.nan
+    return scores, defined

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from patsim.corpus import Corpus, NoteRecord, PatientRecord, parse_timestamp
+from patsim.engine import SimilarityMatrix
 
 # pytest finds patsim through pyproject's pythonpath; the tests that run
 # `python -m patsim.cli` in a subprocess find it through PYTHONPATH
@@ -38,3 +39,12 @@ def make_corpus(spec: dict[str, list[tuple[str, str]]]) -> Corpus:
         for pid, notes in spec.items()
     }
     return Corpus.from_patients(patients)
+
+
+def dense_similarity(ids, scores, defined, config, wall: float = 0.0) -> SimilarityMatrix:
+    """The similarity store of symmetric n x n score and defined arrays:
+    their upper triangle, row by row, and the diagonal's defined bits."""
+    iu, ju = np.triu_indices(len(ids), k=1)
+    scores, defined = np.asarray(scores, dtype=float), np.asarray(defined, dtype=bool)
+    return SimilarityMatrix(list(ids), scores[iu, ju], defined[iu, ju],
+                            defined.diagonal().copy(), config, wall)

@@ -146,6 +146,7 @@ def evaluate_reference(sim, validation, category: str):
     """
     annotators, grades = _category_grades(validation.annotations, category)
     index = {pid: i for i, pid in enumerate(sim.patient_ids)}
+    scores, defined = sim.scores, sim.defined  # dense n x n arrays
     per_pivot, skipped, excluded = {}, [], 0
     for pivot in validation.pivots:
         xs, ys = [], []
@@ -153,17 +154,30 @@ def evaluate_reference(sim, validation, category: str):
             judged = [grades[(a, pivot, rel)] for a in annotators
                       if grades.get((a, pivot, rel), -1) >= 0]
             if (not judged or pivot not in index or rel not in index
-                    or not sim.defined[index[pivot], index[rel]]):
+                    or not defined[index[pivot], index[rel]]):
                 excluded += 1
                 continue
             xs.append(sum(judged) / len(judged))
-            ys.append(float(sim.scores[index[pivot], index[rel]]))
+            ys.append(float(scores[index[pivot], index[rel]]))
         if len(xs) < 2:
             skipped.append(pivot)
         else:
             per_pivot[pivot] = kendall_tau_b_reference(xs, ys)
     defined = [t for t in per_pivot.values() if t is not None]
     return per_pivot, skipped, excluded, sum(defined) / len(defined) if defined else None
+
+
+def precision_at_k_reference(ids, scores, defined, assignment, k: int) -> float:
+    """Mean share of each patient's top-k defined neighbours in its
+    cluster, read from dense n x n arrays; ties go to the lower index."""
+    precisions = []
+    for i, pid in enumerate(ids):
+        cand = [j for j in range(len(ids)) if j != i and defined[i, j]]
+        if not cand:
+            continue
+        top = sorted(cand, key=lambda j: (-scores[i, j], j))[:k]
+        precisions.append(sum(assignment[ids[j]] == assignment[pid] for j in top) / len(top))
+    return float(np.mean(precisions)) if precisions else float("nan")
 
 
 def agreement_reference(validation, category: str) -> list[float]:

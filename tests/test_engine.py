@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from patsim import engine, kernels
+from patsim import engine, evaluation, kernels, synth
 from patsim.engine import (
     RunConfig,
     SimilarityMatrix,
@@ -22,8 +23,8 @@ from patsim.engine import (
 from patsim.exceptions import ConfigError, DimMismatch, FormatError, TooFewPatients
 from patsim.vectorizer import PatientMatrix
 
-from conftest import unit_rows
-from oracles import mms_reference, rv2_reference
+from conftest import dense_similarity, unit_rows
+from oracles import evaluate_reference, mms_reference, precision_at_k_reference, rv2_reference
 
 
 def make_matrices(rng, count, d=4, n_lo=2, n_hi=6):
@@ -297,10 +298,7 @@ class TestComputeLegs:
 
 class TestCombine:
     def sim_of(self, ids, scores, defined, mmethod="mms"):
-        return SimilarityMatrix(
-            list(ids), np.asarray(scores, float), np.asarray(defined, bool),
-            config(mmethod),
-        )
+        return dense_similarity(ids, scores, defined, config(mmethod))
 
     def test_mean_over_defined_members(self):
         ids = ["a", "b"]
@@ -333,6 +331,122 @@ class TestCombine:
         assert np.isnan(out.scores[k]).all()
         assert out.scores[:k, :k].tobytes() == sim.scores.tobytes()
         assert np.array_equal(out.defined[:k, :k], sim.defined)
+
+
+def _dense_reference(mats, config, ii, jj):
+    """The symmetric n x n scores and defined bits of the pairs (ii, jj),
+    i < j, scored in one call: each pair at (i, j) and (j, i), the diagonal
+    1 (or NaN where a patient is invalid), every other pair NaN."""
+    ids = sorted(mats)
+    n = len(ids)
+    payload = kernels.pack(config.mmethod, [mats[pid].rows for pid in ids])
+    got, ok = kernels.score_pairs(payload, ii, jj)
+    scores = np.full((n, n), np.nan)
+    defined = np.zeros((n, n), dtype=bool)
+    scores[ii, jj] = scores[jj, ii] = got
+    defined[ii, jj] = defined[jj, ii] = ok
+    np.fill_diagonal(scores, np.where(payload["valid"], 1.0, np.nan))
+    np.fill_diagonal(defined, payload["valid"])
+    return scores, defined
+
+
+class TestPairStore:
+    """A result keeps its triangle (or its requested pairs) and builds the
+    n x n views only when asked for them; every reader sees the same bits
+    as from dense arrays."""
+
+    @staticmethod
+    def cases(rng):
+        # two kernel tiles, an rv2-degenerate patient, and a validation
+        # whose pairs are the request
+        mats = make_matrices(rng, 70, d=6, n_lo=1, n_hi=5)
+        mats["p004"] = PatientMatrix("p004", np.eye(6)[:3], np.arange(3))
+        ids = sorted(mats)
+        validation = synth.synthesize_validation(
+            {pid: k % 4 for k, pid in enumerate(ids)}, n_pivots=8, per_pivot=6,
+            n_annotators=3, noise=1.0, seed=3)
+        return mats, validation
+
+    @pytest.mark.parametrize("mmethod", engine.MMETHODS)
+    @pytest.mark.parametrize("requested", [False, True])
+    def test_views_and_readers_match_dense_arrays(self, rng, mmethod, requested):
+        mats, validation = self.cases(rng)
+        ids = sorted(mats)
+        cfg = config(mmethod)
+        request = validation.pairs() if requested else None
+        sim = compute_legs([(mats, cfg)], request)[0]
+        if requested:
+            index = {pid: k for k, pid in enumerate(ids)}
+            ii, jj = np.array(sorted({tuple(sorted((index[a], index[b])))
+                                      for a, b in request})).T
+            assert sim.pairs is not None and sim.pair_scores.size == ii.size
+        else:
+            ii, jj = np.triu_indices(len(ids), k=1)
+            assert sim.pairs is None and sim.pair_scores.size == ii.size
+        scores, defined = _dense_reference(mats, cfg, ii, jj)
+        assert sim.scores.tobytes() == scores.tobytes()
+        assert sim.defined.tobytes() == defined.tobytes()
+        for i, j in [(0, 1), (1, 0), (4, 4), (4, 9), (5, 5), *zip(ii[:20], jj[:20])]:
+            got, ok = sim.get(ids[i], ids[j])
+            assert np.array([got]).tobytes() == scores[i, j].tobytes() and ok == defined[i, j]
+        dense = dense_similarity(ids, scores, defined, cfg)
+        assignment = {pid: k % 4 for k, pid in enumerate(ids)}
+        want = precision_at_k_reference(ids, scores, defined, assignment, 5)
+        for reader in (sim, dense):
+            assert evaluation.cluster_precision_at_k(reader, assignment, 5) == want
+            for name in ("Medication", "Medical history"):
+                got = evaluation.evaluate_config(reader, validation, name)
+                per_pivot, skipped, excluded, mean = evaluate_reference(sim, validation, name)
+                assert (got.per_pivot, got.skipped_pivots, got.excluded_pairs, got.mean) \
+                    == (per_pivot, skipped, excluded, mean)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 300])
+    def test_triangle_lists_the_upper_triangle_in_int16(self, n):
+        ii, jj = engine._triangle(n)
+        want = np.triu_indices(n, k=1)
+        assert ii.dtype == jj.dtype == np.int16
+        assert np.array_equal(ii, want[0]) and np.array_equal(jj, want[1])
+
+    def test_views_are_built_on_each_access(self, rng):
+        sim = compute_all_pairs(make_matrices(rng, 5), config())
+        assert sim.scores is not sim.scores
+        assert not np.shares_memory(sim.scores, sim.pair_scores)
+        assert "scores" not in vars(sim) and "defined" not in vars(sim)
+
+    @pytest.mark.parametrize("mmethod, n, rows", [
+        ("rv2", 500, (2, 4)), ("mms", 500, (2, 4)), ("eds", 300, (1, 1)),
+    ])
+    def test_all_pairs_peak_below_one_dense_array(self, rng, monkeypatch, mmethod, n, rows):
+        # the store is 9 B a pair and the int16 pair list 4 B a pair, so
+        # 6.5 n^2 B in all, where one n x n float64 array takes 8 n^2 B; eds
+        # pays only for what grows with n under a small fixed block budget
+        monkeypatch.setattr(kernels, "_CELL_BUDGET", 1 << 8)
+        mats = make_matrices(rng, n, d=4, n_lo=rows[0], n_hi=rows[1])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim = compute_all_pairs(mats, config(mmethod))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sim.pair_scores.size == n * (n - 1) // 2 and sim.pair_defined.all()
+        assert peak < n * n * 8, f"{mmethod} all-pairs peaked {peak / 1e3:.0f} kB"
+
+    def test_request_memory_follows_its_pairs(self, rng):
+        # 40 pairs over 2,000 patients; one n x n float64 array is 32 MB
+        mats = make_matrices(rng, 2000, d=4, n_lo=2, n_hi=4)
+        ids = sorted(mats)
+        picks = rng.choice(2000, size=(40, 2), replace=False)
+        request = [(ids[a], ids[b]) for a, b in picks]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim = compute_legs([(mats, config("mms"))], request)[0]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sim.pair_scores.size == 40 and sim.pair_defined.all()
+        assert peak < 2e6, f"a 40-pair request peaked {peak / 1e6:.1f} MB"
 
 
 class TestPersistence:
@@ -395,14 +509,33 @@ class TestPersistence:
     def test_csv_export_bytes(self, tmp_path):
         scores = np.array([[1.0, 1 / 3, -0.0], [1 / 3, 1.0, np.nan],
                            [-0.0, np.nan, 1.0]])
-        sim = SimilarityMatrix(["a", 'b"c', "d,e"], scores, ~np.isnan(scores),
-                               config())
+        sim = dense_similarity(["a", 'b"c', "d,e"], scores, ~np.isnan(scores), config())
         export_csv(sim, tmp_path / "sim.csv")
         assert (tmp_path / "sim.csv").read_bytes() == (
             b'id_a,id_b,score,defined\n'
             b'a,"b""c",0.33333333333333331,true\n'
             b'a,"d,e",-0,true\n'
             b'"b""c","d,e",,false\n')
+
+
+    def test_csv_rows_match_line_by_line_formatting(self, rng, tmp_path):
+        # a fully defined row is one %-format of its template: the same
+        # bytes as f"{x:.17g}" per line, with "%" in an id kept literal
+        ids = ["a%s", "b%%", "c%d,1", "d", "e"]
+        scores = np.zeros((5, 5))
+        iu, ju = np.triu_indices(5, k=1)
+        values = np.concatenate([rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6),
+                                 [-0.0, 5e-324, 1 / 3, np.inf]])
+        scores[iu, ju] = scores[ju, iu] = values
+        defined = np.ones((5, 5), dtype=bool)
+        defined[3, 4] = defined[4, 3] = False
+        scores[3, 4] = scores[4, 3] = np.nan
+        export_csv(dense_similarity(ids, scores, defined, config()), tmp_path / "sim.csv")
+        quoted = [f'"{pid}"' if "," in pid else pid for pid in ids]
+        want = "id_a,id_b,score,defined\n" + "".join(
+            f"{quoted[i]},{quoted[j]},{scores[i, j]:.17g},true\n" if defined[i, j]
+            else f"{quoted[i]},{quoted[j]},,false\n" for i, j in zip(iu, ju))
+        assert (tmp_path / "sim.csv").read_text() == want
 
 
 class TestTimingReport:

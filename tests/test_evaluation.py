@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patsim.engine import RunConfig, SimilarityMatrix
+from patsim.engine import RunConfig
 from patsim.evaluation import (
     AnnotationRecord,
     ValidationSet,
@@ -25,6 +25,7 @@ from patsim.exceptions import LengthMismatch, ParseError, TooShort
 from patsim.segmenter import CATEGORY_NAMES
 from patsim.synth import load_assignment_csv, synthesize_validation, write_assignment_csv
 
+from conftest import dense_similarity
 from oracles import agreement_reference, evaluate_reference, kendall_tau_b_reference
 
 
@@ -155,10 +156,8 @@ def sim_for(ids, pair_scores, mmethod="mms"):
         if v is not None:
             scores[i, j] = scores[j, i] = v
             defined[i, j] = defined[j, i] = True
-    return SimilarityMatrix(
-        list(ids), scores, defined,
-        RunConfig(filter=False, vmethod="lsa050", mmethod=mmethod),
-    )
+    return dense_similarity(ids, scores, defined,
+                            RunConfig(filter=False, vmethod="lsa050", mmethod=mmethod))
 
 
 class TestEvaluateConfig:

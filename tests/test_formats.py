@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from patsim.engine import (
     SIM_MAGIC,
     RunConfig,
-    SimilarityMatrix,
     compute_all_pairs,
     load_similarity,
     persist_similarity,
@@ -35,6 +34,8 @@ from patsim.vectorizer import (
     save_lsa_model,
     save_matrices,
 )
+
+from conftest import dense_similarity
 
 
 def _matrices() -> dict[str, PatientMatrix]:
@@ -195,8 +196,8 @@ def _golden_sim(path):
     defined = ~np.isnan(scores)
     config = RunConfig(filter=True, vmethod="lsa050", mmethod="eds",
                        category="Médication", workers=2, seed=7)
-    persist_similarity(SimilarityMatrix(_GOLDEN_IDS, scores, defined, config,
-                                        wall_time_seconds=1.5), path)
+    persist_similarity(dense_similarity(_GOLDEN_IDS, scores, defined, config, wall=1.5),
+                       path)
 
 
 def _golden_mat(path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import patsim
@@ -61,3 +62,11 @@ def test_benchmark_span_targets_stay_callable():
     missing = [f"{module}.{attr}" for module, attr, _ in targets
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+    # spans.py and workloads.eds_pairs read the kernels' operands by
+    # position from each traced call
+    kernels = importlib.import_module("patsim.kernels")
+    leading = {"rv2_batch": ["rows", "ii", "jj"],
+               "mms_batch": ["rows", "offsets", "ii", "jj"],
+               "eds_batch": ["rows", "offsets", "ii", "jj"]}
+    for name, want in leading.items():
+        assert list(inspect.signature(getattr(kernels, name)).parameters)[:len(want)] == want

@@ -22,6 +22,8 @@ from patsim.formats import csv_table, text_table
 from patsim.grid import EvalReport, GridCell, cells_csv, write_report
 from patsim.segmenter import CATEGORIES
 
+from conftest import dense_similarity
+
 REPORT_SHA256 = {
     "summary.txt": "6cf57a39324e7a0f9a0f22cb04baee4cd399c2f9f68a423c8ebeac7450eecefd",
     "summary.csv": "76397f9b08eef1c7c2b5f4746eac5fe2d334f00f3ed4e097b5121ede150c3a70",
@@ -91,7 +93,7 @@ def _similarity(mmethod: str, vmethod: str, wall: float) -> SimilarityMatrix:
     defined[1, 2] = defined[2, 1] = False
     scores[~defined] = np.nan
     np.fill_diagonal(scores, 1.0)
-    return SimilarityMatrix(list(IDS), scores, defined,
+    return dense_similarity(IDS, scores, defined,
                             RunConfig(False, vmethod, mmethod), wall)
 
 
