@@ -9,11 +9,12 @@ optional) and ``text``.
 from __future__ import annotations
 
 import json
+import re
 import statistics
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .exceptions import EmptyCorpus, ParseError
 
@@ -122,6 +123,24 @@ def _iter_jsonl_files(path: Path) -> list[Path]:
     return [path]
 
 
+# errors="surrogateescape" decodes each byte that is not UTF-8 to one of
+# these code points, which valid UTF-8 never decodes to.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def utf8_lines(fh: TextIO, path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) of a file opened with surrogateescape.
+
+    A byte that is not UTF-8 raises ParseError naming the file and line,
+    where strict decoding fails per read buffer and names neither.
+    """
+    for lineno, raw in enumerate(fh, start=1):
+        if not raw.isascii() and (bad := _UNDECODED.search(raw)):
+            raise ParseError(f"byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8",
+                             path=path, line=lineno)
+        yield lineno, raw
+
+
 def _reject_duplicate_keys(pairs):
     seen = set()
     for key, _ in pairs:
@@ -144,8 +163,8 @@ def load_corpus(path: str | Path) -> Corpus:
     notes: dict[str, list[NoteRecord]] = {}
     total = 0
     for file in _iter_jsonl_files(path):
-        with open(file, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+        with open(file, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, raw in utf8_lines(fh, file):
                 if not raw.strip():
                     continue
                 try:

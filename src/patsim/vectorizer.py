@@ -8,7 +8,9 @@ builder makes the TF-IDF rows for fitting and embedding alike, and
 embed_texts projects a batch of them in one sparse product, as fit_lsa
 does for its own documents when it fits several dims at once. scipy is
 loaded only when that builder first runs, so importing patsim, loading
-saved matrices and scoring them load no scipy module.
+saved matrices and scoring them load no scipy module. orjson, which
+parses imported JSONL, is likewise loaded by the first import_embeddings
+call; a line it cannot read as json.loads would is re-read by json.loads.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import formats
+from .corpus import utf8_lines
 from .exceptions import (
     BadVector,
     DimMismatch,
@@ -32,6 +35,7 @@ from .exceptions import (
     FormatError,
     MissingEmbedding,
     ParseError,
+    PatsimError,
 )
 
 if TYPE_CHECKING:
@@ -289,49 +293,67 @@ def embed(model: LsaModel, text: str) -> np.ndarray | None:
     return rows[0] if found[0] else None
 
 
+def _note_vector(obj, path: Path, lineno: int, dim: int | None,
+                 index: Mapping) -> tuple[tuple[str, int], np.ndarray]:
+    """Check one parsed import line; return its key and unit row."""
+    try:
+        key = (obj["patient_id"], obj["note_index"])
+        vec = np.asarray(obj["vector"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad record: {exc}", path=path, line=lineno)
+    if not isinstance(key[0], str) or not key[0]:
+        raise ParseError("patient_id must be a non-empty string",
+                         path=path, line=lineno)
+    if type(key[1]) is not int:
+        raise ParseError("note_index must be an integer", path=path, line=lineno)
+    if vec.ndim != 1:
+        raise BadVector(f"vector for {key} is not one-dimensional")
+    if dim is not None and vec.size != dim:
+        raise DimMismatch(f"vector for {key} has dim {vec.size}, expected {dim}")
+    if not np.all(np.isfinite(vec)):
+        raise BadVector(f"non-finite value in vector for {key}")
+    norm = np.linalg.norm(vec)
+    if norm <= _ZERO_NORM:
+        raise BadVector(f"zero vector for {key}")
+    if key in index:
+        raise DuplicateKey(f"duplicate embedding key {key}")
+    return key, vec / norm
+
+
 def import_embeddings(path: str | Path) -> NoteVectors:
     """Read a JSONL embedding file keyed by (patient_id, note_index).
 
     Each line holds patient_id, note_index and vector. Vectors are
     validated (one dimension for all, finiteness, nonzero norm) and
     L2-normalized; rows follow the file's order.
+
+    Lines are parsed by orjson, whose floats are correctly rounded as
+    json's are. A line orjson rejects (NaN or Infinity tokens, a number
+    past float range, a lone surrogate) or whose checks fail (orjson reads
+    an integer past 64 bits as a float) is re-read by json.loads, and that
+    reading decides its row or its error, so a UTF-8 file gives json's
+    outcome. A line that is not UTF-8 raises ParseError.
     """
+    import orjson  # loaded here, so importing patsim loads no orjson
+
     path = Path(path)
     index: dict[tuple[str, int], int] = {}
     vecs: list[np.ndarray] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in utf8_lines(fh, path):
+            if raw.isspace():  # as `not raw.strip()`, with no copy of the line
                 continue
+            dim = vecs[0].size if vecs else None
             try:
-                obj = json.loads(raw)
-            except ValueError as exc:
-                raise ParseError(f"bad JSON: {exc}", path=path, line=lineno)
-            try:
-                key = (obj["patient_id"], obj["note_index"])
-                vec = np.asarray(obj["vector"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad record: {exc}", path=path, line=lineno)
-            if not isinstance(key[0], str) or not key[0]:
-                raise ParseError("patient_id must be a non-empty string",
-                                 path=path, line=lineno)
-            if type(key[1]) is not int:
-                raise ParseError("note_index must be an integer", path=path, line=lineno)
-            if vec.ndim != 1:
-                raise BadVector(f"vector for {key} is not one-dimensional")
-            if vecs and vec.size != vecs[0].size:
-                raise DimMismatch(
-                    f"vector for {key} has dim {vec.size}, expected {vecs[0].size}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise BadVector(f"non-finite value in vector for {key}")
-            norm = np.linalg.norm(vec)
-            if norm <= _ZERO_NORM:
-                raise BadVector(f"zero vector for {key}")
-            if key in index:
-                raise DuplicateKey(f"duplicate embedding key {key}")
+                key, vec = _note_vector(orjson.loads(raw), path, lineno, dim, index)
+            except (ValueError, PatsimError):
+                try:
+                    obj = json.loads(raw)
+                except ValueError as exc:
+                    raise ParseError(f"bad JSON: {exc}", path=path, line=lineno)
+                key, vec = _note_vector(obj, path, lineno, dim, index)
             index[key] = len(vecs)
-            vecs.append(vec / norm)
+            vecs.append(vec)
     return NoteVectors(index, np.stack(vecs) if vecs else np.zeros((0, 0)))
 
 

@@ -2,11 +2,13 @@
 
 Everything here is deliberately brute force and shares no code with the
 package: exhaustive path enumeration, a plain-loop Dinkelbach solver,
-quadratic pair counting, and straight-line formula evaluation.
+quadratic pair counting, straight-line formula evaluation, and a text-mode
+json.loads reader of imported embeddings.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -317,3 +319,62 @@ def eds_path_reference(c: np.ndarray, max_iters: int = 100
             break
         lam = ratio
     return lam, path
+
+
+class ImportRejected(Exception):
+    """A line import_embeddings_reference rejects: kind is the name of the
+    package's error class, and the message is that error's text."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+def import_embeddings_reference(path) -> tuple[dict, np.ndarray]:
+    """(index, rows) of a JSONL embedding file, read line by line in text
+    mode with json.loads, checked and L2-normalized in plain steps.
+
+    Problems with a line raise ImportRejected; anything else the standard
+    library or numpy raises (a non-UTF-8 byte, an integer past float range)
+    escapes as it is.
+    """
+    index: dict = {}
+    vecs: list = []
+
+    def reject(kind, message, line=None):
+        where = f" ({path}:{line})" if line is not None else ""
+        raise ImportRejected(kind, message + where)
+
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except ValueError as exc:
+                reject("ParseError", f"bad JSON: {exc}", lineno)
+            try:
+                key = (obj["patient_id"], obj["note_index"])
+                vec = np.asarray(obj["vector"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError) as exc:
+                reject("ParseError", f"bad record: {exc}", lineno)
+            if not isinstance(key[0], str) or key[0] == "":
+                reject("ParseError", "patient_id must be a non-empty string", lineno)
+            if type(key[1]) is not int:
+                reject("ParseError", "note_index must be an integer", lineno)
+            if vec.ndim != 1:
+                reject("BadVector", f"vector for {key} is not one-dimensional")
+            if vecs and vec.size != vecs[0].size:
+                reject("DimMismatch",
+                       f"vector for {key} has dim {vec.size}, expected {vecs[0].size}")
+            for value in vec:
+                if not math.isfinite(value):
+                    reject("BadVector", f"non-finite value in vector for {key}")
+            norm = np.linalg.norm(vec)
+            if norm <= 1e-12:
+                reject("BadVector", f"zero vector for {key}")
+            if key in index:
+                reject("DuplicateKey", f"duplicate embedding key {key}")
+            index[key] = len(vecs)
+            vecs.append(vec / norm)
+    return index, np.stack(vecs) if vecs else np.zeros((0, 0))

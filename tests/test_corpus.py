@@ -83,6 +83,25 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="duplicate"):
             load_corpus(path)
 
+    def test_non_utf8_line_is_a_parse_error_naming_the_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = {"patient_id": "a", "timestamp": "2020-01-01", "text": "x"}
+        path.write_bytes(json.dumps(good).encode() + b"\n"
+                         + b'{"patient_id": "b", "timestamp": "2020-01-01", "text": "\xff"}\n')
+        with pytest.raises(ParseError, match="is not UTF-8") as err:
+            load_corpus(path)
+        assert err.value.path == path and err.value.line == 2
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_numbers_count_crlf_and_lone_cr(self, tmp_path, newline):
+        path = tmp_path / "c.jsonl"
+        good = json.dumps({"patient_id": "a", "timestamp": "2020-01-01", "text": "x"})
+        bad = good.replace('"a"', "5")
+        path.write_bytes(newline.join([good, "", good, bad, ""]).encode())
+        with pytest.raises(ParseError, match="patient_id") as err:
+            load_corpus(path)
+        assert err.value.line == 4
+
     def test_bad_timestamp(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"patient_id": "a", "timestamp": "notadate",

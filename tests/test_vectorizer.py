@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patsim import vectorizer
 from patsim.exceptions import (
@@ -41,7 +47,12 @@ from patsim.vectorizer import (
 )
 
 from conftest import make_corpus
-from oracles import embed_reference, tfidf_matrix_reference
+from oracles import (
+    ImportRejected,
+    embed_reference,
+    import_embeddings_reference,
+    tfidf_matrix_reference,
+)
 
 
 class TestTokenize:
@@ -304,12 +315,17 @@ with tempfile.TemporaryDirectory() as tmp:
 assert sim.defined.all()
 loaded_scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded_scipy, loaded_scipy
+assert "orjson" not in sys.modules
 """
 
 
 class TestScipyLoadsOnlyForLsa:
     def test_pairs_path_loads_no_scipy(self):
         subprocess.run([sys.executable, "-c", _PAIRS_PATH], check=True)
+
+    def test_import_patsim_loads_no_orjson(self):
+        code = "import sys, patsim; assert 'orjson' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_fit_and_embed_in_a_fresh_interpreter(self):
         code = ("import sys; from patsim.vectorizer import embed, fit_lsa; "
@@ -460,6 +476,166 @@ class TestImportEmbeddings:
         write_jsonl(path, [good, {**good, "note_index": 1, field: value}])
         with pytest.raises(ParseError, match=re.escape(f"{message} ({path}:2)")):
             import_embeddings(path)
+
+
+def import_outcome(read, path):
+    """A reader's result for a file: its index and row bytes, or the class
+    name and text of the error it raised."""
+    try:
+        result = read(path)
+    except ImportRejected as exc:
+        return exc.kind, str(exc)
+    except Exception as exc:  # the package's errors, or what escapes both readers
+        return type(exc).__name__, str(exc)
+    index, rows = (result.index, result.rows) if isinstance(result, NoteVectors) else result
+    return index, rows.shape, rows.tobytes()
+
+
+GOOD = '{"patient_id": "a", "note_index": 0, "vector": [3, 4]}'
+
+
+def second(fields: str) -> str:
+    """A file whose second line is the record "a" 1 with these fields."""
+    return GOOD + '\n{"patient_id": "a", "note_index": 1, ' + fields + "}\n"
+
+
+# name -> (file text, expected outcome: "ok" or the error class name)
+IMPORT_EDGES = {
+    "nan": (second('"vector": [NaN, 1]'), "BadVector"),
+    "infinity": (second('"vector": [Infinity, 1]'), "BadVector"),
+    "minus_infinity": (second('"vector": [-Infinity, 1]'), "BadVector"),
+    "overflow": (second('"vector": [1e400, 1]'), "BadVector"),
+    "underflow": (second('"vector": [1e-400, -1e-400]'), "BadVector"),
+    "underflow_same_dim": (second('"vector": [-1e-400, 1]'), "ok"),
+    "long_mantissa": (second('"vector": [0.' + "1" * 800 + ", 1]"), "ok"),
+    "integer_past_64_bits_in_vector": (second('"vector": [1180591620717411303424, 1]'), "ok"),
+    "integer_past_float_range": (second('"vector": [1' + "0" * 400 + ", 1]"), "OverflowError"),
+    "minus_zero": (second('"vector": [-0, -0.0]'), "BadVector"),
+    "booleans": (second('"vector": [true, false]'), "ok"),
+    "lone_surrogate_id": ('{"patient_id": "\\ud800", "note_index": 0, "vector": [1, 0]}\n', "ok"),
+    "lone_surrogate_extra_field": (second('"vector": [1, 0], "x": "\\udfff"'), "ok"),
+    "note_index_2_70": (second('"vector": [1, 0], "note_index": 1180591620717411303424'), "ok"),
+    "note_index_minus_2_70": (second('"vector": [1, 0], "note_index": -1180591620717411303424'),
+                              "ok"),
+    "note_index_u64_max": (second('"vector": [1, 0], "note_index": 18446744073709551615'), "ok"),
+    "note_index_float": (second('"vector": [1, 0], "note_index": 1.0'), "ParseError"),
+    "note_index_exponent": (second('"vector": [1, 0], "note_index": 1e2'), "ParseError"),
+    "note_index_bool": (second('"vector": [1, 0], "note_index": true'), "ParseError"),
+    "duplicated_field": (second('"vector": [1, 0], "vector": [0, 2]'), "ok"),
+    "duplicated_big_note_index": (
+        second('"note_index": 1180591620717411303424, "vector": [1, 0], "note_index": 2'), "ok"),
+    "crlf": (second('"vector": [1, 0]').replace("\n", "\r\n"), "ok"),
+    "crlf_bad_json": (GOOD + '\r\n{"patient_id": "a", \r\n', "ParseError"),
+    "lone_cr_line_ends": (second('"vector": [1, 0]').replace("\n", "\r"), "ok"),
+    "lone_cr_inside_a_record": (second('\r"vector": [1, 0]'), "ParseError"),
+    "cr_cr_lf": (GOOD + "\r\r\n" + '{"patient_id": 5}\r\n', "ParseError"),
+    "cr_at_end_of_file": (GOOD + "\r", "ok"),
+    "blank_lines": ("\n  \n" + second('"vector": [1, 0]').replace("\n", "\n\t\n\n", 1) + "\n\n",
+                    "ok"),
+    "unicode_blank_line": (GOOD + "\n\u00a0\u2003\u3000\n" + '{"patient_id": 5}\n', "ParseError"),
+    "separator_blank_line": (GOOD + "\n\x1c\x1f\x0b\x0c\n" + '{"patient_id": 5}\n', "ParseError"),
+    "bom": ("\ufeff" + GOOD + "\n", "ParseError"),
+    "bom_on_a_blank_line": ("\ufeff\n" + GOOD + "\n", "ParseError"),
+    "trailing_garbage": (GOOD + " x\n", "ParseError"),
+    "two_records_on_a_line": (GOOD + " " + GOOD + "\n", "ParseError"),
+    "truncated": (GOOD + '\n{"patient_id": "a", "note_in', "ParseError"),
+    "no_final_newline": (GOOD, "ok"),
+    "array_line": (GOOD + "\n[1, 2]\n", "ParseError"),
+    "string_line": (GOOD + '\n"a"\n', "ParseError"),
+    "number_line": (GOOD + "\n5\n", "ParseError"),
+    "null_line": (GOOD + "\nnull\n", "ParseError"),
+    "missing_vector": (second('"x": 1'), "ParseError"),
+    "vector_string": (second('"vector": "ab"'), "ParseError"),
+    "vector_scalar": (second('"vector": 5'), "BadVector"),
+    "vector_nested": (second('"vector": [[1, 0]]'), "BadVector"),
+    "vector_ragged": (second('"vector": [[1, 0], 1]'), "ParseError"),
+    "vector_mixed": (second('"vector": [1, "a"]'), "ParseError"),
+    "vector_null_entry": (second('"vector": [1, null]'), "BadVector"),
+    "vector_object": (second('"vector": {}'), "ParseError"),
+    "zero_vector": (second('"vector": [0, 0]'), "BadVector"),
+    "tiny_vector": (second('"vector": [1e-13, 0]'), "BadVector"),
+    "dim_mismatch": (second('"vector": [1, 0, 0]'), "DimMismatch"),
+    "duplicate_key": (GOOD + "\n" + GOOD + "\n", "DuplicateKey"),
+    "empty_id": ('{"patient_id": "", "note_index": 0, "vector": [1, 0]}\n', "ParseError"),
+    "control_character_in_string": (second('"vector": [1, 0], "x": "a\x01"'), "ParseError"),
+    "escaped_nul": (second('"vector": [1, 0], "x": "a\\u0000"'), "ok"),
+    "leading_zero": (second('"vector": [01, 0]'), "ParseError"),
+    "plus_sign": (second('"vector": [+1, 0]'), "ParseError"),
+    "trailing_comma": (second('"vector": [1, 0,]'), "ParseError"),
+    "single_quotes": (GOOD + "\n{'patient_id': 'a'}\n", "ParseError"),
+    "empty_file": ("", "ok"),
+    "only_blank_lines": ("\n \r\n\t\n", "ok"),
+}
+
+
+class TestImportEmbeddingsOracle:
+    """import_embeddings gives the json.loads reader's outcome, bitwise."""
+
+    @pytest.fixture(scope="class")
+    def grid_imports(self, tmp_path_factory):
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        out = tmp_path_factory.mktemp("grid") / "inputs"
+        workloads.generate("grid", 1, out)
+        return sorted((out / "imports").glob("*.jsonl"))
+
+    def test_grid_import_files_match_the_reference(self, grid_imports):
+        assert len(grid_imports) == 4
+        for path in grid_imports:
+            out = import_embeddings(path)
+            index, rows = import_embeddings_reference(path)
+            assert out.index == index and list(out.index) == list(index)
+            assert out.rows.dtype == rows.dtype and out.rows.shape == rows.shape
+            assert out.rows.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(IMPORT_EDGES))
+    def test_edge_lines_match_the_reference(self, tmp_path, name):
+        text, expected = IMPORT_EDGES[name]
+        path = tmp_path / "emb.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        got = import_outcome(import_embeddings, path)
+        assert got == import_outcome(import_embeddings_reference, path)
+        assert (got[0] if isinstance(got[0], str) else "ok") == expected
+
+    def test_non_utf8_line_is_a_parse_error_naming_the_line(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_bytes((GOOD + "\n").encode() + b'{"patient_id": "\xff"}\n')
+        with pytest.raises(ParseError, match=re.escape(f"({path}:2)")) as err:
+            import_embeddings(path)
+        assert err.value.line == 2 and "byte 0xff is not UTF-8" in str(err.value)
+        # the text-mode reader lets the codec's error escape
+        with pytest.raises(UnicodeDecodeError):
+            import_embeddings_reference(path)
+
+    FLOATS = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                         2.2250738585072014e-308, 1.7976931348623157e308,
+                         -1.7976931348623157e308, 1e-12, 1e154, 1e155]),
+        st.integers(0, 2**64 - 1)
+        .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+        .filter(math.isfinite),
+    )
+
+    @given(st.lists(FLOATS, min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_json_dumps_floats_read_back_bitwise(self, values):
+        # norms of values past 1e154 overflow to inf in both readers alike
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+            path = Path(tmp) / "emb.jsonl"
+            with open(path, "w", encoding="utf-8") as fh:
+                for k, x in enumerate(values):
+                    fh.write(json.dumps({"patient_id": "a", "note_index": k,
+                                         "vector": [x, 1.0]}) + "\n")
+            out = import_embeddings(path)
+            _, rows = import_embeddings_reference(path)
+            assert out.rows.tobytes() == rows.tobytes()
+            for k, x in enumerate(values):
+                vec = np.array([x, 1.0])
+                assert out.rows[k].tobytes() == (vec / np.linalg.norm(vec)).tobytes()
 
 
 class TestCompressEmbeddings:
