@@ -169,7 +169,7 @@ def load_corpus(path: str | Path) -> Corpus:
                     continue
                 try:
                     obj = json.loads(raw, object_pairs_hook=_reject_duplicate_keys)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ParseError(f"bad JSON: {exc}", path=file, line=lineno)
                 if not isinstance(obj, dict):
                     raise ParseError("line is not an object", path=file, line=lineno)

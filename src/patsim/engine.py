@@ -145,9 +145,6 @@ class SimilarityMatrix:
         if self.pairs is not None and self.pairs[0].size == self.n * (self.n - 1) // 2:
             self.pairs = None  # distinct pairs i < j in order: the whole triangle
 
-    def index(self, patient_id: str) -> int:
-        return self._index[patient_id]
-
     def get(self, id_a: str, id_b: str) -> tuple[float, bool]:
         scores, defined = self.lookup([self._index[id_a]], [self._index[id_b]])
         return float(scores[0]), bool(defined[0])

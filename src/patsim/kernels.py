@@ -22,11 +22,10 @@ rv2 and mms score pairs by patient tile: patients k with the same
 k // TILE form a tile, and all pairs between two tiles come from one
 matrix product. The tiles depend only on the patient indices, so a
 pair's score is the same whatever else is requested with it. Both read
-their pairs in the triangle's order (i <= j, by row, then column), as
-the engine lists them: such pairs are split into runs of one row and
-one column tile with no copy of the pairs. Pairs in any other order, or
-repeated, are sorted into distinct pairs first, and their scores put
-back in the given order.
+distinct pairs (i, j), i < j, strictly increasing in the triangle's
+order (by row, then column), as the engine lists them, and raise
+ValueError on any other: they are split into runs of one row and one
+column tile with no copy of the pairs.
 
 An rv2 triangle is the strict upper triangle of a patient's d x d
 column cross-product: d(d-1)/2 entries. No pack holds the triangles.
@@ -273,31 +272,15 @@ def _groups(key: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if key.size else []
 
 
-def _triangle_order(ii: np.ndarray, jj: np.ndarray, n: int
-                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """The distinct pairs (ii[p], jj[p]) of n patients in the triangle's
-    order, as (given, lo, hi): lo[q] <= hi[q], strictly increasing by lo,
-    then hi, and the given pair p is pair given[p]. Pairs that come so
-    already, as the engine lists them, are kept as they are, with no
-    copy, and given None."""
-    if (np.all(ii <= jj) and np.all(ii[:-1] <= ii[1:])
-            and np.all((ii[:-1] < ii[1:]) | (jj[:-1] < jj[1:]))):
-        return None, ii, jj
-    keys, given = np.unique(np.minimum(ii, jj).astype(np.int64) * n + np.maximum(ii, jj),
-                            return_inverse=True)
-    lo, hi = np.divmod(keys, n)
-    return given, lo, hi
-
-
-def _given_order(out: np.ndarray, given: np.ndarray | None) -> np.ndarray:
-    """Scores computed in the triangle's order, put in the given order."""
-    return out if given is None else out[given]
-
-
 def _runs(lo: np.ndarray, hi: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pairs in the triangle's order as runs of one row and one column
-    tile: each run's row, column tile, and first and stop positions."""
+    tile: each run's row, column tile, and first and stop positions.
+    Raises ValueError unless the pairs are distinct, lo < hi, and strictly
+    increasing by lo, then hi."""
+    if not (np.all(lo < hi) and np.all(lo[:-1] <= lo[1:])
+            and np.all((lo[:-1] < lo[1:]) | (hi[:-1] < hi[1:]))):
+        raise ValueError("pairs must be distinct (i, j), i < j, in the triangle's order")
     tile = hi // TILE
     first = np.flatnonzero((lo[1:] != lo[:-1]) | (tile[1:] != tile[:-1])) + 1
     if lo.size:
@@ -313,7 +296,7 @@ def rv2_batch(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, offsets: np.ndar
 
     A score is the cosine of two gram triangles. The triangles stream in
     chunks of _GRAM_BUDGET entries over all patients, made by rv2_gram. A
-    pair (i, j), i <= j, sums the products of i's tile's and j's tile's
+    pair (i, j), i < j, sums the products of i's tile's and j's tile's
     slices, one GEMM per chunk and pair of tiles requested, added straight
     into its score, and is divided by both norms at the end. Rounding can
     take a cosine just past 1, so scores are clipped to [-1, 1]. A patient
@@ -322,14 +305,13 @@ def rv2_batch(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, offsets: np.ndar
     """
     n, d = offsets.size - 1, rows.shape[1]
     size = d * (d - 1) // 2
-    given, lo, hi = _triangle_order(ii, jj, n)
-    row, col, first, stop = _runs(lo, hi)
+    row, col, first, stop = _runs(ii, jj)
     # each requested tile pair (a, b), with its runs: their rows in tile a,
     # and where each starts and stops
     blocks = [(row[k[0]] // TILE * TILE, col[k[0]] * TILE, row[k] % TILE, first[k], stop[k])
               for k in _groups(row // TILE * n + col)]
     del row, col, first, stop  # the blocks hold what the chunks need of the runs
-    out = np.zeros(lo.size, dtype=np.float64)
+    out = np.zeros(ii.size, dtype=np.float64)
     sq = np.zeros(n)
     width = max(1, _GRAM_BUDGET // n)
     for start in range(0, size, width):
@@ -344,13 +326,13 @@ def rv2_batch(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, offsets: np.ndar
             else:
                 at = np.repeat(begin - np.cumsum(runs) + runs, runs)
                 at += np.arange(at.size)
-                np.add.at(out, at, product[np.repeat(x, runs), hi[at] - b])
+                np.add.at(out, at, product[np.repeat(x, runs), jj[at] - b])
         del g  # so that one chunk, not two, is alive while the next is formed
     norm = np.sqrt(sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         for s in range(0, out.size, TILE * TILE):
-            out[s:s + TILE * TILE] /= norm[lo[s:s + TILE * TILE]] * norm[hi[s:s + TILE * TILE]]
-    return _given_order(np.clip(out, -1.0, 1.0, out=out), given), sq
+            out[s:s + TILE * TILE] /= norm[ii[s:s + TILE * TILE]] * norm[jj[s:s + TILE * TILE]]
+    return np.clip(out, -1.0, 1.0, out=out), sq
 
 
 def mms_batch(
@@ -359,15 +341,14 @@ def mms_batch(
     """mms for index pairs over patients packed as rows[offsets[k]:offsets[k + 1]].
 
     A pair's score is the mean of the concatenated row-wise and
-    column-wise maxima of its cosine matrix. A pair (i, j), i <= j, is
+    column-wise maxima of its cosine matrix. A pair (i, j), i < j, is
     read from one GEMM of i's rows against all rows of j's tile: row
     maxima per partner by reduceat over the tile's offsets, column
     maxima summed per partner.
     """
     sizes = np.diff(offsets)
-    given, lo, hi = _triangle_order(ii, jj, sizes.size)
-    runs = _runs(lo, hi)
-    out = np.empty(lo.size, dtype=np.float64)
+    runs = _runs(ii, jj)
+    out = np.empty(ii.size, dtype=np.float64)
     for i, t, first, stop in zip(*runs):
         b = t * TILE
         e = min(b + TILE, sizes.size)
@@ -375,9 +356,9 @@ def mms_batch(
         c = rows[offsets[i]:offsets[i + 1]] @ rows[offsets[b]:offsets[e]].T
         row_sums = np.maximum.reduceat(c, seg, axis=1).sum(axis=0)
         col_sums = np.add.reduceat(c.max(axis=0), seg)
-        h = hi[first:stop]
+        h = jj[first:stop]
         out[first:stop] = (row_sums[h - b] + col_sums[h - b]) / (sizes[i] + sizes[h])
-    return _given_order(out, given)
+    return out
 
 
 def eds_batch(
@@ -464,7 +445,9 @@ def pack(mmethod: str, blocks: Sequence[np.ndarray]) -> dict:
 
 def score_pairs(payload: dict, ii: np.ndarray, jj: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of the pairs (ii[p], jj[p]) of a pack, NaN where undefined.
+    """Scores of the pairs (ii[p], jj[p]) of a pack, NaN where undefined;
+    rv2 and mms raise ValueError unless the pairs are distinct, i < j, in
+    the triangle's order.
 
     A pair is defined when both of its patients are valid. For rv2 this
     sets payload["valid"], from the squared norms of the same pass.

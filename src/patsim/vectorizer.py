@@ -165,9 +165,12 @@ def randomized_svd(x, ranks: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarr
             if vectors is None:
                 g = a.T @ a
                 # a sparse Gram matrix is told by its toarray, so that this
-                # module never needs scipy for dense input; eigh lists the
-                # eigenvalues in ascending order, so the columns are reversed
-                vectors = np.linalg.eigh(g.toarray() if hasattr(g, "toarray") else g)[1][:, ::-1]
+                # module never needs scipy for dense input, and is dropped
+                # before eigh runs; eigh lists the eigenvalues in ascending
+                # order, so the columns are reversed
+                g = g.toarray() if hasattr(g, "toarray") else g
+                vectors = np.linalg.eigh(g)[1][:, ::-1]
+                del g
             q = vectors[:, :r]
         else:
             # imported here: loading it costs ~0.14 s and ~9 MB resident memory
@@ -299,7 +302,7 @@ def _note_vector(obj, path: Path, lineno: int, dim: int | None,
     try:
         key = (obj["patient_id"], obj["note_index"])
         vec = np.asarray(obj["vector"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad record: {exc}", path=path, line=lineno)
     if not isinstance(key[0], str) or not key[0]:
         raise ParseError("patient_id must be a non-empty string",
@@ -349,7 +352,7 @@ def import_embeddings(path: str | Path) -> NoteVectors:
             except (ValueError, PatsimError):
                 try:
                     obj = json.loads(raw)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ParseError(f"bad JSON: {exc}", path=path, line=lineno)
                 key, vec = _note_vector(obj, path, lineno, dim, index)
             index[key] = len(vecs)

@@ -334,9 +334,9 @@ def import_embeddings_reference(path) -> tuple[dict, np.ndarray]:
     """(index, rows) of a JSONL embedding file, read line by line in text
     mode with json.loads, checked and L2-normalized in plain steps.
 
-    Problems with a line raise ImportRejected; anything else the standard
-    library or numpy raises (a non-UTF-8 byte, an integer past float range)
-    escapes as it is.
+    Problems with a line raise ImportRejected, among them an integer past
+    float range and nesting past the recursion limit; a non-UTF-8 byte
+    escapes as the codec raises it.
     """
     index: dict = {}
     vecs: list = []
@@ -351,12 +351,12 @@ def import_embeddings_reference(path) -> tuple[dict, np.ndarray]:
                 continue
             try:
                 obj = json.loads(raw)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 reject("ParseError", f"bad JSON: {exc}", lineno)
             try:
                 key = (obj["patient_id"], obj["note_index"])
                 vec = np.asarray(obj["vector"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 reject("ParseError", f"bad record: {exc}", lineno)
             if not isinstance(key[0], str) or key[0] == "":
                 reject("ParseError", "patient_id must be a non-empty string", lineno)

@@ -116,6 +116,23 @@ class TestVectorize:
             "--imports", str(emb), "--label", "d2v012", "--out", str(out),
         ) == 0
 
+    @pytest.mark.parametrize("vector, message", [
+        ("[1" + "0" * 400 + ", 1]", "bad record: int too large to convert to float"),
+        ("[" * 5000 + "]" * 5000, "bad JSON: maximum recursion depth"),
+    ], ids=["integer_past_float_range", "nested_5000_deep"])
+    def test_import_line_past_the_parsers_is_one_error_line(self, vector, message,
+                                                            pipeline_dir, tmp_path):
+        emb = tmp_path / "d2v.jsonl"
+        emb.write_text('{"patient_id": "p0000", "note_index": 0, "vector": [3, 4]}\n'
+                       '{"patient_id": "p0000", "note_index": 1, "vector": ' + vector + "}\n")
+        proc = run_proc("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
+                        "--method", "import", "--imports", str(emb), "--label", "d2v008",
+                        "--dim", "8", "--out", str(tmp_path / "x.bin"))
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.strip().splitlines()) == 1
+        assert message in proc.stderr and f"({emb}:2)" in proc.stderr
+        assert not (tmp_path / "x.bin").exists()
+
     def test_unfiltered_reads_no_relevancy_or_prototypes(self, pipeline_dir, tmp_path,
                                                          monkeypatch):
         monkeypatch.setattr(grid, "segment_patient", None)  # any call fails

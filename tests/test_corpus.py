@@ -102,6 +102,20 @@ class TestLoadCorpus:
             load_corpus(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("bad", [
+        '{"patient_id": "b", "timestamp": "2020-01-01", "text": ' + "[" * 5000 + "]" * 5000
+        + "}",
+        "[" * 5000 + "]" * 5000,
+    ], ids=["nested_5000_deep", "nested_5000_deep_line"])
+    def test_nesting_past_the_recursion_limit_is_a_parse_error_naming_the_line(
+            self, tmp_path, bad):
+        path = tmp_path / "c.jsonl"
+        good = json.dumps({"patient_id": "a", "timestamp": "2020-01-01", "text": "x"})
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ParseError, match="bad JSON: maximum recursion depth") as err:
+            load_corpus(path)
+        assert err.value.path == path and err.value.line == 2
+
     def test_bad_timestamp(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"patient_id": "a", "timestamp": "notadate",

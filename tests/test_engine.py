@@ -103,7 +103,7 @@ class TestComputeAllPairs:
         # orthonormal rows spanning the axes: zero off-diagonal cross-product
         mats["degen"] = PatientMatrix("degen", np.eye(3), np.arange(3))
         sim = compute_all_pairs(mats, config("rv2"))
-        k = sim.index("degen")
+        k = sim.patient_ids.index("degen")
         assert not sim.defined[k].any()
         assert np.isnan(sim.scores[k]).all()
         others = [i for i in range(sim.n) if i != k]
@@ -326,7 +326,7 @@ class TestCombine:
                             np.zeros((2, 2)))
         out = combine_similarities([sim, empty], config(vmethod="combined"))
         assert out.patient_ids == sim.patient_ids + ["unscored"]
-        k = out.index("unscored")
+        k = out.patient_ids.index("unscored")
         assert not out.defined[k].any() and not out.defined[:, k].any()
         assert np.isnan(out.scores[k]).all()
         assert out.scores[:k, :k].tobytes() == sim.scores.tobytes()

@@ -253,7 +253,7 @@ class TestRv2Gram:
         blocks = [np.ones((3, 1)), unit_rows(rng, 2, 1)]
         assert _triangles(blocks, 5).shape == (2, 0)
         payload = kernels.pack("rv2", blocks)
-        scores, defined = kernels.score_pairs(payload, np.array([0, 0]), np.array([1, 0]))
+        scores, defined = kernels.score_pairs(payload, np.array([0]), np.array([1]))
         assert not defined.any() and np.isnan(scores).all()
         assert payload["valid"].tolist() == [False, False]
 
@@ -334,12 +334,10 @@ class TestRv2Gram:
         blocks = [unit_rows(rng, int(n), d) for n in rng.integers(2, 9, 60)]
         blocks = [rows for rows in blocks for _ in range(2)]
         ii = np.arange(0, 120, 2)
-        payload = kernels.pack("rv2", blocks)
-        for a, b in ((ii, ii + 1), (ii, ii)):
-            scores, defined = kernels.score_pairs(payload, a, b)
-            assert defined.all()
-            assert np.all(np.abs(scores) <= 1.0)
-            assert np.allclose(scores, 1.0, rtol=0, atol=1e-12)
+        scores, defined = kernels.score_pairs(kernels.pack("rv2", blocks), ii, ii + 1)
+        assert defined.all()
+        assert np.all(np.abs(scores) <= 1.0)
+        assert np.allclose(scores, 1.0, rtol=0, atol=1e-12)
 
     def test_all_pairs_hold_no_gram_store(self, rng):
         # a store of every triangle would be 300 x 19,900 float64: 47.8 MB
@@ -398,12 +396,11 @@ class TestTiles:
         cuts = np.sort(rng.choice(ii.size, 9, replace=False))
         for p in np.split(np.arange(ii.size), cuts):
             same(p, ii[p], jj[p])
-        shuffled = rng.permutation(ii.size)
-        same(shuffled, ii[shuffled], jj[shuffled])
-        same(shuffled, jj[shuffled], ii[shuffled])
+        for size in (3, 500, ii.size // 2):
+            p = np.sort(rng.choice(ii.size, size, replace=False))
+            same(p, ii[p], jj[p])
         for p in rng.choice(ii.size, 60, replace=False):
             same([p], ii[[p]], jj[[p]])
-            same([p], jj[[p]], ii[[p]])
 
     def test_whole_triangle_matches_the_oracle(self, rng, mmethod):
         blocks = _three_tiles(rng)
@@ -428,14 +425,34 @@ def test_chunked_rv2_streams_three_chunks_and_keeps_the_degenerate_patient(
     gram = kernels.rv2_gram
     monkeypatch.setattr(kernels, "rv2_gram",
                         lambda *args: widths.append(args[3] - args[2]) or gram(*args))
-    payload = kernels.pack("rv2", _three_tiles(rng))
-    ii, jj = np.array([100, 100, 5, 5, 149]), np.array([100, 5, 5, 149, 100])
+    blocks = _three_tiles(rng)
+    payload = kernels.pack("rv2", blocks)
+    ii, jj = np.array([5, 5, 100]), np.array([100, 149, 149])
     scores, defined = kernels.score_pairs(payload, ii, jj)
     assert widths == [37, 37, 37, 9]
-    # patient 100's pairs and its own diagonal are undefined
-    assert defined.tolist() == [False, False, True, True, False]
-    assert np.isnan(scores[[0, 1, 4]]).all() and scores[2] == pytest.approx(1.0)
+    # patient 100's pairs are undefined
+    assert defined.tolist() == [False, True, False]
+    assert np.isnan(scores[[0, 2]]).all()
+    assert abs(scores[1] - rv2_reference(blocks[5], blocks[149])) <= 1e-12
     assert not payload["valid"][100] and payload["valid"].sum() == 149
+
+
+@pytest.mark.parametrize("mmethod", ["rv2", "mms"])
+@pytest.mark.parametrize("ii, jj", [([1], [0]), ([0, 1], [2, 1]), ([0, 0], [1, 1]),
+                                    ([0, 0], [2, 1]), ([1, 0], [2, 2])],
+                         ids=["reversed", "self", "repeated", "unsorted-column",
+                              "unsorted-row"])
+def test_pairs_out_of_the_triangle_order_are_rejected(rng, mmethod, ii, jj):
+    # the engine lists every pair distinct, i < j, in the triangle's order
+    payload = kernels.pack(mmethod, [unit_rows(rng, 3, 4) for _ in range(3)])
+    rows, offsets, ii, jj = payload["rows"], payload["offsets"], np.array(ii), np.array(jj)
+    with pytest.raises(ValueError, match="triangle's order"):
+        kernels.score_pairs(payload, ii, jj)
+    with pytest.raises(ValueError, match="triangle's order"):
+        if mmethod == "rv2":
+            kernels.rv2_batch(rows, ii, jj, offsets)
+        else:
+            kernels.mms_batch(rows, offsets, ii, jj)
 
 
 @pytest.mark.parametrize("mmethod", ["mms", "eds"])

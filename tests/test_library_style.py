@@ -70,3 +70,22 @@ def test_benchmark_span_targets_stay_callable():
                "eds_batch": ["rows", "offsets", "ii", "jj"]}
     for name, want in leading.items():
         assert list(inspect.signature(getattr(kernels, name)).parameters)[:len(want)] == want
+
+
+def test_only_the_engine_and_matsim_call_the_pair_scorers():
+    # rv2 and mms score only distinct pairs i < j in the triangle's order;
+    # engine lists every request that way and matsim scores (0, 1), so pair
+    # order has one owner as long as no other module calls the scorers
+    scorers = {"score_pairs", "rv2_batch", "mms_batch", "eds_batch"}
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (node.attr if isinstance(node, ast.Attribute)
+                     else node.id if isinstance(node, ast.Name) else None)
+            imported = ({alias.name for alias in node.names}
+                        if isinstance(node, ast.ImportFrom) else set())
+            if named in scorers or imported & scorers:
+                callers.add(path.name)
+    assert callers == {"engine.py", "matsim.py"}

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,23 @@ class TestRandomizedSvdOracle:
         for ranks in ((1, 10), (29,), (30,)):
             assert len(randomized_svd(x, ranks)) == len(ranks)
             assert len(randomized_svd(x.toarray(), ranks)) == len(ranks)
+
+    def test_sparse_gram_is_dropped_before_eigh(self, rng):
+        # a.T @ a of this 2000 x 600 matrix is nearly full: 4.3 MB sparse,
+        # 2.9 MB dense. Only the toarray step holds both; eigh and its
+        # 2.9 MB of eigenvectors run with the dense copy alone.
+        x = sp.random(2000, 600, density=0.05, random_state=rng, format="csr")
+        g = x.T @ x
+        sparse_bytes = g.data.nbytes + g.indices.nbytes + g.indptr.nbytes
+        dense_bytes = 600 * 600 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            randomized_svd(x, (50,))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < sparse_bytes + 1.5 * dense_bytes, f"peaked {peak / 1e6:.1f} MB"
 
     def test_rank_out_of_range(self):
         x = np.ones((3, 5))
@@ -509,7 +527,9 @@ IMPORT_EDGES = {
     "underflow_same_dim": (second('"vector": [-1e-400, 1]'), "ok"),
     "long_mantissa": (second('"vector": [0.' + "1" * 800 + ", 1]"), "ok"),
     "integer_past_64_bits_in_vector": (second('"vector": [1180591620717411303424, 1]'), "ok"),
-    "integer_past_float_range": (second('"vector": [1' + "0" * 400 + ", 1]"), "OverflowError"),
+    "integer_past_float_range": (second('"vector": [1' + "0" * 400 + ", 1]"), "ParseError"),
+    "nested_5000_deep": (second('"vector": ' + "[" * 5000 + "]" * 5000), "ParseError"),
+    "nested_5000_deep_line": (GOOD + "\n" + "[" * 5000 + "]" * 5000 + "\n", "ParseError"),
     "minus_zero": (second('"vector": [-0, -0.0]'), "BadVector"),
     "booleans": (second('"vector": [true, false]'), "ok"),
     "lone_surrogate_id": ('{"patient_id": "\\ud800", "note_index": 0, "vector": [1, 0]}\n', "ok"),
