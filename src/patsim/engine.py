@@ -3,18 +3,20 @@
 The pairs to score, every pair of the upper triangle or only those a
 consumer requests, are listed once per leg as index pairs (i, j), i < j,
 in the triangle's order (row by row), and each leg's result keeps the
-kernels' scores and defined bits in that order: a triangle-sized pair
-store, with no n x n matrix and no mirror. The eds legs of one dim are
-scored as one list over one pack; for eds, contiguous slices of the list
-are farmed out to worker processes. rv2 and mms are scored in one call
-per leg, since BLAS already spreads their tile products over the cores.
-Every pair is scored by kernels.score_pairs on the same operands
-regardless of chunking or of the other pairs listed, so the output is
-bitwise identical for any worker count.
+kernels' scores in that order, NaN where a pair is undefined: a
+triangle-sized pair store, with no n x n matrix and no mirror. The eds
+legs of one dim are scored as one list over one pack; for eds,
+contiguous slices of the list are farmed out to worker processes. rv2
+and mms are scored in one call per leg, since BLAS already spreads their
+tile products over the cores. Every pair is scored by
+kernels.score_pairs on the same operands regardless of chunking or of
+the other pairs listed, so the output is bitwise identical for any
+worker count.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import re
@@ -117,22 +119,21 @@ class RunConfig:
 class SimilarityMatrix:
     """Pair scores for one run configuration, held in the triangle's order.
 
-    pair_scores[q] and pair_defined[q] are the score (NaN where
-    undefined) and defined bit of the q-th held pair (i, j), i < j. With
-    pairs None the store holds every pair of the upper triangle, row by
-    row, as all-pairs scoring and .sim files give them; otherwise it holds
-    the pairs (pairs[0][q], pairs[1][q]), in the same order, that a
-    request scored, and every other pair is undefined. diag_defined[i]
-    tells whether patient i's own pair is defined (its score is 1).
-    Nothing is mirrored: scores and defined build the symmetric n x n
-    view on each access, for consumers that want one, and do not keep it.
+    pair_scores[q] is the score of the q-th held pair (i, j), i < j, and
+    NaN exactly where that pair is undefined. With pairs None the store
+    holds every pair of the upper triangle, row by row, as all-pairs
+    scoring and .sim files give them; otherwise it holds the pairs
+    (pairs[0][q], pairs[1][q]), in the same order, that a request scored,
+    and every other pair is undefined. diag_defined[i] tells whether
+    patient i's own pair is defined (its score is 1). Nothing is
+    mirrored: scores and defined build the symmetric n x n view on each
+    access, for consumers that want one, and do not keep it.
     wall_time_seconds is the scoring time: legs scored together split
     their shared time by pair count.
     """
 
     patient_ids: list[str]
     pair_scores: np.ndarray
-    pair_defined: np.ndarray
     diag_defined: np.ndarray
     config: RunConfig
     wall_time_seconds: float = 0.0
@@ -162,45 +163,34 @@ class SimilarityMatrix:
             held &= keys[found] == at if keys.size else False
             at = found
         scores = np.full(lo.shape, np.nan)
-        defined = np.zeros(lo.shape, dtype=bool)
         scores[held] = self.pair_scores[at[held]]
-        defined[held] = self.pair_defined[at[held]]
         own = lo == hi
-        defined[own] = self.diag_defined[lo[own]]
-        scores[own & defined] = 1.0
-        return scores, defined
+        scores[own] = np.where(self.diag_defined[lo[own]], 1.0, np.nan)
+        return scores, ~np.isnan(scores)
 
-    def triangle(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scores and defined bits of every pair i < j, row by row: the
-        store itself when it holds the whole triangle."""
+    def triangle(self) -> np.ndarray:
+        """Scores of every pair i < j, row by row: the store itself when it
+        holds the whole triangle."""
         if self.pairs is None:
-            return self.pair_scores, self.pair_defined
-        at = _position(*self.pairs, self.n)
+            return self.pair_scores
         scores = np.full(self.n * (self.n - 1) // 2, np.nan)
-        defined = np.zeros(scores.size, dtype=bool)
-        scores[at] = self.pair_scores
-        defined[at] = self.pair_defined
-        return scores, defined
+        scores[_position(*self.pairs, self.n)] = self.pair_scores
+        return scores
 
     @property
     def scores(self) -> np.ndarray:
         """The symmetric n x n scores, NaN where undefined and 1 on a
         defined diagonal; built on each access."""
-        return self._dense(self.pair_scores, np.where(self.diag_defined, 1.0, np.nan),
-                           np.nan)
+        out = np.full((self.n, self.n), np.nan)
+        ii, jj = _triangle(self.n) if self.pairs is None else self.pairs
+        out[ii, jj] = out[jj, ii] = self.pair_scores
+        np.fill_diagonal(out, np.where(self.diag_defined, 1.0, np.nan))
+        return out
 
     @property
     def defined(self) -> np.ndarray:
         """The symmetric n x n defined bits; built on each access."""
-        return self._dense(self.pair_defined, self.diag_defined, False)
-
-    def _dense(self, values: np.ndarray, diagonal: np.ndarray, fill) -> np.ndarray:
-        out = np.full((self.n, self.n), fill, dtype=values.dtype)
-        ii, jj = _triangle(self.n) if self.pairs is None else self.pairs
-        out[ii, jj] = values
-        out[jj, ii] = values
-        np.fill_diagonal(out, diagonal)
-        return out
+        return ~np.isnan(self.scores)
 
     @property
     def n(self) -> int:
@@ -292,14 +282,13 @@ def compute_legs(
             jj = np.concatenate([plans[k][2] + first for k, first in zip(members, firsts)])
         payload = kernels.pack(config.mmethod, [legs[k][0][pid].rows for k in members
                                                 for pid in plans[k][0]])
-        scores, ok = _score(payload, ii, jj, config)
+        scores, valid = _score(payload, ii, jj, config)
         at = 0
         for k, first in zip(members, firsts):
             ids, lii, ljj = plans[k]
             stop = at + lii.size
-            out[k] = SimilarityMatrix(
-                ids, scores[at:stop], ok[at:stop], payload["valid"][first:first + len(ids)],
-                legs[k][1], pairs=None if request is None else (lii, ljj))
+            out[k] = SimilarityMatrix(ids, scores[at:stop], valid[first:first + len(ids)],
+                                      legs[k][1], pairs=None if request is None else (lii, ljj))
             at = stop
         wall = time.perf_counter() - t0
         for k in members:
@@ -347,8 +336,8 @@ def _score(payload: dict, ii: np.ndarray, jj: np.ndarray, config: RunConfig
     with ctx.Pool(processes=processes, initializer=_init_worker,
                   initargs=(payload, ii, jj)) as pool:
         parts = pool.map(_worker_chunk, ranges)
-    return (np.concatenate([scores for scores, _ in parts]),
-            np.concatenate([ok for _, ok in parts]))
+    # every chunk reads the same pack, so each gives the same patient validity
+    return np.concatenate([scores for scores, _ in parts]), parts[0][1]
 
 
 def combine_similarities(
@@ -356,9 +345,9 @@ def combine_similarities(
 ) -> SimilarityMatrix:
     """Average member scores pairwise over their defined legs.
 
-    Each member's defined pairs are keyed i * n + j on the union of the
-    members' patient sets, and their scores summed per key in member
-    order, so a pair is undefined only when every member leaves it
+    Each member's defined (non-NaN) pairs are keyed i * n + j on the union
+    of the members' patient sets, and their scores summed per key in
+    member order, so a pair is undefined only when every member leaves it
     undefined.
     """
     if not members:
@@ -372,7 +361,7 @@ def combine_similarities(
     for m in members:
         at = np.array([index[pid] for pid in m.patient_ids], dtype=np.int64)
         ii, jj = _triangle(m.n) if m.pairs is None else m.pairs
-        ok = m.pair_defined
+        ok = ~np.isnan(m.pair_scores)
         keys.append(at[ii[ok]] * n + at[jj[ok]])
         values.append(m.pair_scores[ok])
         diag[at[m.diag_defined]] = True
@@ -380,8 +369,7 @@ def combine_similarities(
     total = np.bincount(slot, weights=np.concatenate(values), minlength=held.size)
     scores = total / np.bincount(slot, minlength=held.size)
     wall = time.perf_counter() - t0
-    return SimilarityMatrix(ids, scores, np.ones(held.size, dtype=bool), diag, config,
-                            wall, pairs=(held // n, held % n))
+    return SimilarityMatrix(ids, scores, diag, config, wall, pairs=(held // n, held % n))
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +377,14 @@ def combine_similarities(
 # ---------------------------------------------------------------------------
 
 def persist_similarity(sim: SimilarityMatrix, path: str | Path) -> None:
-    scores, defined = sim.triangle()
+    scores = sim.triangle()
     trailer = {"version": 1, "config": asdict(sim.config),
                "wall_time_seconds": sim.wall_time_seconds}
     formats.write(path, SIM_MAGIC, [
         formats.json_block(sim.patient_ids),
         formats.count(scores.size),
         np.ascontiguousarray(scores, dtype="<f8"),
-        formats.mask(defined),
+        formats.mask(~np.isnan(scores)),  # the pair mask: load_similarity checks it
         formats.mask(sim.diag_defined),
         formats.json_block(trailer, ascii=True),
     ])
@@ -413,7 +401,8 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
         if npairs != n * (n - 1) // 2:
             raise r.error(f"pair count {npairs} does not match {n} ids")
         tri = r.array("<f8", npairs, "triangle")
-        tri_ok = r.mask(npairs, "pair mask")
+        if not np.array_equal(r.mask(npairs, "pair mask"), ~np.isnan(tri)):
+            raise r.error("pair mask disagrees with the scores' NaNs")
         diag_ok = r.mask(n, "diagonal mask")
         trailer = r.json("trailer", dict)
         r.end()
@@ -424,32 +413,32 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
         wall = float(trailer["wall_time_seconds"])
     except (KeyError, TypeError, ValueError) as exc:
         raise r.error(f"bad trailer: {exc}")
-    return SimilarityMatrix(ids, tri, tri_ok, diag_ok, config, wall)
+    return SimilarityMatrix(ids, tri, diag_ok, config, wall)
 
 
 def export_csv(sim: SimilarityMatrix, path: str | Path) -> None:
     """Dump the upper triangle as id_a,id_b,score,defined rows.
 
     A patient's row of the triangle whose pairs are all defined is one
-    %-format of a template of its lines; a row with undefined pairs is
-    written line by line. "%.17g" formats a float as f"{x:.17g}" does.
+    %-format of a template of its lines; a row with undefined (NaN) pairs
+    is written line by line. "%.17g" formats a float as f"{x:.17g}" does.
     """
     ids = [formats.csv_field(pid) for pid in sim.patient_ids]
     heads = [pid.replace("%", "%%") for pid in ids]
     tails = [f",{pid},%.17g,true\n" for pid in heads]
-    scores, defined = sim.triangle()
+    scores = sim.triangle()
 
     def rows():
         stop = 0
         for i, a in enumerate(ids[:-1]):
             at, stop = stop, stop + len(ids) - 1 - i
             row = scores[at:stop].tolist()
-            if defined[at:stop].all():
+            if not np.isnan(scores[at:stop]).any():
                 yield (heads[i] + heads[i].join(tails[i + 1:])) % tuple(row)
             else:
-                yield "".join(f"{a},{b},{score:.17g},true\n" if ok else f"{a},{b},,false\n"
-                              for b, score, ok in zip(ids[i + 1:], row,
-                                                      defined[at:stop].tolist()))
+                yield "".join(f"{a},{b},,false\n" if math.isnan(score)
+                              else f"{a},{b},{score:.17g},true\n"
+                              for b, score in zip(ids[i + 1:], row))
 
     formats.write_csv(path, ["id_a,id_b,score,defined\n"], rows())
 

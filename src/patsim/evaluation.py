@@ -68,8 +68,9 @@ class ValidationSet:
     candidate was not judged, was judged incomparable (-1), or is padding
     past the pivot's last candidate. Records about a pivot or candidate
     that is not listed, and the candidate list of a pivot that is not
-    listed, are ignored; a pivot without a candidate list, or
-    a pivot or candidate listed twice, is rejected.
+    listed, are ignored; a pivot without a candidate list, a pivot or
+    candidate listed twice, or a pivot listed as its own candidate (whose
+    score would read as the diagonal's 1), is rejected.
     """
 
     pivots: list[str]
@@ -85,6 +86,8 @@ class ValidationSet:
                 raise ParseError(
                     f"pivot {pivot!r} has {len(rels)} relevant patients; need >= 2"
                 )
+            if pivot in rels:
+                raise ParseError(f"pivot {pivot!r} is listed as its own candidate")
         self.annotators = sorted({r.annotator_id for r in self.annotations})
         who = {a: k for k, a in enumerate(self.annotators)}
         cat = {c.name: c.id - 1 for c in CATEGORIES}

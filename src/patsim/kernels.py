@@ -427,10 +427,6 @@ def pack(mmethod: str, blocks: Sequence[np.ndarray]) -> dict:
     vectorizer.load_matrices returns them in sorted-id order, rows is a
     view of their span; otherwise it is one copy. The kernels read the
     same values either way, so the scores are too.
-
-    Every mms and eds patient is valid. An rv2 patient is valid when its
-    gram triangle does not vanish, which the scoring pass finds: "valid"
-    is None until score_pairs sets it.
     """
     if mmethod not in ("rv2", "mms", "eds"):
         raise ConfigError(f"unknown similarity method {mmethod!r}")
@@ -439,28 +435,26 @@ def pack(mmethod: str, blocks: Sequence[np.ndarray]) -> dict:
     span = _span(blocks)
     return {"mmethod": mmethod,
             "rows": np.concatenate(blocks, dtype=np.float64) if span is None else span,
-            "offsets": np.cumsum([0] + [rows.shape[0] for rows in blocks]),
-            "valid": None if mmethod == "rv2" else np.ones(len(blocks), dtype=bool)}
+            "offsets": np.cumsum([0] + [rows.shape[0] for rows in blocks])}
 
 
 def score_pairs(payload: dict, ii: np.ndarray, jj: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of the pairs (ii[p], jj[p]) of a pack, NaN where undefined;
-    rv2 and mms raise ValueError unless the pairs are distinct, i < j, in
-    the triangle's order.
+    """Scores of the pairs (ii[p], jj[p]) of a pack, NaN exactly where a
+    pair is undefined, and every packed patient's validity; rv2 and mms
+    raise ValueError unless the pairs are distinct, i < j, in the
+    triangle's order.
 
-    A pair is defined when both of its patients are valid. For rv2 this
-    sets payload["valid"], from the squared norms of the same pass.
+    A pair is defined when both of its patients are valid. Every mms and
+    eds patient is valid; an rv2 patient is valid when its gram triangle
+    does not vanish, as the squared norms of the same pass tell.
     """
-    if payload["mmethod"] == "rv2":
-        scores, sq = rv2_batch(payload["rows"], ii, jj, payload["offsets"])
-        payload["valid"] = sq > 0.0
-    else:
+    if payload["mmethod"] != "rv2":
         batch = mms_batch if payload["mmethod"] == "mms" else eds_batch
-        scores = batch(payload["rows"], payload["offsets"], ii, jj)
-    valid = payload["valid"]
-    if valid.all():
-        return scores, np.ones(ii.size, dtype=bool)
-    defined = valid[ii] & valid[jj]
-    scores[~defined] = np.nan
-    return scores, defined
+        return (batch(payload["rows"], payload["offsets"], ii, jj),
+                np.ones(payload["offsets"].size - 1, dtype=bool))
+    scores, sq = rv2_batch(payload["rows"], ii, jj, payload["offsets"])
+    valid = sq > 0.0
+    if not valid.all():  # 0/0 leaves a NaN of other bits: write np.nan's
+        scores[~(valid[ii] & valid[jj])] = np.nan
+    return scores, valid

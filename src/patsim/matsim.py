@@ -79,8 +79,8 @@ _ONE_PAIR = (np.array([0]), np.array([1]))
 def _score(mmethod: str, a, b) -> SimScore:
     """One pair through the all-pairs path: pack both patients, score (0, 1)."""
     payload = kernels.pack(mmethod, _paired_rows(a, b))
-    scores, defined = kernels.score_pairs(payload, *_ONE_PAIR)
-    return SimScore(float(scores[0]), True) if defined[0] else UNDEFINED_SCORE
+    score = float(kernels.score_pairs(payload, *_ONE_PAIR)[0][0])
+    return UNDEFINED_SCORE if np.isnan(score) else SimScore(score, True)
 
 
 def rv2(a, b) -> SimScore:

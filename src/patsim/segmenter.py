@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 import numpy as np
 
+from .corpus import _reject_duplicate_keys
 from .exceptions import ConfigError, DimTooLarge, InsufficientTitles, UnknownTitle
 from .vectorizer import fit_lsa
 
@@ -232,19 +233,30 @@ def load_prototypes(path: str | Path) -> dict[str, list[str]]:
     return _load_title_lists(path, "prototypes")
 
 
+def _distinct_categories(keys: Iterable) -> None:
+    """ConfigError when two keys name one category, as "5" and "Medication" do."""
+    seen = set()
+    for key in keys:
+        name = resolve_category(key).name
+        if name in seen:
+            raise ConfigError(f"category {name!r} is given twice")
+        seen.add(name)
+
+
 def _load_title_lists(path: str | Path, what: str) -> dict[str, list[str]]:
-    """A JSON object mapping category names to lists of title strings; any
-    fault raises ConfigError naming the file."""
+    """A JSON object mapping distinct categories to lists of title strings;
+    any fault raises ConfigError naming the file."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(path).read_text(encoding="utf-8"),
+                         object_pairs_hook=_reject_duplicate_keys)
         if not isinstance(obj, dict):
             raise ConfigError(f"{what} file must be a JSON object")
         for name, titles in obj.items():
             if not (isinstance(titles, list)
                     and all(isinstance(t, str) for t in titles)):
                 raise ConfigError(f"entry {name!r} must be a list of title strings")
-            resolve_category(name)
-    except ValueError as exc:  # JSON syntax
+        _distinct_categories(obj)
+    except ValueError as exc:  # JSON syntax, or a key given twice
         raise ConfigError(f"{path}: {what} file is not valid JSON: {exc}")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -288,10 +300,11 @@ def expand_prototypes(
     A title joins a category when its cosine similarity to any of the
     category's prototypes reaches the threshold; prototypes themselves
     are always kept. Lowering the threshold can only add titles. A
-    category with no prototype title is rejected.
+    category with no prototype title, or named by two keys, is rejected.
     """
     if not (0.0 < threshold <= 1.0):
         raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
+    _distinct_categories(prototypes)
     titles = sorted(space)
     matrix = np.stack([space[t] for t in titles]) if titles else np.empty((0, 0))
     entries: dict[str, frozenset[str]] = {}

@@ -21,6 +21,7 @@ import numpy as np
 from . import formats
 from .corpus import Corpus, NoteRecord, PatientRecord
 from .evaluation import AnnotationRecord, ValidationSet
+from .exceptions import ParseError
 from .segmenter import CATEGORY_NAMES
 
 __all__ = [
@@ -165,10 +166,27 @@ def write_assignment_csv(assignment: dict[str, int], path: str | Path) -> None:
 
 
 def load_assignment_csv(path: str | Path) -> dict[str, int]:
+    """Read a patient_id,cluster file as write_assignment_csv writes it.
+
+    Raises ParseError, with the path and line, on a missing column, a
+    cluster that is not an integer, or a patient listed twice.
+    """
     out: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["patient_id"]] = int(row["cluster"])
+        reader = csv.DictReader(fh)
+        if not {"patient_id", "cluster"}.issubset(reader.fieldnames or ()):
+            raise ParseError("assignment file must have columns ['cluster', 'patient_id']",
+                             path=path)
+        for row in reader:
+            pid, cluster = row["patient_id"], row["cluster"]
+            if pid in out:
+                raise ParseError(f"patient {pid!r} is listed twice", path=path,
+                                 line=reader.line_num)
+            try:
+                out[pid] = int(cluster)
+            except (TypeError, ValueError):
+                raise ParseError(f"cluster {cluster!r} is not an integer", path=path,
+                                 line=reader.line_num)
     return out
 
 

@@ -43,8 +43,9 @@ def make_corpus(spec: dict[str, list[tuple[str, str]]]) -> Corpus:
 
 def dense_similarity(ids, scores, defined, config, wall: float = 0.0) -> SimilarityMatrix:
     """The similarity store of symmetric n x n score and defined arrays:
-    their upper triangle, row by row, and the diagonal's defined bits."""
+    their upper triangle, row by row, NaN where undefined, and the
+    diagonal's defined bits."""
     iu, ju = np.triu_indices(len(ids), k=1)
-    scores, defined = np.asarray(scores, dtype=float), np.asarray(defined, dtype=bool)
-    return SimilarityMatrix(list(ids), scores[iu, ju], defined[iu, ju],
-                            defined.diagonal().copy(), config, wall)
+    defined = np.asarray(defined, dtype=bool)
+    scores = np.where(defined, np.asarray(scores, dtype=float), np.nan)
+    return SimilarityMatrix(list(ids), scores[iu, ju], defined.diagonal().copy(), config, wall)

@@ -109,6 +109,19 @@ class TestComputeAllPairs:
         others = [i for i in range(sim.n) if i != k]
         assert sim.defined[np.ix_(others, others)].all()
 
+    @pytest.mark.parametrize("mmethod", engine.MMETHODS)
+    def test_a_nan_score_is_an_undefined_pair(self, rng, mmethod):
+        # rows with a NaN, built by hand (every loader rejects them), score
+        # NaN, and a NaN score is an undefined pair to every reader
+        mats = make_matrices(rng, 3)
+        rows = mats["p001"].rows.copy()
+        rows[0, 0] = np.nan
+        mats["p001"] = PatientMatrix("p001", rows, mats["p001"].note_indices)
+        sim = compute_all_pairs(mats, config(mmethod))
+        assert not sim.get("p000", "p001")[1] and not sim.get("p001", "p002")[1]
+        assert sim.get("p000", "p002")[1] and np.isnan(sim.get("p000", "p001")[0])
+        assert sim.defined.tolist() == (~np.isnan(sim.scores)).tolist()
+
     def test_worker_count_does_not_change_scores(self, rng):
         # enough pairs to engage the pool for eds; mms runs in one call
         mats = make_matrices(rng, 70, d=3, n_lo=1, n_hi=3)
@@ -340,13 +353,13 @@ def _dense_reference(mats, config, ii, jj):
     ids = sorted(mats)
     n = len(ids)
     payload = kernels.pack(config.mmethod, [mats[pid].rows for pid in ids])
-    got, ok = kernels.score_pairs(payload, ii, jj)
+    got, valid = kernels.score_pairs(payload, ii, jj)
     scores = np.full((n, n), np.nan)
     defined = np.zeros((n, n), dtype=bool)
     scores[ii, jj] = scores[jj, ii] = got
-    defined[ii, jj] = defined[jj, ii] = ok
-    np.fill_diagonal(scores, np.where(payload["valid"], 1.0, np.nan))
-    np.fill_diagonal(defined, payload["valid"])
+    defined[ii, jj] = defined[jj, ii] = valid[ii] & valid[jj]
+    np.fill_diagonal(scores, np.where(valid, 1.0, np.nan))
+    np.fill_diagonal(defined, valid)
     return scores, defined
 
 
@@ -429,7 +442,7 @@ class TestPairStore:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert sim.pair_scores.size == n * (n - 1) // 2 and sim.pair_defined.all()
+        assert sim.pair_scores.size == n * (n - 1) // 2 and not np.isnan(sim.pair_scores).any()
         assert peak < n * n * 8, f"{mmethod} all-pairs peaked {peak / 1e3:.0f} kB"
 
     def test_request_memory_follows_its_pairs(self, rng):
@@ -445,7 +458,7 @@ class TestPairStore:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert sim.pair_scores.size == 40 and sim.pair_defined.all()
+        assert sim.pair_scores.size == 40 and not np.isnan(sim.pair_scores).any()
         assert peak < 2e6, f"a 40-pair request peaked {peak / 1e6:.1f} MB"
 
 

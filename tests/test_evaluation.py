@@ -312,6 +312,22 @@ class TestAnnotationFile:
         save_annotations(vs, tmp_path / "ann.csv")
         assert load_annotations(tmp_path / "ann.csv").annotations == vs.annotations
 
+    @pytest.mark.parametrize("text, line, match", [
+        ("patient_id,group\np1,0\n", None, "columns"),
+        ("cluster\n0\n", None, "columns"),
+        ("patient_id,cluster\np1,0\np2,two\n", 3, "'two' is not an integer"),
+        ("patient_id,cluster\np1,0\np2,1.5\n", 3, "'1.5' is not an integer"),
+        ("patient_id,cluster\np1,0\np2\n", 3, "None is not an integer"),
+        ("patient_id,cluster\np1,0\np2,1\np1,1\n", 4, "'p1' is listed twice"),
+    ], ids=["no-cluster-column", "no-id-column", "word", "fraction", "short-row",
+            "repeated-id"])
+    def test_bad_assignment_names_path_and_line(self, tmp_path, text, line, match):
+        path = tmp_path / "clusters.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=match) as info:
+            load_assignment_csv(path)
+        assert info.value.path == path and info.value.line == line
+
     def test_category_by_id(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text(
@@ -387,6 +403,22 @@ class TestAnnotationFile:
         records = [AnnotationRecord("a1", "q", r, "Medication", 5) for r in "ab"]
         with pytest.raises(ParseError, match="listed twice"):
             ValidationSet(pivots, {"q": rels}, records)
+
+    def test_pivot_listed_as_its_own_candidate_rejected(self, tmp_path):
+        # no pair scores a patient against itself: the diagonal's 1 would
+        # always rank that candidate first
+        records = [AnnotationRecord("a1", "q", r, "Medication", 5) for r in "qa"]
+        with pytest.raises(ParseError, match="'q' is listed as its own candidate"):
+            ValidationSet(["q"], {"q": ["q", "a"]}, records)
+        path = tmp_path / "ann.csv"
+        path.write_text(
+            "annotator_id,pivot_id,relevant_id,category,score\n"
+            "a1,q,a,Medication,5\n"
+            "a1,q,q,Medication,9\n"
+            "a1,q,b,Medication,1\n"
+        )
+        with pytest.raises(ParseError, match="own candidate"):
+            load_annotations(path)
 
     def test_candidates_of_unlisted_pivots_are_not_patients(self):
         records = [AnnotationRecord("a1", "q", r, "Medication", 5) for r in "ab"]

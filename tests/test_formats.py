@@ -229,6 +229,21 @@ def test_golden_bytes(write, sha256, tmp_path):
     assert hashlib.sha256((tmp_path / "f").read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("pair", [0, 1], ids=["finite-marked-undefined", "nan-marked-defined"])
+def test_sim_pair_mask_must_match_the_nans(pair, tmp_path):
+    # the golden triangle holds 0.25, NaN, -0.5, so its pair mask is 0b101;
+    # a mask that contradicts a score would skew every reader's defined bits
+    _golden_sim(tmp_path / "f")
+    blob = bytearray((tmp_path / "f").read_bytes())
+    (ids_len,) = struct.unpack_from("<I", blob, len(SIM_MAGIC))
+    at = len(SIM_MAGIC) + 4 + ids_len + 8 + 8 * 3
+    assert blob[at] == 0b101
+    blob[at] ^= 1 << pair
+    (tmp_path / "f").write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="pair mask disagrees"):
+        load_similarity(tmp_path / "f")
+
+
 # ---------------------------------------------------------------------------
 # Finite payloads: a NaN or inf in a matrix row or an LSA array is corrupt.
 # Similarity triangles hold NaN for undefined pairs by design.

@@ -236,6 +236,13 @@ class TestEdsBatch:
         assert caplog.records == []
 
 
+def _canonical_nan(scores):
+    """Whether every score is np.nan, bit for bit, as score_pairs marks an
+    undefined pair (a raw 0/0 NaN has other bits)."""
+    bits = scores.view(np.uint64)
+    return bits.size > 0 and bool(np.all(bits == np.float64(np.nan).view(np.uint64)))
+
+
 def _triangles(blocks, width):
     """Every patient's whole gram triangle, from rv2_gram chunks of width
     entries, one row per patient."""
@@ -252,10 +259,10 @@ class TestRv2Gram:
         # one column leaves no triangle at all
         blocks = [np.ones((3, 1)), unit_rows(rng, 2, 1)]
         assert _triangles(blocks, 5).shape == (2, 0)
-        payload = kernels.pack("rv2", blocks)
-        scores, defined = kernels.score_pairs(payload, np.array([0]), np.array([1]))
-        assert not defined.any() and np.isnan(scores).all()
-        assert payload["valid"].tolist() == [False, False]
+        scores, valid = kernels.score_pairs(kernels.pack("rv2", blocks), np.array([0]),
+                                            np.array([1]))
+        assert _canonical_nan(scores)
+        assert valid.tolist() == [False, False]
 
     def test_orthonormal_rows_spanning_axes_degenerate(self):
         # identity rows: cross-products vanish off the diagonal
@@ -288,11 +295,11 @@ class TestRv2Gram:
     @pytest.mark.parametrize("rows", [np.ones((3, 1)), np.eye(3), np.eye(5)[:2]])
     def test_degenerate_patient_is_invalid(self, rng, rows):
         payload = kernels.pack("rv2", [unit_rows(rng, 4, rows.shape[1]), rows])
-        assert payload["valid"] is None  # found by the scoring pass
-        scores, defined = kernels.score_pairs(payload, np.array([0]), np.array([1]))
-        assert not defined[0] and np.isnan(scores[0])
+        scores, valid = kernels.score_pairs(payload, np.array([0]), np.array([1]))
+        assert _canonical_nan(scores)
         # one column leaves no triangle at all, so both patients are invalid
-        assert payload["valid"].tolist() == [rows.shape[1] > 1, False]
+        assert valid.tolist() == [rows.shape[1] > 1, False]
+        assert set(payload) == {"mmethod", "rows", "offsets"}  # scoring changes no slot
 
     @pytest.mark.parametrize("d", [1, 2, 50, 200])
     def test_pack_keeps_rows_not_grams(self, rng, d):
@@ -300,7 +307,7 @@ class TestRv2Gram:
         # arrays are stacked in one aligned copy
         blocks = [unit_rows(rng, int(n), d) for n in (3, 0, 2, 5)]
         payload = kernels.pack("rv2", blocks)
-        assert set(payload) == {"mmethod", "rows", "offsets", "valid"}
+        assert set(payload) == {"mmethod", "rows", "offsets"}
         assert payload["rows"].flags.c_contiguous and payload["rows"].flags.aligned
         assert not any(np.shares_memory(payload["rows"], rows) for rows in blocks)
         assert np.array_equal(payload["rows"], np.vstack(blocks))
@@ -310,10 +317,10 @@ class TestRv2Gram:
     def test_random_patients_match_the_oracle(self, rng, d):
         blocks = [unit_rows(rng, int(n), d) for n in rng.integers(1, 9, 12)]
         ii, jj = np.triu_indices(12, k=1)
-        got, defined = kernels.score_pairs(kernels.pack("rv2", blocks), ii, jj)
+        got, _ = kernels.score_pairs(kernels.pack("rv2", blocks), ii, jj)
         for p in range(ii.size):
             want = rv2_reference(blocks[ii[p]], blocks[jj[p]])
-            assert not defined[p] if want is None else abs(got[p] - want) <= 1e-12
+            assert np.isnan(got[p]) if want is None else abs(got[p] - want) <= 1e-12
 
     def test_batch_matches_scalar(self, rng, monkeypatch):
         # the cosine of two whole triangles, here summed over three chunks
@@ -334,8 +341,8 @@ class TestRv2Gram:
         blocks = [unit_rows(rng, int(n), d) for n in rng.integers(2, 9, 60)]
         blocks = [rows for rows in blocks for _ in range(2)]
         ii = np.arange(0, 120, 2)
-        scores, defined = kernels.score_pairs(kernels.pack("rv2", blocks), ii, ii + 1)
-        assert defined.all()
+        scores, valid = kernels.score_pairs(kernels.pack("rv2", blocks), ii, ii + 1)
+        assert valid.all()
         assert np.all(np.abs(scores) <= 1.0)
         assert np.allclose(scores, 1.0, rtol=0, atol=1e-12)
 
@@ -346,11 +353,11 @@ class TestRv2Gram:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _, defined = kernels.score_pairs(kernels.pack("rv2", blocks), ii, jj)
+            scores, valid = kernels.score_pairs(kernels.pack("rv2", blocks), ii, jj)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert defined.all()
+        assert valid.all() and not np.isnan(scores).any()
         assert peak < 24e6, f"rv2 all-pairs peaked {peak / 1e6:.1f} MB above its inputs"
 
 
@@ -385,13 +392,13 @@ class TestTiles:
     def test_every_request_gives_the_whole_triangle_bits(self, rng, mmethod):
         payload = kernels.pack(mmethod, _three_tiles(rng))
         ii, jj = np.triu_indices(150, k=1)
-        whole, defined = kernels.score_pairs(payload, ii, jj)
+        whole, valid = kernels.score_pairs(payload, ii, jj)
         bits = whole.view(np.uint64)
 
         def same(p, a, b):
-            got, got_defined = kernels.score_pairs(payload, a, b)
+            got, got_valid = kernels.score_pairs(payload, a, b)
             assert got.view(np.uint64).tolist() == bits[p].tolist()
-            assert got_defined.tolist() == defined[p].tolist()
+            assert got_valid.tolist() == valid.tolist()
 
         cuts = np.sort(rng.choice(ii.size, 9, replace=False))
         for p in np.split(np.arange(ii.size), cuts):
@@ -405,16 +412,16 @@ class TestTiles:
     def test_whole_triangle_matches_the_oracle(self, rng, mmethod):
         blocks = _three_tiles(rng)
         ii, jj = np.triu_indices(150, k=1)
-        got, defined = kernels.score_pairs(kernels.pack(mmethod, blocks), ii, jj)
+        got, _ = kernels.score_pairs(kernels.pack(mmethod, blocks), ii, jj)
         oracle = rv2_reference if mmethod == "rv2" else mms_reference
         undefined = 0
         for p in range(ii.size):
             want = oracle(blocks[ii[p]], blocks[jj[p]])
             if want is None:
-                assert not defined[p] and np.isnan(got[p])
+                assert _canonical_nan(got[[p]])
                 undefined += 1
             else:
-                assert defined[p] and abs(got[p] - want) <= 1e-12
+                assert abs(got[p] - want) <= 1e-12
         assert undefined == (149 if mmethod == "rv2" else 0)
 
 
@@ -428,13 +435,12 @@ def test_chunked_rv2_streams_three_chunks_and_keeps_the_degenerate_patient(
     blocks = _three_tiles(rng)
     payload = kernels.pack("rv2", blocks)
     ii, jj = np.array([5, 5, 100]), np.array([100, 149, 149])
-    scores, defined = kernels.score_pairs(payload, ii, jj)
+    scores, valid = kernels.score_pairs(payload, ii, jj)
     assert widths == [37, 37, 37, 9]
     # patient 100's pairs are undefined
-    assert defined.tolist() == [False, True, False]
-    assert np.isnan(scores[[0, 2]]).all()
+    assert _canonical_nan(scores[[0, 2]])
     assert abs(scores[1] - rv2_reference(blocks[5], blocks[149])) <= 1e-12
-    assert not payload["valid"][100] and payload["valid"].sum() == 149
+    assert not valid[100] and valid.sum() == 149
 
 
 @pytest.mark.parametrize("mmethod", ["rv2", "mms"])
@@ -456,6 +462,15 @@ def test_pairs_out_of_the_triangle_order_are_rejected(rng, mmethod, ii, jj):
 
 
 @pytest.mark.parametrize("mmethod", ["mms", "eds"])
+def test_every_mms_and_eds_patient_is_valid(rng, mmethod):
+    blocks = [unit_rows(rng, n, 4) for n in (1, 3, 2)]
+    payload = kernels.pack(mmethod, blocks)
+    scores, valid = kernels.score_pairs(payload, *np.triu_indices(3, k=1))
+    assert valid.tolist() == [True, True, True] and not np.isnan(scores).any()
+    assert set(payload) == {"mmethod", "rows", "offsets"}
+
+
+@pytest.mark.parametrize("mmethod", ["mms", "eds"])
 def test_pack_rejects_a_patient_without_rows(rng, mmethod):
     # reduceat would read an empty patient's segment as its neighbour's
     with pytest.raises(ValueError, match="at least one note row"):
@@ -472,8 +487,8 @@ def _container(tmp_path, blocks, name="mats.bin"):
 
 
 def _bits(result):
-    scores, defined = result
-    return scores.view(np.uint64).tolist(), defined.tolist()
+    scores, valid = result
+    return scores.view(np.uint64).tolist(), valid.tolist()
 
 
 class TestPackView:
@@ -509,7 +524,6 @@ class TestPackView:
         assert not np.shares_memory(copy["rows"], rows[0])
         ii, jj = np.triu_indices(70, k=1)
         assert _bits(kernels.score_pairs(view, ii, jj)) == _bits(kernels.score_pairs(copy, ii, jj))
-        assert view["valid"].tolist() == copy["valid"].tolist()
 
     def test_rv2_patient_without_rows(self, rng, tmp_path):
         blocks = [unit_rows(rng, 3, 5), np.zeros((0, 5)), unit_rows(rng, 4, 5)]
@@ -518,10 +532,11 @@ class TestPackView:
         assert np.shares_memory(view["rows"], rows[0]) and view["rows"].shape == (7, 5)
         assert view["offsets"].tolist() == [0, 3, 3, 7]
         ii, jj = np.triu_indices(3, k=1)
-        got = _bits(kernels.score_pairs(view, ii, jj))
-        assert got == _bits(kernels.score_pairs(kernels.pack("rv2", blocks), ii, jj))
-        assert got[1] == [False, True, False]
-        assert view["valid"].tolist() == [True, False, True]
+        scores, valid = kernels.score_pairs(view, ii, jj)
+        assert _bits((scores, valid)) == _bits(kernels.score_pairs(kernels.pack("rv2", blocks),
+                                                                   ii, jj))
+        assert valid.tolist() == [True, False, True]
+        assert _canonical_nan(scores[[0, 2]]) and not np.isnan(scores[1])
 
     def test_all_pairs_of_a_container_pack_no_copy(self, rng, tmp_path, monkeypatch):
         _container(tmp_path, [unit_rows(rng, n, 8) for n in (3, 1, 4, 2)])

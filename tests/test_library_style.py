@@ -7,6 +7,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import patsim
 
 SRC = Path(patsim.__file__).resolve().parent
@@ -89,3 +91,78 @@ def test_only_the_engine_and_matsim_call_the_pair_scorers():
             if named in scorers or imported & scorers:
                 callers.add(path.name)
     assert callers == {"engine.py", "matsim.py"}
+
+
+# The SimilarityMatrix members perfbench's output checks read from a result.
+_BENCH_SIM_MEMBERS = ("get", "scores", "defined", "n", "patient_ids", "config",
+                      "wall_time_seconds")
+
+
+def _bench_trees():
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(bench.glob("*.py"))]
+
+
+def _patsim_uses(tree):
+    """Each patsim object the module reads through a module name, as
+    (dotted name, the object or None, the Call node when it is called)."""
+    modules = {}  # local name -> the patsim module bound to it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "patsim":
+            modules.update({alias.asname or alias.name: f"patsim.{alias.name}"
+                            for alias in node.names})
+        elif isinstance(node, ast.Import):
+            for alias in node.names:  # "import patsim.engine" binds patsim
+                if alias.name.split(".")[0] == "patsim":
+                    modules[alias.asname or "patsim"] = alias.name if alias.asname else "patsim"
+    nodes = list(ast.walk(tree))
+    calls = {id(node.func): node for node in nodes if isinstance(node, ast.Call)}
+    inner = {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
+    uses = []
+    for node in nodes:
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue  # a prefix of a longer chain is checked with the chain
+        chain, at = [], node
+        while isinstance(at, ast.Attribute):
+            chain.insert(0, at.attr)
+            at = at.value
+        if not (isinstance(at, ast.Name) and at.id in modules):
+            continue
+        path = modules[at.id].split(".") + chain
+        obj = importlib.import_module("patsim")
+        for attr in path[1:]:
+            obj = getattr(obj, attr, None)
+        uses.append((".".join(path), obj, calls.get(id(node))))
+    return uses
+
+
+def test_benchmark_reads_only_names_patsim_has():
+    # perfbench drives patsim through its module attributes; a rename or a
+    # dropped keyword would surface only when the benchmark runs
+    trees = _bench_trees()
+    uses = [use for tree in trees for use in _patsim_uses(tree)]
+    assert {"patsim.engine.RunConfig", "patsim.grid.GridOptions", "patsim.synth.SynthSpec",
+            "patsim.vectorizer.save_matrices"} <= {name for name, _, _ in uses}
+    missing = sorted({name for name, obj, _ in uses if obj is None})
+    assert missing == []
+    unbound = []
+    for name, obj, call in uses:
+        if call is None or not callable(obj):
+            continue
+        try:
+            inspect.signature(obj).bind_partial(
+                *range(len(call.args)), **{kw.arg: None for kw in call.keywords if kw.arg})
+        except TypeError as exc:
+            unbound.append(f"{name}: {exc}")
+    assert unbound == []
+    # the members the output checks read from each SimilarityMatrix
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    assert set(_BENCH_SIM_MEMBERS) <= read
+    engine = importlib.import_module("patsim.engine")
+    vectorizer = importlib.import_module("patsim.vectorizer")
+    rows = np.eye(2)
+    sim = engine.compute_all_pairs(
+        {pid: vectorizer.PatientMatrix(pid, rows, np.arange(2)) for pid in "ab"},
+        engine.RunConfig(filter=False, vmethod="lsa050", mmethod="mms"))
+    assert [m for m in _BENCH_SIM_MEMBERS if not hasattr(sim, m)] == []

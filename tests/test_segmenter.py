@@ -345,6 +345,12 @@ class TestExpandPrototypes:
         with pytest.raises(ConfigError, match="'Medication' has no prototype"):
             expand_prototypes({"5": []}, self.space(), 0.5)
 
+    def test_one_category_under_two_keys_rejected(self):
+        # "5" is Medication's id: one of the two lists would silently win
+        with pytest.raises(ConfigError, match="'Medication' is given twice"):
+            expand_prototypes({"Medication": ["medication"], "5": ["drugs"]},
+                              self.space(), 0.5)
+
 
 class TestRelevancyFromPrototypes:
     def test_two_titles_clamp_the_title_dim(self):
@@ -402,14 +408,26 @@ class TestRelevancyMapFile:
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             RelevancyMap.load(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"Medication": ["drugs"], "5": ["m"]}',
+        '{"Medication": ["drugs"], " medication ": []}',
+        '{"Medication": ["drugs"], "Medication": ["m"]}',
+    ], ids=["name_and_id", "name_spelled_twice", "repeated_key"])
+    def test_one_category_twice_names_the_file_and_category(self, tmp_path, text):
+        # a second list for one category would silently replace the first
+        path = tmp_path / "relevancy.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*'Medication'"):
+            RelevancyMap.load(path)
+
 
 class TestPrototypesFile:
     def test_reads_the_mapping(self, tmp_path):
         path = tmp_path / "protos.json"
-        path.write_text('{"Medication": ["medication", "Drugs:"], "5": []}',
+        path.write_text('{"Medication": ["medication", "Drugs:"], "6": []}',
                         encoding="utf-8")
         assert load_prototypes(path) == {"Medication": ["medication", "Drugs:"],
-                                         "5": []}
+                                         "6": []}
 
     @pytest.mark.parametrize("text", [
         '{"Medication": ["drugs"',
@@ -424,4 +442,14 @@ class TestPrototypesFile:
         path = tmp_path / "protos.json"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_prototypes(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"Medication": ["medication"], "5": ["m"]}',
+        '{"Medication": ["medication"], "Medication": ["m"]}',
+    ], ids=["name_and_id", "repeated_key"])
+    def test_one_category_twice_names_the_file_and_category(self, tmp_path, text):
+        path = tmp_path / "protos.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*'Medication'"):
             load_prototypes(path)
