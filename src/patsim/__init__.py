@@ -37,7 +37,7 @@ from .evaluation import (
     mean_annotation,
 )
 from .grid import EvalReport, GridOptions, grid_search, write_report
-from .matsim import SimScore, combined, cross_sim, eds, eds_alignment, mms, rv2
+from .matsim import combined, cross_sim, eds, eds_alignment, mms, rv2
 from .segmenter import (
     CATEGORIES,
     CATEGORY_NAMES,

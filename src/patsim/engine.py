@@ -147,13 +147,14 @@ class SimilarityMatrix:
             self.pairs = None  # distinct pairs i < j in order: the whole triangle
 
     def get(self, id_a: str, id_b: str) -> tuple[float, bool]:
-        scores, defined = self.lookup([self._index[id_a]], [self._index[id_b]])
-        return float(scores[0]), bool(defined[0])
+        """The pair's score, and whether it is defined: not isnan(score)."""
+        score = float(self.lookup([self._index[id_a]], [self._index[id_b]])[0])
+        return score, not math.isnan(score)
 
-    def lookup(self, i: Sequence[int], j: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Scores and defined bits of the index pairs (i[k], j[k]), either
-        way round: a pair not held is undefined with score NaN, and a
-        patient's own pair scores 1 where it is defined."""
+    def lookup(self, i: Sequence[int], j: Sequence[int]) -> np.ndarray:
+        """Scores of the index pairs (i[k], j[k]), either way round: NaN
+        where a pair is undefined or not held, and 1 on a patient's own
+        pair where it is defined."""
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         held = lo < hi
         at = _position(lo, hi, self.n)
@@ -166,7 +167,7 @@ class SimilarityMatrix:
         scores[held] = self.pair_scores[at[held]]
         own = lo == hi
         scores[own] = np.where(self.diag_defined[lo[own]], 1.0, np.nan)
-        return scores, ~np.isnan(scores)
+        return scores
 
     def triangle(self) -> np.ndarray:
         """Scores of every pair i < j, row by row: the store itself when it

@@ -79,9 +79,9 @@ class ValidationSet:
 
     def __post_init__(self):
         for pivot in self.pivots:
-            if pivot not in self.relevants:
+            rels = self.relevants.get(pivot)
+            if rels is None:
                 raise ParseError(f"pivot {pivot!r} has no relevant patients listed")
-        for pivot, rels in self.relevants.items():
             if len(rels) < 2:
                 raise ParseError(
                     f"pivot {pivot!r} has {len(rels)} relevant patients; need >= 2"
@@ -126,9 +126,11 @@ def load_annotations(path: str | Path) -> ValidationSet:
 
     Header: annotator_id,pivot_id,relevant_id,category,score. Category
     accepted by name or id 1..10; score must be an integer in -1..10.
+    Every fault names the file, and a bad or repeated row its line too.
     """
     path = Path(path)
     records: list[AnnotationRecord] = []
+    seen: set[tuple[str, str, str, str]] = set()
     pivots: list[str] = []
     relevants: dict[str, list[str]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -150,6 +152,11 @@ def load_annotations(path: str | Path) -> ValidationSet:
             except (ValueError, KeyError, TypeError) as exc:
                 raise ParseError(f"bad annotation row: {exc}", path=path,
                                  line=reader.line_num)
+            key = (rec.annotator_id, rec.pivot_id, rec.relevant_id, rec.category)
+            if key in seen:
+                raise ParseError(f"duplicate annotation for {key}", path=path,
+                                 line=reader.line_num)
+            seen.add(key)
             records.append(rec)
             if rec.pivot_id not in relevants:
                 relevants[rec.pivot_id] = []
@@ -158,7 +165,10 @@ def load_annotations(path: str | Path) -> ValidationSet:
                 relevants[rec.pivot_id].append(rec.relevant_id)
     if not records:
         raise ParseError("no annotation rows", path=path)
-    return ValidationSet(pivots, relevants, records)
+    try:
+        return ValidationSet(pivots, relevants, records)
+    except ParseError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 def save_annotations(validation: ValidationSet, path: str | Path) -> None:
@@ -249,10 +259,9 @@ def evaluate_config(
         if pivot in index and rel in index:
             rows[at], cols[at] = index[pivot], index[rel]
     usable = (cols >= 0) & ~np.isnan(grade)
-    scores, ok = sim.lookup(rows[usable], cols[usable])
-    usable[usable] = ok
     model = np.zeros(grade.shape)
-    model[usable] = scores[ok]
+    model[usable] = sim.lookup(rows[usable], cols[usable])
+    usable &= ~np.isnan(model)  # _tau_b reads no slot that usable leaves out
     taus, counts = _tau_b(grade, model, usable)
     skipped = [pivot for pivot, n in zip(validation.pivots, counts) if n < 2]
     per_pivot = {pivot: None if math.isnan(tau) else tau for pivot, tau, n
@@ -319,9 +328,9 @@ def cluster_precision_at_k(
     everyone = np.arange(len(ids))
     precisions = []
     for i, pid in enumerate(ids):
-        scores, mask = sim.lookup(np.full(len(ids), i), everyone)
-        mask[i] = False
-        cand = np.flatnonzero(mask)
+        scores = sim.lookup(np.full(len(ids), i), everyone)
+        scores[i] = np.nan
+        cand = np.flatnonzero(~np.isnan(scores))
         if cand.size == 0:
             continue
         order = cand[np.argsort(-scores[cand], kind="stable")]

@@ -154,14 +154,14 @@ def _eds_block(c: np.ndarray, n1: np.ndarray, n2: np.ndarray, lam: np.ndarray
     c[p, :n1[p], :n2[p]], from the levels lam (each pair's minimum).
 
     Returns the level trace, one array per update (a pair that has
-    stopped keeps its level), each pair's update count, and the walks
-    (laid out as _eds_walk gives them) of each pair's last path: optimal
-    at its final level, or at the iteration cap the one that set it. A
-    pair leaves the active set once its level stops rising.
+    stopped keeps its level), each pair's update count, and the last
+    round's walks of the pairs still active in it, laid out as _eds_walk
+    gives them. For a block of one that walk is the pair's last path:
+    optimal at its final level, or at the iteration cap the one that set
+    it. A pair leaves the active set once its level stops rising.
     """
     trace = [lam]
     iters = np.zeros(lam.size, dtype=np.intp)
-    walks = np.zeros((2, int(n1.max() + n2.max()) - 1, lam.size), dtype=np.intp)
     k, h, w = c.shape
     buf = np.full((k, h + 1, w + 1), -np.inf)  # the DP writes inside the -inf border
     active = np.arange(lam.size)
@@ -175,7 +175,6 @@ def _eds_block(c: np.ndarray, n1: np.ndarray, n2: np.ndarray, lam: np.ndarray
             cp -= lam[:, None, None]
         _eds_dp(cp)
         walk = _eds_walk(padded, n1, n2)
-        walks[:, :walk.shape[1], active] = walk
         ratio = _eds_path_means(c, active, walk)
         rising = ratio > lam
         if not rising.any():
@@ -187,7 +186,7 @@ def _eds_block(c: np.ndarray, n1: np.ndarray, n2: np.ndarray, lam: np.ndarray
         if not rising.all():
             active, n1, n2 = active[rising], n1[rising], n2[rising]
         lam = ratio[rising]
-    return trace, iters, walks
+    return trace, iters, walk
 
 
 def _warn_at_cap(capped: int, pairs: int) -> None:

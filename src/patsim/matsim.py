@@ -13,12 +13,15 @@ embeddings) to one number:
   first to the last notes of both patients (warping-style; diagonal
   steps allowed), so note order matters.
 
-An ensemble score averages whatever member scores are defined.
+Each score is a float, NaN where the pair is undefined: NaN is the only
+mark of an undefined score. An ensemble score averages whatever member
+scores are defined.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +30,6 @@ from .exceptions import DegenerateInput, DimMismatch
 from .vectorizer import PatientMatrix
 
 __all__ = [
-    "SimScore",
-    "UNDEFINED_SCORE",
     "cross_sim",
     "rv2",
     "mms",
@@ -37,16 +38,6 @@ __all__ = [
     "pair_diagnostic",
     "combined",
 ]
-
-
-class SimScore(NamedTuple):
-    """A similarity value plus whether it is defined at all."""
-
-    value: float
-    defined: bool
-
-
-UNDEFINED_SCORE = SimScore(float("nan"), False)
 
 
 def _rows(m) -> np.ndarray:
@@ -76,44 +67,42 @@ def cross_sim(a, b) -> np.ndarray:
 _ONE_PAIR = (np.array([0]), np.array([1]))
 
 
-def _score(mmethod: str, a, b) -> SimScore:
+def _score(mmethod: str, a, b) -> float:
     """One pair through the all-pairs path: pack both patients, score (0, 1)."""
     payload = kernels.pack(mmethod, _paired_rows(a, b))
-    score = float(kernels.score_pairs(payload, *_ONE_PAIR)[0][0])
-    return UNDEFINED_SCORE if np.isnan(score) else SimScore(score, True)
+    return float(kernels.score_pairs(payload, *_ONE_PAIR)[0][0])
 
 
-def rv2(a, b) -> SimScore:
+def rv2(a, b) -> float:
     """Diagonal-removed cross-product correlation of two patient matrices.
 
-    Undefined when either matrix's off-diagonal cross-product vanishes
-    (for example exactly orthogonal columns); callers must not read the
-    value in that case.
+    NaN when either matrix's off-diagonal cross-product vanishes (for
+    example exactly orthogonal columns): the pair is undefined.
     """
     return _score("rv2", a, b)
 
 
-def mms(a, b) -> SimScore:
+def mms(a, b) -> float:
     """Best note-to-note matching score, order-free."""
     return _score("mms", a, b)
 
 
-def eds(a, b) -> SimScore:
+def eds(a, b) -> float:
     """Best time-consistent alignment score, order-sensitive."""
     return _score("eds", a, b)
 
 
-def eds_alignment(a, b) -> tuple[SimScore, list[tuple[int, int]]]:
+def eds_alignment(a, b) -> tuple[float, list[tuple[int, int]]]:
     """eds score together with one optimal path, from one Dinkelbach run."""
-    score, path = kernels.eds_best_path(cross_sim(a, b))
-    return SimScore(score, True), path
+    return kernels.eds_best_path(cross_sim(a, b))
 
 
 def pair_diagnostic(a, b, method: str) -> dict:
     """JSON-ready per-pair record: method, score, and the eds path.
 
     Matches the optional diagnostic dump format: the path appears only
-    for the alignment method (as [i, j] cell pairs).
+    for the alignment method (as [i, j] cell pairs), and an undefined
+    score is null.
     """
     out: dict = {"method": method}
     if method == "eds":
@@ -121,16 +110,14 @@ def pair_diagnostic(a, b, method: str) -> dict:
         out["path"] = [[int(i), int(j)] for i, j in path]
     else:
         score = _score(method, a, b)
-    out["score"] = score.value if score.defined else None
-    out["defined"] = score.defined
+    out["score"] = None if math.isnan(score) else score
+    out["defined"] = out["score"] is not None
     return out
 
 
-def combined(scores: Sequence[SimScore]) -> SimScore:
-    """Mean of the defined member scores; undefined only when all are."""
+def combined(scores: Sequence[float]) -> float:
+    """Mean of the defined (non-NaN) member scores; NaN only when all are."""
     if len(scores) == 0:
         raise DegenerateInput("combined() needs at least one member score")
-    vals = [s.value for s in scores if s.defined]
-    if not vals:
-        return UNDEFINED_SCORE
-    return SimScore(float(np.mean(vals)), True)
+    vals = [s for s in scores if not math.isnan(s)]
+    return float(np.mean(vals)) if vals else math.nan

@@ -1,7 +1,8 @@
 """Note vectorization: TF-IDF + truncated SVD, plus an import channel.
 
-Notes are turned into unit-norm embedding rows and stacked into one
-matrix per patient (row k = the (k+1)-st retained note in chronological
+Notes are turned into unit-norm embedding rows, a note with nothing to
+embed into a zero row, and the nonzero rows are stacked into one matrix
+per patient (row k = the (k+1)-st retained note in chronological
 order). Embeddings are either fitted here (latent semantic analysis over
 TF-IDF) or read from a JSONL file produced by an external model. One
 builder makes the TF-IDF rows for fitting and embedding alike, and
@@ -219,13 +220,13 @@ def _tfidf_rows(tokenized: Sequence[list[str]], vocabulary: Mapping[str, int],
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Scale rows to unit L2 norm in place; a row of norm <= _ZERO_NORM holds
-    nothing and is zeroed. Returns the mask of the other rows."""
+    """Scale rows to unit L2 norm in place and return them; a row of norm
+    <= _ZERO_NORM holds nothing and is zeroed."""
     norms = np.linalg.norm(rows, axis=1)
     kept = norms > _ZERO_NORM
     rows /= np.where(kept, norms, 1.0)[:, None]
     rows[~kept] = 0.0
-    return kept
+    return rows
 
 
 def fit_lsa(docs: Sequence[str], dims: tuple[int, ...], min_doc_freq: int = 1,
@@ -264,22 +265,21 @@ def fit_lsa(docs: Sequence[str], dims: tuple[int, ...], min_doc_freq: int = 1,
                        projection=np.ascontiguousarray(vt.T), dim=dim,
                        sublinear_tf=sublinear_tf)
               for dim, (_, vt) in zip(fits, randomized_svd(x, fits))]
-    return {m.dim: (m, _project(x, m)[0]) for m in models}
+    return {m.dim: (m, _project(x, m)) for m in models}
 
 
-def _project(x: sp.csr_matrix, model: LsaModel) -> tuple[np.ndarray, np.ndarray]:
-    """TF-IDF rows times the projection, each row at unit norm or zero;
-    returns (rows, found). csr @ dense forms each row on its own, so a
-    row does not depend on the other rows in x."""
-    rows = x @ model.projection
-    return rows, _unit_rows(rows)
+def _project(x: sp.csr_matrix, model: LsaModel) -> np.ndarray:
+    """TF-IDF rows times the projection, each row at unit norm or zero.
+    csr @ dense forms each row on its own, so a row does not depend on
+    the other rows in x."""
+    return _unit_rows(x @ model.projection)
 
 
-def embed_texts(model: LsaModel, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def embed_texts(model: LsaModel, texts: Sequence[str]) -> np.ndarray:
     """Embed texts by one sparse product of their TF-IDF rows and the
-    projection; returns (rows, found), row k at unit norm, or zero with
-    found[k] False when no known token survives in text k. A row does not
-    depend on the other texts in the call.
+    projection. Row k is at unit norm, or zero when no known token
+    survives in text k: a zero row marks a text with nothing to embed.
+    A row does not depend on the other texts in the call.
     """
     return _project(_tfidf_rows([tokenize(t) for t in texts], model.vocabulary,
                                 model.idf, model.sublinear_tf), model)
@@ -292,8 +292,8 @@ def embed(model: LsaModel, text: str) -> np.ndarray | None:
     changes tf only, which the final normalization cancels when tf is
     linear.
     """
-    rows, found = embed_texts(model, [text])
-    return rows[0] if found[0] else None
+    row = embed_texts(model, [text])[0]
+    return row if row.any() else None
 
 
 def _note_vector(obj, path: Path, lineno: int, dim: int | None,
@@ -382,8 +382,7 @@ def compress_embeddings(vectors: NoteVectors, dim: int) -> NoteVectors:
     proj = stack @ vt.T
     if rank < dim:
         proj = np.pad(proj, ((0, 0), (0, dim - rank)))
-    _unit_rows(proj)
-    return NoteVectors({k: i for i, k in enumerate(keys)}, proj)
+    return NoteVectors({k: i for i, k in enumerate(keys)}, _unit_rows(proj))
 
 
 def build_patient_matrix(
@@ -399,14 +398,14 @@ def build_patient_matrix(
     remains; the patient is then absent from that run.
     """
     if isinstance(embedder, LsaModel):
-        rows, found = embed_texts(embedder, [note.text for note in filtered])
+        rows = embed_texts(embedder, [note.text for note in filtered])
     else:
         keys = [(patient.patient_id, note.note_index) for note in filtered]
         missing = [key for key in keys if key not in embedder.index]
         if missing:
             raise MissingEmbedding(f"no imported embedding for {missing[0]}")
         rows = embedder.rows[[embedder.index[key] for key in keys]]
-        found = rows.any(axis=1)
+    found = rows.any(axis=1)
     if not found.any():
         return None
     kept = np.array([note.note_index for note in filtered], dtype=np.int64)[found]

@@ -420,6 +420,35 @@ class TestAnnotationFile:
         with pytest.raises(ParseError, match="own candidate"):
             load_annotations(path)
 
+    def test_duplicate_annotation_names_path_and_line(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_text(
+            "annotator_id,pivot_id,relevant_id,category,score\n"
+            "a1,q,a,Medication,5\n"
+            "a1,q,b,Medication,3\n"
+            "a1,q,a,Medication,5\n"
+        )
+        with pytest.raises(ParseError, match="duplicate annotation") as info:
+            load_annotations(path)
+        assert info.value.path == path and info.value.line == 4
+
+    @pytest.mark.parametrize("rows, match", [
+        ("a1,q,a,Medication,5\n", "need >= 2"),
+        ("a1,q,a,Medication,5\na1,q,q,Medication,9\n", "own candidate"),
+    ], ids=["one-candidate", "own-candidate"])
+    def test_candidate_list_fault_names_the_file(self, tmp_path, rows, match):
+        path = tmp_path / "ann.csv"
+        path.write_text("annotator_id,pivot_id,relevant_id,category,score\n" + rows)
+        with pytest.raises(ParseError, match=match) as info:
+            load_annotations(path)
+        assert info.value.path == path and info.value.line is None
+        assert str(info.value).endswith(f"({path})")
+
+    @pytest.mark.parametrize("other", [["c"], ["x", "c"]], ids=["short", "own"])
+    def test_candidate_list_of_an_unlisted_pivot_is_not_checked(self, other):
+        vs = ValidationSet(["q"], {"q": ["a", "b"], "x": other}, [])
+        assert vs.pairs() == [("q", "a"), ("q", "b")]
+
     def test_candidates_of_unlisted_pivots_are_not_patients(self):
         records = [AnnotationRecord("a1", "q", r, "Medication", 5) for r in "ab"]
         vs = ValidationSet(["q"], {"q": ["a", "b"], "x": ["c", "d"]}, records)

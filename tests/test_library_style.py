@@ -74,6 +74,28 @@ def test_benchmark_span_targets_stay_callable():
         assert list(inspect.signature(getattr(kernels, name)).parameters)[:len(want)] == want
 
 
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its object is gone breaks star imports
+    modules = [module for module in (importlib.import_module(f"patsim.{path.stem}")
+                                     for path in sorted(SRC.glob("*.py"))
+                                     if path.stem != "__init__")
+               if hasattr(module, "__all__")]
+    assert "patsim.matsim" in {module.__name__ for module in modules}
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_the_package_imports_only_exported_names():
+    # patsim re-exports each submodule's public names, never a private one
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports and all(node.level == 1 for node in imports)
+    private = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
+               if alias.name not in importlib.import_module(f"patsim.{node.module}").__all__]
+    assert private == []
+
+
 def test_only_the_engine_and_matsim_call_the_pair_scorers():
     # rv2 and mms score only distinct pairs i < j in the triangle's order;
     # engine lists every request that way and matsim scores (0, 1), so pair

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from patsim.engine import RunConfig, compute_all_pairs
 
 from patsim.exceptions import ConfigError, DegenerateInput, DimMismatch
 from patsim.matsim import (
-    SimScore,
-    UNDEFINED_SCORE,
     combined,
     cross_sim,
     eds,
@@ -58,8 +57,8 @@ class TestRv2:
         for _ in range(20):
             a = unit_rows(rng, int(rng.integers(2, 9)), int(rng.integers(2, 7)))
             score = rv2(a, a)
-            assert score.defined
-            assert score.value == pytest.approx(1.0, abs=1e-12)
+            assert not math.isnan(score)
+            assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_column_reflection_gives_minus_one(self, rng):
         # with d = 2 the off-diagonal cross-product flips sign when one
@@ -68,8 +67,8 @@ class TestRv2:
         b = a.copy()
         b[:, 0] = -b[:, 0]
         score = rv2(a, b)
-        assert score.defined
-        assert score.value == pytest.approx(-1.0, abs=1e-9)
+        assert not math.isnan(score)
+        assert score == pytest.approx(-1.0, abs=1e-9)
 
     def test_matches_straight_line_reference(self, rng):
         for _ in range(60):
@@ -81,22 +80,22 @@ class TestRv2:
             want = rv2_reference(a, b)
             got = rv2(a, b)
             if want is None:
-                assert not got.defined
+                assert math.isnan(got)
             else:
-                assert got.defined
-                assert got.value == pytest.approx(want, abs=1e-12)
+                assert not math.isnan(got)
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_orthogonal_columns_degenerate(self):
         score = rv2(np.eye(3), np.eye(3))
-        assert score == UNDEFINED_SCORE or not score.defined
-        assert not score.defined
+        assert isinstance(score, float)
+        assert math.isnan(score)
 
     def test_row_permutation_invariance(self, rng):
         a = unit_rows(rng, 7, 4)
         b = unit_rows(rng, 5, 4)
         perm = rng.permutation(7)
-        assert rv2(a, b).value == pytest.approx(
-            rv2(a[perm], b).value, abs=1e-13
+        assert rv2(a, b) == pytest.approx(
+            rv2(a[perm], b), abs=1e-13
         )
 
     def test_bounds(self, rng):
@@ -104,57 +103,57 @@ class TestRv2:
             a = unit_rows(rng, int(rng.integers(2, 8)), 3)
             b = unit_rows(rng, int(rng.integers(2, 8)), 3)
             s = rv2(a, b)
-            if s.defined:
-                assert -1 - 1e-9 <= s.value <= 1 + 1e-9
+            if not math.isnan(s):
+                assert -1 - 1e-9 <= s <= 1 + 1e-9
 
 
 class TestMms:
     def test_self_similarity_is_one(self, rng):
         a = unit_rows(rng, 6, 4)
-        assert mms(a, a).value == pytest.approx(1.0, abs=1e-9)
+        assert mms(a, a) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_rows_equal_cosine(self, rng):
         a = unit_rows(rng, 1, 5)
         b = unit_rows(rng, 1, 5)
-        assert mms(a, b).value == pytest.approx(float(a[0] @ b[0]), abs=1e-12)
+        assert mms(a, b) == pytest.approx(float(a[0] @ b[0]), abs=1e-12)
 
     def test_matches_loop_reference(self, rng):
         for _ in range(40):
             a = unit_rows(rng, int(rng.integers(1, 6)), 4)
             b = unit_rows(rng, int(rng.integers(1, 6)), 4)
-            assert mms(a, b).value == pytest.approx(mms_reference(a, b), abs=1e-12)
+            assert mms(a, b) == pytest.approx(mms_reference(a, b), abs=1e-12)
 
     def test_row_permutation_invariance(self, rng):
         a = unit_rows(rng, 6, 4)
         b = unit_rows(rng, 4, 4)
         pa = rng.permutation(6)
         pb = rng.permutation(4)
-        assert mms(a, b).value == pytest.approx(mms(a[pa], b[pb]).value, abs=1e-13)
+        assert mms(a, b) == pytest.approx(mms(a[pa], b[pb]), abs=1e-13)
 
 
 class TestEds:
     def test_single_note_pairs_equal_cosine(self, rng):
         a = unit_rows(rng, 1, 5)
         b = unit_rows(rng, 1, 5)
-        assert eds(a, b).value == pytest.approx(float(a[0] @ b[0]), abs=1e-12)
+        assert eds(a, b) == pytest.approx(float(a[0] @ b[0]), abs=1e-12)
 
     def test_self_similarity_is_one(self, rng):
         a = unit_rows(rng, 5, 4)
-        assert eds(a, a).value == pytest.approx(1.0, abs=1e-9)
+        assert eds(a, a) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_enumeration(self, rng):
         for _ in range(40):
             a = unit_rows(rng, int(rng.integers(1, 6)), 3)
             b = unit_rows(rng, int(rng.integers(1, 6)), 3)
             want = enumerate_best_mean_path(a @ b.T)
-            assert eds(a, b).value == pytest.approx(want, abs=1e-9)
+            assert eds(a, b) == pytest.approx(want, abs=1e-9)
 
     def test_order_sensitivity_witness(self):
         # aligned identical sequences score 1; reversing one drops the score
         a = np.eye(2)
         swapped = a[::-1].copy()
-        aligned = eds(a, a).value
-        reversed_ = eds(swapped, a).value
+        aligned = eds(a, a)
+        reversed_ = eds(swapped, a)
         assert aligned == pytest.approx(1.0, abs=1e-12)
         assert reversed_ == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert aligned - reversed_ > 0.5
@@ -165,7 +164,7 @@ class TestEds:
         score, path = eds_alignment(a, b)
         assert path[0] == (0, 0)
         assert path[-1] == (3, 5)
-        assert score.defined
+        assert not math.isnan(score)
 
     def test_alignment_solves_the_pair_once(self, rng, monkeypatch):
         a = unit_rows(rng, 12, 6)
@@ -194,10 +193,10 @@ class TestSymmetryAndBounds:
             for method in (rv2, mms, eds):
                 ab = method(a, b)
                 ba = method(b, a)
-                assert ab.defined == ba.defined
-                if ab.defined:
-                    assert ab.value == pytest.approx(ba.value, abs=1e-12)
-                    assert -1 - 1e-9 <= ab.value <= 1 + 1e-9
+                assert math.isnan(ab) == math.isnan(ba)
+                if not math.isnan(ab):
+                    assert ab == pytest.approx(ba, abs=1e-12)
+                    assert -1 - 1e-9 <= ab <= 1 + 1e-9
 
 
 class TestSyntheticCrossPatterns:
@@ -218,13 +217,13 @@ class TestSyntheticCrossPatterns:
         block = self.basis_patients([0] * half + [1] * half)
 
         eds_scores = {
-            "diag": eds(ref, diag).value,
-            "anti": eds(ref, anti).value,
-            "block": eds(ref, block).value,
+            "diag": eds(ref, diag),
+            "anti": eds(ref, anti),
+            "block": eds(ref, block),
         }
         mms_scores = {
-            "diag": mms(ref, diag).value,
-            "anti": mms(ref, anti).value,
+            "diag": mms(ref, diag),
+            "anti": mms(ref, anti),
         }
         assert eds_scores["diag"] == pytest.approx(1.0, abs=1e-12)
         assert eds_scores["diag"] > eds_scores["anti"]
@@ -249,10 +248,10 @@ class TestSinglePairIsAllPairs:
             for id_a, id_b in itertools.combinations(sorted(mats), 2):
                 want, want_defined = sim.get(id_a, id_b)
                 got = fn(mats[id_a], mats[id_b])
-                assert got.defined == want_defined
-                assert (np.float64(got.value).tobytes()
+                assert (not math.isnan(got)) == want_defined
+                assert (np.float64(got).tobytes()
                         == np.float64(want).tobytes())
-        assert not rv2(mats["p6"], mats["p0"]).defined
+        assert math.isnan(rv2(mats["p6"], mats["p0"]))
 
     def test_multi_tile_set(self, rng):
         # three tiles of patients, the last one partial; 1-note patients
@@ -271,16 +270,16 @@ class TestSinglePairIsAllPairs:
             for i, j in picks:
                 want, want_defined = sim.get(ids[i], ids[j])
                 got = fn(mats[ids[i]], mats[ids[j]])
-                assert got.defined == want_defined
+                assert (not math.isnan(got)) == want_defined
                 if mmethod == "eds":
                     # one cross matrix a @ b.T per pair, whatever the set
-                    assert (np.float64(got.value).tobytes()
+                    assert (np.float64(got).tobytes()
                             == np.float64(want).tobytes())
                 elif want_defined:
                     # a 64-patient tile's GEMM sums in another order than
                     # the two-patient one
-                    assert abs(got.value - want) <= 1e-12
-        assert not rv2(mats["p100"], mats["p005"]).defined
+                    assert abs(got - want) <= 1e-12
+        assert math.isnan(rv2(mats["p100"], mats["p005"]))
 
 
 class TestPairDiagnostic:
@@ -309,18 +308,18 @@ class TestPairDiagnostic:
 
 class TestCombined:
     def test_plain_mean(self):
-        scores = [SimScore(0.2, True), SimScore(0.4, True), SimScore(0.6, True)]
-        assert combined(scores).value == pytest.approx(0.4, abs=1e-12)
+        scores = [0.2, 0.4, 0.6]
+        assert combined(scores) == pytest.approx(0.4, abs=1e-12)
 
     def test_undefined_member_excluded(self):
-        scores = [SimScore(0.5, True), UNDEFINED_SCORE, SimScore(0.7, True)]
+        scores = [0.5, math.nan, 0.7]
         out = combined(scores)
-        assert out.defined
-        assert out.value == pytest.approx(0.6, abs=1e-12)
+        assert not math.isnan(out)
+        assert out == pytest.approx(0.6, abs=1e-12)
 
     def test_all_undefined_propagates(self):
-        out = combined([UNDEFINED_SCORE] * 3)
-        assert not out.defined
+        out = combined([math.nan] * 3)
+        assert math.isnan(out)
 
     def test_empty_input_raises(self):
         with pytest.raises(DegenerateInput):
