@@ -4,6 +4,10 @@ Subcommands: synth, segment, vectorize, pairs, evaluate, gridsearch,
 report. A shared `--config` file (plain `key = value` lines) supplies
 defaults; explicit flags always win. PATSIM_WORKERS sets the default
 worker count.
+
+A leg is named once, by its label (engine.parse_vmethod): its family
+picks vectorize's embedder and its digits the dim, and pairs checks the
+label against the dim of the container's rows (unlabelled is lsa<dim>).
 """
 
 from __future__ import annotations
@@ -197,21 +201,16 @@ def cmd_segment(args) -> int:
 
 def cmd_vectorize(args) -> int:
     _require(args, "corpus", "out")
-    _require_counts(args, "dim", "min_doc_freq", "title_dim")
-    if args.method == "import":
-        _require(args, "imports", "label")
+    _require_counts(args, "min_doc_freq", "title_dim")
+    family, dim = engine.parse_vmethod(args.vmethod)
+    if dim is None:
+        raise ConfigError("--vmethod combined averages scored legs and has no matrices; "
+                          "name one leg, like lsa050")
+    if family != "lsa":
+        _require(args, "imports")
         if args.model_out:
-            raise ConfigError("--model-out saves a fitted LSA model; --method import fits none")
-    label = args.label or engine.vmethod_label("lsa", args.dim)
-    family, dim = engine.parse_vmethod(label)
-    if dim != args.dim:
-        raise ConfigError(
-            f"--label must be <family><dim> with dim {args.dim}, got {label!r}"
-        )
-    families = ("lsa",) if args.method == "lsa" else grid.IMPORT_FAMILIES
-    if family not in families:
-        raise ConfigError(f"--label {label!r} is not a {args.method} leg; its family "
-                          f"must be {' or '.join(families)}")
+            raise ConfigError(f"--model-out saves a fitted LSA model; {args.vmethod} "
+                              "is imported and fits none")
     corpus = load_corpus(args.corpus)
     filtered = args.category.lower() != "all"
     category = resolve_category(args.category).name if filtered else None
@@ -219,28 +218,28 @@ def cmd_vectorize(args) -> int:
     relevancy, prototypes = _relevancy_inputs(args) if filtered else (None, None)
     legs = grid.Legs(corpus, relevancy, prototypes, _grid_options(args))
     notes = legs.notes(category)
-    if args.method == "lsa":
-        fits = legs.lsa(category, (args.dim,))
-        if args.dim not in fits:
-            raise DimTooLarge(f"lsa dim {args.dim} for {category or 'all'}: "
+    if family == "lsa":
+        fits = legs.lsa(category, (dim,))
+        if dim not in fits:
+            raise DimTooLarge(f"lsa dim {dim} for {category or 'all'}: "
                               "too few documents or terms")
-        model, embedder = fits[args.dim]
+        model, embedder = fits[dim]
         if args.model_out:
             save_lsa_model(model, args.model_out)
             print(f"wrote model dump to {args.model_out}")
     else:
         keys = [(pid, fn.note_index) for pid, fns in notes.items() for fn in fns]
-        embedder = legs.imported(Path(args.imports), args.dim, keys)
+        embedder = legs.imported(Path(args.imports), dim, keys)
 
     matrices, absent = build_patient_matrices(corpus, notes, embedder)
     if not matrices:
         raise ConfigError("every patient was filtered out; nothing to write")
     save_matrices(matrices, args.out, meta={
-        "vmethod": label,
+        "vmethod": args.vmethod,
         "filter": filtered,
         "category": category,
     })
-    print(f"wrote {len(matrices)} patient matrices (dim {args.dim}) to {args.out}")
+    print(f"wrote {len(matrices)} patient matrices (dim {dim}) to {args.out}")
     if absent:
         sidecar = Path(str(args.out) + ".exclusions.json")
         sidecar.write_text(json.dumps(sorted(absent), indent=2) + "\n",
@@ -254,15 +253,18 @@ def cmd_pairs(args) -> int:
     _require(args, "matrices", "out")
     workers = _resolve_workers(args.workers)
     matrices, meta = load_matrices(args.matrices)
+    dim = next(iter(matrices.values())).rows.shape[1]
     try:
         config = engine.RunConfig(
             filter=meta.get("filter", False),
-            vmethod=meta.get("vmethod", "lsa050"),
+            vmethod=meta.get("vmethod", engine.vmethod_label("lsa", dim)),
             mmethod=args.mmethod,
             category=meta.get("category"),
             workers=workers,
             seed=meta.get("seed", 0),
         )
+        if config.dim != dim:
+            raise ValueError(f"leg {config.vmethod!r} over dim-{dim} rows")
     except (TypeError, ValueError) as exc:
         raise FormatError(f"corrupt matrix container {args.matrices}: "
                           f"bad meta: {exc}") from None
@@ -410,20 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="corpus JSONL path")
     p.add_argument("--category", default="all",
                    help="similarity category name, id, or 'all' (no filtering)")
-    p.add_argument("--method", choices=("lsa", "import"), default="lsa",
-                   help="fit embeddings here or read them from a file")
-    p.add_argument("--dim", type=int, default=50,
-                   help="embedding dimension")
+    p.add_argument("--vmethod", default="lsa050",
+                   help="leg label <family><dim>, recorded in the container: "
+                        "lsa fits embeddings here, d2v or rbc reads --imports; "
+                        "the three digits give the dimension")
     p.add_argument("--out", default=None, help="matrix container path")
     p.add_argument("--imports", default=None,
-                   help="embedding JSONL file (method=import)")
-    p.add_argument("--label", default=None,
-                   help="leg label recorded in the container, <family><dim> "
-                        "with the --dim value and a family of the --method "
-                        "(lsa; d2v or rbc for import, e.g. d2v050); defaults "
-                        "to lsa<dim> for lsa")
+                   help="embedding JSONL file (d2v and rbc legs)")
     leg_settings(p)
-    p.add_argument("--model-out", default=None, help="save the LSA model dump")
+    p.add_argument("--model-out", default=None,
+                   help="save the LSA model dump (lsa legs)")
     p.set_defaults(func=cmd_vectorize)
 
     p = sub.add_parser("pairs", help="score all patient pairs",

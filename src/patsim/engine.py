@@ -21,7 +21,7 @@ import multiprocessing
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -53,18 +53,19 @@ __all__ = [
 VMETHODS = ("lsa050", "lsa200", "d2v050", "d2v200", "rbc050", "rbc200", "combined")
 MMETHODS = ("rv2", "mms", "eds")
 
-_VMETHOD_RE = re.compile(r"^(lsa|d2v|rbc)(\d{3})$")
+_VMETHOD_RE = re.compile(r"(lsa|d2v|rbc)(?!000)(\d{3})")
 
 
 def parse_vmethod(label: str) -> tuple[str, int | None]:
-    """Split a leg label like "lsa050" into (family, dim); "combined" has no dim."""
+    """Split a leg label like "lsa050" into (family, dim), dim 1 to 999;
+    "combined" has no dim."""
     if label == "combined":
         return "combined", None
-    match = _VMETHOD_RE.match(label)
+    match = _VMETHOD_RE.fullmatch(label)
     if match is None:
         raise ConfigError(
-            f"leg label must be 'combined' or <family><dim> like 'lsa050', "
-            f"got {label!r}"
+            f"leg label must be 'combined' or <family><dim> with dim 001-999 "
+            f"like 'lsa050', got {label!r}"
         )
     return match.group(1), int(match.group(2))
 
@@ -138,17 +139,15 @@ class SimilarityMatrix:
     config: RunConfig
     wall_time_seconds: float = 0.0
     pairs: tuple[np.ndarray, np.ndarray] | None = None
-    _index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._index:
-            self._index = {pid: i for i, pid in enumerate(self.patient_ids)}
         if self.pairs is not None and self.pairs[0].size == self.n * (self.n - 1) // 2:
             self.pairs = None  # distinct pairs i < j in order: the whole triangle
 
     def get(self, id_a: str, id_b: str) -> tuple[float, bool]:
         """The pair's score, and whether it is defined: not isnan(score)."""
-        score = float(self.lookup([self._index[id_a]], [self._index[id_b]])[0])
+        ids = self.patient_ids
+        score = float(self.lookup([ids.index(id_a)], [ids.index(id_b)])[0])
         return score, not math.isnan(score)
 
     def lookup(self, i: Sequence[int], j: Sequence[int]) -> np.ndarray:

@@ -155,9 +155,10 @@ def segment_note(
 
     Paragraphs are blank-line separated. When the first line starts with
     a short colon-terminated prefix that prefix becomes the (normalized)
-    title; otherwise the segment is "untitled". With inherit_untitled,
-    an untitled segment takes the title of the nearest preceding titled
-    segment in the same note.
+    title; otherwise, or when the title normalizes to the "untitled"
+    sentinel itself, the whole paragraph is one untitled segment. With
+    inherit_untitled, an untitled segment takes the title of the nearest
+    preceding titled segment in the same note.
     """
     segments: list[Segment] = []
     for lines in _paragraphs(text):
@@ -165,7 +166,7 @@ def segment_note(
         body_lines = ([rest] if rest.strip() else []) + lines[1:]
         body = "\n".join(body_lines).strip()
         title = normalize_title(raw_title) if raw_title is not None else ""
-        if raw_title is None or not title or not body:
+        if raw_title is None or title in ("", UNTITLED) or not body:
             segments.append(
                 Segment(UNTITLED, "\n".join(lines).strip(), note_index)
             )

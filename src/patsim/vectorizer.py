@@ -388,7 +388,7 @@ def compress_embeddings(vectors: NoteVectors, dim: int) -> NoteVectors:
 def build_patient_matrix(
     patient: "PatientRecord",
     filtered: Sequence["FilteredNote"],
-    embedder: LsaModel | NoteVectors,
+    embedder: NoteVectors,
 ) -> PatientMatrix | None:
     """Stack embeddings of the retained notes into one patient matrix.
 
@@ -397,14 +397,11 @@ def build_patient_matrix(
     import-side compression) are dropped. Returns None when nothing
     remains; the patient is then absent from that run.
     """
-    if isinstance(embedder, LsaModel):
-        rows = embed_texts(embedder, [note.text for note in filtered])
-    else:
-        keys = [(patient.patient_id, note.note_index) for note in filtered]
-        missing = [key for key in keys if key not in embedder.index]
-        if missing:
-            raise MissingEmbedding(f"no imported embedding for {missing[0]}")
-        rows = embedder.rows[[embedder.index[key] for key in keys]]
+    keys = [(patient.patient_id, note.note_index) for note in filtered]
+    missing = [key for key in keys if key not in embedder.index]
+    if missing:
+        raise MissingEmbedding(f"no imported embedding for {missing[0]}")
+    rows = embedder.rows[[embedder.index[key] for key in keys]]
     found = rows.any(axis=1)
     if not found.any():
         return None
@@ -414,7 +411,7 @@ def build_patient_matrix(
 
 def build_patient_matrices(
     patients: Iterable["PatientRecord"], notes: Mapping[str, Sequence["FilteredNote"]],
-    embedder: LsaModel | NoteVectors,
+    embedder: NoteVectors,
 ) -> tuple[dict[str, PatientMatrix], list[str]]:
     """One leg's patient matrices, and the ids of the patients absent from it.
 
@@ -476,7 +473,7 @@ def load_matrices(
         header = r.json("header", dict)
         dim, ids, counts = header.get("dim"), header.get("ids"), header.get("counts")
         meta = header.get("meta", {})
-        if not (formats.is_count(dim) and formats.unique_strings(ids)
+        if not (formats.is_count(dim) and formats.unique_strings(ids) and ids
                 and isinstance(counts, list) and len(counts) == len(ids)
                 and all(map(formats.is_count, counts)) and isinstance(meta, dict)):
             raise r.error("bad header fields")

@@ -8,6 +8,7 @@ import pytest
 
 from patsim.corpus import Corpus, NoteRecord, PatientRecord, parse_timestamp
 from patsim.engine import SimilarityMatrix
+from patsim.vectorizer import NoteVectors, embed_texts
 
 # pytest finds patsim through pyproject's pythonpath; the tests that run
 # `python -m patsim.cli` in a subprocess find it through PYTHONPATH
@@ -26,6 +27,14 @@ def unit_rows(rng, n: int, d: int) -> np.ndarray:
     m = rng.standard_normal((n, d))
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     return np.ascontiguousarray(m / norms)
+
+
+def embedded(model, notes) -> NoteVectors:
+    """NoteVectors of notes (patient id -> FilteredNote list), each row
+    from embed_texts."""
+    keys = [(pid, fn.note_index) for pid, fns in notes.items() for fn in fns]
+    rows = embed_texts(model, [fn.text for fns in notes.values() for fn in fns])
+    return NoteVectors({key: k for k, key in enumerate(keys)}, rows)
 
 
 def make_note(pid: str, ts: str, text: str) -> NoteRecord:

@@ -46,7 +46,7 @@ from patsim.vectorizer import (
     randomized_svd,
 )
 
-from conftest import unit_rows
+from conftest import embedded, unit_rows
 from oracles import (
     enumerate_best_mean_path,
     kendall_tau_b_reference,
@@ -77,9 +77,10 @@ def recovery_setup():
     notes = {p.patient_id: unfiltered_notes(p) for p in corpus}
     docs = [fn.text for fns in notes.values() for fn in fns]
     model, _ = fit_lsa(docs, (50,))[50]
+    vectors = embedded(model, notes)
     matrices = {}
     for patient in corpus:
-        mat = build_patient_matrix(patient, notes[patient.patient_id], model)
+        mat = build_patient_matrix(patient, notes[patient.patient_id], vectors)
         if mat is not None:
             matrices[patient.patient_id] = mat
     return corpus, assignment, matrices
@@ -263,10 +264,11 @@ class TestAcceptance:
                 }
                 docs = [fn.text for fns in filtered_map.values() for fn in fns]
                 model, _ = fit_lsa(docs, (50,))[50]
+                vectors = embedded(model, filtered_map)
                 fmats = {}
                 for p in corpus:
                     fl = filtered_map[p.patient_id]
-                    mat = build_patient_matrix(p, fl, model) if fl else None
+                    mat = build_patient_matrix(p, fl, vectors) if fl else None
                     if mat is not None:
                         fmats[p.patient_id] = mat
                 fsim = compute_all_pairs(
@@ -422,7 +424,7 @@ class TestAcceptance:
                     ["segment", "--corpus", str(root / "c.jsonl"),
                      "--out", str(root / "segments.jsonl")],
                     ["vectorize", "--corpus", str(root / "c.jsonl"),
-                     "--category", "all", "--method", "lsa", "--dim", "20",
+                     "--category", "all", "--vmethod", "lsa020",
                      "--out", str(root / "m.bin")],
                     ["pairs", "--matrices", str(root / "m.bin"),
                      "--mmethod", "rv2", "--out", str(root / "s.bin")],
@@ -461,7 +463,7 @@ class TestAcceptance:
                 ["segment", "--corpus", str(root / "c.jsonl"),
                  "--out", str(root / "seg.jsonl")],
                 ["vectorize", "--corpus", str(root / "c.jsonl"),
-                 "--category", "all", "--method", "lsa", "--dim", "50",
+                 "--category", "all", "--vmethod", "lsa050",
                  "--out", str(root / "m.bin")],
                 ["pairs", "--matrices", str(root / "m.bin"),
                  "--mmethod", "rv2", "--workers", "4",

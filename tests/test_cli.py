@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ def pipeline_dir(tmp_path_factory):
     ) == 0
     assert run_cli(
         "vectorize", "--corpus", str(root / "corpus.jsonl"),
-        "--category", "all", "--method", "lsa", "--dim", "12",
+        "--category", "all", "--vmethod", "lsa012",
         "--out", str(root / "mats.bin"),
     ) == 0
     return root
@@ -79,7 +82,7 @@ class TestVectorize:
         out2 = tmp_path / "mats2.bin"
         assert run_cli(
             "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
-            "--category", "all", "--method", "lsa", "--dim", "12",
+            "--category", "all", "--vmethod", "lsa012",
             "--out", str(out2),
         ) == 0
         assert out2.read_bytes() == (pipeline_dir / "mats.bin").read_bytes()
@@ -90,7 +93,7 @@ class TestVectorize:
             "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
             "--category", "Medication",
             "--prototypes", str(pipeline_dir / "protos.json"),
-            "--method", "lsa", "--dim", "8", "--out", str(out),
+            "--vmethod", "lsa008", "--out", str(out),
         ) == 0
         assert out.exists()
 
@@ -112,8 +115,8 @@ class TestVectorize:
         out = tmp_path / "imported.bin"
         assert run_cli(
             "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
-            "--category", "all", "--method", "import", "--dim", "12",
-            "--imports", str(emb), "--label", "d2v012", "--out", str(out),
+            "--category", "all", "--vmethod", "d2v012",
+            "--imports", str(emb), "--out", str(out),
         ) == 0
 
     @pytest.mark.parametrize("vector, message", [
@@ -126,8 +129,8 @@ class TestVectorize:
         emb.write_text('{"patient_id": "p0000", "note_index": 0, "vector": [3, 4]}\n'
                        '{"patient_id": "p0000", "note_index": 1, "vector": ' + vector + "}\n")
         proc = run_proc("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
-                        "--method", "import", "--imports", str(emb), "--label", "d2v008",
-                        "--dim", "8", "--out", str(tmp_path / "x.bin"))
+                        "--vmethod", "d2v008", "--imports", str(emb),
+                        "--out", str(tmp_path / "x.bin"))
         assert proc.returncode == 1 and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and len(proc.stderr.strip().splitlines()) == 1
         assert message in proc.stderr and f"({emb}:2)" in proc.stderr
@@ -139,7 +142,7 @@ class TestVectorize:
         out = tmp_path / "all.bin"
         assert run_cli(
             "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
-            "--category", "all", "--dim", "12", "--out", str(out),
+            "--category", "all", "--vmethod", "lsa012", "--out", str(out),
             "--relevancy", str(tmp_path / "missing.json"),
             "--prototypes", str(tmp_path / "missing.json"),
         ) == 0
@@ -150,14 +153,14 @@ class TestVectorize:
         rel.write_text('{"Medication": ["medication", "drugs", "m"]}', encoding="utf-8")
         assert run_cli(
             "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
-            "--category", "Medication", "--dim", "8", "--out", str(tmp_path / "m.bin"),
+            "--category", "Medication", "--vmethod", "lsa008", "--out", str(tmp_path / "m.bin"),
             "--relevancy", str(rel), "--prototypes", str(tmp_path / "missing.json"),
         ) == 0
 
     @pytest.mark.parametrize("argv, message", [
         (["--category", "Medication"], "relevancy map or prototype titles"),
         # lsa999 is a valid label, and the 25-patient corpus cannot carry dim 999
-        (["--category", "all", "--dim", "999"], "lsa dim 999 for all"),
+        (["--category", "all", "--vmethod", "lsa999"], "lsa dim 999 for all"),
     ], ids=["filtered-without-relevancy", "dim-too-large"])
     def test_one_error_line(self, argv, message, pipeline_dir, tmp_path, capsys):
         assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
@@ -171,8 +174,8 @@ class TestVectorize:
         # no model is fitted on the import path, so there is none to save;
         # the input paths do not exist, so the flags are checked first
         monkeypatch.chdir(tmp_path)
-        assert run_cli("vectorize", "--corpus", "missing.jsonl", "--method", "import",
-                       "--imports", "missing.jsonl", "--label", "d2v050",
+        assert run_cli("vectorize", "--corpus", "missing.jsonl", "--vmethod", "d2v050",
+                       "--imports", "missing.jsonl",
                        "--out", "x.bin", "--model-out", "model.bin") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --model-out ") and len(err.strip().splitlines()) == 1
@@ -183,32 +186,36 @@ class TestVectorize:
         args = build_parser().parse_args([command])
         assert cli._grid_options(args) == grid.GridOptions()
 
-    @pytest.mark.parametrize("label", ["lsa200", "lsa8", "combined"])
-    def test_label_must_carry_dim(self, label, pipeline_dir, tmp_path):
-        # a dim-8 container labelled lsa200 would make pairs record dim 200
-        out = tmp_path / "mislabelled.bin"
-        args = build_parser().parse_args([
-            "vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
-            "--dim", "8", "--label", label, "--out", str(out),
-        ])
-        with pytest.raises(ConfigError, match="label"):
-            args.func(args)
-        assert not out.exists()
-
-
-    @pytest.mark.parametrize("argv", [
-        ["--method", "lsa", "--label", "d2v008"],
-        ["--method", "lsa", "--label", "rbc008"],
-        ["--method", "import", "--imports", "missing.jsonl", "--label", "lsa008"],
-    ], ids=["lsa-as-d2v", "lsa-as-rbc", "import-as-lsa"])
-    def test_label_family_must_match_method(self, argv, pipeline_dir, tmp_path, capsys):
-        # an lsa container labelled d2v008 would make pairs record a d2v leg
-        assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
-                       "--dim", "8", "--out", str(tmp_path / "x.bin"), *argv) == 1
+    @pytest.mark.parametrize("label", ["lsa000", "lsa8", "combined"])
+    def test_label_must_carry_dim(self, label, capsys, tmp_path, monkeypatch):
+        # the digits are the leg's dim, so a label without a dim of 1 to 999
+        # names no leg to build; the corpus does not exist, so the label is
+        # checked before any input is read
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("vectorize", "--corpus", "missing.jsonl", "--vmethod", label,
+                       "--out", "x.bin") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --label ") and "family" in err
-        assert len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "x.bin").exists()
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert label in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("label", ["d2v008", "rbc008"], ids=["lsa-as-d2v", "lsa-as-rbc"])
+    def test_label_family_must_match_method(self, label, capsys, tmp_path, monkeypatch):
+        # the family picks the embedder, so an import label never lands on
+        # an LSA fit: without --imports it fails before any input is read
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("vectorize", "--corpus", "missing.jsonl", "--vmethod", label,
+                       "--out", "x.bin") == 1
+        assert capsys.readouterr().err == "error: --imports is required (flag or config file)\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lsa_leg_reads_no_import_file(self, pipeline_dir, tmp_path):
+        # an lsa label fits here whatever --imports names
+        out = tmp_path / "x.bin"
+        assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
+                       "--vmethod", "lsa012", "--imports", str(tmp_path / "missing.jsonl"),
+                       "--out", str(out)) == 0
+        assert out.read_bytes() == (pipeline_dir / "mats.bin").read_bytes()
 
     @pytest.mark.parametrize("stray", [("ghost", 0), ("p0000", -1)])
     def test_import_record_for_a_note_the_corpus_lacks(self, stray, pipeline_dir, tmp_path,
@@ -228,8 +235,8 @@ class TestVectorize:
         compressed = []
         monkeypatch.setattr(grid, "compress_embeddings", lambda *args: compressed.append(args))
         assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
-                       "--method", "import", "--imports", str(emb), "--label", "d2v008",
-                       "--dim", "8", "--out", str(tmp_path / "x.bin")) == 1
+                       "--vmethod", "d2v008", "--imports", str(emb),
+                       "--out", str(tmp_path / "x.bin")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert f"1 record(s) for notes the corpus lacks, the first {stray}" in err
@@ -250,8 +257,8 @@ class TestVectorize:
         compressed = []
         monkeypatch.setattr(grid, "compress_embeddings", lambda *args: compressed.append(args))
         assert run_cli("vectorize", "--corpus", str(pipeline_dir / "corpus.jsonl"),
-                       "--method", "import", "--imports", str(emb), "--label", "d2v008",
-                       "--dim", "8", "--out", str(tmp_path / "x.bin")) == 1
+                       "--vmethod", "d2v008", "--imports", str(emb),
+                       "--out", str(tmp_path / "x.bin")) == 1
         err = capsys.readouterr().err
         assert err.strip() == f"error: {emb}: no record for 1 note(s), the first {keys[-1]}"
         assert compressed == [] and not (tmp_path / "x.bin").exists()
@@ -288,6 +295,8 @@ class TestPairs:
         {"vmethod": "lsa012", "seed": "x"},
         {"vmethod": "lsa012", "category": 5},
         {"vmethod": "bogus"},
+        {"vmethod": "lsa050"},  # over dim-12 rows
+        {"vmethod": "combined"},  # a label with no dim
     ])
     def test_bad_container_meta_is_one_error_line(self, pipeline_dir, tmp_path,
                                                   capsys, meta):
@@ -300,6 +309,13 @@ class TestPairs:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x.sim").exists()
 
+    def test_unlabelled_container_is_lsa_at_its_rows_dim(self, pipeline_dir, tmp_path):
+        matrices, _ = load_matrices(pipeline_dir / "mats.bin")
+        save_matrices(matrices, tmp_path / "mats.bin", meta=None)
+        assert run_cli("pairs", "--matrices", str(tmp_path / "mats.bin"),
+                       "--mmethod", "mms", "--out", str(tmp_path / "x.sim")) == 0
+        assert load_similarity(tmp_path / "x.sim").config.vmethod == "lsa012"
+
 
 class TestCounts:
     """A count below 1 is a one-line error, raised before any input is read
@@ -310,8 +326,8 @@ class TestCounts:
           "--workers", "0"], "--workers"),
         (["gridsearch", "--corpus", "missing.jsonl", "--annotations", "missing.csv",
           "--out", "report", "--workers", "0"], "--workers"),
-        (["vectorize", "--corpus", "missing.jsonl", "--out", "x.bin", "--dim", "0"],
-         "--dim"),
+        (["vectorize", "--corpus", "missing.jsonl", "--out", "x.bin", "--title-dim", "0"],
+         "--title-dim"),
         (["vectorize", "--corpus", "missing.jsonl", "--out", "x.bin",
           "--min-doc-freq", "0"], "--min-doc-freq"),
     ])
@@ -443,9 +459,28 @@ class TestHelp:
     def test_help_shows_flag_defaults(self):
         proc = run_proc("vectorize", "--help")
         flat = " ".join(proc.stdout.split())
-        assert "(default: 50)" in flat      # --dim
+        assert "(default: lsa050)" in flat  # --vmethod
         assert "(default: all)" in flat     # --category
         assert "(default: 0.7)" in flat     # --threshold
+        # the leg label is the one leg flag
+        assert not set(re.findall(r"--[\w-]+", flat)) & {"--method", "--label", "--dim"}
+
+    def test_readme_commands_parse(self):
+        # every `patsim ...` line in README's fenced blocks, with its
+        # backslash-continued lines joined, is a command the parser takes
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+        commands = [line for block in blocks
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("patsim ")]
+        assert len(commands) >= 7  # the quick start runs every subcommand once
+        parser = build_parser()
+        for command in commands:
+            try:
+                parser.parse_args(shlex.split(command, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")
 
 
 class TestConfigFile:
@@ -458,7 +493,7 @@ class TestConfigFile:
         out = tmp_path / "from_config.bin"
         assert run_cli(
             "vectorize", "--config", str(cfg), "--category", "all",
-            "--method", "lsa", "--dim", "12", "--out", str(out),
+            "--vmethod", "lsa012", "--out", str(out),
         ) == 0
         assert out.read_bytes() == (pipeline_dir / "mats.bin").read_bytes()
 
@@ -469,7 +504,7 @@ class TestConfigFile:
         assert run_cli(
             "vectorize", "--config", str(cfg),
             "--corpus", str(pipeline_dir / "corpus.jsonl"),
-            "--category", "all", "--method", "lsa", "--dim", "12",
+            "--category", "all", "--vmethod", "lsa012",
             "--out", str(out),
         ) == 0
         assert out.read_bytes() == (pipeline_dir / "mats.bin").read_bytes()
@@ -514,8 +549,7 @@ class TestPathErrors:
     @pytest.mark.parametrize("argv", [
         ["vectorize", "--category", "Medication", "--relevancy", "{tmp}/missing.json"],
         ["vectorize", "--category", "Medication", "--prototypes", "{tmp}/missing.json"],
-        ["vectorize", "--method", "import", "--imports", "{tmp}/nope.jsonl",
-         "--label", "d2v050"],
+        ["vectorize", "--vmethod", "d2v050", "--imports", "{tmp}/nope.jsonl"],
         ["gridsearch", "--annotations", "{tmp}/ann.csv",
          "--prototypes", "{tmp}/missing.json"],
     ], ids=["relevancy", "prototypes", "imports", "gridsearch-prototypes"])
@@ -610,7 +644,7 @@ from patsim.cli import main
 
 root, out = sys.argv[1:]
 steps = [
-    ["vectorize", "--corpus", f"{root}/corpus.jsonl", "--dim", "20",
+    ["vectorize", "--corpus", f"{root}/corpus.jsonl", "--vmethod", "lsa020",
      "--out", f"{out}/mats.bin", "--model-out", f"{out}/model.lsa"],
     *(["pairs", "--matrices", f"{out}/mats.bin", "--mmethod", m, "--out", f"{out}/{m}.sim"]
       for m in ("rv2", "mms", "eds")),

@@ -576,7 +576,7 @@ class TestRunConfig:
         assert parse_vmethod("d2v050") == ("d2v", 50)
         assert parse_vmethod(vmethod_label("rbc", 7)) == ("rbc", 7)
         assert parse_vmethod("combined") == ("combined", None)
-        for bad in ("lsa50", "lsa0050", "xyz050", "combined050"):
+        for bad in ("lsa50", "lsa0050", "lsa000", "xyz050", "combined050"):
             with pytest.raises(ConfigError):
                 parse_vmethod(bad)
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patsim import formats
 from patsim.engine import (
     SIM_MAGIC,
     RunConfig,
@@ -164,6 +165,15 @@ def test_malformed_header_raises_format_error(fmt, edit, valid):
     path.write_bytes(_edit_header(blobs[fmt], magic, edit))
     with pytest.raises(FormatError):
         load(path)
+
+
+def test_matrix_container_without_patients_raises_format_error(tmp_path):
+    # save_matrices refuses to write one, so no container holds no patient
+    formats.write(tmp_path / "empty", MAT_MAGIC, [
+        formats.json_block({"counts": [], "dim": 3, "ids": [], "meta": {}}),
+        np.zeros(0, "<i8"), np.zeros(0, "<f8")])
+    with pytest.raises(FormatError, match="bad header fields"):
+        load_matrices(tmp_path / "empty")
 
 
 @pytest.mark.parametrize("field, value", [

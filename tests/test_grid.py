@@ -32,6 +32,8 @@ from patsim.vectorizer import (
     load_matrices,
 )
 
+from conftest import embedded
+
 
 @pytest.fixture(scope="module")
 def lsa_only_report():
@@ -407,7 +409,7 @@ def test_cli_builds_the_grids_filtered_leg(tmp_path, monkeypatch):
     assert cli.main([
         "vectorize", "--corpus", str(tmp_path / "corpus.jsonl"),
         "--category", "Medication", "--prototypes", str(tmp_path / "protos.json"),
-        "--threshold", "0.6", "--dim", "50",
+        "--threshold", "0.6", "--vmethod", "lsa050",
         "--out", str(tmp_path / "med.bin"),
     ]) == 0
     assert built == [runner.legs.relevancy()]
@@ -465,7 +467,8 @@ class TestLegs:
             docs = [fn.text for fns in legs.notes(context).values() for fn in fns]
             alone, _ = fit_lsa(docs, (4,))[4]
             assert model.projection.tobytes() == alone.projection.tobytes()
-            want, _ = build_patient_matrices(corpus, legs.notes(context), alone)
+            want, _ = build_patient_matrices(corpus, legs.notes(context),
+                                             embedded(alone, legs.notes(context)))
             got, _ = build_patient_matrices(corpus, legs.notes(context), vectors)
             assert list(got) == list(want)
             for pid, mat in want.items():

@@ -47,7 +47,7 @@ from patsim.vectorizer import (
     tokenize,
 )
 
-from conftest import make_corpus
+from conftest import embedded, make_corpus
 from oracles import (
     ImportRejected,
     embed_reference,
@@ -787,7 +787,7 @@ class TestBuildPatientMatrix:
         model = lsa_model(docs, 50)
         patient = self.patient(62)
         filtered = [FilteredNote(k, docs[k]) for k in range(62)]
-        mat = build_patient_matrix(patient, filtered, model)
+        mat = build_patient_matrix(patient, filtered, embedded(model, {"a": filtered}))
         assert mat.rows.shape == (62, 50)
         np.testing.assert_allclose(
             np.linalg.norm(mat.rows, axis=1), 1.0, atol=1e-9
@@ -797,12 +797,13 @@ class TestBuildPatientMatrix:
         _, model = lsa_for_matrix_tests(rng)
         patient = self.patient(2)
         filtered = [FilteredNote(0, "zzz"), FilteredNote(1, "qqq www")]
-        assert build_patient_matrix(patient, filtered, model) is None
+        assert build_patient_matrix(patient, filtered, embedded(model, {"a": filtered})) is None
 
     def test_single_note_single_row(self, rng):
         docs, model = lsa_for_matrix_tests(rng)
         patient = self.patient(1)
-        mat = build_patient_matrix(patient, [FilteredNote(0, docs[0])], model)
+        filtered = [FilteredNote(0, docs[0])]
+        mat = build_patient_matrix(patient, filtered, embedded(model, {"a": filtered}))
         assert mat.rows.shape == (1, 6)
         assert list(mat.note_indices) == [0]
 
@@ -814,7 +815,7 @@ class TestBuildPatientMatrix:
             FilteredNote(1, "zzz"),
             FilteredNote(2, docs[2]),
         ]
-        mat = build_patient_matrix(patient, filtered, model)
+        mat = build_patient_matrix(patient, filtered, embedded(model, {"a": filtered}))
         assert list(mat.note_indices) == [0, 2]
         for row, k in zip(mat.rows, (0, 2)):
             np.testing.assert_allclose(row, embed_reference(model, docs[k]),
@@ -857,10 +858,11 @@ class TestBuildPatientMatrices:
         docs, model = lsa_for_matrix_tests(rng)
         corpus = make_corpus({pid: [("2020-01-01", "x")] for pid in ("c", "a", "b")})
         notes = {"c": [FilteredNote(0, docs[0])], "a": [], "b": [FilteredNote(0, "zzz")]}
-        matrices, absent = build_patient_matrices(corpus, notes, model)
+        vectors = embedded(model, notes)
+        matrices, absent = build_patient_matrices(corpus, notes, vectors)
         assert list(matrices) == ["c"]
         assert absent == ["a", "b"]
-        want = build_patient_matrix(corpus.patients["c"], notes["c"], model)
+        want = build_patient_matrix(corpus.patients["c"], notes["c"], vectors)
         np.testing.assert_array_equal(matrices["c"].rows, want.rows)
 
 
