@@ -153,8 +153,12 @@ class SimilarityMatrix:
     def lookup(self, i: Sequence[int], j: Sequence[int]) -> np.ndarray:
         """Scores of the index pairs (i[k], j[k]), either way round: NaN
         where a pair is undefined or not held, and 1 on a patient's own
-        pair where it is defined."""
+        pair where it is defined. Raises IndexError on an index outside
+        [0, n)."""
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
+        if lo.size and (lo.min() < 0 or hi.max() >= self.n):
+            raise IndexError(f"patient index out of range for {self.n} patients")
         held = lo < hi
         at = _position(lo, hi, self.n)
         if self.pairs is not None:
@@ -321,12 +325,12 @@ def _score(payload: dict, ii: np.ndarray, jj: np.ndarray, config: RunConfig
     """kernels.score_pairs over a pack, with eds pairs split over a pool of
     config.workers processes when there are enough of them."""
     npairs = ii.size
-    if not (config.mmethod == "eds" and config.workers > 1
-            and npairs >= _MIN_PAIRS_FOR_POOL):
-        return kernels.score_pairs(payload, ii, jj)
-    # more processes than usable CPUs only add fork and IPC cost
+    # more processes than usable CPUs only add fork and IPC cost, and a
+    # pool of one would only fork for work this process can do
     processes = min(config.workers, len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if not (config.mmethod == "eds" and processes > 1 and npairs >= _MIN_PAIRS_FOR_POOL):
+        return kernels.score_pairs(payload, ii, jj)
     chunk = max(1, -(-npairs // (processes * 8)))
     ranges = [(s, min(s + chunk, npairs)) for s in range(0, npairs, chunk)]
     try:

@@ -16,7 +16,7 @@ The alignment DP is vectorized one row at a time: entering row i at
 column t and walking right to column j accumulates
 m[t] + cum[j] - cum[t-1], so each row reduces to a running maximum.
 One row step serves a whole block of pairs, padded to a common shape,
-and the one-pair functions are the block of one.
+and eds_solve, the one-pair solver, is the block of one.
 
 rv2 and mms score pairs by patient tile: patients k with the same
 k // TILE form a tile, and all pairs between two tiles come from one
@@ -52,10 +52,9 @@ from .exceptions import ConfigError
 __all__ = [
     "BACKEND",
     "TILE",
+    "eds_solve",
     "eds_score",
     "eds_score_with_iters",
-    "eds_trace",
-    "eds_best_path",
     "rv2_gram",
     "rv2_batch",
     "mms_batch",
@@ -196,9 +195,14 @@ def _warn_at_cap(capped: int, pairs: int) -> None:
                     capped, pairs, _MAX_DINKELBACH_ITERS)
 
 
-def _eds_score(c: np.ndarray) -> tuple[list[float], list[tuple[int, int]]]:
-    """The Dinkelbach levels (the last is the score) and the last step's path:
-    optimal at the final level, or at the iteration cap the one that set it."""
+# ---------------------------------------------------------------------------
+# Public kernels.
+# ---------------------------------------------------------------------------
+
+def eds_solve(c: np.ndarray) -> tuple[list[float], list[tuple[int, int]]]:
+    """Dinkelbach for one cross matrix: the levels (the last is the score;
+    len(levels) - 1 updates) and the last round's path, optimal at the final
+    level, or at the iteration cap the one that set it."""
     c = np.ascontiguousarray(c, dtype=np.float64)
     trace, iters, (wi, wj) = _eds_block(c[None], np.array([c.shape[0]]),
                                         np.array([c.shape[1]]), np.array([c.min()]))
@@ -207,31 +211,16 @@ def _eds_score(c: np.ndarray) -> tuple[list[float], list[tuple[int, int]]]:
     return [float(t[0]) for t in trace], walk[:walk.index((0, 0)) + 1][::-1]
 
 
-# ---------------------------------------------------------------------------
-# Public kernels.
-# ---------------------------------------------------------------------------
-
+# The next two read eds_solve for perfbench alone; ROADMAP item 4b deletes them.
 def eds_score_with_iters(c: np.ndarray) -> tuple[float, int]:
     """Alignment score plus the number of Dinkelbach level updates."""
-    trace = _eds_score(c)[0]
-    return trace[-1], len(trace) - 1
+    levels = eds_solve(c)[0]
+    return levels[-1], len(levels) - 1
 
 
 def eds_score(c: np.ndarray) -> float:
     """Greatest mean over monotone corner-to-corner paths through c."""
-    return eds_score_with_iters(c)[0]
-
-
-def eds_trace(c: np.ndarray) -> tuple[float, list[float]]:
-    """Score plus the full level sequence, for diagnostics."""
-    trace = _eds_score(c)[0]
-    return trace[-1], trace
-
-
-def eds_best_path(c: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
-    """Score plus one optimal path, for plotting alignment overlays."""
-    trace, path = _eds_score(c)
-    return trace[-1], path
+    return eds_solve(c)[0][-1]
 
 
 @functools.lru_cache(maxsize=None)

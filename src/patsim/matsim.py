@@ -94,7 +94,8 @@ def eds(a, b) -> float:
 
 def eds_alignment(a, b) -> tuple[float, list[tuple[int, int]]]:
     """eds score together with one optimal path, from one Dinkelbach run."""
-    return kernels.eds_best_path(cross_sim(a, b))
+    levels, path = kernels.eds_solve(cross_sim(a, b))
+    return levels[-1], path
 
 
 def pair_diagnostic(a, b, method: str) -> dict:

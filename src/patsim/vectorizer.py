@@ -456,6 +456,8 @@ def save_matrices(
         if matrices[pid].rows.shape[1] != dim:
             raise DimMismatch(f"matrix for {pid} has dim {matrices[pid].rows.shape[1]}")
     counts = [int(matrices[pid].rows.shape[0]) for pid in ids]
+    if 0 in counts:
+        raise FormatError(f"refusing to write patient {ids[counts.index(0)]} with no rows")
     header = {"dim": dim, "ids": ids, "counts": counts, "meta": dict(meta or {})}
     formats.write(path, MAT_MAGIC, [
         formats.json_block(header),
@@ -477,6 +479,8 @@ def load_matrices(
                 and isinstance(counts, list) and len(counts) == len(ids)
                 and all(map(formats.is_count, counts)) and isinstance(meta, dict)):
             raise r.error("bad header fields")
+        if 0 in counts:
+            raise r.error(f"patient {ids[counts.index(0)]} has no rows")
         total = sum(counts)
         note_idx = r.array("<i8", total, "note indices")
         rows = r.array("<f8", total * dim, "rows").reshape(total, dim)

@@ -228,7 +228,7 @@ class TestAcceptance:
                     assert abs(rv_base - rv_perm) < 1e-13
                 assert abs(mms(a, b) - mms(perm_a, b)) < 1e-13
 
-                _, trace = kernels.eds_trace(a @ b.T)
+                trace, _ = kernels.eds_solve(a @ b.T)
                 assert all(t1 >= t0 for t0, t1 in zip(trace, trace[1:]))
                 assert len(trace) <= 101
 

@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patsim import cli, grid
+from patsim import cli, formats, grid
 from patsim.cli import build_parser, load_config_file, main
 from patsim.engine import load_similarity
 from patsim.exceptions import ConfigError
 from patsim.synth import load_assignment_csv, synthesize_validation
 from patsim.evaluation import save_annotations
-from patsim.vectorizer import load_lsa_model, load_matrices, save_matrices
+from patsim.vectorizer import MAT_MAGIC, load_lsa_model, load_matrices, save_matrices
 
 
 def run_cli(*argv):
@@ -304,6 +304,22 @@ class TestPairs:
         save_matrices(matrices, tmp_path / "mats.bin", meta=meta)
         assert run_cli("pairs", "--matrices", str(tmp_path / "mats.bin"),
                        "--mmethod", "mms", "--out", str(tmp_path / "x.sim")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt matrix container ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.sim").exists()
+
+    @pytest.mark.parametrize("mmethod", ["rv2", "mms", "eds"])
+    def test_container_patient_without_rows_is_one_error_line(self, tmp_path, capsys,
+                                                              mmethod):
+        # written by hand: save_matrices refuses such a patient
+        rows = np.eye(4)[[0, 1, 2, 3, 0, 1]]
+        formats.write(tmp_path / "mats.bin", MAT_MAGIC, [
+            formats.json_block({"counts": [3, 0, 3], "dim": 4, "ids": ["a", "b", "c"],
+                                "meta": {}}),
+            np.arange(6, dtype="<i8"), rows.astype("<f8")])
+        assert run_cli("pairs", "--matrices", str(tmp_path / "mats.bin"),
+                       "--mmethod", mmethod, "--out", str(tmp_path / "x.sim")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: corrupt matrix container ")
         assert len(err.strip().splitlines()) == 1

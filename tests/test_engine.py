@@ -162,7 +162,7 @@ class TestComputeAllPairs:
                             raising=False)
         base = compute_all_pairs(mats, config("eds"))
         sim = compute_all_pairs(mats, config("eds", workers=workers))
-        assert started == [processes]
+        assert started == ([processes] if processes > 1 else [])  # one scores with no pool
         assert sim.config.workers == workers  # the requested count is still recorded
         assert sim.scores.tobytes() == base.scores.tobytes()
         assert np.array_equal(sim.defined, base.defined)
@@ -173,6 +173,7 @@ class TestComputeAllPairs:
         get_context = engine.multiprocessing.get_context
         monkeypatch.setattr(engine.multiprocessing, "get_context",
                             lambda *a: pools.append(a) or get_context(*a))
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for mmethod in ("rv2", "mms", "eds"):
             base = compute_all_pairs(mats, config(mmethod, workers=1))
             sim = compute_all_pairs(mats, config(mmethod, workers=3))
@@ -283,6 +284,7 @@ class TestComputeLegs:
         get_context = engine.multiprocessing.get_context
         monkeypatch.setattr(engine.multiprocessing, "get_context",
                             lambda *a: pools.append(a) or get_context(*a))
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         pooled = compute_legs(self.legs(np.random.default_rng(0), workers=2), None)
         assert pools == [("fork",)] * 2
         for sim, one in zip(pooled, compute_legs(self.legs(np.random.default_rng(0)), None),
@@ -412,6 +414,20 @@ class TestPairStore:
                 per_pivot, skipped, excluded, mean = evaluate_reference(sim, validation, name)
                 assert (got.per_pivot, got.skipped_pivots, got.excluded_pairs, got.mean) \
                     == (per_pivot, skipped, excluded, mean)
+
+    @pytest.mark.parametrize("requested", [False, True])
+    @pytest.mark.parametrize("i, j", [([0], [3]), ([-1], [0]), ([0, 1], [2, 5])])
+    def test_lookup_rejects_an_index_outside_the_patients(self, rng, requested, i, j):
+        mats = make_matrices(rng, 3)
+        sim = compute_legs([(mats, config("mms"))], [("p000", "p002")] if requested else None)[0]
+        with pytest.raises(IndexError):
+            sim.lookup(i, j)
+
+    @pytest.mark.parametrize("requested", [False, True])
+    def test_lookup_of_no_pairs_is_empty(self, rng, requested):
+        mats = make_matrices(rng, 3)
+        sim = compute_legs([(mats, config("mms"))], [("p000", "p002")] if requested else None)[0]
+        assert sim.lookup([], []).shape == (0,)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 300])
     def test_triangle_lists_the_upper_triangle_in_int16(self, n):

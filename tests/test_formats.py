@@ -151,12 +151,13 @@ def _drop(key):
     ("mat", lambda h: {**h, "ids": ["a", "a"] + h["ids"][2:]}),
     ("mat", lambda h: {**h, "meta": 3}),
     ("mat", lambda h: {**h, "counts": [2**60] + h["counts"][1:]}),
+    ("mat", lambda h: {**h, "counts": [0, sum(h["counts"][:2])] + h["counts"][2:]}),
     ("sim", lambda ids: len(ids)),
     ("sim", lambda ids: {pid: k for k, pid in enumerate(ids)}),
     ("sim", lambda ids: ids[:1] * len(ids)),
 ], ids=["lsa-no-sublinear", "lsa-array-header", "lsa-repeated-term",
         "mat-array-header", "mat-more-ids-than-counts", "mat-repeated-id", "mat-meta-not-object",
-        "mat-count-beyond-the-file",
+        "mat-count-beyond-the-file", "mat-patient-without-rows",
         "sim-ids-number", "sim-ids-object", "sim-repeated-id"])
 def test_malformed_header_raises_format_error(fmt, edit, valid):
     # a count beyond the file raises before anything is allocated for it
@@ -174,6 +175,15 @@ def test_matrix_container_without_patients_raises_format_error(tmp_path):
         np.zeros(0, "<i8"), np.zeros(0, "<f8")])
     with pytest.raises(FormatError, match="bad header fields"):
         load_matrices(tmp_path / "empty")
+
+
+def test_save_matrices_refuses_a_patient_without_rows(tmp_path):
+    matrices = _matrices()
+    pid = sorted(matrices)[1]
+    matrices[pid] = PatientMatrix(pid, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(FormatError, match=f"patient {pid} with no rows"):
+        save_matrices(matrices, tmp_path / "mats.bin")
+    assert not (tmp_path / "mats.bin").exists()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -40,7 +40,7 @@ class TestEdsScore:
     def test_level_trace_nondecreasing(self, rng):
         for _ in range(60):
             c = rng.uniform(-1, 1, (int(rng.integers(1, 9)), int(rng.integers(1, 9))))
-            _, trace = kernels.eds_trace(c)
+            trace, _ = kernels.eds_solve(c)
             assert all(b >= a for a, b in zip(trace, trace[1:]))
             assert len(trace) <= 101
 
@@ -50,6 +50,18 @@ class TestEdsScore:
             _, iters = kernels.eds_score_with_iters(c)
             assert iters <= 100
 
+    @pytest.mark.parametrize("cap", [1, 100])
+    def test_score_readers_are_eds_solve_bit_for_bit(self, rng, monkeypatch, cap):
+        monkeypatch.setattr(kernels, "_MAX_DINKELBACH_ITERS", cap)
+        for k in range(80):
+            shape = tuple(int(v) for v in rng.integers(1, 13, size=2))
+            c = np.full(shape, 0.25) if k % 4 == 0 else rng.uniform(-1, 1, shape)
+            levels, _ = kernels.eds_solve(c)
+            score, iters = kernels.eds_score_with_iters(c)
+            bits = np.array([levels[-1], score, kernels.eds_score(c)]).view(np.uint64)
+            assert bits[1] == bits[0] and bits[2] == bits[0]
+            assert iters == len(levels) - 1
+
 
 class TestEdsPath:
     def test_path_is_monotone_and_corner_to_corner(self, rng):
@@ -57,7 +69,8 @@ class TestEdsPath:
             n1 = int(rng.integers(1, 9))
             n2 = int(rng.integers(1, 9))
             c = rng.uniform(-1, 1, (n1, n2))
-            score, path = kernels.eds_best_path(c)
+            levels, path = kernels.eds_solve(c)
+            score = levels[-1]
             assert path[0] == (0, 0)
             assert path[-1] == (n1 - 1, n2 - 1)
             for (i0, j0), (i1, j1) in zip(path, path[1:]):
@@ -72,7 +85,8 @@ class TestEdsPath:
     ])
     def test_ties_prefer_diagonal_then_up_then_left(self, shape, want):
         # a constant matrix ties every step of the backtrack
-        assert kernels.eds_best_path(np.ones(shape)) == (1.0, want)
+        levels, path = kernels.eds_solve(np.ones(shape))
+        assert (levels[-1], path) == (1.0, want)
 
     def test_tied_paths_match_the_plain_loop_backtrack(self, rng):
         # integer cells at most 2 with a planted monotone path of 2s: the
@@ -89,14 +103,16 @@ class TestEdsPath:
                 c[i, j] = 2.0
             score, path = eds_path_reference(c)
             assert score == 2.0
-            assert kernels.eds_best_path(c) == (score, path)
+            levels, got = kernels.eds_solve(c)
+            assert (levels[-1], got) == (score, path)
 
     def test_path_at_the_iteration_cap_scores_the_returned_level(self, rng, monkeypatch):
         # one level update, then the cap: no step has run at the final level
         monkeypatch.setattr(kernels, "_MAX_DINKELBACH_ITERS", 1)
         for _ in range(20):
             c = rng.uniform(-1, 1, (int(rng.integers(2, 9)), int(rng.integers(2, 9))))
-            score, path = kernels.eds_best_path(c)
+            levels, path = kernels.eds_solve(c)
+            score = levels[-1]
             assert score == kernels.eds_score(c)
             assert sum(c[i, j] for i, j in path) / len(path) == score
 
@@ -526,9 +542,14 @@ class TestPackView:
         assert _bits(kernels.score_pairs(view, ii, jj)) == _bits(kernels.score_pairs(copy, ii, jj))
 
     def test_rv2_patient_without_rows(self, rng, tmp_path):
+        # a container holds no such patient: the view's middle one is an
+        # empty slice of the loaded rows, between its neighbours, and the
+        # copy's is a separate empty array
         blocks = [unit_rows(rng, 3, 5), np.zeros((0, 5)), unit_rows(rng, 4, 5)]
-        rows = _container(tmp_path, blocks)
+        loaded = _container(tmp_path, [blocks[0], blocks[2]])
+        rows = [loaded[0], loaded[1][:0], loaded[1]]
         view = kernels.pack("rv2", rows)
+        assert not np.shares_memory(kernels.pack("rv2", blocks)["rows"], rows[0])
         assert np.shares_memory(view["rows"], rows[0]) and view["rows"].shape == (7, 5)
         assert view["offsets"].tolist() == [0, 3, 3, 7]
         ii, jj = np.triu_indices(3, k=1)

@@ -115,6 +115,73 @@ def test_only_the_engine_and_matsim_call_the_pair_scorers():
     assert callers == {"engine.py", "matsim.py"}
 
 
+# The engine calls that return a SimilarityMatrix or a list of them.
+_SIM_MAKERS = {"SimilarityMatrix", "compute_all_pairs", "compute_legs",
+               "combine_similarities", "load_similarity"}
+
+
+def _named(node: ast.AST) -> str | None:
+    return (node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name) else None)
+
+
+def _perfbench_only_uses(source: str) -> list[int]:
+    """Lines that read kernels.eds_score or eds_score_with_iters, or call
+    .get on a SimilarityMatrix: on a call to one of _SIM_MAKERS, on a name
+    bound to them (a parameter annotated with SimilarityMatrix, a name
+    assigned such a call or a comprehension of them, or a loop target over
+    either), or on an index into them. A dict's .get is not caught."""
+    kept = {"eds_score", "eds_score_with_iters"}
+    nodes = list(ast.walk(ast.parse(source)))
+
+    def holds_sims(node: ast.AST) -> bool:
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return (isinstance(node, ast.Name) and node.id in sims
+                or isinstance(node, ast.Call) and _named(node.func) in _SIM_MAKERS)
+
+    sims = {node.arg for node in nodes if isinstance(node, ast.arg) and node.annotation
+            and "SimilarityMatrix" in ast.unparse(node.annotation)}
+    sims |= {target.id for node in nodes if isinstance(node, (ast.Assign, ast.AnnAssign))
+             and node.value and holds_sims(getattr(node.value, "elt", node.value))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)}
+    sims |= {node.target.id for node in nodes
+             if isinstance(node, (ast.For, ast.comprehension))
+             and isinstance(node.target, ast.Name) and holds_sims(node.iter)}
+    lines = set()
+    for node in nodes:
+        imported = ({alias.name for alias in node.names}
+                    if isinstance(node, ast.ImportFrom) else set())
+        if _named(node) in kept or imported & kept:
+            lines.add(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and holds_sims(node.func.value)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_calls_the_names_kept_for_perfbench():
+    # eds_score, eds_score_with_iters and SimilarityMatrix.get stay only
+    # until perfbench stops calling them; the package reads eds_solve and
+    # SimilarityMatrix.lookup, so a new caller would outlive their removal
+    caught = _perfbench_only_uses(
+        "kernels.eds_score(c)\n"
+        "from .kernels import eds_score_with_iters\n"
+        "sim = engine.compute_all_pairs(m, c)\nsim.get(a, b)\n"
+        "def f(s: SimilarityMatrix):\n    return s.get(a, b)\n"
+        "legs = compute_legs(x)\nlegs[0].get(a, b)\n"
+        "for one in legs:\n    one.get(a, b)\n"
+        "load_similarity(p).get(a, b)\n"
+        "runs = [load_similarity(p) for p in ps]\n[r.get(a, b) for r in runs]\n"
+        "meta = {'n': sim.n}\nmeta.get('n', 0)\n"
+        "index.get(pid, -1)\nmeta.get('seed', 0)\nfit.get(dim)\n")
+    assert caught == [1, 2, 4, 6, 8, 10, 11, 13]
+    uses = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _perfbench_only_uses(path.read_text(encoding="utf-8"))]
+    assert uses == []
+
+
 # The SimilarityMatrix members perfbench's output checks read from a result.
 _BENCH_SIM_MEMBERS = ("get", "scores", "defined", "n", "patient_ids", "config",
                       "wall_time_seconds")
