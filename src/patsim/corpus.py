@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -96,16 +96,17 @@ class CorpusStats:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable map of patient_id to PatientRecord plus its corpus_stats."""
+    """Immutable, non-empty map of patient_id to PatientRecord."""
 
     patients: dict[str, PatientRecord]
-    summary: CorpusStats = field(compare=False, default=None)  # type: ignore[assignment]
 
-    @classmethod
-    def from_patients(cls, patients: dict[str, PatientRecord]) -> "Corpus":
-        if not patients:
+    def __post_init__(self):
+        if not self.patients:
             raise EmptyCorpus("corpus has no patients")
-        return cls(dict(patients), corpus_stats(patients.values()))
+
+    @property
+    def summary(self) -> CorpusStats:
+        return corpus_stats(self.patients.values())
 
     def __iter__(self) -> Iterator[PatientRecord]:
         return iter(self.patients.values())
@@ -195,7 +196,7 @@ def load_corpus(path: str | Path) -> Corpus:
     if total == 0:
         raise EmptyCorpus(f"no notes in {path}")
     patients = {pid: PatientRecord.build(pid, ns) for pid, ns in notes.items()}
-    return Corpus.from_patients(patients)
+    return Corpus(patients)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -218,8 +219,10 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
 
 def corpus_stats(corpus: Iterable[PatientRecord]) -> CorpusStats:
     """Patient count, note count, and mean/median notes per patient, of a
-    Corpus or of any collection of patients."""
+    Corpus or of any collection of patients; EmptyCorpus on none."""
     counts = [len(p.notes) for p in corpus]
+    if not counts:
+        raise EmptyCorpus("no patients to summarize")
     return CorpusStats(
         n_patients=len(counts),
         n_notes=sum(counts),

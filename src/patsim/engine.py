@@ -7,17 +7,17 @@ kernels' scores in that order, NaN where a pair is undefined: a
 triangle-sized pair store, with no n x n matrix and no mirror. The eds
 legs of one dim are scored as one list over one pack; for eds,
 contiguous slices of the list are farmed out to worker processes. rv2
-and mms are scored in one call per leg, since BLAS already spreads their
-tile products over the cores. Every pair is scored by
-kernels.score_pairs on the same operands regardless of chunking or of
-the other pairs listed, so the output is bitwise identical for any
-worker count.
+and mms are scored in one call per leg, in this process: measured on 500
+patients and 2 CPUs, a pool made them slower (see README), and with no
+split to make their bits cannot depend on the worker count. Every pair
+is scored by kernels.score_pairs on the same operands regardless of
+chunking or of the other pairs listed, so the output is bitwise
+identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import re
 import time
@@ -333,6 +333,7 @@ def _score(payload: dict, ii: np.ndarray, jj: np.ndarray, config: RunConfig
         return kernels.score_pairs(payload, ii, jj)
     chunk = max(1, -(-npairs // (processes * 8)))
     ranges = [(s, min(s + chunk, npairs)) for s in range(0, npairs, chunk)]
+    import multiprocessing  # loaded here, so importing patsim loads no multiprocessing
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

@@ -237,7 +237,11 @@ class CategoryEvaluation:
     per_pivot: dict[str, float | None]
     skipped_pivots: list[str]
     excluded_pairs: int
-    mean: float | None
+
+    @property
+    def mean(self) -> float | None:
+        defined = [t for t in self.per_pivot.values() if t is not None]
+        return sum(defined) / len(defined) if defined else None
 
 
 def evaluate_config(
@@ -266,10 +270,8 @@ def evaluate_config(
     skipped = [pivot for pivot, n in zip(validation.pivots, counts) if n < 2]
     per_pivot = {pivot: None if math.isnan(tau) else tau for pivot, tau, n
                  in zip(validation.pivots, taus.tolist(), counts) if n >= 2}
-    defined = [t for t in per_pivot.values() if t is not None]
-    mean = sum(defined) / len(defined) if defined else None
     excluded = len(validation._slot) - int(np.count_nonzero(usable))
-    return CategoryEvaluation(cat.name, per_pivot, skipped, excluded, mean)
+    return CategoryEvaluation(cat.name, per_pivot, skipped, excluded)
 
 
 @dataclass
@@ -277,20 +279,18 @@ class AgreementSummary:
     """Distribution of pairwise annotator correlations in one category."""
 
     values: list[float]
-    minimum: float | None
-    median: float | None
-    maximum: float | None
 
-    @classmethod
-    def from_values(cls, values: list[float]) -> "AgreementSummary":
-        if not values:
-            return cls([], None, None, None)
-        return cls(
-            values,
-            min(values),
-            float(statistics.median(values)),
-            max(values),
-        )
+    @property
+    def minimum(self) -> float | None:
+        return min(self.values) if self.values else None
+
+    @property
+    def median(self) -> float | None:
+        return float(statistics.median(self.values)) if self.values else None
+
+    @property
+    def maximum(self) -> float | None:
+        return max(self.values) if self.values else None
 
 
 def inter_annotator_agreement(
@@ -309,7 +309,7 @@ def inter_annotator_agreement(
     for cat in CATEGORIES:
         x, y = validation._grades[cat.id - 1, a], validation._grades[cat.id - 1, b]
         taus, _ = _tau_b(x, y, ~np.isnan(x) & ~np.isnan(y))
-        out[cat.name] = AgreementSummary.from_values(taus[~np.isnan(taus)].tolist())
+        out[cat.name] = AgreementSummary(taus[~np.isnan(taus)].tolist())
     return out
 
 

@@ -101,8 +101,12 @@ class GridCell:
     mmethod: str
     status: str  # "ok" | "partial" | "skipped"
     per_category: dict[str, float | None]
-    mean: float | None
     note: str = ""
+
+    @property
+    def mean(self) -> float | None:
+        defined = [v for v in self.per_category.values() if v is not None]
+        return sum(defined) / len(defined) if defined else None
 
     def display_values(self) -> dict[str, float | None]:
         """Each value at 2 decimals."""
@@ -294,7 +298,7 @@ class _GridRunner:
         if vmethod in IMPORT_LEGS and self.imports[vmethod] is None:
             return GridCell(
                 filtered, vmethod, mmethod, "skipped",
-                {c.name: None for c in CATEGORIES}, None,
+                {c.name: None for c in CATEGORIES},
                 note=f"import file {vmethod}.jsonl not found",
             )
         by_category = {c.name: tables[c.name if filtered else None] for c in CATEGORIES}
@@ -308,8 +312,6 @@ class _GridRunner:
                 notes.append(f"{name}: no usable leg")
             elif result.skipped_pivots:
                 notes.append(f"{name}: {len(result.skipped_pivots)} pivot(s) skipped")
-        defined = [v for v in per_category.values() if v is not None]
-        mean = sum(defined) / len(defined) if defined else None
         if vmethod == "combined":
             members = sum(any(t[vmethod_label(fam, 50), mmethod] is not None
                               for t in by_category.values()) for fam in MEMBER_FAMILIES)
@@ -322,8 +324,8 @@ class _GridRunner:
             else:
                 status = "ok"
         else:
-            status = "ok" if defined else "skipped"
-        return GridCell(filtered, vmethod, mmethod, status, per_category, mean,
+            status = "ok" if any(v is not None for v in per_category.values()) else "skipped"
+        return GridCell(filtered, vmethod, mmethod, status, per_category,
                         note="; ".join(notes))
 
 

@@ -157,7 +157,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, dict[str, int]]:
                     paragraphs.append(f"{title[:1].upper()}{title[1:]}:\n{body}")
             notes.append(NoteRecord(pid, ts, "\n\n".join(paragraphs)))
         patients[pid] = PatientRecord.build(pid, notes)
-    return Corpus.from_patients(patients), assignment
+    return Corpus(patients), assignment
 
 
 def write_assignment_csv(assignment: dict[str, int], path: str | Path) -> None:

@@ -93,8 +93,11 @@ class LsaModel:
     vocabulary: dict[str, int]
     idf: np.ndarray
     projection: np.ndarray  # (vocab_size, dim)
-    dim: int
     sublinear_tf: bool = True
+
+    @property
+    def dim(self) -> int:
+        return self.projection.shape[1]
 
 
 @dataclass
@@ -262,9 +265,8 @@ def fit_lsa(docs: Sequence[str], dims: tuple[int, ...], min_doc_freq: int = 1,
 
     x = _tfidf_rows(tokenized, vocabulary, idf, sublinear_tf)
     models = [LsaModel(vocabulary=vocabulary, idf=idf,
-                       projection=np.ascontiguousarray(vt.T), dim=dim,
-                       sublinear_tf=sublinear_tf)
-              for dim, (_, vt) in zip(fits, randomized_svd(x, fits))]
+                       projection=np.ascontiguousarray(vt.T), sublinear_tf=sublinear_tf)
+              for _, vt in randomized_svd(x, fits)]
     return {m.dim: (m, _project(x, m)) for m in models}
 
 
@@ -507,4 +509,4 @@ def load_lsa_model(path: str | Path) -> LsaModel:
         r.end()
     if not (np.isfinite(idf).all() and np.isfinite(proj).all()):
         raise r.error("non-finite value in idf or projection")
-    return LsaModel({t: i for i, t in enumerate(terms)}, idf, proj, dim, sublinear_tf)
+    return LsaModel({t: i for i, t in enumerate(terms)}, idf, proj, sublinear_tf)

@@ -47,7 +47,7 @@ def make_corpus(spec: dict[str, list[tuple[str, str]]]) -> Corpus:
         pid: PatientRecord.build(pid, [make_note(pid, ts, text) for ts, text in notes])
         for pid, notes in spec.items()
     }
-    return Corpus.from_patients(patients)
+    return Corpus(patients)
 
 
 def dense_similarity(ids, scores, defined, config, wall: float = 0.0) -> SimilarityMatrix:

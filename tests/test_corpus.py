@@ -129,6 +129,10 @@ class TestLoadCorpus:
         with pytest.raises(EmptyCorpus):
             load_corpus(path)
 
+    def test_corpus_of_no_patients_is_empty_corpus(self):
+        with pytest.raises(EmptyCorpus):
+            Corpus({})
+
     def test_missing_path(self, tmp_path):
         with pytest.raises(ParseError):
             load_corpus(tmp_path / "nope.jsonl")
@@ -181,6 +185,16 @@ class TestStats:
         stats = corpus_stats(corpus)
         assert (stats.n_patients, stats.n_notes, stats.mean_notes) == (1, 1, 1.0)
 
+    def test_no_patients_is_empty_corpus(self):
+        with pytest.raises(EmptyCorpus):
+            corpus_stats([])
+
+    def test_summary_is_the_stats_of_the_patients(self):
+        patients = {pid: PatientRecord.build(pid, [
+            NoteRecord(pid, parse_timestamp(f"2020-01-0{k + 1}"), "x") for k in range(n)])
+            for pid, n in (("a", 1), ("b", 4), ("c", 2))}
+        assert Corpus(patients).summary == corpus_stats(patients.values())
+
     def test_fixed_note_count_mean_exact(self):
         corpus, _ = generate_synthetic(
             SynthSpec(n_patients=6, n_clusters=2, notes_per_patient=(10, 10), seed=1)
@@ -201,7 +215,7 @@ class TestStats:
                 NoteRecord(pid, note.timestamp, "x") for _ in range(count)
             )
             patients[pid] = PatientRecord(pid, notes)
-        stats = corpus_stats(Corpus.from_patients(patients))
+        stats = corpus_stats(Corpus(patients))
         assert stats.n_patients == 4267
         assert stats.n_notes == 152552
         assert abs(stats.mean_notes - 35.75) < 0.1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -157,7 +158,7 @@ class TestComputeAllPairs:
         class FakeContext:
             Pool = FakePool
 
-        monkeypatch.setattr(engine.multiprocessing, "get_context", lambda *a: FakeContext)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *a: FakeContext)
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         base = compute_all_pairs(mats, config("eds"))
@@ -170,8 +171,8 @@ class TestComputeAllPairs:
     def test_only_eds_runs_in_the_pool(self, rng, monkeypatch):
         mats = make_matrices(rng, 70, d=3, n_lo=1, n_hi=3)
         pools = []
-        get_context = engine.multiprocessing.get_context
-        monkeypatch.setattr(engine.multiprocessing, "get_context",
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
                             lambda *a: pools.append(a) or get_context(*a))
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for mmethod in ("rv2", "mms", "eds"):
@@ -281,8 +282,8 @@ class TestComputeLegs:
         # one pool for the two dim-6 eds legs (2,346 pairs each), one for the
         # dim-4 leg (2,415)
         pools = []
-        get_context = engine.multiprocessing.get_context
-        monkeypatch.setattr(engine.multiprocessing, "get_context",
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
                             lambda *a: pools.append(a) or get_context(*a))
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         pooled = compute_legs(self.legs(np.random.default_rng(0), workers=2), None)

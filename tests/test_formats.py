@@ -64,7 +64,6 @@ def _write_lsa(path):
         vocabulary={t: i for i, t in enumerate(["alpha", "beta", "gamma", "delta"])},
         idf=rng.uniform(1.0, 2.0, 4),
         projection=rng.standard_normal((4, 2)),
-        dim=2,
     ), path)
 
 
@@ -235,7 +234,7 @@ def _golden_lsa(path):
         vocabulary={"alpha": 0, "bêta": 1, "gamma": 2},
         idf=np.array([1.0, 1.5, 2.25]),
         projection=np.array([[0.5, -0.5], [0.25, 0.75], [-1.0, 0.0]]),
-        dim=2, sublinear_tf=False,
+        sublinear_tf=False,
     ), path)
 
 
@@ -284,7 +283,7 @@ def _lsa_with(field, value):
         arrays = {"idf": np.array([1.0, 1.5, 2.0]),
                   "projection": np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])}
         arrays[field].flat[-1] = value
-        save_lsa_model(LsaModel({"a": 0, "b": 1, "c": 2}, dim=2, **arrays), path)
+        save_lsa_model(LsaModel({"a": 0, "b": 1, "c": 2}, **arrays), path)
     return write
 
 

@@ -9,6 +9,7 @@ from patsim import cli, engine, grid, kernels, segmenter
 from patsim.corpus import load_corpus, write_corpus
 from patsim.exceptions import ConfigError, MissingEmbedding, ParseError, TooShort
 from patsim.grid import (
+    GridCell,
     GridOptions,
     Legs,
     _GridRunner,
@@ -147,6 +148,16 @@ class TestRendering:
                 "exclusions.json"} <= names
         exclusions = json.loads((tmp_path / "out" / "exclusions.json").read_text())
         assert isinstance(exclusions, dict)
+
+
+class TestGridCell:
+    def test_mean_follows_an_edited_per_category(self):
+        cell = GridCell(False, "lsa050", "rv2", "ok", {"Age": 0.25, "Allergies": None})
+        assert cell.mean == 0.25
+        cell.per_category = {"Age": 0.5, "Allergies": None, "Medication": -0.25}
+        assert cell.mean == 0.125
+        cell.per_category["Age"] = cell.per_category["Medication"] = None
+        assert cell.mean is None
 
 
 class TestGridValidation:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -185,6 +186,9 @@ def test_no_module_calls_the_names_kept_for_perfbench():
 # The SimilarityMatrix members perfbench's output checks read from a result.
 _BENCH_SIM_MEMBERS = ("get", "scores", "defined", "n", "patient_ids", "config",
                       "wall_time_seconds")
+# The GridCell members its grid checks and its quality metric (the mean
+# of the cells' means) read from a report.
+_BENCH_CELL_MEMBERS = ("filter", "vmethod", "mmethod", "status", "mean")
 
 
 def _bench_trees():
@@ -244,10 +248,15 @@ def test_benchmark_reads_only_names_patsim_has():
         except TypeError as exc:
             unbound.append(f"{name}: {exc}")
     assert unbound == []
-    # the members the output checks read from each SimilarityMatrix
+    # the members the output checks read from each SimilarityMatrix and
+    # GridCell; a cell member must stay a field or a property
     read = {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
-    assert set(_BENCH_SIM_MEMBERS) <= read
+    assert set(_BENCH_SIM_MEMBERS) | set(_BENCH_CELL_MEMBERS) <= read
+    cell = importlib.import_module("patsim.grid").GridCell
+    fields = {f.name for f in dataclasses.fields(cell)}
+    assert [m for m in _BENCH_CELL_MEMBERS if m not in fields
+            and not isinstance(getattr(cell, m, None), property)] == []
     engine = importlib.import_module("patsim.engine")
     vectorizer = importlib.import_module("patsim.vectorizer")
     rows = np.eye(2)

@@ -66,11 +66,9 @@ def hand_built_report() -> EvalReport:
             values["Age"] = values["Allergies"] = None
             note = ("Age: no usable leg; Allergies: no usable leg; "
                     "Medication: 2 pivot(s) skipped")
-        defined = [v for v in values.values() if v is not None]
-        mean = sum(defined) / len(defined) if defined else None
-        cells.append(GridCell(filtered, vmethod, mmethod, status, values, mean, note))
+        cells.append(GridCell(filtered, vmethod, mmethod, status, values, note))
     agreement = {
-        c.name: AgreementSummary.from_values(
+        c.name: AgreementSummary(
             [] if c.name == "Allergies"
             else [((c.id * 29 + j * 17) % 41 - 20) / 21 for j in range(c.id % 4 + 1)])
         for c in CATEGORIES

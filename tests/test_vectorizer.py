@@ -343,7 +343,9 @@ class TestScipyLoadsOnlyForLsa:
         subprocess.run([sys.executable, "-c", _PAIRS_PATH], check=True)
 
     def test_import_patsim_loads_no_orjson(self):
-        code = "import sys, patsim; assert 'orjson' not in sys.modules"
+        # nor multiprocessing, which only the eds worker pool uses
+        code = ("import sys, patsim; assert 'orjson' not in sys.modules; "
+                "assert 'multiprocessing' not in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_fit_and_embed_in_a_fresh_interpreter(self):
