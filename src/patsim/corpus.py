@@ -16,6 +16,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
+from . import formats
 from .exceptions import EmptyCorpus, ParseError
 
 __all__ = [
@@ -49,9 +50,8 @@ def parse_timestamp(value: str) -> datetime:
 
 @dataclass(frozen=True)
 class NoteRecord:
-    """One timestamped free-text note belonging to a patient."""
+    """One timestamped free-text note; its patient is the record holding it."""
 
-    patient_id: str
     timestamp: datetime
     text: str
 
@@ -62,26 +62,21 @@ class NoteRecord:
 
 @dataclass(frozen=True)
 class PatientRecord:
-    """A patient and their notes, sorted ascending by timestamp.
+    """A patient and their notes, sorted ascending by timestamp when built.
 
     Equal timestamps keep their input order (stable sort), so matrices
-    built downstream are reproducible.
+    built downstream are reproducible. A patient with no notes is
+    rejected.
     """
 
     patient_id: str
     notes: tuple[NoteRecord, ...]
 
-    @classmethod
-    def build(cls, patient_id: str, notes: Iterable[NoteRecord]) -> "PatientRecord":
-        ordered = tuple(sorted(notes, key=lambda n: n.timestamp))
+    def __post_init__(self):
+        ordered = tuple(sorted(self.notes, key=lambda n: n.timestamp))
         if not ordered:
-            raise ValueError(f"patient {patient_id!r} has no notes")
-        for n in ordered:
-            if n.patient_id != patient_id:
-                raise ValueError(
-                    f"note patient_id {n.patient_id!r} != {patient_id!r}"
-                )
-        return cls(patient_id, ordered)
+            raise ValueError(f"patient {self.patient_id!r} has no notes")
+        object.__setattr__(self, "notes", ordered)
 
 
 @dataclass(frozen=True)
@@ -96,13 +91,17 @@ class CorpusStats:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable, non-empty map of patient_id to PatientRecord."""
+    """Immutable, non-empty map of patient_id to PatientRecord; each key
+    is its record's id."""
 
     patients: dict[str, PatientRecord]
 
     def __post_init__(self):
         if not self.patients:
             raise EmptyCorpus("corpus has no patients")
+        for pid, patient in self.patients.items():
+            if pid != patient.patient_id:
+                raise ValueError(f"corpus key {pid!r} holds patient {patient.patient_id!r}")
 
     @property
     def summary(self) -> CorpusStats:
@@ -142,15 +141,6 @@ def utf8_lines(fh: TextIO, path) -> Iterator[tuple[int, str]]:
         yield lineno, raw
 
 
-def _reject_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ValueError(f"duplicate field {key!r}")
-        seen.add(key)
-    return dict(pairs)
-
-
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a corpus from a JSONL file or directory of them.
 
@@ -162,14 +152,13 @@ def load_corpus(path: str | Path) -> Corpus:
     if not path.exists():
         raise ParseError("corpus path does not exist", path=path)
     notes: dict[str, list[NoteRecord]] = {}
-    total = 0
     for file in _iter_jsonl_files(path):
         with open(file, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, raw in utf8_lines(fh, file):
                 if not raw.strip():
                     continue
                 try:
-                    obj = json.loads(raw, object_pairs_hook=_reject_duplicate_keys)
+                    obj = json.loads(raw, object_pairs_hook=formats.reject_duplicate_keys)
                 except (ValueError, RecursionError) as exc:
                     raise ParseError(f"bad JSON: {exc}", path=file, line=lineno)
                 if not isinstance(obj, dict):
@@ -191,11 +180,10 @@ def load_corpus(path: str | Path) -> Corpus:
                 if not isinstance(text, str) or not text.strip():
                     raise ParseError("text must be a non-empty string",
                                      path=file, line=lineno)
-                notes.setdefault(pid, []).append(NoteRecord(pid, ts, text))
-                total += 1
-    if total == 0:
+                notes.setdefault(pid, []).append(NoteRecord(ts, text))
+    if not notes:
         raise EmptyCorpus(f"no notes in {path}")
-    patients = {pid: PatientRecord.build(pid, ns) for pid, ns in notes.items()}
+    patients = {pid: PatientRecord(pid, ns) for pid, ns in notes.items()}
     return Corpus(patients)
 
 
@@ -208,7 +196,7 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
             for note in patient.notes:
                 fh.write(json.dumps(
                     {
-                        "patient_id": note.patient_id,
+                        "patient_id": patient.patient_id,
                         "timestamp": note.timestamp.isoformat(),
                         "text": note.text,
                     },

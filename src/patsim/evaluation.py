@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from . import formats
-from .exceptions import ConfigError, LengthMismatch, ParseError, TooShort
+from .exceptions import ConfigError, DegenerateInput, LengthMismatch, ParseError, TooShort
 from .segmenter import CATEGORIES, resolve_category
 
 if TYPE_CHECKING:
@@ -60,28 +60,26 @@ class AnnotationRecord:
 
 @dataclass
 class ValidationSet:
-    """Pivot patients, their candidate lists, and all annotations.
+    """All annotations, and the pivots and candidate lists they name.
 
-    Built once into grades shaped (categories, annotators, pivots,
-    candidate slots): annotators sorted, categories in id order, each
-    pivot's candidates in listed order. A slot holds NaN when its
+    pivots lists each record's pivot, and relevants each pivot's
+    candidates, in the order the records first name them. Built once
+    into grades shaped (categories, annotators, pivots, candidate slots):
+    annotators sorted, categories in id order. A slot holds NaN when its
     candidate was not judged, was judged incomparable (-1), or is padding
-    past the pivot's last candidate. Records about a pivot or candidate
-    that is not listed, and the candidate list of a pivot that is not
-    listed, are ignored; a pivot without a candidate list, a pivot or
-    candidate listed twice, or a pivot listed as its own candidate (whose
-    score would read as the diagonal's 1), is rejected.
+    past the pivot's last candidate. A pivot with fewer than 2
+    candidates, a pivot listed as its own candidate (whose score would
+    read as the diagonal's 1), or a repeated annotation is rejected.
     """
 
-    pivots: list[str]
-    relevants: dict[str, list[str]]
     annotations: list[AnnotationRecord]
 
     def __post_init__(self):
-        for pivot in self.pivots:
-            rels = self.relevants.get(pivot)
-            if rels is None:
-                raise ParseError(f"pivot {pivot!r} has no relevant patients listed")
+        self.relevants: dict[str, list[str]] = {}
+        for pivot, rel in dict.fromkeys((r.pivot_id, r.relevant_id) for r in self.annotations):
+            self.relevants.setdefault(pivot, []).append(rel)
+        self.pivots = list(self.relevants)
+        for pivot, rels in self.relevants.items():
             if len(rels) < 2:
                 raise ParseError(
                     f"pivot {pivot!r} has {len(rels)} relevant patients; need >= 2"
@@ -91,11 +89,9 @@ class ValidationSet:
         self.annotators = sorted({r.annotator_id for r in self.annotations})
         who = {a: k for k, a in enumerate(self.annotators)}
         cat = {c.name: c.id - 1 for c in CATEGORIES}
-        self._slot = {(pivot, rel): (p, s) for p, pivot in enumerate(self.pivots)
-                      for s, rel in enumerate(self.relevants[pivot])}
-        if len(self._slot) != sum(len(self.relevants[p]) for p in self.pivots):
-            raise ParseError("a pivot, or a candidate of one pivot, is listed twice")
-        width = max((len(self.relevants[p]) for p in self.pivots), default=0)
+        self._slot = {(pivot, rel): (p, s) for p, (pivot, rels)
+                      in enumerate(self.relevants.items()) for s, rel in enumerate(rels)}
+        width = max(map(len, self.relevants.values()), default=0)
         grades = np.full((len(cat), len(who), len(self.pivots), width), np.nan)
         seen = set()
         for r in self.annotations:
@@ -103,8 +99,8 @@ class ValidationSet:
             if key in seen:
                 raise ParseError(f"duplicate annotation for {key}")
             seen.add(key)
-            at = self._slot.get((r.pivot_id, r.relevant_id))
-            if at is not None and r.score >= 0:
+            if r.score >= 0:
+                at = self._slot[r.pivot_id, r.relevant_id]
                 grades[cat[r.category], who[r.annotator_id], at[0], at[1]] = r.score
         self._grades = grades
         # grades are small integers, so the sum is exact in any order and
@@ -117,8 +113,8 @@ class ValidationSet:
         return list(self._slot)
 
     def patient_ids(self) -> set[str]:
-        """The listed pivots and their candidates."""
-        return set(self.pivots).union(*(self.relevants[p] for p in self.pivots))
+        """The pivots and their candidates."""
+        return set(self.pivots).union(*self.relevants.values())
 
 
 def load_annotations(path: str | Path) -> ValidationSet:
@@ -131,8 +127,6 @@ def load_annotations(path: str | Path) -> ValidationSet:
     path = Path(path)
     records: list[AnnotationRecord] = []
     seen: set[tuple[str, str, str, str]] = set()
-    pivots: list[str] = []
-    relevants: dict[str, list[str]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"annotator_id", "pivot_id", "relevant_id", "category", "score"}
@@ -158,15 +152,10 @@ def load_annotations(path: str | Path) -> ValidationSet:
                                  line=reader.line_num)
             seen.add(key)
             records.append(rec)
-            if rec.pivot_id not in relevants:
-                relevants[rec.pivot_id] = []
-                pivots.append(rec.pivot_id)
-            if rec.relevant_id not in relevants[rec.pivot_id]:
-                relevants[rec.pivot_id].append(rec.relevant_id)
     if not records:
         raise ParseError("no annotation rows", path=path)
     try:
-        return ValidationSet(pivots, relevants, records)
+        return ValidationSet(records)
     except ParseError as exc:
         raise ParseError(str(exc), path=path) from None
 
@@ -207,7 +196,9 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float | None:
     concordant and discordant pairs, n0 = n(n-1)/2, and Tx, Ty count
     pairs tied within each sequence. Returns None when either sequence
     is entirely tied (zero radicand). Invariant under strictly
-    increasing transforms of either argument.
+    increasing transforms of either argument. A NaN or infinite value
+    is DegenerateInput: a NaN has no rank, and two infinities no sign of
+    difference.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -215,6 +206,8 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float | None:
         raise LengthMismatch(f"shapes {xa.shape} vs {ya.shape}")
     if xa.size < 2:
         raise TooShort(f"need at least 2 observations, got {xa.size}")
+    if not np.isfinite((xa, ya)).all():
+        raise DegenerateInput("tau-b needs finite values")
     tau, _ = _tau_b(xa, ya, np.ones(xa.size, bool))
     return None if np.isnan(tau) else float(tau)
 

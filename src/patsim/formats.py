@@ -103,6 +103,17 @@ def unique_strings(value) -> bool:
             and len(set(value)) == len(value))
 
 
+def reject_duplicate_keys(pairs) -> dict:
+    """A json.loads object_pairs_hook: the pairs as a dict, ValueError on a
+    key given twice, which json.loads would keep the last of."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"duplicate field {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def write_csv(path: str | Path, *parts) -> None:
     """A UTF-8 CSV file: the strings of each part (a list or a generator)
     in turn, every line ending in "\\n", ids csv_field-quoted."""

@@ -211,7 +211,7 @@ def eds_solve(c: np.ndarray) -> tuple[list[float], list[tuple[int, int]]]:
     return [float(t[0]) for t in trace], walk[:walk.index((0, 0)) + 1][::-1]
 
 
-# The next two read eds_solve for perfbench alone; ROADMAP item 4b deletes them.
+# The next two read eds_solve for perfbench alone; ROADMAP item 7 deletes them.
 def eds_score_with_iters(c: np.ndarray) -> tuple[float, int]:
     """Alignment score plus the number of Dinkelbach level updates."""
     levels = eds_solve(c)[0]

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 import numpy as np
 
-from .corpus import _reject_duplicate_keys
+from . import formats
 from .exceptions import ConfigError, DimTooLarge, InsufficientTitles, UnknownTitle
 from .vectorizer import fit_lsa
 
@@ -249,7 +249,7 @@ def _load_title_lists(path: str | Path, what: str) -> dict[str, list[str]]:
     any fault raises ConfigError naming the file."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"),
-                         object_pairs_hook=_reject_duplicate_keys)
+                         object_pairs_hook=formats.reject_duplicate_keys)
         if not isinstance(obj, dict):
             raise ConfigError(f"{what} file must be a JSON object")
         for name, titles in obj.items():

@@ -155,8 +155,8 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, dict[str, int]]:
                     paragraphs.append(body)
                 else:
                     paragraphs.append(f"{title[:1].upper()}{title[1:]}:\n{body}")
-            notes.append(NoteRecord(pid, ts, "\n\n".join(paragraphs)))
-        patients[pid] = PatientRecord.build(pid, notes)
+            notes.append(NoteRecord(ts, "\n\n".join(paragraphs)))
+        patients[pid] = PatientRecord(pid, notes)
     return Corpus(patients), assignment
 
 
@@ -238,4 +238,4 @@ def synthesize_validation(
                     records.append(
                         AnnotationRecord(annotator, pivot, rel, cat, score)
                     )
-    return ValidationSet(pivots, relevants, records)
+    return ValidationSet(records)

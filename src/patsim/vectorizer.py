@@ -453,13 +453,17 @@ def save_matrices(
     ids = sorted(matrices)
     if not ids:
         raise FormatError("refusing to write an empty matrix container")
-    dim = matrices[ids[0]].rows.shape[1]
+    dim = matrices[ids[0]].dim
     for pid in ids:
-        if matrices[pid].rows.shape[1] != dim:
-            raise DimMismatch(f"matrix for {pid} has dim {matrices[pid].rows.shape[1]}")
-    counts = [int(matrices[pid].rows.shape[0]) for pid in ids]
-    if 0 in counts:
-        raise FormatError(f"refusing to write patient {ids[counts.index(0)]} with no rows")
+        mat = matrices[pid]
+        if mat.dim != dim:
+            raise DimMismatch(f"matrix for {pid} has dim {mat.dim}")
+        if mat.n_notes == 0:
+            raise FormatError(f"refusing to write patient {pid} with no rows")
+        if np.shape(mat.note_indices) != (mat.n_notes,):
+            raise FormatError(f"refusing to write patient {pid} with {mat.n_notes} rows "
+                              f"and note indices of shape {np.shape(mat.note_indices)}")
+    counts = [matrices[pid].n_notes for pid in ids]
     header = {"dim": dim, "ids": ids, "counts": counts, "meta": dict(meta or {})}
     formats.write(path, MAT_MAGIC, [
         formats.json_block(header),

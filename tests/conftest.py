@@ -37,14 +37,14 @@ def embedded(model, notes) -> NoteVectors:
     return NoteVectors({key: k for k, key in enumerate(keys)}, rows)
 
 
-def make_note(pid: str, ts: str, text: str) -> NoteRecord:
-    return NoteRecord(pid, parse_timestamp(ts), text)
+def make_note(ts: str, text: str) -> NoteRecord:
+    return NoteRecord(parse_timestamp(ts), text)
 
 
 def make_corpus(spec: dict[str, list[tuple[str, str]]]) -> Corpus:
     """Corpus from {patient_id: [(timestamp, text), ...]}."""
     patients = {
-        pid: PatientRecord.build(pid, [make_note(pid, ts, text) for ts, text in notes])
+        pid: PatientRecord(pid, [make_note(ts, text) for ts, text in notes])
         for pid, notes in spec.items()
     }
     return Corpus(patients)

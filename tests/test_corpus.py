@@ -133,6 +133,11 @@ class TestLoadCorpus:
         with pytest.raises(EmptyCorpus):
             Corpus({})
 
+    def test_corpus_key_must_be_its_records_id(self):
+        patient = PatientRecord("b", [NoteRecord(parse_timestamp("2020-01-01"), "x")])
+        with pytest.raises(ValueError, match="corpus key 'a' holds patient 'b'"):
+            Corpus({"a": patient})
+
     def test_missing_path(self, tmp_path):
         with pytest.raises(ParseError):
             load_corpus(tmp_path / "nope.jsonl")
@@ -144,6 +149,20 @@ class TestLoadCorpus:
                     [{"patient_id": "b", "timestamp": "2020-01-01", "text": "y"}])
         corpus = load_corpus(tmp_path)
         assert corpus.summary.n_patients == 2
+
+
+class TestPatientRecord:
+    def test_notes_sorted_when_built(self):
+        notes = [NoteRecord(parse_timestamp(ts), text) for ts, text in
+                 (("2020-03-01", "c"), ("2020-01-01", "a1"), ("2020-02-01", "b"),
+                  ("2020-01-01", "a2"))]
+        patient = PatientRecord("p", notes)
+        assert [n.text for n in patient.notes] == ["a1", "a2", "b", "c"]
+        assert isinstance(patient.notes, tuple)
+
+    def test_patient_without_notes_rejected(self):
+        with pytest.raises(ValueError, match="patient 'p' has no notes"):
+            PatientRecord("p", ())
 
 
 class TestTimestamps:
@@ -190,8 +209,8 @@ class TestStats:
             corpus_stats([])
 
     def test_summary_is_the_stats_of_the_patients(self):
-        patients = {pid: PatientRecord.build(pid, [
-            NoteRecord(pid, parse_timestamp(f"2020-01-0{k + 1}"), "x") for k in range(n)])
+        patients = {pid: PatientRecord(pid, [
+            NoteRecord(parse_timestamp(f"2020-01-0{k + 1}"), "x") for k in range(n)])
             for pid, n in (("a", 1), ("b", 4), ("c", 2))}
         assert Corpus(patients).summary == corpus_stats(patients.values())
 
@@ -206,15 +225,12 @@ class TestStats:
         # the counts and their ratio (about 35.8 notes per patient).
         n_patients, n_notes = 4267, 152552
         base, extra = divmod(n_notes, n_patients)
-        note = NoteRecord("p", parse_timestamp("2020-01-01"), "x")
+        note = NoteRecord(parse_timestamp("2020-01-01"), "x")
         patients = {}
         for k in range(n_patients):
             pid = f"p{k}"
             count = base + (1 if k < extra else 0)
-            notes = tuple(
-                NoteRecord(pid, note.timestamp, "x") for _ in range(count)
-            )
-            patients[pid] = PatientRecord(pid, notes)
+            patients[pid] = PatientRecord(pid, (note,) * count)
         stats = corpus_stats(Corpus(patients))
         assert stats.n_patients == 4267
         assert stats.n_notes == 152552
@@ -238,11 +254,6 @@ class TestSynthetic:
         )
         assert set(assignment.values()) == {0}
         assert len(corpus) == 5
-
-    def test_all_patients_carry_own_id(self):
-        corpus, _ = generate_synthetic(SynthSpec(n_patients=4, n_clusters=2, seed=9))
-        for patient in corpus:
-            assert all(n.patient_id == patient.patient_id for n in patient.notes)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -185,6 +185,17 @@ def test_save_matrices_refuses_a_patient_without_rows(tmp_path):
     assert not (tmp_path / "mats.bin").exists()
 
 
+@pytest.mark.parametrize("sizes", [{"a": 3, "b": 1}, {"a": 3}], ids=["two", "one"])
+def test_save_matrices_refuses_note_indices_that_do_not_match_the_rows(tmp_path, sizes):
+    # two rows each: unchecked, a's third index shifts b's on reload, and a
+    # lone patient's file fails to load with trailing bytes
+    matrices = {pid: PatientMatrix(pid, np.eye(2, 3), np.arange(n, dtype=np.int64))
+                for pid, n in sizes.items()}
+    with pytest.raises(FormatError, match="patient a with 2 rows and note indices"):
+        save_matrices(matrices, tmp_path / "mats.bin")
+    assert not (tmp_path / "mats.bin").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("category", ["x"]),
     ("filter", "yes"),

@@ -7,6 +7,7 @@ import pytest
 
 from patsim import cli, engine, grid, kernels, segmenter
 from patsim.corpus import load_corpus, write_corpus
+from patsim.evaluation import AnnotationRecord, ValidationSet
 from patsim.exceptions import ConfigError, MissingEmbedding, ParseError, TooShort
 from patsim.grid import (
     GridCell,
@@ -166,8 +167,8 @@ class TestGridValidation:
             SynthSpec(n_patients=10, n_clusters=2, seed=1)
         )
         validation = synthesize_validation(assignment, n_pivots=3, seed=1)
-        validation.pivots[0] = "ghost"
-        validation.relevants["ghost"] = ["x", "y"]
+        validation = ValidationSet(validation.annotations + [
+            AnnotationRecord("annotator1", "ghost", rel, "Medication", 5) for rel in "xy"])
         with pytest.raises(ConfigError):
             grid_search(corpus, validation, prototypes=default_prototypes())
 
@@ -485,11 +486,3 @@ class TestLegs:
             for pid, mat in want.items():
                 assert got[pid].rows.tobytes() == mat.rows.tobytes()
                 assert np.array_equal(got[pid].note_indices, mat.note_indices)
-
-    def test_grid_ignores_candidates_of_unlisted_pivots(self, corpus):
-        validation = synthesize_validation(
-            {pid: i % 2 for i, pid in enumerate(corpus.patients)}, n_pivots=3, seed=1)
-        validation.relevants["ghost"] = ["x", "y"]
-        runner = _GridRunner(Legs(corpus, prototypes=default_prototypes()),
-                             validation, None)
-        assert {p.patient_id for p in runner.subset} == validation.patient_ids()

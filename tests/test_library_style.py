@@ -29,6 +29,18 @@ def test_no_print_outside_the_cli():
     assert calls == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a _-prefixed name is its module's own; a helper two modules share
+    # is public, in the module that owns the concern
+    imported = [f"{path.name}:{node.lineno} {alias.name}"
+                for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level > 0 or (node.module or "").split(".")[0] == "patsim")
+                for alias in node.names if alias.name.startswith("_")]
+    assert imported == []
+
+
 def test_oracles_share_no_code_with_the_package():
     # an oracle built from the code under test checks nothing
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
