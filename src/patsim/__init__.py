@@ -47,7 +47,6 @@ from .segmenter import (
     SimilarityCategory,
     build_title_space,
     expand_prototypes,
-    filter_patient,
     resolve_category,
     segment_note,
 )

@@ -45,7 +45,6 @@ _CONFIG_KEYS = {
     "relevancy": ("path", True),
     "prototypes": ("path", True),
     "out": ("str", False),
-    "out_dir": ("str", False),
     "seed": ("int", False),
     "workers": ("int", False),
 }
@@ -182,12 +181,13 @@ def cmd_segment(args) -> int:
     count = 0
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         for patient in corpus:
-            for segs in segment_patient(patient, args.inherit_untitled):
+            for note_index, segs in enumerate(
+                    segment_patient(patient, args.inherit_untitled)):
                 for seg in segs:
                     fh.write(json.dumps(
                         {
                             "patient_id": patient.patient_id,
-                            "note_index": seg.note_index,
+                            "note_index": note_index,
                             "title": seg.title,
                             "body": seg.body,
                         },
@@ -231,7 +231,7 @@ def cmd_vectorize(args) -> int:
         keys = [(pid, fn.note_index) for pid, fns in notes.items() for fn in fns]
         embedder = legs.imported(Path(args.imports), dim, keys)
 
-    matrices, absent = build_patient_matrices(corpus, notes, embedder)
+    matrices, absent = build_patient_matrices(notes, embedder)
     if not matrices:
         raise ConfigError("every patient was filtered out; nothing to write")
     save_matrices(matrices, args.out, meta={
@@ -304,9 +304,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    _require(args, "corpus", "annotations")
-    if args.out_dir is None:
-        raise ConfigError("--out is required (flag or config file)")
+    _require(args, "corpus", "annotations", "out")
     _require_counts(args, "min_doc_freq", "title_dim")
     options = _grid_options(args, workers=_resolve_workers(args.workers))
     corpus = load_corpus(args.corpus)
@@ -320,12 +318,12 @@ def cmd_gridsearch(args) -> int:
         imports_dir=args.imports,
         options=options,
     )
-    paths = grid.write_report(report, args.out_dir)
+    paths = grid.write_report(report, args.out)
     print(grid.render_summary(report))
     print()
     print(grid.render_top10(report))
     print()
-    print(f"wrote {len(paths)} report files to {args.out_dir}")
+    print(f"wrote {len(paths)} report files to {args.out}")
     return 0
 
 
@@ -457,8 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="annotation CSV path")
     p.add_argument("--imports", default=None,
                    help="directory with d2v050.jsonl etc. for imported legs")
-    p.add_argument("--out", dest="out_dir", default=None,
-                   help="directory for the report tables")
+    p.add_argument("--out", default=None, help="directory for the report tables")
     leg_settings(p)
     p.add_argument("--workers", type=int, default=None,
                    help="parallel eds workers (default: PATSIM_WORKERS or 1)")

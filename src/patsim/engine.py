@@ -87,7 +87,8 @@ _MIN_PAIRS_FOR_POOL = 2048
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One cell of the (filter, vectorizer, measure) grid."""
+    """One cell of the (filter, vectorizer, measure) grid; a filtered cell
+    names its category, and an unfiltered one names none."""
 
     filter: bool
     vmethod: str
@@ -101,6 +102,8 @@ class RunConfig:
                 and (self.category is None or isinstance(self.category, str))
                 and type(self.workers) is int and type(self.seed) is int):
             raise TypeError(f"RunConfig field of the wrong type in {self!r}")
+        if self.filter != (self.category is not None):
+            raise ValueError(f"filter={self.filter} with category {self.category!r}")
         try:
             parse_vmethod(self.vmethod)
         except ConfigError as exc:

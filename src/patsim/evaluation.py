@@ -13,6 +13,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -41,7 +42,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnnotationRecord:
-    """One annotator's judgment of one (pivot, relevant, category) triple."""
+    """One annotator's judgment of one (pivot, relevant, category) triple;
+    each id is a non-empty string."""
 
     annotator_id: str
     pivot_id: str
@@ -50,6 +52,9 @@ class AnnotationRecord:
     score: int     # -1 (incomparable) or 0..10
 
     def __post_init__(self):
+        for name in ("annotator_id", "pivot_id", "relevant_id"):
+            if not (isinstance(getattr(self, name), str) and getattr(self, name)):
+                raise ValueError(f"{name} must be a non-empty string")
         if not (self.score == -1 or 0 <= self.score <= 10):
             raise ValueError(f"score must be -1 or 0..10, got {self.score}")
         try:
@@ -58,7 +63,7 @@ class AnnotationRecord:
             raise ValueError(str(exc)) from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationSet:
     """All annotations, and the pivots and candidate lists they name.
 
@@ -70,43 +75,55 @@ class ValidationSet:
     past the pivot's last candidate. A pivot with fewer than 2
     candidates, a pivot listed as its own candidate (whose score would
     read as the diagonal's 1), or a repeated annotation is rejected.
+    Frozen with all it derives (tuples, read-only mappings and arrays),
+    so the grades stay in step with the pivots that key them.
     """
 
-    annotations: list[AnnotationRecord]
+    annotations: tuple[AnnotationRecord, ...]
 
     def __post_init__(self):
-        self.relevants: dict[str, list[str]] = {}
-        for pivot, rel in dict.fromkeys((r.pivot_id, r.relevant_id) for r in self.annotations):
-            self.relevants.setdefault(pivot, []).append(rel)
-        self.pivots = list(self.relevants)
-        for pivot, rels in self.relevants.items():
+        annotations = tuple(self.annotations)
+        lists: dict[str, list[str]] = {}
+        for pivot, rel in dict.fromkeys((r.pivot_id, r.relevant_id) for r in annotations):
+            lists.setdefault(pivot, []).append(rel)
+        for pivot, rels in lists.items():
             if len(rels) < 2:
                 raise ParseError(
                     f"pivot {pivot!r} has {len(rels)} relevant patients; need >= 2"
                 )
             if pivot in rels:
                 raise ParseError(f"pivot {pivot!r} is listed as its own candidate")
-        self.annotators = sorted({r.annotator_id for r in self.annotations})
-        who = {a: k for k, a in enumerate(self.annotators)}
+        annotators = tuple(sorted({r.annotator_id for r in annotations}))
+        who = {a: k for k, a in enumerate(annotators)}
         cat = {c.name: c.id - 1 for c in CATEGORIES}
-        self._slot = {(pivot, rel): (p, s) for p, (pivot, rels)
-                      in enumerate(self.relevants.items()) for s, rel in enumerate(rels)}
-        width = max(map(len, self.relevants.values()), default=0)
-        grades = np.full((len(cat), len(who), len(self.pivots), width), np.nan)
+        slot = {(pivot, rel): (p, s) for p, (pivot, rels)
+                in enumerate(lists.items()) for s, rel in enumerate(rels)}
+        width = max(map(len, lists.values()), default=0)
+        grades = np.full((len(cat), len(who), len(lists), width), np.nan)
         seen = set()
-        for r in self.annotations:
+        for r in annotations:
             key = (r.annotator_id, r.pivot_id, r.relevant_id, r.category)
             if key in seen:
                 raise ParseError(f"duplicate annotation for {key}")
             seen.add(key)
             if r.score >= 0:
-                at = self._slot[r.pivot_id, r.relevant_id]
+                at = slot[r.pivot_id, r.relevant_id]
                 grades[cat[r.category], who[r.annotator_id], at[0], at[1]] = r.score
-        self._grades = grades
         # grades are small integers, so the sum is exact in any order and
         # the mean is the correctly rounded quotient
         with np.errstate(invalid="ignore"):
-            self._mean = np.nansum(grades, axis=1) / (~np.isnan(grades)).sum(axis=1)
+            mean = np.nansum(grades, axis=1) / (~np.isnan(grades)).sum(axis=1)
+        grades.setflags(write=False)
+        mean.setflags(write=False)
+        derived = dict(annotations=annotations, pivots=tuple(lists), annotators=annotators,
+                       relevants=MappingProxyType({p: tuple(r) for p, r in lists.items()}),
+                       _slot=MappingProxyType(slot), _grades=grades, _mean=mean)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        """Pickled and copied as its records, which it is rebuilt from."""
+        return ValidationSet, (self.annotations,)
 
     def pairs(self) -> list[tuple[str, str]]:
         """The (pivot, candidate) pairs the evaluation reads, in slot order."""

@@ -237,12 +237,13 @@ class _GridRunner:
                 f"validation references patients absent from the corpus: "
                 f"{sorted(missing)[:5]}{'...' if len(missing) > 5 else ''}"
             )
-        self.subset = [corpus.patients[pid] for pid in sorted(validation.patient_ids())]
+        self.subset = sorted(validation.patient_ids())
         for cat in CATEGORIES:  # a missing map or category fails before any scoring
             legs.notes(cat.name)
 
         # the unfiltered context keeps every note, so each one needs a record
-        keys = [(p.patient_id, k) for p in self.subset for k in range(len(p.notes))]
+        keys = [(pid, k) for pid in self.subset
+                for k in range(len(corpus.patients[pid].notes))]
         self.imports: dict[str, NoteVectors | None] = {}
         for vmethod in IMPORT_LEGS:
             path = None if imports_dir is None else imports_dir / f"{vmethod}.jsonl"
@@ -252,7 +253,9 @@ class _GridRunner:
     def _matrices(self, context: str | None, vmethod: str, embedder: NoteVectors) -> dict:
         """Patient matrices for one leg; the patients it leaves out are
         recorded as exclusions."""
-        mats, absent = build_patient_matrices(self.subset, self.legs.notes(context), embedder)
+        notes = self.legs.notes(context)
+        mats, absent = build_patient_matrices({pid: notes[pid] for pid in self.subset},
+                                              embedder)
         if absent:
             tag = f"{'unfiltered' if context is None else 'filtered'}/{context or 'all'}/{vmethod}"
             self.exclusions[tag] = absent

@@ -1,6 +1,7 @@
 """Note segmentation and per-category filtering.
 
-Notes split into titled paragraph segments. Each similarity category
+Notes split into titled paragraph segments; a segment's note is its
+list's position in segment_patient's output. Each similarity category
 keeps only segments whose (normalized) title is relevant to it; the
 relevancy sets are grown from a handful of prototype titles through a
 latent title space, and can be hand-edited as a JSON file afterwards.
@@ -38,7 +39,6 @@ __all__ = [
     "expand_prototypes",
     "relevancy_from_prototypes",
     "load_prototypes",
-    "filter_patient",
     "filter_segments",
     "unfiltered_notes",
     "UNTITLED",
@@ -110,7 +110,6 @@ class Segment:
 
     title: str
     body: str
-    note_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -148,9 +147,7 @@ def _split_title(first_line: str) -> tuple[str | None, str]:
     return None, first_line
 
 
-def segment_note(
-    text: str, note_index: int = 0, inherit_untitled: bool = False
-) -> list[Segment]:
+def segment_note(text: str, inherit_untitled: bool = False) -> list[Segment]:
     """Split one note into titled segments.
 
     Paragraphs are blank-line separated. When the first line starts with
@@ -167,17 +164,15 @@ def segment_note(
         body = "\n".join(body_lines).strip()
         title = normalize_title(raw_title) if raw_title is not None else ""
         if raw_title is None or title in ("", UNTITLED) or not body:
-            segments.append(
-                Segment(UNTITLED, "\n".join(lines).strip(), note_index)
-            )
+            segments.append(Segment(UNTITLED, "\n".join(lines).strip()))
         else:
-            segments.append(Segment(title, body, note_index))
+            segments.append(Segment(title, body))
     if inherit_untitled:
         inherited: list[Segment] = []
         last_title: str | None = None
         for seg in segments:
             if seg.title == UNTITLED and last_title is not None:
-                seg = Segment(last_title, seg.body, seg.note_index)
+                seg = Segment(last_title, seg.body)
             elif seg.title != UNTITLED:
                 last_title = seg.title
             inherited.append(seg)
@@ -188,11 +183,9 @@ def segment_note(
 def segment_patient(
     patient: "PatientRecord", inherit_untitled: bool = False
 ) -> list[list[Segment]]:
-    """Segment every note of a patient, keeping chronological order."""
-    return [
-        segment_note(note.text, idx, inherit_untitled)
-        for idx, note in enumerate(patient.notes)
-    ]
+    """Segment every note of a patient, keeping chronological order: list
+    k holds the segments of the patient's note k."""
+    return [segment_note(note.text, inherit_untitled) for note in patient.notes]
 
 
 @dataclass
@@ -345,30 +338,14 @@ def relevancy_from_prototypes(
 def filter_segments(
     segments_per_note: list[list[Segment]], titles: frozenset[str] | set[str]
 ) -> list[FilteredNote]:
-    """Keep relevant segment bodies per note; drop notes left empty."""
+    """Keep relevant segment bodies per note of a segment_patient output;
+    drop notes left empty. An empty result leaves the patient out of the leg."""
     out: list[FilteredNote] = []
     for note_idx, segments in enumerate(segments_per_note):
         kept = [s.body for s in segments if s.title in titles]
         if kept:
             out.append(FilteredNote(note_idx, "\n".join(kept)))
     return out
-
-
-def filter_patient(
-    patient: "PatientRecord",
-    category,
-    relevancy: RelevancyMap,
-    inherit_untitled: bool = False,
-) -> list[FilteredNote]:
-    """Reduce a patient's notes to the text relevant to one category.
-
-    Chronological order and original note indices are preserved; notes
-    with no relevant segment are dropped entirely. May return an empty
-    list, which callers treat as the patient being absent for this
-    category.
-    """
-    titles = relevancy.for_category(category)
-    return filter_segments(segment_patient(patient, inherit_untitled), titles)
 
 
 def unfiltered_notes(patient: "PatientRecord") -> list[FilteredNote]:

@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .exceptions import (
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-    from .corpus import PatientRecord
     from .segmenter import FilteredNote
 
 __all__ = [
@@ -388,18 +387,18 @@ def compress_embeddings(vectors: NoteVectors, dim: int) -> NoteVectors:
 
 
 def build_patient_matrix(
-    patient: "PatientRecord",
+    patient_id: str,
     filtered: Sequence["FilteredNote"],
     embedder: NoteVectors,
 ) -> PatientMatrix | None:
-    """Stack embeddings of the retained notes into one patient matrix.
+    """Stack embeddings of one patient's retained notes into its matrix.
 
     A table's rows are gathered bitwise; a note it lacks is MissingEmbedding.
     Notes that embed to zero (out-of-vocabulary, or annihilated by an
     import-side compression) are dropped. Returns None when nothing
     remains; the patient is then absent from that run.
     """
-    keys = [(patient.patient_id, note.note_index) for note in filtered]
+    keys = [(patient_id, note.note_index) for note in filtered]
     missing = [key for key in keys if key not in embedder.index]
     if missing:
         raise MissingEmbedding(f"no imported embedding for {missing[0]}")
@@ -408,26 +407,26 @@ def build_patient_matrix(
     if not found.any():
         return None
     kept = np.array([note.note_index for note in filtered], dtype=np.int64)[found]
-    return PatientMatrix(patient.patient_id, rows[found], kept)
+    return PatientMatrix(patient_id, rows[found], kept)
 
 
 def build_patient_matrices(
-    patients: Iterable["PatientRecord"], notes: Mapping[str, Sequence["FilteredNote"]],
-    embedder: NoteVectors,
+    notes: Mapping[str, Sequence["FilteredNote"]], embedder: NoteVectors,
 ) -> tuple[dict[str, PatientMatrix], list[str]]:
     """One leg's patient matrices, and the ids of the patients absent from it.
 
-    notes maps each patient id to its retained notes. A patient with no
-    notes left, or whose notes all embed to zero, is absent.
+    notes maps each of the leg's patients to its retained notes; both
+    results follow its order. A patient with no notes left, or whose
+    notes all embed to zero, is absent.
     """
     matrices: dict[str, PatientMatrix] = {}
     absent: list[str] = []
-    for patient in patients:
-        mat = build_patient_matrix(patient, notes[patient.patient_id], embedder)
+    for pid, filtered in notes.items():
+        mat = build_patient_matrix(pid, filtered, embedder)
         if mat is None:
-            absent.append(patient.patient_id)
+            absent.append(pid)
         else:
-            matrices[patient.patient_id] = mat
+            matrices[pid] = mat
     return matrices, absent
 
 

@@ -80,7 +80,7 @@ def recovery_setup():
     vectors = embedded(model, notes)
     matrices = {}
     for patient in corpus:
-        mat = build_patient_matrix(patient, notes[patient.patient_id], vectors)
+        mat = build_patient_matrix(patient.patient_id, notes[patient.patient_id], vectors)
         if mat is not None:
             matrices[patient.patient_id] = mat
     return corpus, assignment, matrices
@@ -268,7 +268,7 @@ class TestAcceptance:
                 fmats = {}
                 for p in corpus:
                     fl = filtered_map[p.patient_id]
-                    mat = build_patient_matrix(p, fl, vectors) if fl else None
+                    mat = build_patient_matrix(p.patient_id, fl, vectors) if fl else None
                     if mat is not None:
                         fmats[p.patient_id] = mat
                 fsim = compute_all_pairs(

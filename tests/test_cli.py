@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -18,6 +19,12 @@ from patsim.exceptions import ConfigError
 from patsim.synth import load_assignment_csv, synthesize_validation
 from patsim.evaluation import save_annotations
 from patsim.vectorizer import MAT_MAGIC, load_lsa_model, load_matrices, save_matrices
+
+
+# `segment` output for an 8-patient synth corpus (seed 5), plain and with
+# --inherit-untitled; the two differ in the untitled paragraphs' titles
+SEGMENTS_SHA256 = "ac9074b1735acd5e01bc7b6e87d3270efd3abc82fd613d6cdc43d4617372f46f"
+SEGMENTS_INHERITED_SHA256 = "86acb9bf004119f6641858ef0084b30b38d53a92d508d0a941dd756c8dfbab4a"
 
 
 def run_cli(*argv):
@@ -75,6 +82,18 @@ class TestSegment:
         ) == 0
         first = json.loads(out.read_text().splitlines()[0])
         assert set(first) == {"patient_id", "note_index", "title", "body"}
+
+    @pytest.mark.parametrize("flags, sha256", [
+        ([], SEGMENTS_SHA256),
+        (["--inherit-untitled"], SEGMENTS_INHERITED_SHA256),
+    ], ids=["plain", "inherit-untitled"])
+    def test_golden_bytes(self, tmp_path, flags, sha256):
+        assert run_cli("synth", "--patients", "8", "--clusters", "2", "--seed", "5",
+                       "--out", str(tmp_path / "corpus.jsonl")) == 0
+        out = tmp_path / "segments.jsonl"
+        assert run_cli("segment", "--corpus", str(tmp_path / "corpus.jsonl"),
+                       "--out", str(out), *flags) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestVectorize:
@@ -294,6 +313,8 @@ class TestPairs:
     @pytest.mark.parametrize("meta", [
         {"vmethod": "lsa012", "seed": "x"},
         {"vmethod": "lsa012", "category": 5},
+        {"vmethod": "lsa012", "filter": True},  # a filtered leg with no category
+        {"vmethod": "lsa012", "category": "Medication"},  # unfiltered with one
         {"vmethod": "bogus"},
         {"vmethod": "lsa050"},  # over dim-12 rows
         {"vmethod": "combined"},  # a label with no dim
@@ -455,6 +476,20 @@ class TestGridsearch:
         assert len(skipped) == 24
         assert len(valued) == 18
 
+    def test_config_out_names_the_report_directory(self, pipeline_dir, tmp_path):
+        # out serves gridsearch as it serves every other command
+        assignment = load_assignment_csv(pipeline_dir / "assign.csv")
+        save_annotations(synthesize_validation(assignment, n_pivots=3, seed=1),
+                         tmp_path / "ann.csv")
+        cfg = tmp_path / "patsim.cfg"
+        cfg.write_text(f"corpus = {pipeline_dir / 'corpus.jsonl'}\n"
+                       f"annotations = {tmp_path / 'ann.csv'}\n"
+                       f"prototypes = {pipeline_dir / 'protos.json'}\n"
+                       f"out = {tmp_path / 'rep'}\n")
+        assert run_cli("gridsearch", "--config", str(cfg)) == 0
+        lines = (tmp_path / "rep" / "cells.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 42
+
 
 class TestHelp:
     @pytest.mark.parametrize("command", [
@@ -542,6 +577,12 @@ class TestConfigFile:
         cfg.write_text(line + "\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config_file(cfg)
+
+    def test_readme_lists_the_known_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        sentence = re.search(r"The known keys are (.*?);", readme, re.S).group(1)
+        assert re.findall(r"`(\w+)`", sentence) == list(cli._CONFIG_KEYS)
 
     def test_missing_referenced_path_rejected(self, tmp_path):
         cfg = tmp_path / "patsim.cfg"

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
 import math
+import operator
+import pickle
 import statistics
 
 import numpy as np
@@ -523,5 +526,62 @@ class TestClusterPrecision:
 def test_annotators_are_computed_once():
     vs = synthesize_validation({f"p{i}": i % 2 for i in range(12)}, n_pivots=3,
                                n_annotators=3, seed=2)
-    assert vs.annotators == sorted({r.annotator_id for r in vs.annotations})
+    assert vs.annotators == tuple(sorted({r.annotator_id for r in vs.annotations}))
     assert vs.annotators is vs.annotators
+
+
+class TestFrozenValidationSet:
+    """The grades are compiled once and keyed by the pivots' order, so no
+    edit after construction may move a tau to another pivot."""
+
+    @pytest.fixture
+    def vs(self):
+        ids = [f"p{k:02d}" for k in range(20)]
+        return synthesize_validation({pid: k % 3 for k, pid in enumerate(ids)},
+                                     n_pivots=4, seed=1)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda vs: vs.pivots.reverse(), AttributeError),
+        (lambda vs: setattr(vs, "pivots", list(reversed(vs.pivots))), AttributeError),
+        (lambda vs: setattr(vs, "annotations", ()), AttributeError),
+        (lambda vs: vs.annotations.append(vs.annotations[0]), AttributeError),
+        (lambda vs: operator.setitem(vs.relevants, vs.pivots[0], ()), TypeError),
+        (lambda vs: vs.relevants[vs.pivots[0]].append("x"), AttributeError),
+        (lambda vs: vs.annotators.sort(), AttributeError),
+        (lambda vs: vs._slot.clear(), AttributeError),
+        (lambda vs: operator.setitem(vs._grades, (0, 0, 0, 0), 3.0), ValueError),
+        (lambda vs: operator.setitem(vs._mean, (0, 0, 0), 3.0), ValueError),
+    ], ids=["reverse-pivots", "assign-pivots", "assign-annotations",
+            "append-annotation", "set-relevants", "append-candidate",
+            "sort-annotators", "clear-slots", "write-grades", "write-mean"])
+    def test_every_edit_raises(self, vs, edit, error):
+        ids = sorted(vs.patient_ids())
+        rng = np.random.default_rng(0)
+        sim = sim_for(ids, {(a, b): float(rng.random()) for i, a in enumerate(ids)
+                            for b in ids[i + 1:]})
+        before = evaluate_config(sim, vs, "Medication").per_pivot
+        with pytest.raises(error):
+            edit(vs)
+        assert evaluate_config(sim, vs, "Medication").per_pivot == before
+
+    def test_pickled_and_copied_as_its_records(self, vs):
+        for again in (pickle.loads(pickle.dumps(vs)), copy.deepcopy(vs)):
+            assert again == vs and again.annotations == vs.annotations
+            assert again.pivots == vs.pivots and again.relevants == vs.relevants
+            assert np.array_equal(again._grades, vs._grades, equal_nan=True)
+            assert not again._grades.flags.writeable
+
+
+@pytest.mark.parametrize("field", ["annotator_id", "pivot_id", "relevant_id"])
+def test_empty_annotation_id_rejected(tmp_path, field):
+    ids = {"annotator_id": "a1", "pivot_id": "q", "relevant_id": "r1", field: ""}
+    with pytest.raises(ValueError, match=f"{field} must be a non-empty string"):
+        AnnotationRecord(**ids, category="Medication", score=5)
+    path = tmp_path / "ann.csv"
+    path.write_text("annotator_id,pivot_id,relevant_id,category,score\n"
+                    "a1,q,r0,Medication,5\n"
+                    f"{ids['annotator_id']},{ids['pivot_id']},{ids['relevant_id']},"
+                    "Medication,5\n")
+    with pytest.raises(ParseError, match=f"{field} must be a non-empty string") as info:
+        load_annotations(path)
+    assert info.value.path == path and info.value.line == 3

@@ -167,8 +167,8 @@ class TestGridValidation:
             SynthSpec(n_patients=10, n_clusters=2, seed=1)
         )
         validation = synthesize_validation(assignment, n_pivots=3, seed=1)
-        validation = ValidationSet(validation.annotations + [
-            AnnotationRecord("annotator1", "ghost", rel, "Medication", 5) for rel in "xy"])
+        validation = ValidationSet(validation.annotations + tuple(
+            AnnotationRecord("annotator1", "ghost", rel, "Medication", 5) for rel in "xy"))
         with pytest.raises(ConfigError):
             grid_search(corpus, validation, prototypes=default_prototypes())
 
@@ -459,7 +459,8 @@ class TestLegs:
         legs = Legs(corpus, given, default_prototypes())
         assert legs.relevancy() is given
         assert legs.notes("Medication") == {
-            pid: segmenter.filter_patient(p, "Medication", given)
+            pid: segmenter.filter_segments(segmenter.segment_patient(p),
+                                           given.for_category("Medication"))
             for pid, p in corpus.patients.items()}
 
     def test_filtered_leg_needs_relevancy_or_prototypes(self, corpus):
@@ -479,9 +480,9 @@ class TestLegs:
             docs = [fn.text for fns in legs.notes(context).values() for fn in fns]
             alone, _ = fit_lsa(docs, (4,))[4]
             assert model.projection.tobytes() == alone.projection.tobytes()
-            want, _ = build_patient_matrices(corpus, legs.notes(context),
+            want, _ = build_patient_matrices(legs.notes(context),
                                              embedded(alone, legs.notes(context)))
-            got, _ = build_patient_matrices(corpus, legs.notes(context), vectors)
+            got, _ = build_patient_matrices(legs.notes(context), vectors)
             assert list(got) == list(want)
             for pid, mat in want.items():
                 assert got[pid].rows.tobytes() == mat.rows.tobytes()

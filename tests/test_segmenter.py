@@ -14,7 +14,7 @@ from patsim.segmenter import (
     RelevancyMap,
     build_title_space,
     expand_prototypes,
-    filter_patient,
+    filter_segments,
     load_prototypes,
     normalize_title,
     relevancy_from_prototypes,
@@ -74,10 +74,6 @@ class TestSegmentNote:
     def test_blank_line_runs_split_paragraphs(self):
         segs = segment_note("A: one\n\n\n\nB: two\n   \nC: three")
         assert [s.title for s in segs] == ["a", "b", "c"]
-
-    def test_note_index_propagates(self):
-        segs = segment_note("A: one", note_index=4)
-        assert segs[0].note_index == 4
 
     def test_inherit_untitled(self):
         text = "Medication:\naspirin\n\ncontinued without title\n\nSummary: ok"
@@ -177,7 +173,7 @@ class TestFilterPatient:
     def test_only_matching_note_survives(self):
         patient = self.make_patient()
         rmap = self.relevancy({"Medication": {"medication"}})
-        out = filter_patient(patient, "Medication", rmap)
+        out = filter_segments(segment_patient(patient), rmap.for_category("Medication"))
         assert len(out) == 1
         assert out[0].note_index == 1
         assert out[0].text == "aspirin"
@@ -186,19 +182,20 @@ class TestFilterPatient:
         patient = self.make_patient()
         all_titles = {"summary", "medication", "family history"}
         rmap = self.relevancy({"Treatment": all_titles})
-        out = filter_patient(patient, "Treatment", rmap)
+        out = filter_segments(segment_patient(patient), rmap.for_category("Treatment"))
         assert [fn.note_index for fn in out] == [0, 1, 2]
         assert out[1].text == "aspirin\nimproving"
 
     def test_no_match_gives_empty(self):
         patient = self.make_patient()
         rmap = self.relevancy({"Allergies": {"allergies"}})
-        assert filter_patient(patient, "Allergies", rmap) == []
+        titles = rmap.for_category("Allergies")
+        assert filter_segments(segment_patient(patient), titles) == []
 
     def test_note_indices_strictly_increasing(self):
         patient = self.make_patient()
         rmap = self.relevancy({"Treatment": {"summary"}})
-        out = filter_patient(patient, "Treatment", rmap)
+        out = filter_segments(segment_patient(patient), rmap.for_category("Treatment"))
         idx = [fn.note_index for fn in out]
         assert idx == sorted(set(idx))
         assert len(out) <= len(patient.notes)
@@ -207,7 +204,7 @@ class TestFilterPatient:
         patient = self.make_patient()
         rmap = RelevancyMap({"Medication": frozenset({"medication"})})
         with pytest.raises(ConfigError):
-            filter_patient(patient, "Treatment", rmap)
+            filter_segments(segment_patient(patient), rmap.for_category("Treatment"))
 
     def test_unfiltered_notes_identity(self):
         patient = self.make_patient()

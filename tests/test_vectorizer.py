@@ -776,20 +776,12 @@ def lsa_for_matrix_tests(rng):
 
 
 class TestBuildPatientMatrix:
-    def patient(self, n_notes):
-        notes = [
-            (f"2020-01-01T00:{k // 60:02d}:{k % 60:02d}", f"note {k} body")
-            for k in range(n_notes)
-        ]
-        return make_corpus({"a": notes}).patients["a"]
-
     def test_shape_matches_note_count_and_dim(self, rng):
         # 62 retained notes at dim 50 give a 62 x 50 matrix.
         docs = random_docs(rng, 120, 80)
         model = lsa_model(docs, 50)
-        patient = self.patient(62)
         filtered = [FilteredNote(k, docs[k]) for k in range(62)]
-        mat = build_patient_matrix(patient, filtered, embedded(model, {"a": filtered}))
+        mat = build_patient_matrix("a", filtered, embedded(model, {"a": filtered}))
         assert mat.rows.shape == (62, 50)
         np.testing.assert_allclose(
             np.linalg.norm(mat.rows, axis=1), 1.0, atol=1e-9
@@ -797,59 +789,53 @@ class TestBuildPatientMatrix:
 
     def test_all_oov_notes_absent(self, rng):
         _, model = lsa_for_matrix_tests(rng)
-        patient = self.patient(2)
         filtered = [FilteredNote(0, "zzz"), FilteredNote(1, "qqq www")]
-        assert build_patient_matrix(patient, filtered, embedded(model, {"a": filtered})) is None
+        assert build_patient_matrix("a", filtered, embedded(model, {"a": filtered})) is None
 
     def test_single_note_single_row(self, rng):
         docs, model = lsa_for_matrix_tests(rng)
-        patient = self.patient(1)
         filtered = [FilteredNote(0, docs[0])]
-        mat = build_patient_matrix(patient, filtered, embedded(model, {"a": filtered}))
+        mat = build_patient_matrix("a", filtered, embedded(model, {"a": filtered}))
         assert mat.rows.shape == (1, 6)
         assert list(mat.note_indices) == [0]
 
     def test_oov_rows_dropped_not_zeroed(self, rng):
         docs, model = lsa_for_matrix_tests(rng)
-        patient = self.patient(3)
         filtered = [
             FilteredNote(0, docs[0]),
             FilteredNote(1, "zzz"),
             FilteredNote(2, docs[2]),
         ]
-        mat = build_patient_matrix(patient, filtered, embedded(model, {"a": filtered}))
+        mat = build_patient_matrix("a", filtered, embedded(model, {"a": filtered}))
         assert list(mat.note_indices) == [0, 2]
         for row, k in zip(mat.rows, (0, 2)):
             np.testing.assert_allclose(row, embed_reference(model, docs[k]),
                                        rtol=0, atol=1e-12)
 
     def test_imported_map_missing_key(self, rng):
-        patient = self.patient(2)
         emb = NoteVectors({("a", 0): 0}, np.array([[1.0, 0.0]]))
         with pytest.raises(MissingEmbedding, match=r"\('a', 1\)"):
             build_patient_matrix(
-                patient,
+                "a",
                 [FilteredNote(0, "x"), FilteredNote(1, "y")],
                 emb,
             )
 
     def test_imported_vectors_used_in_order(self):
         # the notes' order, not the table's, sets the matrix rows
-        patient = self.patient(2)
         emb = NoteVectors({("a", 0): 1, ("a", 1): 0}, np.array([[0.0, 1.0], [1.0, 0.0]]))
         mat = build_patient_matrix(
-            patient, [FilteredNote(0, "x"), FilteredNote(1, "y")], emb
+            "a", [FilteredNote(0, "x"), FilteredNote(1, "y")], emb
         )
         np.testing.assert_array_equal(mat.rows, np.eye(2))
 
     def test_imported_zero_dropped_near_unit_kept_bitwise(self):
         # gathered rows are bitwise the table's rows, with no rescaling
-        patient = self.patient(3)
         near_unit = np.array([0.6, 0.8 + 1e-12])  # within 1e-9 of unit norm
         rows = np.array([near_unit, np.zeros(2), np.array([3.0, 4.0]) / 5.0])
         emb = NoteVectors({("a", k): k for k in range(3)}, rows)
         filtered = [FilteredNote(k, "x") for k in range(3)]
-        mat = build_patient_matrix(patient, filtered, emb)
+        mat = build_patient_matrix("a", filtered, emb)
         assert list(mat.note_indices) == [0, 2]
         assert mat.rows.tobytes() == rows[[0, 2]].tobytes()
 
@@ -858,13 +844,12 @@ class TestBuildPatientMatrices:
     def test_absent_ids_rule(self, rng):
         # no notes left, or every note embedding to zero, leaves a patient out
         docs, model = lsa_for_matrix_tests(rng)
-        corpus = make_corpus({pid: [("2020-01-01", "x")] for pid in ("c", "a", "b")})
         notes = {"c": [FilteredNote(0, docs[0])], "a": [], "b": [FilteredNote(0, "zzz")]}
         vectors = embedded(model, notes)
-        matrices, absent = build_patient_matrices(corpus, notes, vectors)
+        matrices, absent = build_patient_matrices(notes, vectors)
         assert list(matrices) == ["c"]
         assert absent == ["a", "b"]
-        want = build_patient_matrix(corpus.patients["c"], notes["c"], vectors)
+        want = build_patient_matrix("c", notes["c"], vectors)
         np.testing.assert_array_equal(matrices["c"].rows, want.rows)
 
 
