@@ -56,7 +56,6 @@ from .vectorizer import (
     NoteVectors,
     PatientMatrix,
     build_patient_matrix,
-    embed,
     fit_lsa,
     import_embeddings,
     tokenize,

@@ -2,8 +2,8 @@
 
 Subcommands: synth, segment, vectorize, pairs, evaluate, gridsearch,
 report. A shared `--config` file (plain `key = value` lines) supplies
-defaults; explicit flags always win. PATSIM_WORKERS sets the default
-worker count.
+defaults; explicit flags always win. The worker count comes from
+--workers, else the config key `workers`, else 1.
 
 A leg is named once, by its label (engine.parse_vmethod): its family
 picks vectorize's embedder and its digits the dim, and pairs checks the
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -89,15 +88,10 @@ def _fill_defaults(args: argparse.Namespace) -> None:
 
 
 def _resolve_workers(value: int | None) -> int:
-    """--workers, else PATSIM_WORKERS, else 1; a count below 1 is rejected."""
-    source, env = "--workers", os.environ.get("PATSIM_WORKERS")
-    if value is None and env:
-        try:
-            source, value = "PATSIM_WORKERS", int(env)
-        except ValueError:
-            raise ConfigError(f"PATSIM_WORKERS must be an integer, got {env!r}")
+    """--workers or the config key `workers`, else 1; a count below 1 is
+    rejected."""
     if value is not None and value < 1:
-        raise ConfigError(f"{source} must be >= 1, got {value}")
+        raise ConfigError(f"--workers must be >= 1, got {value}")
     return value or 1
 
 
@@ -430,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmethod", choices=engine.MMETHODS, required=True,
                    help="matrix similarity measure")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel eds workers (default: PATSIM_WORKERS or 1)")
+                   help="parallel eds workers (default: config key workers, else 1)")
     p.add_argument("--out", default=None, help="similarity file path")
     p.add_argument("--csv", default=None, help="also export id_a,id_b,score,defined")
     p.set_defaults(func=cmd_pairs)
@@ -458,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="directory for the report tables")
     leg_settings(p)
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel eds workers (default: PATSIM_WORKERS or 1)")
+                   help="parallel eds workers (default: config key workers, else 1)")
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("report", help="timing table over similarity files",

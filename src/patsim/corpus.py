@@ -56,8 +56,8 @@ class NoteRecord:
     text: str
 
     def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("note text is empty")
+        if not (isinstance(self.text, str) and self.text.strip()):
+            raise ValueError("note text must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,17 @@ class PatientRecord:
     """A patient and their notes, sorted ascending by timestamp when built.
 
     Equal timestamps keep their input order (stable sort), so matrices
-    built downstream are reproducible. A patient with no notes is
-    rejected.
+    built downstream are reproducible. A patient with no notes, or whose
+    id is not a non-empty string, is rejected.
     """
 
     patient_id: str
     notes: tuple[NoteRecord, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.patient_id, str) and self.patient_id):
+            raise ValueError("patient_id must be a non-empty string, "
+                             f"got {self.patient_id!r}")
         ordered = tuple(sorted(self.notes, key=lambda n: n.timestamp))
         if not ordered:
             raise ValueError(f"patient {self.patient_id!r} has no notes")

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import formats, kernels
 from .exceptions import ConfigError, DimMismatch, TooFewPatients
+from .segmenter import resolve_category
 from .vectorizer import PatientMatrix
 
 __all__ = [
@@ -88,7 +89,8 @@ _MIN_PAIRS_FOR_POOL = 2048
 @dataclass(frozen=True)
 class RunConfig:
     """One cell of the (filter, vectorizer, measure) grid; a filtered cell
-    names its category, and an unfiltered one names none."""
+    names its category (held as its canonical name), and an unfiltered
+    one names none."""
 
     filter: bool
     vmethod: str
@@ -106,6 +108,8 @@ class RunConfig:
             raise ValueError(f"filter={self.filter} with category {self.category!r}")
         try:
             parse_vmethod(self.vmethod)
+            if self.category is not None:
+                object.__setattr__(self, "category", resolve_category(self.category).name)
         except ConfigError as exc:
             raise ValueError(str(exc)) from None
         if self.mmethod not in MMETHODS:

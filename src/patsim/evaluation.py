@@ -55,8 +55,8 @@ class AnnotationRecord:
         for name in ("annotator_id", "pivot_id", "relevant_id"):
             if not (isinstance(getattr(self, name), str) and getattr(self, name)):
                 raise ValueError(f"{name} must be a non-empty string")
-        if not (self.score == -1 or 0 <= self.score <= 10):
-            raise ValueError(f"score must be -1 or 0..10, got {self.score}")
+        if not (type(self.score) is int and (self.score == -1 or 0 <= self.score <= 10)):
+            raise ValueError(f"score must be an integer, -1 or 0..10, got {self.score!r}")
         try:
             object.__setattr__(self, "category", resolve_category(self.category).name)
         except ConfigError as exc:

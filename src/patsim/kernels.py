@@ -308,13 +308,9 @@ def rv2_batch(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, offsets: np.ndar
         for a, b, x, begin, end in blocks:
             product = g[a:a + TILE] @ g[b:b + TILE].T
             runs = end - begin
-            if runs.sum() == product.size:  # every pair of the two tiles, row by row
-                np.add.at(out, (begin[:, None] + np.arange(product.shape[1])).ravel(),
-                          product.ravel())
-            else:
-                at = np.repeat(begin - np.cumsum(runs) + runs, runs)
-                at += np.arange(at.size)
-                np.add.at(out, at, product[np.repeat(x, runs), jj[at] - b])
+            at = np.repeat(begin - np.cumsum(runs) + runs, runs)
+            at += np.arange(at.size)
+            np.add.at(out, at, product[np.repeat(x, runs), jj[at] - b])
         del g  # so that one chunk, not two, is alive while the next is formed
     norm = np.sqrt(sq)
     with np.errstate(divide="ignore", invalid="ignore"):

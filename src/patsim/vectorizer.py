@@ -51,7 +51,6 @@ __all__ = [
     "NoteVectors",
     "randomized_svd",
     "fit_lsa",
-    "embed",
     "embed_texts",
     "import_embeddings",
     "compress_embeddings",
@@ -284,17 +283,6 @@ def embed_texts(model: LsaModel, texts: Sequence[str]) -> np.ndarray:
     """
     return _project(_tfidf_rows([tokenize(t) for t in texts], model.vocabulary,
                                 model.idf, model.sublinear_tf), model)
-
-
-def embed(model: LsaModel, text: str) -> np.ndarray | None:
-    """Embed one text, as embed_texts does; None when no known token survives.
-
-    Identical texts always map to identical vectors; repeating a text
-    changes tf only, which the final normalization cancels when tf is
-    linear.
-    """
-    row = embed_texts(model, [text])[0]
-    return row if row.any() else None
 
 
 def _note_vector(obj, path: Path, lineno: int, dim: int | None,

@@ -315,6 +315,7 @@ class TestPairs:
         {"vmethod": "lsa012", "category": 5},
         {"vmethod": "lsa012", "filter": True},  # a filtered leg with no category
         {"vmethod": "lsa012", "category": "Medication"},  # unfiltered with one
+        {"vmethod": "lsa012", "filter": True, "category": "Nonsense"},  # no such category
         {"vmethod": "bogus"},
         {"vmethod": "lsa050"},  # over dim-12 rows
         {"vmethod": "combined"},  # a label with no dim
@@ -329,6 +330,17 @@ class TestPairs:
         assert err.startswith("error: corrupt matrix container ")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x.sim").exists()
+
+    def test_container_category_is_written_by_its_name(self, pipeline_dir, tmp_path):
+        matrices, _ = load_matrices(pipeline_dir / "mats.bin")
+        save_matrices(matrices, tmp_path / "mats.bin",
+                      meta={"vmethod": "lsa012", "filter": True, "category": "medication"})
+        sim_path = tmp_path / "x.sim"
+        assert run_cli("pairs", "--matrices", str(tmp_path / "mats.bin"),
+                       "--mmethod", "mms", "--out", str(sim_path)) == 0
+        blob = sim_path.read_bytes()
+        assert b'"Medication"' in blob and b'"medication"' not in blob
+        assert load_similarity(sim_path).config.category == "Medication"
 
     @pytest.mark.parametrize("mmethod", ["rv2", "mms", "eds"])
     def test_container_patient_without_rows_is_one_error_line(self, tmp_path, capsys,
@@ -374,13 +386,6 @@ class TestCounts:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be >= 1")
         assert len(err.strip().splitlines()) == 1
-
-    def test_workers_env_below_one(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("PATSIM_WORKERS", "0")
-        assert run_cli("pairs", "--mmethod", "mms", "--matrices", "missing.bin",
-                       "--out", "x.sim") == 1
-        assert capsys.readouterr().err == "error: PATSIM_WORKERS must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("counts, message", [
         (["--patients", "3", "--clusters", "5"], "n_clusters cannot exceed n_patients"),
@@ -503,10 +508,6 @@ class TestHelp:
         assert ("--seed" in proc.stdout) == (command == "synth")
         assert "--config" in proc.stdout
 
-    def test_pairs_help_mentions_workers_default(self):
-        proc = run_proc("pairs", "--help")
-        assert "PATSIM_WORKERS" in proc.stdout
-
     def test_help_shows_flag_defaults(self):
         proc = run_proc("vectorize", "--help")
         flat = " ".join(proc.stdout.split())
@@ -590,11 +591,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="does not exist"):
             load_config_file(cfg)
 
-    def test_workers_env_default(self, pipeline_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("PATSIM_WORKERS", "2")
+    def test_workers_config_key(self, pipeline_dir, tmp_path):
+        cfg = tmp_path / "patsim.cfg"
+        cfg.write_text("workers = 2\n")
         sim_path = tmp_path / "sim.bin"
         assert run_cli(
-            "pairs", "--matrices", str(pipeline_dir / "mats.bin"),
+            "pairs", "--config", str(cfg), "--matrices", str(pipeline_dir / "mats.bin"),
             "--mmethod", "mms", "--out", str(sim_path),
         ) == 0
         assert load_similarity(sim_path).config.workers == 2

@@ -164,6 +164,17 @@ class TestPatientRecord:
         with pytest.raises(ValueError, match="patient 'p' has no notes"):
             PatientRecord("p", ())
 
+    @pytest.mark.parametrize("patient_id", ["", 7, None])
+    def test_patient_id_must_be_a_non_empty_string(self, patient_id):
+        note = NoteRecord(parse_timestamp("2020-01-01"), "a")
+        with pytest.raises(ValueError, match="patient_id must be a non-empty string"):
+            PatientRecord(patient_id, (note,))
+
+    @pytest.mark.parametrize("text", ["", " \n", 5, None])
+    def test_note_text_must_be_a_non_empty_string(self, text):
+        with pytest.raises(ValueError, match="note text must be a non-empty string"):
+            NoteRecord(parse_timestamp("2020-01-01"), text)
+
 
 class TestTimestamps:
     def test_date_only_means_midnight(self):

@@ -604,3 +604,10 @@ class TestRunConfig:
             RunConfig(filter=False, vmethod="lsa050", mmethod="nope")
         with pytest.raises(ValueError):
             RunConfig(filter=False, vmethod="lsa050", mmethod="rv2", workers=0)
+        with pytest.raises(ValueError, match="unknown similarity category 'Nonsense'"):
+            RunConfig(filter=True, vmethod="lsa050", mmethod="rv2", category="Nonsense")
+
+    @pytest.mark.parametrize("category", ["Medication", "medication", " MEDICATION ", "5"])
+    def test_category_held_by_its_name(self, category):
+        cfg = RunConfig(filter=True, vmethod="lsa050", mmethod="rv2", category=category)
+        assert cfg.category == "Medication"

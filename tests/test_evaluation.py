@@ -457,6 +457,11 @@ class TestAnnotationFile:
         assert mean_annotation(vs, "q", "a", "Medication") == 8.5
         assert inter_annotator_agreement(vs)["Medication"].values == [1.0]
 
+    @pytest.mark.parametrize("score", [5.5, 5.0, True, 11, -2, "5"])
+    def test_record_score_must_be_an_integer_in_range(self, score):
+        with pytest.raises(ValueError, match="score must be an integer"):
+            AnnotationRecord("a1", "q", "a", "Medication", score)
+
     def test_record_with_unknown_category_rejected(self):
         with pytest.raises(ValueError, match="nonsense"):
             AnnotationRecord("a1", "q", "a", "nonsense", 5)

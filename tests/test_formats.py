@@ -225,7 +225,7 @@ def _golden_sim(path):
     scores = np.array([[1.0, 0.25, nan], [0.25, 1.0, -0.5], [nan, -0.5, nan]])
     defined = ~np.isnan(scores)
     config = RunConfig(filter=True, vmethod="lsa050", mmethod="eds",
-                       category="Médication", workers=2, seed=7)
+                       category="Medication", workers=2, seed=7)
     persist_similarity(dense_similarity(_GOLDEN_IDS, scores, defined, config, wall=1.5),
                        path)
 
@@ -250,7 +250,7 @@ def _golden_lsa(path):
 
 
 @pytest.mark.parametrize("write, sha256", [
-    (_golden_sim, "965cdc6f3bca440cd31fbb06b78b3323a26be4ec3220f339018d144edd7315cf"),
+    (_golden_sim, "5099d3f97107a0c654e0e418350b68e476e20a12439282af1ba5faa597b451ec"),
     (_golden_mat, "54e924ac45b71654642d94c9eecd3c91b831bf9dd2edd31e8328c05c6dc78558"),
     (_golden_lsa, "afcb9d1539a074c2a6405b1c319163b52e2fb360268f8d32f5135183ffa38198"),
 ], ids=["sim", "mat", "lsa"])

@@ -29,6 +29,29 @@ def test_no_print_outside_the_cli():
     assert calls == []
 
 
+def _environment_reads(source: str) -> list[int]:
+    """Lines that read the process environment through os: os.environ,
+    os.environb, os.getenv or os.getenvb, by attribute or imported by name."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in names
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in names for alias in node.names))
+
+
+def test_no_module_reads_the_environment():
+    # settings come from flags and the config file only, so a run is
+    # described by its command line and files
+    assert _environment_reads("import os\nos.environ.get('A')\nos.getenv('B')\n"
+                              "from os import environ\nos.path.join('a')\n"
+                              "env = {}\nenv.get('C')\n") == [2, 3, 4]
+    reads = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _environment_reads(path.read_text(encoding="utf-8"))]
+    assert reads == []
+
+
 def test_no_module_imports_a_private_name_of_another():
     # a _-prefixed name is its module's own; a helper two modules share
     # is public, in the module that owns the concern

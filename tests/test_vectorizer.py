@@ -35,7 +35,6 @@ from patsim.vectorizer import (
     build_patient_matrices,
     build_patient_matrix,
     compress_embeddings,
-    embed,
     embed_texts,
     fit_lsa,
     import_embeddings,
@@ -88,7 +87,7 @@ class TestFitLsa:
     def test_identical_documents_rank_one(self):
         docs = ["alpha beta gamma"] * 3
         model = lsa_model(docs, 1)
-        vecs = [embed(model, d) for d in docs]
+        vecs = embed_texts(model, docs)
         assert np.array_equal(vecs[0], vecs[1])
         assert np.array_equal(vecs[1], vecs[2])
         assert abs(abs(vecs[0][0]) - 1.0) < 1e-12
@@ -127,8 +126,7 @@ class TestFitLsa:
         group_a = random_docs(rng, 12, 15)
         group_b = [d.replace("t", "u") for d in random_docs(rng, 12, 15)]
         model = lsa_model(group_a + group_b, 2)
-        va = embed(model, group_a[0])
-        vb = embed(model, group_b[0])
+        va, vb = embed_texts(model, [group_a[0], group_b[0]])
         assert abs(float(va @ vb)) < 0.05
 
     def test_fit_is_deterministic(self, rng):
@@ -349,11 +347,11 @@ class TestScipyLoadsOnlyForLsa:
         subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_fit_and_embed_in_a_fresh_interpreter(self):
-        code = ("import sys; from patsim.vectorizer import embed, fit_lsa; "
+        code = ("import sys; from patsim.vectorizer import embed_texts, fit_lsa; "
                 "docs = [f'note {k} about term{k % 7} and term{k % 5}' for k in range(40)]; "
                 "model, _ = fit_lsa(docs, (4,))[4]; "
                 "assert model.projection.shape[1] == 4; "
-                "assert embed(model, docs[3]) is not None; "
+                "assert embed_texts(model, [docs[3]])[0].any(); "
                 "assert 'scipy.sparse' in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True)
 
@@ -365,19 +363,18 @@ class TestEmbed:
 
     def test_training_doc_cosine_one(self, rng):
         docs, model = self.fit(rng)
-        v1 = embed(model, docs[7])
-        v2 = embed(model, docs[7])
+        v1 = embed_texts(model, [docs[7]])[0]
+        v2 = embed_texts(model, [docs[7]])[0]
         assert np.array_equal(v1, v2)
         assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-9)
 
     def test_oov_only_returns_none(self, rng):
         _, model = self.fit(rng)
-        assert embed(model, "zzz qqq") is None
+        assert not embed_texts(model, ["zzz qqq"])[0].any()
 
     def test_repeating_text_preserves_direction_with_linear_tf(self, rng):
         docs, model = self.fit(rng, sublinear=False)
-        v1 = embed(model, docs[3])
-        v2 = embed(model, docs[3] + " " + docs[3])
+        v1, v2 = embed_texts(model, [docs[3], docs[3] + " " + docs[3]])
         assert float(v1 @ v2) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("sublinear, dim", [(True, 4), (False, 4), (True, 50)])
@@ -391,7 +388,8 @@ class TestEmbed:
         for k, text in enumerate(texts):
             want = embed_reference(model, text)
             np.testing.assert_allclose(rows[k], want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(embed(model, text), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(embed_texts(model, [text])[0], want,
+                                       rtol=0, atol=1e-12)
 
     def test_nothing_found_where_the_reference_finds_nothing(self, rng):
         docs, model = self.fit(rng)
@@ -400,7 +398,7 @@ class TestEmbed:
         found = rows.any(axis=1)
         assert found.tolist() == [embed_reference(model, t) is not None for t in texts]
         assert found.tolist() == [False] * 4 + [True, False]
-        assert [embed(model, t) is None for t in texts] == (~found).tolist()
+        assert [not embed_texts(model, [t])[0].any() for t in texts] == (~found).tolist()
         assert not rows[~found].any()
         assert embed_texts(model, []).shape == (0, 4)
 
@@ -416,8 +414,6 @@ class TestEmbed:
         for k, text in enumerate(texts):
             one = embed_texts(model, [text])
             assert one.tobytes() == rows[k].tobytes()
-            vec = embed(model, text)
-            assert vec is None or vec.tobytes() == rows[k].tobytes()
 
 
 def row(vectors: NoteVectors, key) -> np.ndarray:
