@@ -37,25 +37,21 @@ from .vectorizer import (
 
 log = logging.getLogger("patsim")
 
-_CONFIG_KEYS = {
-    "corpus": ("path", True),
-    "annotations": ("path", True),
-    "imports": ("path", True),
-    "relevancy": ("path", True),
-    "prototypes": ("path", True),
-    "out": ("str", False),
-    "seed": ("int", False),
-    "workers": ("int", False),
-}
+# Each config key's kind, checked when a command takes the value: a path
+# must exist, an int must parse, and a count must be an int of at least 1.
+_CONFIG_KEYS = {"corpus": "path", "annotations": "path", "imports": "path",
+                "relevancy": "path", "prototypes": "path",
+                "out": "str", "seed": "int", "workers": "count"}
 
 
-def load_config_file(path: str | Path) -> dict:
-    """Parse a `key = value` config file; unknown keys are rejected."""
+def load_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
+    """Parse a `key = value` config file into {key: (value, line)};
+    unknown keys are rejected."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in formats.utf8_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -65,34 +61,30 @@ def load_config_file(path: str | Path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        kind, must_exist = _CONFIG_KEYS[key]
-        try:
-            if kind == "int":
-                values[key] = int(value)
-            else:
-                values[key] = value
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad {kind} value {value!r}")
-        if must_exist and not Path(value).exists():
-            raise ConfigError(f"{path}:{lineno}: path {value!r} does not exist")
+        values[key] = value, lineno
     return values
 
 
 def _fill_defaults(args: argparse.Namespace) -> None:
-    """Copy config values into the unset destinations of the same name
-    that the subcommand's parser has; a key it has none for is ignored."""
-    config = load_config_file(args.config) if args.config else {}
-    for key, value in config.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-
-
-def _resolve_workers(value: int | None) -> int:
-    """--workers or the config key `workers`, else 1; a count below 1 is
-    rejected."""
-    if value is not None and value < 1:
-        raise ConfigError(f"--workers must be >= 1, got {value}")
-    return value or 1
+    """Copy each config value into the unset destination of the same name
+    that the subcommand's parser has, checking it there; a key it has no
+    such destination for is ignored, unchecked."""
+    if not args.config:
+        return
+    for key, (value, lineno) in load_config_file(args.config).items():
+        if not hasattr(args, key) or getattr(args, key) is not None:
+            continue
+        where, kind = f"{args.config}:{lineno}", _CONFIG_KEYS[key]
+        if kind == "path" and not Path(value).exists():
+            raise ConfigError(f"{where}: path {value!r} does not exist")
+        if kind in ("int", "count"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"{where}: bad {kind} value {value!r}") from None
+            if kind == "count" and value < 1:
+                raise ConfigError(f"{where}: {key} must be >= 1, got {value}")
+        setattr(args, key, value)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -105,11 +97,12 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _require_counts(args: argparse.Namespace, *names: str) -> None:
-    """Reject a count flag below 1 before any input is read."""
+    """Reject a count flag below 1 before any input is read; one left unset
+    takes its default."""
     for name in names:
-        if getattr(args, name) < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, "
-                              f"got {getattr(args, name)}")
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _relevancy_inputs(args) -> tuple[RelevancyMap | None, dict | None]:
@@ -245,7 +238,7 @@ def cmd_vectorize(args) -> int:
 
 def cmd_pairs(args) -> int:
     _require(args, "matrices", "out")
-    workers = _resolve_workers(args.workers)
+    _require_counts(args, "workers")
     matrices, meta = load_matrices(args.matrices)
     dim = next(iter(matrices.values())).rows.shape[1]
     try:
@@ -254,7 +247,7 @@ def cmd_pairs(args) -> int:
             vmethod=meta.get("vmethod", engine.vmethod_label("lsa", dim)),
             mmethod=args.mmethod,
             category=meta.get("category"),
-            workers=workers,
+            workers=args.workers or 1,
             seed=meta.get("seed", 0),
         )
         if config.dim != dim:
@@ -299,8 +292,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     _require(args, "corpus", "annotations", "out")
-    _require_counts(args, "min_doc_freq", "title_dim")
-    options = _grid_options(args, workers=_resolve_workers(args.workers))
+    _require_counts(args, "min_doc_freq", "title_dim", "workers")
+    options = _grid_options(args, workers=args.workers or 1)
     corpus = load_corpus(args.corpus)
     validation = evaluation.load_annotations(args.annotations)
     relevancy, prototypes = _relevancy_inputs(args)

@@ -3,18 +3,18 @@
 A corpus is a set of patients, each carrying a chronologically sorted
 sequence of free-text notes. The on-disk format is JSONL: one object per
 note with fields ``patient_id``, ``timestamp`` (ISO-8601, time part
-optional) and ``text``.
+optional) and ``text``, read through formats.utf8_lines. The records hold
+the rules for their values; the loader names the line of a value they reject.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import statistics
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from . import formats
 from .exceptions import EmptyCorpus, ParseError
@@ -35,27 +35,35 @@ def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp; a missing time part means midnight.
 
     Timezone-aware inputs are converted to naive UTC so all timestamps in a
-    corpus are mutually comparable.
+    corpus are mutually comparable; one whose UTC time falls outside
+    years 1..9999 raises ValueError.
     """
     if not isinstance(value, str) or not value.strip():
         raise ValueError(f"not a timestamp: {value!r}")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is not None:
-        dt = (dt - dt.utcoffset()).replace(tzinfo=None)
+    try:
+        dt = datetime.fromisoformat(text)
+        if dt.tzinfo is not None:
+            dt = (dt - dt.utcoffset()).replace(tzinfo=None)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"bad timestamp: {exc}") from None
     return dt
 
 
 @dataclass(frozen=True)
 class NoteRecord:
-    """One timestamped free-text note; its patient is the record holding it."""
+    """One note: a naive datetime (parse_timestamp gives one), so a patient's
+    notes sort, and a non-empty text; its patient is the record holding it."""
 
     timestamp: datetime
     text: str
 
     def __post_init__(self):
+        if not (isinstance(self.timestamp, datetime) and self.timestamp.tzinfo is None):
+            raise ValueError("note timestamp must be a naive datetime, "
+                             f"got {self.timestamp!r}")
         if not (isinstance(self.text, str) and self.text.strip()):
             raise ValueError("note text must be a non-empty string")
 
@@ -126,24 +134,6 @@ def _iter_jsonl_files(path: Path) -> list[Path]:
     return [path]
 
 
-# errors="surrogateescape" decodes each byte that is not UTF-8 to one of
-# these code points, which valid UTF-8 never decodes to.
-_UNDECODED = re.compile("[\udc80-\udcff]")
-
-
-def utf8_lines(fh: TextIO, path) -> Iterator[tuple[int, str]]:
-    """Yield (line number, line) of a file opened with surrogateescape.
-
-    A byte that is not UTF-8 raises ParseError naming the file and line,
-    where strict decoding fails per read buffer and names neither.
-    """
-    for lineno, raw in enumerate(fh, start=1):
-        if not raw.isascii() and (bad := _UNDECODED.search(raw)):
-            raise ParseError(f"byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8",
-                             path=path, line=lineno)
-        yield lineno, raw
-
-
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a corpus from a JSONL file or directory of them.
 
@@ -156,34 +146,26 @@ def load_corpus(path: str | Path) -> Corpus:
         raise ParseError("corpus path does not exist", path=path)
     notes: dict[str, list[NoteRecord]] = {}
     for file in _iter_jsonl_files(path):
-        with open(file, encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, raw in utf8_lines(fh, file):
-                if not raw.strip():
-                    continue
-                try:
-                    obj = json.loads(raw, object_pairs_hook=formats.reject_duplicate_keys)
-                except (ValueError, RecursionError) as exc:
-                    raise ParseError(f"bad JSON: {exc}", path=file, line=lineno)
-                if not isinstance(obj, dict):
-                    raise ParseError("line is not an object", path=file, line=lineno)
-                for fieldname in ("patient_id", "timestamp", "text"):
-                    if fieldname not in obj:
-                        raise ParseError(
-                            f"missing field {fieldname!r}", path=file, line=lineno
-                        )
-                pid = obj["patient_id"]
-                if not isinstance(pid, str) or not pid:
-                    raise ParseError("patient_id must be a non-empty string",
-                                     path=file, line=lineno)
-                try:
-                    ts = parse_timestamp(obj["timestamp"])
-                except ValueError as exc:
-                    raise ParseError(f"bad timestamp: {exc}", path=file, line=lineno)
-                text = obj["text"]
-                if not isinstance(text, str) or not text.strip():
-                    raise ParseError("text must be a non-empty string",
-                                     path=file, line=lineno)
-                notes.setdefault(pid, []).append(NoteRecord(ts, text))
+        for lineno, raw in formats.utf8_lines(file):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw, object_pairs_hook=formats.reject_duplicate_keys)
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"bad JSON: {exc}", path=file, line=lineno)
+            if not isinstance(obj, dict):
+                raise ParseError("line is not an object", path=file, line=lineno)
+            if missing := [f for f in ("patient_id", "timestamp", "text") if f not in obj]:
+                raise ParseError(f"missing field {missing[0]!r}", path=file, line=lineno)
+            pid = obj["patient_id"]
+            if not isinstance(pid, str) or not pid:
+                raise ParseError("patient_id must be a non-empty string",
+                                 path=file, line=lineno)
+            try:
+                note = NoteRecord(parse_timestamp(obj["timestamp"]), obj["text"])
+            except ValueError as exc:
+                raise ParseError(str(exc), path=file, line=lineno)
+            notes.setdefault(pid, []).append(note)
     if not notes:
         raise EmptyCorpus(f"no notes in {path}")
     patients = {pid: PatientRecord(pid, ns) for pid, ns in notes.items()}

@@ -8,7 +8,6 @@ coefficient, per pivot, then averaged per category.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass
@@ -134,6 +133,9 @@ class ValidationSet:
         return set(self.pivots).union(*self.relevants.values())
 
 
+_ANNOTATION_COLUMNS = ("annotator_id", "pivot_id", "relevant_id", "category", "score")
+
+
 def load_annotations(path: str | Path) -> ValidationSet:
     """Read the annotation CSV.
 
@@ -144,31 +146,17 @@ def load_annotations(path: str | Path) -> ValidationSet:
     path = Path(path)
     records: list[AnnotationRecord] = []
     seen: set[tuple[str, str, str, str]] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"annotator_id", "pivot_id", "relevant_id", "category", "score"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParseError(
-                f"annotation file must have columns {sorted(required)}", path=path
-            )
-        for row in reader:
-            try:
-                rec = AnnotationRecord(
-                    annotator_id=row["annotator_id"],
-                    pivot_id=row["pivot_id"],
-                    relevant_id=row["relevant_id"],
-                    category=row["category"],
-                    score=int(row["score"]),
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ParseError(f"bad annotation row: {exc}", path=path,
-                                 line=reader.line_num)
-            key = (rec.annotator_id, rec.pivot_id, rec.relevant_id, rec.category)
-            if key in seen:
-                raise ParseError(f"duplicate annotation for {key}", path=path,
-                                 line=reader.line_num)
-            seen.add(key)
-            records.append(rec)
+    for lineno, (*ids, category, score) in formats.csv_rows(path, _ANNOTATION_COLUMNS,
+                                                            "annotation"):
+        try:
+            rec = AnnotationRecord(*ids, category, int(score))
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"bad annotation row: {exc}", path=path, line=lineno)
+        key = (rec.annotator_id, rec.pivot_id, rec.relevant_id, rec.category)
+        if key in seen:
+            raise ParseError(f"duplicate annotation for {key}", path=path, line=lineno)
+        seen.add(key)
+        records.append(rec)
     if not records:
         raise ParseError("no annotation rows", path=path)
     try:
@@ -180,7 +168,7 @@ def load_annotations(path: str | Path) -> ValidationSet:
 def save_annotations(validation: ValidationSet, path: str | Path) -> None:
     q = {name: formats.csv_field(name) for r in validation.annotations
          for name in (r.annotator_id, r.pivot_id, r.relevant_id)}
-    formats.write_csv(path, ["annotator_id,pivot_id,relevant_id,category,score\n"], (
+    formats.write_csv(path, [",".join(_ANNOTATION_COLUMNS) + "\n"], (
         f"{q[r.annotator_id]},{q[r.pivot_id]},{q[r.relevant_id]},{r.category},{r.score}\n"
         for r in validation.annotations))
 

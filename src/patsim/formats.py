@@ -1,12 +1,14 @@
-"""One framing for patsim's binary files: PATSIM-SIM-1, -MAT-1 and -LSA-1.
+"""One framing for patsim's binary files (PATSIM-SIM-1, -MAT-1 and -LSA-1),
+and the one way in for its text files.
 
-A file is a magic line, then parts: JSON blocks (u32 byte length, UTF-8
+A binary file is a magic line, then parts: JSON blocks (u32 byte length, UTF-8
 JSON, sorted keys), u64 counts, raw little-endian arrays sized by earlier
 parts, and masks (booleans bit-packed little-endian). Each format lists
 its parts and checks its values; Reader bounds-checks every part against
 the bytes left in the file before it allocates, then reads the part
 straight into an array of its own, so a truncated or corrupt file raises
-FormatError and nothing else.
+FormatError and nothing else. Every text file patsim reads goes through
+utf8_lines, so a byte that is not UTF-8 is a ParseError naming its line.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import csv
 import io
 import json
 import os
+import re
 import struct
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .exceptions import FormatError
+from .exceptions import FormatError, ParseError
 
 
 def json_block(value, ascii: bool = False) -> bytes:
@@ -112,6 +115,36 @@ def reject_duplicate_keys(pairs) -> dict:
             raise ValueError(f"duplicate field {key!r}")
         seen.add(key)
     return dict(pairs)
+
+
+# errors="surrogateescape" decodes each byte that is not UTF-8 to one of
+# these code points, which valid UTF-8 never decodes to.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def utf8_lines(path: str | Path, newline: str | None = None) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) of a UTF-8 text file; lines end at LF, CRLF
+    or a lone CR, read as LF unless newline is "" (csv's setting, which keeps
+    the endings). A byte that is not UTF-8 raises ParseError naming the file
+    and line, where strict decoding fails per read buffer and names neither."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii() and (bad := _UNDECODED.search(raw)):
+                raise ParseError(f"byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8",
+                                 path=path, line=lineno)
+            yield lineno, raw
+
+
+def csv_rows(path: str | Path, columns: tuple[str, ...],
+             what: str) -> Iterator[tuple[int, list]]:
+    """Yield (line number, the row's values of columns, in order) of a UTF-8
+    CSV file whose header names every column; a header that does not raises
+    ParseError naming the file. A short row reads None past its end."""
+    reader = csv.DictReader(line for _, line in utf8_lines(path, newline=""))
+    if not set(columns).issubset(reader.fieldnames or ()):
+        raise ParseError(f"{what} file must have columns {sorted(columns)}", path=path)
+    for row in reader:
+        yield reader.line_num, [row[c] for c in columns]
 
 
 def write_csv(path: str | Path, *parts) -> None:

@@ -238,11 +238,12 @@ def _distinct_categories(keys: Iterable) -> None:
 
 
 def _load_title_lists(path: str | Path, what: str) -> dict[str, list[str]]:
-    """A JSON object mapping distinct categories to lists of title strings;
-    any fault raises ConfigError naming the file."""
+    """A JSON object mapping distinct categories to lists of title strings,
+    read through formats.utf8_lines: a byte that is not UTF-8 raises its
+    ParseError, and any other fault ConfigError naming the file."""
+    text = "".join(line for _, line in formats.utf8_lines(path))
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"),
-                         object_pairs_hook=formats.reject_duplicate_keys)
+        obj = json.loads(text, object_pairs_hook=formats.reject_duplicate_keys)
         if not isinstance(obj, dict):
             raise ConfigError(f"{what} file must be a JSON object")
         for name, titles in obj.items():

@@ -10,7 +10,6 @@ the spec (bitwise reproducible for a fixed seed).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from numbers import Integral
@@ -172,21 +171,15 @@ def load_assignment_csv(path: str | Path) -> dict[str, int]:
     cluster that is not an integer, or a patient listed twice.
     """
     out: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"patient_id", "cluster"}.issubset(reader.fieldnames or ()):
-            raise ParseError("assignment file must have columns ['cluster', 'patient_id']",
-                             path=path)
-        for row in reader:
-            pid, cluster = row["patient_id"], row["cluster"]
-            if pid in out:
-                raise ParseError(f"patient {pid!r} is listed twice", path=path,
-                                 line=reader.line_num)
-            try:
-                out[pid] = int(cluster)
-            except (TypeError, ValueError):
-                raise ParseError(f"cluster {cluster!r} is not an integer", path=path,
-                                 line=reader.line_num)
+    for lineno, (pid, cluster) in formats.csv_rows(path, ("patient_id", "cluster"),
+                                                   "assignment"):
+        if pid in out:
+            raise ParseError(f"patient {pid!r} is listed twice", path=path, line=lineno)
+        try:
+            out[pid] = int(cluster)
+        except (TypeError, ValueError):
+            raise ParseError(f"cluster {cluster!r} is not an integer", path=path,
+                             line=lineno)
     return out
 
 

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from . import formats
-from .corpus import utf8_lines
 from .exceptions import (
     BadVector,
     DimMismatch,
@@ -305,6 +304,9 @@ def _note_vector(obj, path: Path, lineno: int, dim: int | None,
     if not np.all(np.isfinite(vec)):
         raise BadVector(f"non-finite value in vector for {key}")
     norm = np.linalg.norm(vec)
+    if norm == np.inf:  # the squares pass float range; scaled, the norm does not
+        vec = vec / np.abs(vec).max()
+        norm = np.linalg.norm(vec)
     if norm <= _ZERO_NORM:
         raise BadVector(f"zero vector for {key}")
     if key in index:
@@ -317,7 +319,8 @@ def import_embeddings(path: str | Path) -> NoteVectors:
 
     Each line holds patient_id, note_index and vector. Vectors are
     validated (one dimension for all, finiteness, nonzero norm) and
-    L2-normalized; rows follow the file's order.
+    L2-normalized; rows follow the file's order. A vector whose squared
+    norm passes float range is divided by its largest magnitude first.
 
     Lines are parsed by orjson, whose floats are correctly rounded as
     json's are. A line orjson rejects (NaN or Infinity tokens, a number
@@ -331,8 +334,8 @@ def import_embeddings(path: str | Path) -> NoteVectors:
     path = Path(path)
     index: dict[tuple[str, int], int] = {}
     vecs: list[np.ndarray] = []
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in utf8_lines(fh, path):
+    with np.errstate(over="ignore"):  # _note_vector rescales a norm that overflows
+        for lineno, raw in formats.utf8_lines(path):
             if raw.isspace():  # as `not raw.strip()`, with no copy of the line
                 continue
             dim = vecs[0].size if vecs else None

@@ -332,7 +332,8 @@ class ImportRejected(Exception):
 
 def import_embeddings_reference(path) -> tuple[dict, np.ndarray]:
     """(index, rows) of a JSONL embedding file, read line by line in text
-    mode with json.loads, checked and L2-normalized in plain steps.
+    mode with json.loads, checked and L2-normalized in plain steps; a
+    vector whose squares overflow is first divided by its largest magnitude.
 
     Problems with a line raise ImportRejected, among them an integer past
     float range and nesting past the recursion limit; a non-UTF-8 byte
@@ -371,6 +372,9 @@ def import_embeddings_reference(path) -> tuple[dict, np.ndarray]:
                 if not math.isfinite(value):
                     reject("BadVector", f"non-finite value in vector for {key}")
             norm = np.linalg.norm(vec)
+            if math.isinf(norm):  # the squares overflow: scale by the peak first
+                vec = vec / max(abs(value) for value in vec)
+                norm = np.linalg.norm(vec)
             if norm <= 1e-12:
                 reject("BadVector", f"zero vector for {key}")
             if key in index:

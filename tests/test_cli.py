@@ -585,11 +585,45 @@ class TestConfigFile:
         sentence = re.search(r"The known keys are (.*?);", readme, re.S).group(1)
         assert re.findall(r"`(\w+)`", sentence) == list(cli._CONFIG_KEYS)
 
-    def test_missing_referenced_path_rejected(self, tmp_path):
+    def test_missing_referenced_path_rejected(self, tmp_path, capsys):
+        # a path is checked when a command takes it, and named by its line
+        cfg = tmp_path / "patsim.cfg"
+        cfg.write_text("seed = 1\ncorpus = /does/not/exist.jsonl\n")
+        assert run_cli("segment", "--config", str(cfg),
+                       "--out", str(tmp_path / "s.jsonl")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: path '/does/not/exist.jsonl' does not exist\n")
+
+    @pytest.mark.parametrize("line, argv", [
+        ("imports = /does/not/exist", []),
+        ("workers = 0", ["--workers", "2"]),
+    ], ids=["key-pairs-does-not-take", "key-its-flag-overrides"])
+    def test_value_a_command_does_not_take_is_unchecked(self, line, argv, pipeline_dir,
+                                                        tmp_path):
+        cfg = tmp_path / "patsim.cfg"
+        cfg.write_text(line + "\n")
+        sim_path = tmp_path / "sim.bin"
+        assert run_cli(
+            "pairs", "--config", str(cfg), "--matrices", str(pipeline_dir / "mats.bin"),
+            "--mmethod", "mms", "--out", str(sim_path), *argv) == 0
+        assert sim_path.exists()
+
+    def test_path_under_a_flag_that_overrides_it_is_unchecked(self, pipeline_dir,
+                                                              tmp_path):
         cfg = tmp_path / "patsim.cfg"
         cfg.write_text("corpus = /does/not/exist.jsonl\n")
-        with pytest.raises(ConfigError, match="does not exist"):
-            load_config_file(cfg)
+        out = tmp_path / "s.jsonl"
+        assert run_cli("segment", "--config", str(cfg), "--out", str(out),
+                       "--corpus", str(pipeline_dir / "corpus.jsonl")) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("argv", [["pairs", "--mmethod", "mms"], ["gridsearch"]],
+                             ids=["pairs", "gridsearch"])
+    def test_workers_below_one_names_the_config_line(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "patsim.cfg"
+        cfg.write_text("workers = 0\n")
+        assert run_cli(*argv, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1: workers must be >= 1, got 0\n"
 
     def test_workers_config_key(self, pipeline_dir, tmp_path):
         cfg = tmp_path / "patsim.cfg"

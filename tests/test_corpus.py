@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
@@ -83,15 +84,6 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="duplicate"):
             load_corpus(path)
 
-    def test_non_utf8_line_is_a_parse_error_naming_the_line(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        good = {"patient_id": "a", "timestamp": "2020-01-01", "text": "x"}
-        path.write_bytes(json.dumps(good).encode() + b"\n"
-                         + b'{"patient_id": "b", "timestamp": "2020-01-01", "text": "\xff"}\n')
-        with pytest.raises(ParseError, match="is not UTF-8") as err:
-            load_corpus(path)
-        assert err.value.path == path and err.value.line == 2
-
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_line_numbers_count_crlf_and_lone_cr(self, tmp_path, newline):
         path = tmp_path / "c.jsonl"
@@ -115,6 +107,19 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="bad JSON: maximum recursion depth") as err:
             load_corpus(path)
         assert err.value.path == path and err.value.line == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("text", "  ", "note text must be a non-empty string"),
+        ("text", 5, "note text must be a non-empty string"),
+        ("timestamp", 5, "not a timestamp: 5"),
+    ])
+    def test_rejected_note_names_its_line(self, field, value, message, tmp_path):
+        good = {"patient_id": "a", "timestamp": "2020-01-01", "text": "x"}
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [good, {**good, field: value}])
+        with pytest.raises(ParseError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{message} ({path}:2)"
 
     def test_bad_timestamp(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -175,6 +180,14 @@ class TestPatientRecord:
         with pytest.raises(ValueError, match="note text must be a non-empty string"):
             NoteRecord(parse_timestamp("2020-01-01"), text)
 
+    @pytest.mark.parametrize("timestamp", [
+        "2020-01-01", datetime(2020, 1, 1, tzinfo=timezone.utc), date(2020, 1, 1), None,
+    ], ids=["string", "tz-aware", "date", "none"])
+    def test_note_timestamp_must_be_a_naive_datetime(self, timestamp):
+        # a patient sorts its notes by timestamp, which a mix of these breaks
+        with pytest.raises(ValueError, match="note timestamp must be a naive datetime"):
+            NoteRecord(timestamp, "x")
+
 
 class TestTimestamps:
     def test_date_only_means_midnight(self):
@@ -186,6 +199,23 @@ class TestTimestamps:
 
     def test_offset_normalized_to_utc(self):
         assert parse_timestamp("2020-05-06T10:00:00+02:00").hour == 8
+
+    @pytest.mark.parametrize("value", ["9999-12-31T23:59:59-01:00",
+                                       "0001-01-01T00:00:00+01:00"])
+    def test_utc_time_past_either_end_of_the_range(self, value, tmp_path):
+        with pytest.raises(ValueError, match="bad timestamp: date value out of range"):
+            parse_timestamp(value)
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"patient_id": "a", "timestamp": "2020-01-01", "text": "x"},
+                           {"patient_id": "a", "timestamp": value, "text": "y"}])
+        with pytest.raises(ParseError, match="date value out of range") as err:
+            load_corpus(path)
+        assert err.value.path == path and err.value.line == 2
+
+    def test_utc_time_at_either_end_of_the_range(self):
+        last = datetime(9999, 12, 31, 23, 59, 59)
+        assert parse_timestamp("9999-12-31T22:59:59-01:00") == last
+        assert parse_timestamp("0001-01-01T01:00:00+01:00") == datetime(1, 1, 1)
 
 
 class TestRoundTrip:

@@ -492,6 +492,25 @@ class TestPersistence:
         assert again.config == sim.config
         assert again.wall_time_seconds == sim.wall_time_seconds
 
+    def test_request_result_round_trips_as_its_triangle(self, rng, tmp_path):
+        # a request holds only its pairs; the file and the CSV list the
+        # whole triangle, every pair it does not hold undefined
+        mats = make_matrices(rng, 5)
+        ids = sorted(mats)
+        sim = compute_legs([(mats, config("mms"))], [(ids[3], ids[1]), (ids[0], ids[4])])[0]
+        assert sim.pairs is not None
+        persist_similarity(sim, tmp_path / "sim.bin")
+        again = load_similarity(tmp_path / "sim.bin")
+        assert again.pairs is None
+        assert again.scores.tobytes() == sim.scores.tobytes()
+        # (0, 4) and (1, 3) sit 4th and 6th in the triangle's row order
+        assert np.flatnonzero(~np.isnan(again.triangle())).tolist() == [3, 5]
+        export_csv(sim, tmp_path / "sim.csv")
+        with open(tmp_path / "sim.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 10
+        assert [r[:2] for r in rows if r[3] == "true"] == [[ids[0], ids[4]], [ids[1], ids[3]]]
+
     def test_load_then_persist_identical_bytes(self, rng, tmp_path):
         mats = make_matrices(rng, 5)
         sim = compute_all_pairs(mats, config("eds"))

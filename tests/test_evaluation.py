@@ -4,6 +4,7 @@ import copy
 import math
 import operator
 import pickle
+import re
 import statistics
 
 import numpy as np
@@ -446,6 +447,14 @@ class TestAnnotationFile:
             load_annotations(path)
         assert info.value.path == path and info.value.line is None
         assert str(info.value).endswith(f"({path})")
+
+    def test_repeated_record_built_in_code_rejected(self):
+        # load_annotations names the line first; a set built in code meets
+        # the same rule in ValidationSet
+        rec = AnnotationRecord("a1", "q", "a", "Medication", 5)
+        with pytest.raises(ParseError, match=re.escape(
+                "duplicate annotation for ('a1', 'q', 'a', 'Medication')")):
+            ValidationSet([rec, AnnotationRecord("a1", "q", "b", "Medication", 3), rec])
 
     def test_record_category_is_canonicalised(self):
         records = [AnnotationRecord(a, "q", r, "medication", s)

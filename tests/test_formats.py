@@ -2,7 +2,9 @@
 
 Each of the three container formats (PATSIM-SIM-1, PATSIM-MAT-1,
 PATSIM-LSA-1) is written once, then cut at every byte offset and hit by
-single-bit flips. Any other exception escaping a loader is a bug.
+single-bit flips. Any other exception escaping a loader is a bug. Text
+inputs share one reader, so each names the line of a byte that is not
+UTF-8 alike.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patsim import formats
+from patsim.cli import load_config_file
+from patsim.corpus import load_corpus
 from patsim.engine import (
     SIM_MAGIC,
     RunConfig,
@@ -24,12 +28,16 @@ from patsim.engine import (
     load_similarity,
     persist_similarity,
 )
-from patsim.exceptions import FormatError
+from patsim.evaluation import load_annotations
+from patsim.exceptions import FormatError, ParseError
+from patsim.segmenter import RelevancyMap, load_prototypes
+from patsim.synth import load_assignment_csv
 from patsim.vectorizer import (
     LSA_MAGIC,
     MAT_MAGIC,
     LsaModel,
     PatientMatrix,
+    import_embeddings,
     load_lsa_model,
     load_matrices,
     save_lsa_model,
@@ -321,3 +329,33 @@ def test_loaders_return_owned_aligned_read_only_arrays(tmp_path):
     for array in [m.rows for m in mats.values()] + [model.idf, model.projection]:
         owner = array if array.base is None else array.base
         assert owner.flags.owndata and array.flags.aligned and not array.flags.writeable
+
+
+# Each text reader, with a file whose second line holds the byte 0xff.
+_TITLES = b'{"Medication":\n["\xff"]}\n'
+_NON_UTF8_INPUTS = {
+    "corpus": (load_corpus,
+               b'{"patient_id": "a", "timestamp": "2020-01-01", "text": "x"}\n'
+               b'{"patient_id": "b", "timestamp": "2020-01-01", "text": "\xff"}\n'),
+    "imports": (import_embeddings,
+                b'{"patient_id": "a", "note_index": 0, "vector": [3, 4]}\n'
+                b'{"patient_id": "\xff"}\n'),
+    "config": (load_config_file, b"seed = 1\nout = \xff\n"),
+    "relevancy": (RelevancyMap.load, _TITLES),
+    "prototypes": (load_prototypes, _TITLES),
+    "annotations": (load_annotations,
+                    b"annotator_id,pivot_id,relevant_id,category,score\n"
+                    b"a,q,\xff,Medication,5\n"),
+    "assignment": (load_assignment_csv, b"patient_id,cluster\n\xff,1\n"),
+}
+
+
+@pytest.mark.parametrize("reader", _NON_UTF8_INPUTS)
+def test_every_text_reader_names_the_line_of_a_non_utf8_byte(reader, tmp_path):
+    load, blob = _NON_UTF8_INPUTS[reader]
+    path = tmp_path / "input"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == f"byte 0xff is not UTF-8 ({path}:2)"
+    assert err.value.path == path and err.value.line == 2

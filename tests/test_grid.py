@@ -193,6 +193,19 @@ class TestGridValidation:
         with pytest.raises(ConfigError):
             grid_search(corpus, validation)
 
+    def test_combined_with_no_dim_50_member_is_skipped(self):
+        # six patients carry no dim-50 fit in any context, and no import
+        # file is given, so the ensemble has no member at all
+        corpus, assignment = generate_synthetic(
+            SynthSpec(n_patients=6, n_clusters=2, notes_per_patient=(3, 4), seed=2))
+        validation = synthesize_validation(assignment, n_pivots=3, per_pivot=3, seed=1)
+        report = grid_search(corpus, validation, prototypes=default_prototypes())
+        combined = [c for c in report.cells if c.vmethod == "combined"]
+        assert len(combined) == 6
+        for cell in combined:
+            assert cell.status == "skipped" and cell.mean is None
+            assert cell.note.endswith("no dim-50 member legs available")
+
     def test_relevancy_map_lacking_a_category_fails_before_any_scoring(self, monkeypatch):
         corpus, assignment = generate_synthetic(
             SynthSpec(n_patients=10, n_clusters=2, seed=1)

@@ -52,6 +52,41 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
+def _text_reads(source: str) -> list[int]:
+    """Lines that call read_text, or open a file with no b, w, a or x in
+    its mode: the second argument or mode= of open(), the first or mode=
+    of a method .open() (as Path's), "r" when absent. A mode that is not
+    a string literal counts as a text read."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        method = isinstance(node.func, ast.Attribute)
+        name = node.func.attr if method else getattr(node.func, "id", None)
+        if name == "read_text":
+            lines.append(node.lineno)
+        elif name == "open":
+            at = 0 if method else 1
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[at:at + 1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and set(mode.value) & set("bwax")):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_formats_reads_text_files():
+    # formats.utf8_lines is the one way in for text input, so a byte that
+    # is not UTF-8 is the same one-line ParseError in every input file
+    assert _text_reads("open(p)\nopen(p, 'rb')\nopen(p, mode='w')\n"
+                       "open(p, 'r', encoding='utf-8')\nPath(p).read_text()\n"
+                       "p.open()\np.open('ab')\nopen(p, m)\nwith open(p, 'x') as fh: pass\n"
+                       "p.read_bytes()\nopen(p, newline='')\n") == [1, 4, 5, 6, 8, 11]
+    reads = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _text_reads(path.read_text(encoding="utf-8"))]
+    assert [read.split(":")[0] for read in reads] == ["formats.py"], reads
+
+
 def test_no_module_imports_a_private_name_of_another():
     # a _-prefixed name is its module's own; a helper two modules share
     # is public, in the module that owns the concern
